@@ -138,22 +138,36 @@ def pi_closure(g: KGraph, G: Iterable[Path]) -> Tuple[Path, ...]:
 
 @dataclass
 class VertexUniverse:
-    """Precomputed capped path data at one vertex, for fast subset scans.
+    """The capped paths at one vertex, numbered, with the tables that let
+    path sets at the vertex be carried as bitmasks.
 
-    Bitmask bit j refers to members[j] (the non-identity paths).  For each
-    capped path: which members it extends (captured), which members it has
-    a common extension with (compat), and the captured-masks of its
-    one-edge extensions that leave the cap box.
+    Path id i is the position in ``paths`` (id 0 is the vertex identity).
+    Bitmask bit j refers to members[j] = paths[j + 1], the non-identity
+    paths, so a member mask is a path mask shifted down by one.  Built
+    eagerly for each capped path: which members it extends (captured),
+    which members it has a common extension with (compat), the
+    captured-masks of its one-edge extensions that leave the cap box
+    (beyond), and, per degree below its own, the id of its prefix and the
+    matching suffix path (prefix, suffix).  The continuation and
+    composition rows are filled on first use.
     """
 
+    graph: KGraph = field(repr=False, compare=False)
     vertex: str
     cap: Degree
     paths: Tuple[Path, ...]
     members: Tuple[Path, ...]
+    index: Dict[Path, int]
     member_index: Dict[Path, int]
     captured: List[int]
     compat: List[int]
     beyond: List[List[int]]
+    prefix: List[Dict[Degree, int]]
+    suffix: List[Dict[Degree, Path]]
+    _cont: Dict[int, List[int]] = field(default_factory=dict, repr=False, compare=False)
+    _comp: Dict[int, Tuple[List[int], Dict[int, Path]]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     def mask_of(self, E: Iterable[Path]) -> int:
         m = 0
@@ -162,7 +176,12 @@ class VertexUniverse:
         return m
 
     def set_of(self, mask: int) -> PathSet:
-        return frozenset(p for j, p in enumerate(self.members) if mask >> j & 1)
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(self.members[low.bit_length() - 1])
+            mask ^= low
+        return frozenset(out)
 
     def classify(self, emask: int) -> CertifiedBool:
         """Three-valued exhaustiveness of the member subset given by emask."""
@@ -181,31 +200,86 @@ class VertexUniverse:
             return unknown_at_cap(self.cap)
         return true_certified()
 
+    def continuations(self, i: int) -> List[int]:
+        """Row i of the continuation table: entry j is the path mask, in the
+        universe at paths[i].s, of ext(paths[i], {members[j]})."""
+        row = self._cont.get(i)
+        if row is None:
+            mu = self.paths[i]
+            at = universe(self.graph, mu.s, self.cap).index
+            row = [0] * len(self.members)
+            for t, pre in enumerate(self.prefix):
+                if pre.get(mu.d) != i:
+                    continue
+                # paths[t] extends mu; it is a minimal common extension
+                # with each member prefix whose degree joins mu's to its own
+                bit = 1 << at[self.suffix[t][mu.d]]
+                dt = self.paths[t].d
+                for m, p in pre.items():
+                    if p and degrees.join(mu.d, m) == dt:
+                        row[p - 1] |= bit
+            self._cont[i] = row
+        return row
+
+    def ext_mask(self, i: int, emask: int) -> int:
+        """Path mask, in the universe at paths[i].s, of ext(paths[i], E) for
+        the member set E given by emask.  Bit 0 (the identity) is set only
+        when paths[i] extends a member of E."""
+        row = self.continuations(i)
+        out = 0
+        while emask:
+            low = emask & -emask
+            out |= row[low.bit_length() - 1]
+            emask ^= low
+        return out
+
+    def compositions(self, i: int) -> Tuple[List[int], Dict[int, Path]]:
+        """Row i of the composition table, over the members at paths[i].s:
+        entry j is the member bit here of paths[i]·members[j] there, or 0
+        when the product leaves the cap; the second value maps each such j
+        to the product itself."""
+        hit = self._comp.get(i)
+        if hit is None:
+            lam = self.paths[i]
+            uni = universe(self.graph, lam.s, self.cap)
+            there, at = uni.members, uni.member_index
+            row = [0] * len(there)
+            for t, pre in enumerate(self.prefix):
+                if t != i and pre.get(lam.d) == i:
+                    row[at[self.suffix[t][lam.d]]] = 1 << (t - 1)
+            out = {j: self.graph.compose(lam, q) for j, q in enumerate(there) if not row[j]}
+            hit = self._comp[i] = (row, out)
+        return hit
+
 
 def _build_universe(g: KGraph, v: str, cap: Degree) -> VertexUniverse:
     paths = g.paths_up_to(v, cap)
     members = paths[1:]
-    midx = {p: j for j, p in enumerate(members)}
-    prefix_sets: Dict[Path, set] = {}
+    index = {p: i for i, p in enumerate(paths)}
+    prefix: List[Dict[Degree, int]] = []
+    suffix: List[Dict[Degree, Path]] = []
     for tau in paths:
-        prefix_sets[tau] = {g.prefix(tau, m) for m in degrees.below(tau.d)}
+        pre: Dict[Degree, int] = {}
+        suf: Dict[Degree, Path] = {}
+        for m in degrees.below(tau.d):
+            head, suf[m] = g.split(tau, m)
+            pre[m] = index[head]
+        prefix.append(pre)
+        suffix.append(suf)
     captured = []
-    for lam in paths:
+    for pre in prefix:
         mask = 0
-        for q in prefix_sets[lam]:
-            j = midx.get(q)
-            if j is not None:
-                mask |= 1 << j
+        for p in pre.values():
+            if p:
+                mask |= 1 << (p - 1)
         captured.append(mask)
     compat = [0] * len(paths)
-    pidx = {p: i for i, p in enumerate(paths)}
-    for tau in paths:
-        pres = list(prefix_sets[tau])
-        for a in pres:
-            for b in pres:
-                j = midx.get(b)
-                if j is not None and degrees.join(a.d, b.d) == tau.d:
-                    compat[pidx[a]] |= 1 << j
+    for t, pre in enumerate(prefix):
+        dt = paths[t].d
+        for a, pa in pre.items():
+            for b, pb in pre.items():
+                if pb and degrees.join(a, b) == dt:
+                    compat[pa] |= 1 << (pb - 1)
     beyond: List[List[int]] = []
     for lam in paths:
         masks = []
@@ -214,12 +288,15 @@ def _build_universe(g: KGraph, v: str, cap: Degree) -> VertexUniverse:
             if degrees.leq(q.d, cap):
                 continue
             qmask = 0
-            for mu, j in midx.items():
-                if degrees.leq(mu.d, q.d) and g.prefix(q, mu.d) == mu:
-                    qmask |= 1 << j
+            for m in degrees.below(q.d):
+                if any(m) and degrees.leq(m, cap):
+                    qmask |= 1 << (index[g.prefix(q, m)] - 1)
             masks.append(qmask)
         beyond.append(masks)
-    return VertexUniverse(v, cap, paths, members, midx, captured, compat, beyond)
+    return VertexUniverse(
+        g, v, cap, paths, members, index, {p: i - 1 for p, i in index.items() if i},
+        captured, compat, beyond, prefix, suffix,
+    )
 
 
 def universe(g: KGraph, v: str, cap: Degree) -> VertexUniverse:

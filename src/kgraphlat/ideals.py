@@ -105,16 +105,23 @@ def _minimize_exhaustive(g: KGraph, F: PathSet, cap: Degree) -> PathSet:
 
 def is_saturated(g: KGraph, H: Iterable[str], cap: Degree) -> CertifiedBool:
     """Certified check that no outside vertex admits a capped exhaustive
-    set with all sources in H.
-
-    The capped candidates at a vertex are monotone in the member set, so
-    only the maximal candidate needs certifying: if it fails with a
-    witness, every subset fails with the same witness.
-    """
+    set with all sources in H."""
     H = frozenset(H)
     cap = degrees.check(cap, g.k)
     if not is_hereditary(g, H):
         raise KGraphError(f"{fmt_vertexset(H)} is not hereditary")
+    return _saturation_status(g, H, cap)
+
+
+def _saturation_status(g: KGraph, H: FrozenSet[str], cap: Degree) -> CertifiedBool:
+    """Saturation of any vertex set, hereditary or not.
+
+    The capped candidates at a vertex are monotone in the member set, so
+    only the maximal candidate needs certifying: if it fails with a
+    witness, every subset fails with the same witness.  One certified
+    exhaustive set refutes saturation; otherwise any unknown check makes
+    the answer unknown.
+    """
     unknown = False
     for v in g.vertices:
         if v in H:
@@ -150,21 +157,7 @@ def saturation(g: KGraph, G: Iterable[str], cap: Degree) -> VertexSet:
                 cur.add(v)
                 changed = True
     members = tuple(sorted(cur))
-    hered = is_hereditary(g, members)
-    sat = is_saturated(g, members, cap) if hered else _saturated_unordered(g, members, cap)
-    return VertexSet(members, hered, sat)
-
-
-def _saturated_unordered(g: KGraph, H: Iterable[str], cap: Degree) -> CertifiedBool:
-    # saturation status for a possibly non-hereditary set (flag only)
-    H = frozenset(H)
-    for v in g.vertices:
-        if v in H:
-            continue
-        fmax = _h_sourced_paths(g, v, H, cap)
-        if fmax and is_exhaustive(g, fmax, cap).is_true:
-            return false_certified((v, _minimize_exhaustive(g, fmax, cap)))
-    return true_certified()
+    return VertexSet(members, is_hereditary(g, members), _saturation_status(g, frozenset(members), cap))
 
 
 def enumerate_sat_hered(g: KGraph, cap: Degree) -> List[VertexSet]:
@@ -189,10 +182,14 @@ def enumerate_sat_hered(g: KGraph, cap: Degree) -> List[VertexSet]:
 
 
 def quotient_graph(g: KGraph, H: Iterable[str]) -> KGraph:
-    """The sub-k-graph on paths with source outside H (H hereditary)."""
+    """The sub-k-graph on paths with source outside H (H hereditary).
+
+    With H empty that is g itself, which then shares its memo."""
     H = frozenset(H)
     if not is_hereditary(g, H):
         raise KGraphError(f"quotient needs a hereditary set, got {fmt_vertexset(H)}")
+    if not H:
+        return g
     key = ("quotient", H)
     hit = g._cache.get(key)
     if hit is not None:
@@ -212,6 +209,22 @@ def _fe_candidates(g: KGraph, v: str, cap: Degree) -> Dict[PathSet, CertifiedBoo
     if hit is None:
         hit = fe_sets(g, v, cap).sets_at(v)
         g._cache[key] = hit
+    return hit
+
+
+def _mask_key(mask: int) -> Tuple[int, ...]:
+    """Sort key of a member mask: orders the sets at one vertex as
+    set_sort_key does, because member order is Path.sort_key order."""
+    return tuple(j for j in range(mask.bit_length()) if mask >> j & 1)
+
+
+def _fe_candidate_masks(g: KGraph, v: str, cap: Degree) -> Dict[int, CertifiedBool]:
+    """The capped candidates at v keyed by member mask, in fe_sets order."""
+    key = ("fecmasks", v, cap)
+    hit = g._cache.get(key)
+    if hit is None:
+        uni = universe(g, v, cap)
+        hit = g._cache[key] = {uni.mask_of(F): c for F, c in _fe_candidates(g, v, cap).items()}
     return hit
 
 
@@ -278,7 +291,28 @@ class _ScanResult:
         return bool(self.taints or self.overflow or self.budget_hit or self.s4_missing)
 
 
-def _scan_satiation(gq: KGraph, famsets: FrozenSet[PathSet], cap: Degree,
+# A family as the scan takes it: vertices in sorted order, each with its
+# nonempty sets and their member masks in set_sort_key order.
+FamilyMasks = Dict[str, List[Tuple[PathSet, int]]]
+
+
+def _family_masks(gq: KGraph, famsets: Iterable[PathSet], cap: Degree) -> FamilyMasks:
+    grouped: Dict[str, List[PathSet]] = {}
+    for S in famsets:
+        if S:
+            grouped.setdefault(next(iter(S)).r, []).append(S)
+    by_vertex: FamilyMasks = {}
+    for v in sorted(grouped):
+        uni = universe(gq, v, cap)
+        outside = [S for S in grouped[v] if any(p not in uni.member_index for p in S)]
+        if outside:
+            S = min(outside, key=set_sort_key)
+            raise KGraphError(f"family member {fmt_pathset(S)} leaves the capped universe at {v!r}")
+        by_vertex[v] = sorted(((S, uni.mask_of(S)) for S in grouped[v]), key=lambda sm: _mask_key(sm[1]))
+    return by_vertex
+
+
+def _scan_satiation(gq: KGraph, by_vertex: FamilyMasks, cap: Degree,
                     extend: bool, known_bad: Tuple[PathSet, ...] = ()) -> _ScanResult:
     """One round of the (S1)-(S4) closure rules over the capped universe.
 
@@ -286,30 +320,31 @@ def _scan_satiation(gq: KGraph, famsets: FrozenSet[PathSet], cap: Degree,
     candidate is a violation; (S4) misses, everything blocked by the cap,
     and derived sets covered by a verified refutation (a subset of some
     known non-exhaustive set) only dirty the result.  In extend mode
-    missing candidates are collected as additions instead.
+    missing candidates are collected as additions instead.  Sets travel
+    as member masks of the vertex universes; frozensets are built only
+    for what the result records.
     """
     res = _ScanResult()
-    by_vertex: Dict[str, List[PathSet]] = {}
-    for S in famsets:
-        if not S:
-            continue
-        by_vertex.setdefault(next(iter(S)).r, []).append(S)
-    for v in by_vertex:
-        by_vertex[v].sort(key=set_sort_key)
+    fmasks_at = {v: {m for _, m in fam} for v, fam in by_vertex.items()}
+    bad_at: Dict[str, List[int]] = {}
+    for Y in known_bad:
+        w = next(iter(Y)).r
+        if gq.has_vertex(w):
+            idx = universe(gq, w, cap).member_index
+            bad_at.setdefault(w, []).append(sum(1 << idx[p] for p in Y if p in idx))
 
-    def fam_has(S: PathSet) -> bool:
-        return S in famsets
-
-    def demand(rule: str, G: PathSet, extra, D: PathSet, dv: str):
-        """Handle a derived set D that the rules require to be present."""
-        if fam_has(D):
+    def demand(rule: str, G: PathSet, extra, dmask: int, dv: str):
+        """Handle a derived set, given by its mask at dv, that the rules
+        require to be present."""
+        if dmask in fmasks_at.get(dv, ()):
             return
-        cert = _fe_candidates(gq, dv, cap).get(D)
+        cert = _fe_candidate_masks(gq, dv, cap).get(dmask)
+        D = universe(gq, dv, cap).set_of(dmask)
         if cert is None:
             # not a capped candidate: certified non-exhaustive derivative
             res.taints.append((rule, G, extra, D))
             return
-        if any(D <= Y for Y in known_bad):
+        if any(not dmask & ~Y for Y in bad_at.get(dv, ())):
             # a verified refutation covers D, so its absence is explained
             res.taints.append((rule + "-refuted", G, extra, D))
             return
@@ -320,26 +355,11 @@ def _scan_satiation(gq: KGraph, famsets: FrozenSet[PathSet], cap: Degree,
         else:
             res.violations.append((rule, G, extra, D))
 
-    # options table for the substitution rule, shared across vertices
-    at_vertex: Dict[str, List[PathSet]] = {}
-    for S in famsets:
-        if S:
-            at_vertex.setdefault(next(iter(S)).r, []).append(S)
-    for lists in at_vertex.values():
-        lists.sort(key=set_sort_key)
-
-    for v in sorted(by_vertex):
+    for v, fam in by_vertex.items():
         uni = universe(gq, v, cap)
         m = len(uni.members)
-        fmasks = set()
-        for S in by_vertex[v]:
-            if any(p not in uni.member_index for p in S):
-                raise KGraphError(
-                    f"family member {fmt_pathset(S)} leaves the capped universe at {v!r}"
-                )
-            fmasks.add(uni.mask_of(S))
+        fmasks = fmasks_at[v]
         # (S1): upward closure inside the candidate universe, via subset DP
-        cands = _fe_candidates(gq, v, cap)
         contains = bytearray(1 << m)
         for mask in range(1, 1 << m):
             if mask in fmasks:
@@ -352,75 +372,83 @@ def _scan_satiation(gq: KGraph, famsets: FrozenSet[PathSet], cap: Degree,
                     contains[mask] = 1
                     break
                 mm ^= low
-        for F, cert in sorted(cands.items(), key=lambda kv: set_sort_key(kv[0])):
-            fmask = uni.mask_of(F)
+        for fmask in _fe_candidate_masks(gq, v, cap):
             if contains[fmask] and fmask not in fmasks:
-                G = next(S for S in by_vertex[v] if S < F)
+                G = next(S for S, gm in fam if gm & fmask == gm)
+                F = uni.set_of(fmask)
                 if extend:
                     res.additions.add(F)
                 else:
                     res.violations.append(("S1", G, None, F))
 
-        # (S2): extensions along capped paths not already extending the set
-        for G in by_vertex[v]:
-            for mu in uni.paths:
-                if any(gq.extends(mu, p) for p in G):
+        # (S2): extensions along capped paths not already extending the set;
+        # such a path's continuations never include the identity
+        for G, gm in fam:
+            for i, mu in enumerate(uni.paths):
+                if uni.captured[i] & gm:
                     continue
-                D = frozenset(ext(gq, mu, G))
-                if not D:
-                    res.taints.append(("S2-empty", G, mu, D))
+                dmask = uni.ext_mask(i, gm) >> 1
+                if not dmask:
+                    res.taints.append(("S2-empty", G, mu, frozenset()))
                     continue
-                demand("S2", G, mu, D, mu.s)
+                demand("S2", G, mu, dmask, mu.s)
 
         # (S3): initial segments, one nonzero cut per member
         s3_left = S3_BUDGET
-        for G in by_vertex[v]:
-            choices = []
-            for lam in sorted(G, key=Path.sort_key):
-                cuts = [n for n in degrees.below(lam.d) if sum(n) > 0]
-                choices.append((lam, cuts))
+        for G, gm in fam:
+            cuts = []
+            bits = []
+            for j in _mask_key(gm):
+                pre = uni.prefix[j + 1]
+                cuts.append([n for n, p in pre.items() if p])
+                bits.append([1 << (p - 1) for p in pre.values() if p])
             count = 1
-            for _, cuts in choices:
-                count *= len(cuts)
+            for c in cuts:
+                count *= len(c)
             if count > s3_left:
                 res.budget_hit.append(f"S3 at {v}")
                 break
             s3_left -= count
-            for combo in itertools.product(*(cuts for _, cuts in choices)):
-                D = frozenset(gq.prefix(lam, n) for (lam, _), n in zip(choices, combo))
-                if D == G:
-                    continue
-                demand("S3", G, combo, D, v)
+            for combo, parts in zip(itertools.product(*cuts), itertools.product(*bits)):
+                dmask = 0
+                for b in parts:
+                    dmask |= b
+                if dmask != gm:
+                    demand("S3", G, combo, dmask, v)
 
         # (S4): substitute members by their own family sets
-        prod_cache: Dict[Tuple[Path, PathSet], Optional[FrozenSet[Path]]] = {}
+        prod_cache: Dict[Tuple[int, int], Optional[int]] = {}
 
-        def products(lam: Path, Sl: PathSet) -> Optional[FrozenSet[Path]]:
-            """lam composed with every member of Sl; None when capped out."""
-            key = (lam, Sl)
+        def products(i: int, slmask: int) -> Optional[int]:
+            """Mask of paths[i] composed with every member of the set
+            slmask at its source; None when capped out."""
+            key = (i, slmask)
             if key not in prod_cache:
-                prods = set()
+                row, beyond = uni.compositions(i)
+                part = 0
                 blocked = False
-                for q in Sl:
-                    comp = gq.compose(lam, q)
-                    if degrees.leq(comp.d, cap):
-                        prods.add(comp)
+                while slmask:
+                    low = slmask & -slmask
+                    slmask ^= low
+                    j = low.bit_length() - 1
+                    if row[j]:
+                        part |= row[j]
                     else:
-                        res.overflow.add(comp)
+                        res.overflow.add(beyond[j])
                         blocked = True
-                prod_cache[key] = None if blocked else frozenset(prods)
+                prod_cache[key] = None if blocked else part
             return prod_cache[key]
 
         s4_left = S4_BUDGET
-        for G in by_vertex[v]:
+        for G, gm in fam:
             if s4_left <= 0:
                 break
-            members = sorted(G, key=Path.sort_key)
+            members = _mask_key(gm)
             for r in range(1, len(members) + 1):
                 if s4_left <= 0:
                     break
                 for Gp in itertools.combinations(members, r):
-                    options = [at_vertex.get(lam.s, []) for lam in Gp]
+                    options = [by_vertex.get(uni.members[j].s, []) for j in Gp]
                     if any(not o for o in options):
                         continue
                     count = 1
@@ -431,18 +459,20 @@ def _scan_satiation(gq: KGraph, famsets: FrozenSet[PathSet], cap: Degree,
                         s4_left = 0
                         break
                     s4_left -= count
-                    base = frozenset(p for p in members if p not in Gp)
+                    base = gm
+                    for j in Gp:
+                        base &= ~(1 << j)
                     for assign in itertools.product(*options):
-                        D = base
-                        blocked = False
-                        for lam, Sl in zip(Gp, assign):
-                            part = products(lam, Sl)
+                        dmask = base
+                        for j, (_, slmask) in zip(Gp, assign):
+                            part = products(j + 1, slmask)
                             if part is None:
-                                blocked = True
                                 break
-                            D = D | part
-                        if not blocked:
-                            demand("S4", G, (Gp, assign), D, v)
+                            dmask |= part
+                        else:  # no product left the cap
+                            if dmask not in fmasks:
+                                extra = (tuple(uni.members[j] for j in Gp), tuple(Sl for Sl, _ in assign))
+                                demand("S4", G, extra, dmask, v)
     return res
 
 
@@ -450,8 +480,7 @@ def is_satiated(gq: KGraph, fam, cap: Degree) -> CertifiedBool:
     """Certified closure check of a family under supersets, extensions,
     truncations and substitutions, within the capped universe."""
     cap = degrees.check(cap, gq.k)
-    famsets = frozenset(_normalize_family(fam))
-    res = _scan_satiation(gq, famsets, cap, extend=False)
+    res = _scan_satiation(gq, _family_masks(gq, _normalize_family(fam), cap), cap, extend=False)
     if res.violations:
         rule, G, extra, D = sorted(
             res.violations, key=lambda vio: (vio[0], set_sort_key(vio[1]), set_sort_key(vio[3]))
@@ -483,7 +512,7 @@ def satiation_closure(gq: KGraph, fam, cap: Degree) -> SatiatedFamily:
     taints: List[Tuple] = []
     budget: List[str] = []
     while True:
-        res = _scan_satiation(gq, frozenset(famsets), cap, extend=True)
+        res = _scan_satiation(gq, _family_masks(gq, famsets, cap), cap, extend=True)
         overflow |= res.overflow
         taints.extend(res.taints)
         budget.extend(res.budget_hit)
@@ -532,13 +561,52 @@ def restricted_fe_family(g: KGraph, H: Iterable[str], cap: Degree) -> SatiatedFa
         return hit
     gq = quotient_graph(g, H)
 
-    parents: Dict[PathSet, CertifiedBool] = {}
+    # Sets travel as (vertex, member mask): parents in g's universe, their
+    # strips in gq's.  Parents keep the fe_sets order, since the order of
+    # refutations decides which witness later checks reuse.
+    parents: List[Tuple[PathSet, str, int]] = []  # (E, vertex, strip mask)
+    parent_at: Dict[PathSet, Tuple[str, int]] = {}  # E -> (vertex, mask)
+    qsets: Dict[Tuple[str, int], PathSet] = {}
+    skeys: Dict[str, List[tuple]] = {}
     for v in g.vertices:
-        if v not in H:
-            parents.update(_fe_candidates(g, v, cap))
+        if v in H:
+            continue
+        ug, uq = universe(g, v, cap), universe(gq, v, cap)
+        skeys[v] = [p.sort_key() for p in uq.members]
+        kept = [(1 << j, 1 << uq.member_index[p]) for j, p in enumerate(ug.members) if p.s not in H]
+        same = len(kept) == len(ug.members)  # then both universes have the same members
+        for emask, E in zip(_fe_candidate_masks(g, v, cap), _fe_candidates(g, v, cap)):
+            if same:
+                smask = emask
+                qsets[(v, smask)] = E
+            else:
+                smask = 0
+                for gbit, qbit in kept:
+                    if emask & gbit:
+                        smask |= qbit
+            parents.append((E, v, smask))
+            parent_at[E] = (v, emask)
+    # every strip in set_sort_key order; later rounds only lose strips
+    order = sorted({(v, smask) for _, v, smask in parents if smask},
+                   key=lambda key: [skeys[key[0]][j] for j in _mask_key(key[1])])
+
     bad_parent: Dict[PathSet, Path] = {}
-    bad_quotient: Dict[PathSet, Path] = {}
-    tainted: Dict[PathSet, CertifiedBool] = {}
+    bad_quotient: Dict[Tuple[str, int], Path] = {}
+    tainted: Dict[Tuple[str, int], CertifiedBool] = {}
+    qcerts: Dict[Tuple[str, int], CertifiedBool] = {}
+
+    def qset(key: Tuple[str, int]) -> PathSet:
+        S = qsets.get(key)
+        if S is None:
+            S = qsets[key] = universe(gq, key[0], cap).set_of(key[1])
+        return S
+
+    def qcert(key: Tuple[str, int]) -> CertifiedBool:
+        """Capped exhaustiveness of a quotient set (is_exhaustive by mask)."""
+        cert = qcerts.get(key)
+        if cert is None:
+            cert = qcerts[key] = universe(gq, key[0], cap).classify(key[1])
+        return cert
 
     def refute_parent(E: PathSet, tau: Path) -> bool:
         if E in bad_parent:
@@ -548,29 +616,30 @@ def restricted_fe_family(g: KGraph, H: Iterable[str], cap: Degree) -> SatiatedFa
             return True
         return False
 
-    def refute_quotient(S: PathSet, sigma: Path) -> bool:
-        if S in bad_quotient:
+    def refute_quotient(key: Tuple[str, int], sigma: Path) -> bool:
+        if key in bad_quotient:
             return False
-        if _verify_refutation(gq, S, sigma):
-            bad_quotient[S] = sigma
+        if _verify_refutation(gq, qset(key), sigma):
+            bad_quotient[key] = sigma
             return True
         return False
 
-    def quotient_bad_witness(D: PathSet) -> Optional[Path]:
-        """A verified quotient witness for D, via subset-monotone lookup."""
-        if D in bad_quotient:
-            return bad_quotient[D]
-        for Y, sigma in bad_quotient.items():
-            if D <= Y and _verify_refutation(gq, D, sigma):
-                bad_quotient[D] = sigma
+    def quotient_bad_witness(key: Tuple[str, int]) -> Optional[Path]:
+        """A verified quotient witness for a set, via subset-monotone lookup."""
+        if key in bad_quotient:
+            return bad_quotient[key]
+        w, dmask = key
+        for (yv, ymask), sigma in bad_quotient.items():
+            if yv == w and not dmask & ~ymask and _verify_refutation(gq, qset(key), sigma):
+                bad_quotient[key] = sigma
                 return sigma
-        cert = is_exhaustive(gq, D, cap)
-        if cert.is_false and refute_quotient(D, cert.witness):
+        cert = qcert(key)
+        if cert.is_false and refute_quotient(key, cert.witness):
             return cert.witness
         return None
 
-    def refute_parents_of(S: PathSet, parent_list: List[PathSet], mu: Path) -> bool:
-        """Given a verified quotient witness mu against S, discard S's parents."""
+    def refute_parents_of(parent_list: List[PathSet], mu: Path) -> bool:
+        """Given a verified quotient witness mu against a strip, discard its parents."""
         progress = False
         fmax = _h_sourced_paths(g, mu.s, H, cap)
         lam0 = None
@@ -587,84 +656,89 @@ def restricted_fe_family(g: KGraph, H: Iterable[str], cap: Degree) -> SatiatedFa
                 progress = True
         return progress
 
-    strips: Dict[PathSet, List[PathSet]] = {}
-    certs: Dict[PathSet, CertifiedBool] = {}
+    strips: Dict[Tuple[str, int], List[PathSet]] = {}
     while True:
         strips = {}
-        for E in parents:
-            if E in bad_parent:
-                continue
-            S = _strip(E, H)
-            if S:
-                strips.setdefault(S, []).append(E)
-        certs = {S: is_exhaustive(gq, S, cap) for S in strips}
+        for E, v, smask in parents:
+            if smask and E not in bad_parent:
+                strips.setdefault((v, smask), []).append(E)
         progress = False
         tainted = {}
-        for S in sorted(strips, key=set_sort_key):
-            cert = certs[S]
+        for key in order:
+            if key not in strips:
+                continue
+            cert = qcert(key)
             if cert.is_false:
-                refute_quotient(S, cert.witness)
-            sigma = bad_quotient.get(S)
+                refute_quotient(key, cert.witness)
+            sigma = bad_quotient.get(key)
             if sigma is None:
                 continue
-            if refute_parents_of(S, strips[S], sigma):
+            if refute_parents_of(strips[key], sigma):
                 progress = True
-            elif any(E not in bad_parent for E in strips[S]):
-                tainted[S] = cert if cert.is_false else false_certified(sigma)
+            elif any(E not in bad_parent for E in strips[key]):
+                tainted[key] = cert if cert.is_false else false_certified(sigma)
         if progress:
             continue
 
         # extension-rule closure: a missing derivative certifies bogus
         # inputs; refutations are verified independently, so a whole round
         # is collected before the family is rebuilt
-        members = {S for S in strips if S not in bad_quotient and S not in tainted}
-        for S in sorted(members, key=set_sort_key):
-            if S in bad_quotient:
+        members = {key for key in strips if key not in bad_quotient and key not in tainted}
+        for key in order:
+            if key not in members or key in bad_quotient:
                 continue
-            v = next(iter(S)).r
-            for mu in gq.paths_up_to(v, cap):
-                if any(gq.extends(mu, p) for p in S):
+            v, smask = key
+            uq, ug = universe(gq, v, cap), universe(g, v, cap)
+            for i, mu in enumerate(uq.paths):
+                if uq.captured[i] & smask:
                     continue
-                D = frozenset(ext(gq, mu, S))
-                if not D or D in members:
+                # mu extends no member of the strip, and no H-sourced
+                # member of a parent either (its source is outside H), so
+                # no continuation below is the identity
+                dmask = uq.ext_mask(i, smask) >> 1
+                if not dmask or (mu.s, dmask) in members:
                     continue
-                sigma = quotient_bad_witness(D)
+                sigma = quotient_bad_witness((mu.s, dmask))
                 if sigma is not None:
                     # the composite escapes the cap but replays exactly
                     mu_sigma = gq.compose(mu, sigma)
-                    if refute_quotient(S, mu_sigma):
-                        if not refute_parents_of(S, strips[S], mu_sigma):
-                            tainted[S] = false_certified(mu_sigma)
+                    if refute_quotient(key, mu_sigma):
+                        if not refute_parents_of(strips[key], mu_sigma):
+                            tainted[key] = false_certified(mu_sigma)
                         progress = True
                         break
-                for E in strips[S]:
+                iu = ug.index[mu]
+                at_source = universe(g, mu.s, cap)
+                for E in strips[key]:
                     if E in bad_parent:
                         continue
-                    P = frozenset(ext(g, mu, E))
-                    if not P:
+                    pmask = ug.ext_mask(iu, parent_at[E][1]) >> 1
+                    if not pmask:
                         if refute_parent(E, mu):
                             progress = True
                         continue
-                    pcert = is_exhaustive(g, P, cap)
+                    pcert = at_source.classify(pmask)
                     if pcert.is_false and refute_parent(E, g.compose(mu, pcert.witness)):
                         progress = True
                     else:
                         for Y, tau in bad_parent.items():
-                            if P <= Y and refute_parent(E, g.compose(mu, tau)):
+                            yv, ymask = parent_at[Y]
+                            if yv == mu.s and not pmask & ~ymask and refute_parent(E, g.compose(mu, tau)):
                                 progress = True
                                 break
         if not progress:
             break
 
     by_vertex: Dict[str, Dict[PathSet, CertifiedBool]] = {}
-    for S in sorted(strips, key=set_sort_key):
-        if S in bad_quotient or S in tainted:
-            continue
-        v = next(iter(S)).r
-        by_vertex.setdefault(v, {})[S] = certs[S]
+    masks: FamilyMasks = {}
+    for key in order:
+        if key in strips and key not in bad_quotient and key not in tainted:
+            v, smask = key
+            by_vertex.setdefault(v, {})[qset(key)] = qcert(key)
+            masks.setdefault(v, []).append((qset(key), smask))
     fam = FEFamily(cap=cap, by_vertex=by_vertex)
-    known_bad = tuple(bad_parent) + tuple(bad_quotient)
-    res = _scan_satiation(gq, frozenset(fam.all_sets()), cap, extend=False, known_bad=known_bad)
+    known_bad = tuple(bad_parent) + tuple(qset(key) for key in bad_quotient)
+    res = _scan_satiation(gq, dict(sorted(masks.items())), cap, extend=False, known_bad=known_bad)
     if res.violations:
         rule, G, extra, D = sorted(
             res.violations, key=lambda vio: (vio[0], set_sort_key(vio[1]), set_sort_key(vio[3]))
@@ -680,8 +754,9 @@ def restricted_fe_family(g: KGraph, H: Iterable[str], cap: Degree) -> SatiatedFa
         satiated=verdict,
         overflow=tuple(sorted(res.overflow, key=Path.sort_key)),
         refuted_parents=dict(sorted(bad_parent.items(), key=lambda kv: set_sort_key(kv[0]))),
-        quotient_refuted=dict(sorted(bad_quotient.items(), key=lambda kv: set_sort_key(kv[0]))),
-        tainted=tainted,
+        quotient_refuted=dict(sorted(((qset(key), sigma) for key, sigma in bad_quotient.items()),
+                                     key=lambda kv: set_sort_key(kv[0]))),
+        tainted={qset(key): cert for key, cert in tainted.items()},
         notes=(),
     )
     g._cache[cache_key] = out

@@ -15,7 +15,7 @@ graphs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Set, Tuple
 
 from .kgraph import KGraph, Skeleton, SquareRule, ValidationReport, validate_kgraph
 
@@ -44,6 +44,7 @@ def parse_kgraph_text(text: str) -> KGraphDocument:
     squares: List[SquareRule] = []
     locations: Dict[str, int] = {}
     seen_ids: Dict[str, int] = {}
+    edge_ids: Set[str] = set()
 
     def err(msg, lineno, col=1):
         raise KGraphSyntaxError(msg, lineno, col)
@@ -84,13 +85,13 @@ def parse_kgraph_text(text: str) -> KGraphDocument:
             seen_ids[eid] = lineno
             locations[eid] = lineno
             edges.append((eid, int(color_tok), rng, src))
+            edge_ids.add(eid)
         elif head == "square":
             if len(tokens) != 6 or tokens[3] != "~":
                 err("expected 'square <f> <g> ~ <g2> <f2>'", lineno)
             f, g_, g2, f2 = tokens[1], tokens[2], tokens[4], tokens[5]
-            known = {e[0] for e in edges}
             for x in (f, g_, g2, f2):
-                if x not in known:
+                if x not in edge_ids:
                     err(f"square references unknown edge {x!r}", lineno)
             squares.append(SquareRule((f, g_), (g2, f2)))
             locations.setdefault(f"square:{f}.{g_}", lineno)

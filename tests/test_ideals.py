@@ -19,6 +19,7 @@ from kgraphlat.ideals import (
     saturation,
 )
 from kgraphlat.kgraph import KGraphError, validate_kgraph
+from kgraphlat.randomgraphs import random_2graph
 
 import oracles
 
@@ -116,6 +117,19 @@ def test_saturation_props_and_bruteforce_oracle(fx):
                     assert frozenset(saturation(g, G, cap).members) <= frozenset(
                         saturation(g, H, cap).members
                     )  # monotone
+
+
+def test_saturation_of_non_hereditary_set_keeps_unknown():
+    """An unknown exhaustiveness check is never upgraded: the saturation of
+    {v2} in this graph is not hereditary, no vertex outside it is certified
+    to carry an exhaustive set, and the check at v0 is unknown at the cap."""
+    g = random_2graph(32)
+    cap = (1, 1)
+    vs = saturation(g, ("v2",), cap)
+    assert not vs.hereditary
+    fmax = [p for p in g.paths_up_to("v0", cap) if p.s in vs.members and not p.is_vertex]
+    assert is_exhaustive(g, fmax, cap).is_unknown
+    assert vs.saturated.is_unknown
 
 
 def test_saturation_preserves_hereditary(fx):
