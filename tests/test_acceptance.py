@@ -36,6 +36,7 @@ from kgraphlat.structure import (
 )
 
 import oracles
+from cli_corpus import criterion_9_invocations
 
 K1_SEEDS = range(50)
 K2_SEEDS = range(100)
@@ -373,40 +374,9 @@ def test_criterion_8_witness_soundness(fx):
 
 
 def test_criterion_9_cli_determinism(fx, capsys):
-    def invocations(name, g):
-        v0 = g.vertices[0]
-        e0 = g.edges[0].eid if g.edges else None
-        base = [
-            ("validate", name),
-            ("paths", name, "--vertex", v0, "--cap", "2"),
-            ("sathered", name, "--cap", "2"),
-            ("quotient", name, "--set", ""),
-            ("pairs", name, "--cap", "1"),
-            ("lattice", name, "--cap", "1"),
-            ("lattice", name, "--cap", "1", "--format", "dot"),
-            ("skew", name, "--radius", "1"),
-            ("skew", name, "--radius", "1", "--format", "dot"),
-            ("grading", name),
-            ("boundary", name, "--vertex", v0, "--cap", "1"),
-            ("cofinal", name, "--cap", "2"),
-            ("loops", name, "--cap", "2"),
-            ("report", name, "--cap", "1", "--assume-condition-c"),
-            ("fe", name, "--vertex", v0, "--cap", "1"),
-            ("saturation", name, "--set", v0, "--cap", "1"),
-            ("ehfamily", name, "--set", "", "--cap", "1"),
-            ("satiate", name, "--set", "", "--cap", "1"),
-        ]
-        if e0:
-            base += [
-                ("mce", name, "--mu", e0, "--nu", e0),
-                ("ext", name, "--mu", v0, "--set", e0),
-                ("mclosure", name, "--set", e0),
-            ]
-        return base
-
     total = 0
     for name, g in sorted(fx.items()):
-        for argv in invocations(name, g):
+        for argv in criterion_9_invocations(name, g):
             argv = [str(a) for a in argv]
             code1 = cli_main(argv)
             out1 = capsys.readouterr()

@@ -229,3 +229,16 @@ def test_module_entry_point():
         capture_output=True, text=True,
     )
     assert proc.returncode == 0 and '"ok": true' in proc.stdout
+
+
+def test_cli_output_matches_committed_digests():
+    """Every byte of the corpus output (criterion 9 plus the family
+    commands at cap 2) is pinned across versions, not only across runs."""
+    import cli_corpus
+
+    with open(cli_corpus.DIGESTS, encoding="utf-8") as fh:
+        pinned = json.load(fh)
+    got = cli_corpus.digests()
+    assert len(got) == len(cli_corpus.corpus())
+    changed = sorted(k for k in pinned.keys() | got.keys() if pinned.get(k) != got.get(k))
+    assert not changed, changed
