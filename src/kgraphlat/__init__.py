@@ -23,10 +23,6 @@ from .kgraph import (
     Skeleton,
     SquareRule,
     ValidationReport,
-    compose,
-    paths_of_degree,
-    paths_up_to,
-    segment,
     validate_kgraph,
 )
 from .align import (

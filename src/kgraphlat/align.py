@@ -45,19 +45,18 @@ def mce(g: KGraph, mu: Path, nu: Path) -> Tuple[Path, ...]:
     """Minimal common extensions: degree d(mu)∨d(nu), extending both."""
     if mu.r != nu.r:
         raise KGraphError(f"mce needs a common range; got {mu.r!r} and {nu.r!r}")
-    key = ("mce", mu, nu)
-    hit = g._cache.get(key)
-    if hit is not None:
-        return hit
+    if nu.edges < mu.edges:  # mce is symmetric: one memo entry serves both orders
+        mu, nu = nu, mu
+    return g.memo(("mce", mu, nu), _mce, g, mu, nu)
+
+
+def _mce(g: KGraph, mu: Path, nu: Path) -> Tuple[Path, ...]:
     n = degrees.join(mu.d, nu.d)
-    out = tuple(
+    return tuple(
         lam
         for lam in g.paths_of_degree(mu.r, n)
         if g.prefix(lam, mu.d) == mu and g.prefix(lam, nu.d) == nu
     )
-    g._cache[key] = out
-    g._cache[("mce", nu, mu)] = out
-    return out
 
 
 def lambda_min(g: KGraph, mu: Path, nu: Path) -> Tuple[MinPair, ...]:
@@ -75,21 +74,18 @@ def ext(g: KGraph, mu: Path, E: Iterable[Path]) -> Tuple[Path, ...]:
     E = frozenset(E)
     if E and common_range(E) != mu.r:
         raise KGraphError("ext needs r(mu) equal to the common range of E")
-    memo = ("ext", mu, E)
-    hit = g._cache.get(memo)
-    if hit is not None:
-        return hit
+    return g.memo(("ext", mu, E), _ext, g, mu, E)
+
+
+def _ext(g: KGraph, mu: Path, E: PathSet) -> Tuple[Path, ...]:
     out = set()
     for nu in E:
-        key = ("extc", mu, nu)
-        contrib = g._cache.get(key)
-        if contrib is None:
-            contrib = tuple(g.split(tau, mu.d)[1] for tau in mce(g, mu, nu))
-            g._cache[key] = contrib
-        out.update(contrib)
-    res = sorted_paths(out)
-    g._cache[memo] = res
-    return res
+        out.update(g.memo(("extc", mu, nu), _continuations, g, mu, nu))
+    return sorted_paths(out)
+
+
+def _continuations(g: KGraph, mu: Path, nu: Path) -> Tuple[Path, ...]:
+    return tuple(g.split(tau, mu.d)[1] for tau in mce(g, mu, nu))
 
 
 def vee_closure(g: KGraph, E: Iterable[Path]) -> Tuple[Path, ...]:
@@ -301,12 +297,7 @@ def _build_universe(g: KGraph, v: str, cap: Degree) -> VertexUniverse:
 
 def universe(g: KGraph, v: str, cap: Degree) -> VertexUniverse:
     cap = degrees.check(cap, g.k)
-    key = ("universe", v, cap)
-    hit = g._cache.get(key)
-    if hit is None:
-        hit = _build_universe(g, v, cap)
-        g._cache[key] = hit
-    return hit
+    return g.memo(("universe", v, cap), _build_universe, g, v, cap)
 
 
 def is_exhaustive(g: KGraph, E: Iterable[Path], cap: Degree) -> CertifiedBool:
@@ -350,58 +341,58 @@ def is_exhaustive(g: KGraph, E: Iterable[Path], cap: Degree) -> CertifiedBool:
 
 @dataclass
 class FEFamily:
-    """Capped finite-exhaustive candidates, per vertex, with certifications."""
+    """Capped finite-exhaustive candidates, per vertex, with certifications.
 
+    A set is kept as its member mask in the universe of ``graph`` at its
+    vertex and ``cap``; ``sets_at`` and ``all_sets`` build the path sets.
+    """
+
+    graph: KGraph = field(repr=False, compare=False)
     cap: Degree
-    by_vertex: Dict[str, Dict[PathSet, CertifiedBool]] = field(default_factory=dict)
+    by_vertex: Dict[str, Dict[int, CertifiedBool]] = field(default_factory=dict)
 
     def sets_at(self, v: str) -> Dict[PathSet, CertifiedBool]:
-        return self.by_vertex.get(v, {})
+        masks = self.by_vertex.get(v)
+        if not masks:
+            return {}
+        uni = universe(self.graph, v, self.cap)
+        return {uni.set_of(mask): cert for mask, cert in masks.items()}
 
     def all_sets(self) -> Dict[PathSet, CertifiedBool]:
         out: Dict[PathSet, CertifiedBool] = {}
-        for d in self.by_vertex.values():
-            out.update(d)
+        for v in self.by_vertex:
+            out.update(self.sets_at(v))
         return out
-
-    def contains(self, E: PathSet) -> bool:
-        for d in self.by_vertex.values():
-            if E in d:
-                return True
-        return False
-
-    def true_sets(self) -> List[PathSet]:
-        return [E for E, c in self.all_sets().items() if c.is_true]
 
     def size(self) -> int:
         return sum(len(d) for d in self.by_vertex.values())
 
 
-def fe_sets(g: KGraph, v: str, cap: Degree, max_members: int = MAX_FE_MEMBERS) -> FEFamily:
+def fe_sets(g: KGraph, v: str, cap: Degree) -> FEFamily:
     """All capped subsets of vΛ (identity excluded) that survive the
     exhaustiveness check, tagged TrueCertified or UnknownAtCap."""
     uni = universe(g, v, cap)
     m = len(uni.members)
-    if m > max_members:
+    if m > MAX_FE_MEMBERS:
         raise RuntimeError(
-            f"fe enumeration at {v!r} needs 2^{m} subsets; raise max_members to force"
+            f"fe enumeration at {v!r} needs 2^{m} subsets, over the limit of "
+            f"2^{MAX_FE_MEMBERS}; try a smaller cap"
         )
-    found: Dict[PathSet, CertifiedBool] = {}
+    found: Dict[int, CertifiedBool] = {}
     for emask in range(1, 1 << m):
         cert = uni.classify(emask)
         if not cert.is_false:
-            found[uni.set_of(emask)] = cert
-    fam = FEFamily(cap=degrees.check(cap, g.k))
+            found[emask] = cert
+    fam = FEFamily(g, degrees.check(cap, g.k))
     if found:
         fam.by_vertex[v] = found
     return fam
 
 
-def fe_sets_all(g: KGraph, cap: Degree, max_members: int = MAX_FE_MEMBERS) -> FEFamily:
-    fam = FEFamily(cap=degrees.check(cap, g.k))
+def fe_sets_all(g: KGraph, cap: Degree) -> FEFamily:
+    fam = FEFamily(g, degrees.check(cap, g.k))
     for v in g.vertices:
-        sub = fe_sets(g, v, cap, max_members=max_members)
-        fam.by_vertex.update(sub.by_vertex)
+        fam.by_vertex.update(fe_sets(g, v, cap).by_vertex)
     return fam
 
 

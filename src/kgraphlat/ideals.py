@@ -190,26 +190,26 @@ def quotient_graph(g: KGraph, H: Iterable[str]) -> KGraph:
         raise KGraphError(f"quotient needs a hereditary set, got {fmt_vertexset(H)}")
     if not H:
         return g
-    key = ("quotient", H)
-    hit = g._cache.get(key)
-    if hit is not None:
-        return hit
+    return g.memo(("quotient", H), _quotient, g, H)
+
+
+def _quotient(g: KGraph, H: FrozenSet[str]) -> KGraph:
     verts = [v for v in g.vertices if v not in H]
     edges = [(e.eid, e.color, e.r, e.s) for e in g.edges if e.s not in H]
     kept = {e[0] for e in edges}
     squares = [sq for sq in g.squares if all(x in kept for x in (*sq.lhs, *sq.rhs))]
-    out = KGraph(Skeleton.build(g.k, verts, edges), squares)
-    g._cache[key] = out
-    return out
+    return KGraph(Skeleton.build(g.k, verts, edges), squares)
 
 
-def _fe_candidates(g: KGraph, v: str, cap: Degree) -> Dict[PathSet, CertifiedBool]:
-    key = ("fecands", v, cap)
-    hit = g._cache.get(key)
-    if hit is None:
-        hit = fe_sets(g, v, cap).sets_at(v)
-        g._cache[key] = hit
-    return hit
+# A set inside the package is (vertex, member mask) in the universe of its
+# graph at the cap; frozensets of paths are built only for results.
+SetKey = Tuple[str, int]
+
+
+def _candidates(g: KGraph, v: str, cap: Degree) -> Dict[int, CertifiedBool]:
+    """The capped candidates at v by member mask, in fe_sets order: the
+    one candidate table of the closures."""
+    return g.memo(("fe", v, cap), fe_sets, g, v, cap).by_vertex.get(v, {})
 
 
 def _mask_key(mask: int) -> Tuple[int, ...]:
@@ -218,14 +218,23 @@ def _mask_key(mask: int) -> Tuple[int, ...]:
     return tuple(j for j in range(mask.bit_length()) if mask >> j & 1)
 
 
-def _fe_candidate_masks(g: KGraph, v: str, cap: Degree) -> Dict[int, CertifiedBool]:
-    """The capped candidates at v keyed by member mask, in fe_sets order."""
-    key = ("fecmasks", v, cap)
-    hit = g._cache.get(key)
-    if hit is None:
-        uni = universe(g, v, cap)
-        hit = g._cache[key] = {uni.mask_of(F): c for F, c in _fe_candidates(g, v, cap).items()}
-    return hit
+def _set_sort_key(g: KGraph, cap: Degree):
+    """Sort key of a SetKey of g: orders sets as set_sort_key does, across
+    vertices too, without building them."""
+    keys: Dict[str, List[tuple]] = {}
+
+    def key(vm: SetKey) -> Tuple[tuple, ...]:
+        v, mask = vm
+        sk = keys.get(v)
+        if sk is None:
+            sk = keys[v] = [p.sort_key() for p in universe(g, v, cap).members]
+        return tuple(sk[j] for j in _mask_key(mask))
+
+    return key
+
+
+def _set(g: KGraph, vm: SetKey, cap: Degree) -> PathSet:
+    return universe(g, vm[0], cap).set_of(vm[1])
 
 
 def _strip(E: PathSet, H: FrozenSet[str]) -> PathSet:
@@ -267,102 +276,90 @@ class SatiatedFamily:
         return self.base.all_sets()
 
 
-def _normalize_family(fam) -> Dict[PathSet, None]:
+# A family as the closure scan takes it: per vertex, the member masks of
+# its sets in _mask_key order, as dict keys so that membership is a lookup.
+Family = Dict[str, Dict[int, object]]
+
+
+def _normalize_family(gq: KGraph, fam, cap: Degree) -> Family:
+    """The one entry for families given to the public closure functions.
+
+    An FEFamily or SatiatedFamily on gq at this cap passes through as
+    masks; any other family is read as path sets, which must lie in the
+    capped universe."""
     if isinstance(fam, SatiatedFamily):
-        sets = fam.sets()
-    elif isinstance(fam, FEFamily):
-        sets = frozenset(fam.all_sets())
+        fam = fam.base
+    if isinstance(fam, FEFamily) and fam.graph is gq and fam.cap == cap:
+        masks = {v: list(d) for v, d in fam.by_vertex.items()}
     else:
-        sets = frozenset(frozenset(S) for S in fam)
-    return {S: None for S in sets}
+        grouped: Dict[str, List[PathSet]] = {}
+        for S in fam.all_sets() if isinstance(fam, FEFamily) else map(frozenset, fam):
+            if S:
+                grouped.setdefault(next(iter(S)).r, []).append(S)
+        masks = {}
+        for v in sorted(grouped):
+            uni = universe(gq, v, cap)
+            outside = [S for S in grouped[v] if any(p not in uni.member_index for p in S)]
+            if outside:
+                S = min(outside, key=set_sort_key)
+                raise KGraphError(f"family member {fmt_pathset(S)} leaves the capped universe at {v!r}")
+            masks[v] = [uni.mask_of(S) for S in grouped[v]]
+    return {v: dict.fromkeys(sorted(ms, key=_mask_key)) for v, ms in masks.items() if ms}
 
 
 @dataclass
 class _ScanResult:
-    additions: Set[PathSet] = field(default_factory=set)
-    violations: List[Tuple] = field(default_factory=list)
-    taints: List[Tuple] = field(default_factory=list)
+    additions: Set[SetKey] = field(default_factory=set)
+    violations: List[Tuple] = field(default_factory=list)  # (rule, G, extra, D), G and D SetKeys
+    taints: List[str] = field(default_factory=list)  # the rule of each derived set left out
     overflow: Set[Path] = field(default_factory=set)
     budget_hit: List[str] = field(default_factory=list)
-    s4_missing: List[Tuple] = field(default_factory=list)
+    s4_missing: int = 0
 
     @property
     def dirty(self) -> bool:
         return bool(self.taints or self.overflow or self.budget_hit or self.s4_missing)
 
 
-# A family as the scan takes it: vertices in sorted order, each with its
-# nonempty sets and their member masks in set_sort_key order.
-FamilyMasks = Dict[str, List[Tuple[PathSet, int]]]
-
-
-def _family_masks(gq: KGraph, famsets: Iterable[PathSet], cap: Degree) -> FamilyMasks:
-    grouped: Dict[str, List[PathSet]] = {}
-    for S in famsets:
-        if S:
-            grouped.setdefault(next(iter(S)).r, []).append(S)
-    by_vertex: FamilyMasks = {}
-    for v in sorted(grouped):
-        uni = universe(gq, v, cap)
-        outside = [S for S in grouped[v] if any(p not in uni.member_index for p in S)]
-        if outside:
-            S = min(outside, key=set_sort_key)
-            raise KGraphError(f"family member {fmt_pathset(S)} leaves the capped universe at {v!r}")
-        by_vertex[v] = sorted(((S, uni.mask_of(S)) for S in grouped[v]), key=lambda sm: _mask_key(sm[1]))
-    return by_vertex
-
-
-def _scan_satiation(gq: KGraph, by_vertex: FamilyMasks, cap: Degree,
-                    extend: bool, known_bad: Tuple[PathSet, ...] = ()) -> _ScanResult:
+def _scan_satiation(gq: KGraph, family: Family, cap: Degree, extend: bool,
+                    known_bad: Optional[Dict[str, List[int]]] = None) -> _ScanResult:
     """One round of the (S1)-(S4) closure rules over the capped universe.
 
     In check mode a missing (S1)-(S3) demand that is itself a capped
     candidate is a violation; (S4) misses, everything blocked by the cap,
-    and derived sets covered by a verified refutation (a subset of some
-    known non-exhaustive set) only dirty the result.  In extend mode
-    missing candidates are collected as additions instead.  Sets travel
-    as member masks of the vertex universes; frozensets are built only
-    for what the result records.
+    and derived sets covered by a verified refutation (a subset of one of
+    the known_bad masks at its vertex) only dirty the result.  In extend
+    mode missing candidates are collected as additions instead.
     """
     res = _ScanResult()
-    fmasks_at = {v: {m for _, m in fam} for v, fam in by_vertex.items()}
-    bad_at: Dict[str, List[int]] = {}
-    for Y in known_bad:
-        w = next(iter(Y)).r
-        if gq.has_vertex(w):
-            idx = universe(gq, w, cap).member_index
-            bad_at.setdefault(w, []).append(sum(1 << idx[p] for p in Y if p in idx))
+    bad_at = known_bad or {}
 
-    def demand(rule: str, G: PathSet, extra, dmask: int, dv: str):
+    def demand(rule: str, G: SetKey, extra, dmask: int, dv: str):
         """Handle a derived set, given by its mask at dv, that the rules
         require to be present."""
-        if dmask in fmasks_at.get(dv, ()):
+        if dmask in family.get(dv, ()):
             return
-        cert = _fe_candidate_masks(gq, dv, cap).get(dmask)
-        D = universe(gq, dv, cap).set_of(dmask)
-        if cert is None:
+        if dmask not in _candidates(gq, dv, cap):
             # not a capped candidate: certified non-exhaustive derivative
-            res.taints.append((rule, G, extra, D))
-            return
-        if any(not dmask & ~Y for Y in bad_at.get(dv, ())):
+            res.taints.append(rule)
+        elif any(not dmask & ~Y for Y in bad_at.get(dv, ())):
             # a verified refutation covers D, so its absence is explained
-            res.taints.append((rule + "-refuted", G, extra, D))
-            return
-        if extend:
-            res.additions.add(D)
+            res.taints.append(rule + "-refuted")
+        elif extend:
+            res.additions.add((dv, dmask))
         elif rule == "S4":
-            res.s4_missing.append((rule, G, extra, D))
+            res.s4_missing += 1
         else:
-            res.violations.append((rule, G, extra, D))
+            res.violations.append((rule, G, extra, (dv, dmask)))
 
-    for v, fam in by_vertex.items():
+    for v in sorted(family):
+        fam = family[v]
         uni = universe(gq, v, cap)
         m = len(uni.members)
-        fmasks = fmasks_at[v]
         # (S1): upward closure inside the candidate universe, via subset DP
         contains = bytearray(1 << m)
         for mask in range(1, 1 << m):
-            if mask in fmasks:
+            if mask in fam:
                 contains[mask] = 1
                 continue
             mm = mask
@@ -372,30 +369,29 @@ def _scan_satiation(gq: KGraph, by_vertex: FamilyMasks, cap: Degree,
                     contains[mask] = 1
                     break
                 mm ^= low
-        for fmask in _fe_candidate_masks(gq, v, cap):
-            if contains[fmask] and fmask not in fmasks:
-                G = next(S for S, gm in fam if gm & fmask == gm)
-                F = uni.set_of(fmask)
+        for fmask in _candidates(gq, v, cap):
+            if contains[fmask] and fmask not in fam:
                 if extend:
-                    res.additions.add(F)
+                    res.additions.add((v, fmask))
                 else:
-                    res.violations.append(("S1", G, None, F))
+                    gm = next(gm for gm in fam if gm & fmask == gm)
+                    res.violations.append(("S1", (v, gm), None, (v, fmask)))
 
         # (S2): extensions along capped paths not already extending the set;
         # such a path's continuations never include the identity
-        for G, gm in fam:
+        for gm in fam:
             for i, mu in enumerate(uni.paths):
                 if uni.captured[i] & gm:
                     continue
                 dmask = uni.ext_mask(i, gm) >> 1
                 if not dmask:
-                    res.taints.append(("S2-empty", G, mu, frozenset()))
+                    res.taints.append("S2-empty")
                     continue
-                demand("S2", G, mu, dmask, mu.s)
+                demand("S2", (v, gm), mu, dmask, mu.s)
 
         # (S3): initial segments, one nonzero cut per member
         s3_left = S3_BUDGET
-        for G, gm in fam:
+        for gm in fam:
             cuts = []
             bits = []
             for j in _mask_key(gm):
@@ -414,7 +410,7 @@ def _scan_satiation(gq: KGraph, by_vertex: FamilyMasks, cap: Degree,
                 for b in parts:
                     dmask |= b
                 if dmask != gm:
-                    demand("S3", G, combo, dmask, v)
+                    demand("S3", (v, gm), combo, dmask, v)
 
         # (S4): substitute members by their own family sets
         prod_cache: Dict[Tuple[int, int], Optional[int]] = {}
@@ -440,7 +436,7 @@ def _scan_satiation(gq: KGraph, by_vertex: FamilyMasks, cap: Degree,
             return prod_cache[key]
 
         s4_left = S4_BUDGET
-        for G, gm in fam:
+        for gm in fam:
             if s4_left <= 0:
                 break
             members = _mask_key(gm)
@@ -448,7 +444,7 @@ def _scan_satiation(gq: KGraph, by_vertex: FamilyMasks, cap: Degree,
                 if s4_left <= 0:
                     break
                 for Gp in itertools.combinations(members, r):
-                    options = [by_vertex.get(uni.members[j].s, []) for j in Gp]
+                    options = [family.get(uni.members[j].s, ()) for j in Gp]
                     if any(not o for o in options):
                         continue
                     count = 1
@@ -464,31 +460,34 @@ def _scan_satiation(gq: KGraph, by_vertex: FamilyMasks, cap: Degree,
                         base &= ~(1 << j)
                     for assign in itertools.product(*options):
                         dmask = base
-                        for j, (_, slmask) in zip(Gp, assign):
+                        for j, slmask in zip(Gp, assign):
                             part = products(j + 1, slmask)
                             if part is None:
                                 break
                             dmask |= part
                         else:  # no product left the cap
-                            if dmask not in fmasks:
-                                extra = (tuple(uni.members[j] for j in Gp), tuple(Sl for Sl, _ in assign))
-                                demand("S4", G, extra, dmask, v)
+                            if dmask not in fam:
+                                demand("S4", (v, gm), None, dmask, v)
     return res
+
+
+def _verdict(gq: KGraph, res: _ScanResult, cap: Degree) -> CertifiedBool:
+    """The certificate of a check-mode scan: the least violation, by rule
+    and then by set_sort_key of G and D, is the witness."""
+    if res.violations:
+        key = _set_sort_key(gq, cap)
+        rule, G, extra, D = min(res.violations, key=lambda vio: (vio[0], key(vio[1]), key(vio[3])))
+        return false_certified((rule, _set(gq, G, cap), extra, _set(gq, D, cap)))
+    if res.dirty:
+        return unknown_at_cap(cap, witness=_dirty_summary(res))
+    return true_certified()
 
 
 def is_satiated(gq: KGraph, fam, cap: Degree) -> CertifiedBool:
     """Certified closure check of a family under supersets, extensions,
     truncations and substitutions, within the capped universe."""
     cap = degrees.check(cap, gq.k)
-    res = _scan_satiation(gq, _family_masks(gq, _normalize_family(fam), cap), cap, extend=False)
-    if res.violations:
-        rule, G, extra, D = sorted(
-            res.violations, key=lambda vio: (vio[0], set_sort_key(vio[1]), set_sort_key(vio[3]))
-        )[0]
-        return false_certified((rule, G, extra, D))
-    if res.dirty:
-        return unknown_at_cap(cap, witness=_dirty_summary(res))
-    return true_certified()
+    return _verdict(gq, _scan_satiation(gq, _normalize_family(gq, fam, cap), cap, extend=False), cap)
 
 
 def _dirty_summary(res: _ScanResult) -> Tuple[str, ...]:
@@ -498,7 +497,7 @@ def _dirty_summary(res: _ScanResult) -> Tuple[str, ...]:
     if res.overflow:
         bits.append(f"{len(res.overflow)} substitution products exceed the cap")
     if res.s4_missing:
-        bits.append(f"{len(res.s4_missing)} substitution demands unresolved at cap")
+        bits.append(f"{res.s4_missing} substitution demands unresolved at cap")
     if res.budget_hit:
         bits.append("scan budget exceeded: " + ",".join(sorted(set(res.budget_hit))))
     return tuple(bits)
@@ -507,34 +506,36 @@ def _dirty_summary(res: _ScanResult) -> Tuple[str, ...]:
 def satiation_closure(gq: KGraph, fam, cap: Degree) -> SatiatedFamily:
     """Least capped superset closed under (S1)-(S4); cap escapes recorded."""
     cap = degrees.check(cap, gq.k)
-    famsets = set(_normalize_family(fam))
+    family = _normalize_family(gq, fam, cap)
     overflow: Set[Path] = set()
-    taints: List[Tuple] = []
+    taints: List[str] = []
     budget: List[str] = []
     while True:
-        res = _scan_satiation(gq, _family_masks(gq, famsets, cap), cap, extend=True)
+        res = _scan_satiation(gq, family, cap, extend=True)
         overflow |= res.overflow
         taints.extend(res.taints)
         budget.extend(res.budget_hit)
         if not res.additions:
             break
-        famsets |= res.additions
-    by_vertex: Dict[str, Dict[PathSet, CertifiedBool]] = {}
-    for S in sorted(famsets, key=set_sort_key):
-        if not S:
-            continue
-        v = next(iter(S)).r
-        cert = _fe_candidates(gq, v, cap).get(S)
-        if cert is None:
-            cert = is_exhaustive(gq, S, cap)
-        by_vertex.setdefault(v, {})[S] = cert
+        grown: Dict[str, List[int]] = {}
+        for v, mask in res.additions:
+            grown.setdefault(v, list(family.get(v, ()))).append(mask)
+        for v, masks in grown.items():
+            family[v] = dict.fromkeys(sorted(masks, key=_mask_key))
+    # vertices in the order of their least set, as a set_sort_key sort of
+    # all the sets would group them
+    key = _set_sort_key(gq, cap)
+    by_vertex: Dict[str, Dict[int, CertifiedBool]] = {}
+    for v in sorted(family, key=lambda v: key((v, next(iter(family[v]))))):
+        uni, table = universe(gq, v, cap), _candidates(gq, v, cap)
+        by_vertex[v] = {mask: table[mask] if mask in table else uni.classify(mask) for mask in family[v]}
     clean = not (overflow or taints or budget)
     return SatiatedFamily(
-        base=FEFamily(cap=cap, by_vertex=by_vertex),
+        base=FEFamily(gq, cap, by_vertex),
         cap=cap,
         satiated=true_certified() if clean else unknown_at_cap(cap, witness=tuple(sorted({str(b) for b in budget}))),
         overflow=tuple(sorted(overflow, key=Path.sort_key)),
-        notes=tuple(f"{t[0]} derivative left candidates" for t in taints),
+        notes=tuple(f"{rule} derivative left candidates" for rule in taints),
     )
 
 
@@ -555,90 +556,70 @@ def restricted_fe_family(g: KGraph, H: Iterable[str], cap: Degree) -> SatiatedFa
     cap = degrees.check(cap, g.k)
     if not is_hereditary(g, H):
         raise KGraphError(f"{fmt_vertexset(H)} is not hereditary")
-    cache_key = ("ehfam", H, cap)
-    hit = g._cache.get(cache_key)
-    if hit is not None:
-        return hit
+    return g.memo(("ehfam", H, cap), _stripped_family, g, H, cap)
+
+
+def _stripped_family(g: KGraph, H: FrozenSet[str], cap: Degree) -> SatiatedFamily:
     gq = quotient_graph(g, H)
 
-    # Sets travel as (vertex, member mask): parents in g's universe, their
-    # strips in gq's.  Parents keep the fe_sets order, since the order of
-    # refutations decides which witness later checks reuse.
-    parents: List[Tuple[PathSet, str, int]] = []  # (E, vertex, strip mask)
-    parent_at: Dict[PathSet, Tuple[str, int]] = {}  # E -> (vertex, mask)
-    qsets: Dict[Tuple[str, int], PathSet] = {}
-    skeys: Dict[str, List[tuple]] = {}
+    # Parents are SetKeys of g, their strips SetKeys of gq.  Parents keep
+    # the fe_sets order, since the order of refutations decides which
+    # witness later checks reuse.
+    parents: List[Tuple[SetKey, int]] = []  # (parent, strip mask)
+    qcerts: Dict[SetKey, CertifiedBool] = {}
     for v in g.vertices:
         if v in H:
             continue
         ug, uq = universe(g, v, cap), universe(gq, v, cap)
-        skeys[v] = [p.sort_key() for p in uq.members]
         kept = [(1 << j, 1 << uq.member_index[p]) for j, p in enumerate(ug.members) if p.s not in H]
         same = len(kept) == len(ug.members)  # then both universes have the same members
-        for emask, E in zip(_fe_candidate_masks(g, v, cap), _fe_candidates(g, v, cap)):
+        for emask, cert in _candidates(g, v, cap).items():
             if same:
                 smask = emask
-                qsets[(v, smask)] = E
             else:
                 smask = 0
                 for gbit, qbit in kept:
                     if emask & gbit:
                         smask |= qbit
-            parents.append((E, v, smask))
-            parent_at[E] = (v, emask)
+            parents.append(((v, emask), smask))
+            if uq is ug:  # the strip is the parent, certificate included
+                qcerts[(v, smask)] = cert
+    qkey = _set_sort_key(gq, cap)
     # every strip in set_sort_key order; later rounds only lose strips
-    order = sorted({(v, smask) for _, v, smask in parents if smask},
-                   key=lambda key: [skeys[key[0]][j] for j in _mask_key(key[1])])
+    order = sorted({(E[0], smask) for E, smask in parents if smask}, key=qkey)
 
-    bad_parent: Dict[PathSet, Path] = {}
-    bad_quotient: Dict[Tuple[str, int], Path] = {}
-    tainted: Dict[Tuple[str, int], CertifiedBool] = {}
-    qcerts: Dict[Tuple[str, int], CertifiedBool] = {}
+    bad_parent: Dict[SetKey, Path] = {}
+    bad_quotient: Dict[SetKey, Path] = {}
+    tainted: Dict[SetKey, CertifiedBool] = {}
 
-    def qset(key: Tuple[str, int]) -> PathSet:
-        S = qsets.get(key)
-        if S is None:
-            S = qsets[key] = universe(gq, key[0], cap).set_of(key[1])
-        return S
-
-    def qcert(key: Tuple[str, int]) -> CertifiedBool:
+    def qcert(key: SetKey) -> CertifiedBool:
         """Capped exhaustiveness of a quotient set (is_exhaustive by mask)."""
         cert = qcerts.get(key)
         if cert is None:
             cert = qcerts[key] = universe(gq, key[0], cap).classify(key[1])
         return cert
 
-    def refute_parent(E: PathSet, tau: Path) -> bool:
-        if E in bad_parent:
+    def refute(bad: Dict[SetKey, Path], gx: KGraph, key: SetKey, tau: Path) -> bool:
+        """Record tau against the set key of gx (a parent or a strip) if it replays."""
+        if key in bad or not _verify_refutation(gx, _set(gx, key, cap), tau):
             return False
-        if _verify_refutation(g, E, tau):
-            bad_parent[E] = tau
-            return True
-        return False
+        bad[key] = tau
+        return True
 
-    def refute_quotient(key: Tuple[str, int], sigma: Path) -> bool:
-        if key in bad_quotient:
-            return False
-        if _verify_refutation(gq, qset(key), sigma):
-            bad_quotient[key] = sigma
-            return True
-        return False
-
-    def quotient_bad_witness(key: Tuple[str, int]) -> Optional[Path]:
+    def quotient_bad_witness(key: SetKey) -> Optional[Path]:
         """A verified quotient witness for a set, via subset-monotone lookup."""
         if key in bad_quotient:
             return bad_quotient[key]
         w, dmask = key
         for (yv, ymask), sigma in bad_quotient.items():
-            if yv == w and not dmask & ~ymask and _verify_refutation(gq, qset(key), sigma):
-                bad_quotient[key] = sigma
+            if yv == w and not dmask & ~ymask and refute(bad_quotient, gq, key, sigma):
                 return sigma
         cert = qcert(key)
-        if cert.is_false and refute_quotient(key, cert.witness):
+        if cert.is_false and refute(bad_quotient, gq, key, cert.witness):
             return cert.witness
         return None
 
-    def refute_parents_of(parent_list: List[PathSet], mu: Path) -> bool:
+    def refute_parents_of(parent_list: List[SetKey], mu: Path) -> bool:
         """Given a verified quotient witness mu against a strip, discard its parents."""
         progress = False
         fmax = _h_sourced_paths(g, mu.s, H, cap)
@@ -650,18 +631,18 @@ def restricted_fe_family(g: KGraph, H: Iterable[str], cap: Degree) -> SatiatedFa
         for E in parent_list:
             if E in bad_parent:
                 continue
-            if lam0 is not None and refute_parent(E, g.compose(mu, lam0)):
+            if lam0 is not None and refute(bad_parent, g, E, g.compose(mu, lam0)):
                 progress = True
-            elif refute_parent(E, mu):
+            elif refute(bad_parent, g, E, mu):
                 progress = True
         return progress
 
-    strips: Dict[Tuple[str, int], List[PathSet]] = {}
+    strips: Dict[SetKey, List[SetKey]] = {}
     while True:
         strips = {}
-        for E, v, smask in parents:
+        for E, smask in parents:
             if smask and E not in bad_parent:
-                strips.setdefault((v, smask), []).append(E)
+                strips.setdefault((E[0], smask), []).append(E)
         progress = False
         tainted = {}
         for key in order:
@@ -669,7 +650,7 @@ def restricted_fe_family(g: KGraph, H: Iterable[str], cap: Degree) -> SatiatedFa
                 continue
             cert = qcert(key)
             if cert.is_false:
-                refute_quotient(key, cert.witness)
+                refute(bad_quotient, gq, key, cert.witness)
             sigma = bad_quotient.get(key)
             if sigma is None:
                 continue
@@ -702,7 +683,7 @@ def restricted_fe_family(g: KGraph, H: Iterable[str], cap: Degree) -> SatiatedFa
                 if sigma is not None:
                     # the composite escapes the cap but replays exactly
                     mu_sigma = gq.compose(mu, sigma)
-                    if refute_quotient(key, mu_sigma):
+                    if refute(bad_quotient, gq, key, mu_sigma):
                         if not refute_parents_of(strips[key], mu_sigma):
                             tainted[key] = false_certified(mu_sigma)
                         progress = True
@@ -712,55 +693,44 @@ def restricted_fe_family(g: KGraph, H: Iterable[str], cap: Degree) -> SatiatedFa
                 for E in strips[key]:
                     if E in bad_parent:
                         continue
-                    pmask = ug.ext_mask(iu, parent_at[E][1]) >> 1
+                    pmask = ug.ext_mask(iu, E[1]) >> 1
                     if not pmask:
-                        if refute_parent(E, mu):
+                        if refute(bad_parent, g, E, mu):
                             progress = True
                         continue
                     pcert = at_source.classify(pmask)
-                    if pcert.is_false and refute_parent(E, g.compose(mu, pcert.witness)):
+                    if pcert.is_false and refute(bad_parent, g, E, g.compose(mu, pcert.witness)):
                         progress = True
                     else:
-                        for Y, tau in bad_parent.items():
-                            yv, ymask = parent_at[Y]
-                            if yv == mu.s and not pmask & ~ymask and refute_parent(E, g.compose(mu, tau)):
+                        for (yv, ymask), tau in bad_parent.items():
+                            if yv == mu.s and not pmask & ~ymask and refute(bad_parent, g, E, g.compose(mu, tau)):
                                 progress = True
                                 break
         if not progress:
             break
 
-    by_vertex: Dict[str, Dict[PathSet, CertifiedBool]] = {}
-    masks: FamilyMasks = {}
+    family: Dict[str, Dict[int, CertifiedBool]] = {}
     for key in order:
         if key in strips and key not in bad_quotient and key not in tainted:
-            v, smask = key
-            by_vertex.setdefault(v, {})[qset(key)] = qcert(key)
-            masks.setdefault(v, []).append((qset(key), smask))
-    fam = FEFamily(cap=cap, by_vertex=by_vertex)
-    known_bad = tuple(bad_parent) + tuple(qset(key) for key in bad_quotient)
-    res = _scan_satiation(gq, dict(sorted(masks.items())), cap, extend=False, known_bad=known_bad)
-    if res.violations:
-        rule, G, extra, D = sorted(
-            res.violations, key=lambda vio: (vio[0], set_sort_key(vio[1]), set_sort_key(vio[3]))
-        )[0]
-        verdict = false_certified((rule, G, extra, D))
-    elif res.dirty:
-        verdict = unknown_at_cap(cap, witness=_dirty_summary(res))
-    else:
-        verdict = true_certified()
-    out = SatiatedFamily(
-        base=fam,
+            family.setdefault(key[0], {})[key[1]] = qcert(key)
+    known_bad: Dict[str, List[int]] = {}
+    for E, smask in parents:
+        if E in bad_parent:
+            known_bad.setdefault(E[0], []).append(smask)
+    for v, mask in bad_quotient:
+        known_bad.setdefault(v, []).append(mask)
+    res = _scan_satiation(gq, family, cap, extend=False, known_bad=known_bad)
+    gkey = _set_sort_key(g, cap)
+    return SatiatedFamily(
+        base=FEFamily(gq, cap, family),
         cap=cap,
-        satiated=verdict,
+        satiated=_verdict(gq, res, cap),
         overflow=tuple(sorted(res.overflow, key=Path.sort_key)),
-        refuted_parents=dict(sorted(bad_parent.items(), key=lambda kv: set_sort_key(kv[0]))),
-        quotient_refuted=dict(sorted(((qset(key), sigma) for key, sigma in bad_quotient.items()),
-                                     key=lambda kv: set_sort_key(kv[0]))),
-        tainted={qset(key): cert for key, cert in tainted.items()},
-        notes=(),
+        refuted_parents={_set(g, E, cap): tau for E, tau in sorted(bad_parent.items(), key=lambda kv: gkey(kv[0]))},
+        quotient_refuted={_set(gq, key, cap): sigma
+                          for key, sigma in sorted(bad_quotient.items(), key=lambda kv: qkey(kv[0]))},
+        tainted={_set(gq, key, cap): cert for key, cert in tainted.items()},
     )
-    g._cache[cache_key] = out
-    return out
 
 
 # -- ideal pairs and the lattice --------------------------------------------------
@@ -801,6 +771,14 @@ class IdealPair:
         return f"H={fmt_vertexset(self.H)} B={{{b}}} [{tag}]"
 
 
+def _keys(fam: FEFamily) -> FrozenSet[SetKey]:
+    return frozenset((v, mask) for v, masks in fam.by_vertex.items() for mask in masks)
+
+
+def _all_true(fam: FEFamily) -> bool:
+    return all(c.is_true for certs in fam.by_vertex.values() for c in certs.values())
+
+
 def enumerate_ideal_pairs(g: KGraph, cap: Degree) -> List[IdealPair]:
     """All pairs (H, B): saturated hereditary H plus a set family B that,
     together with the stripped family of H, is satiated at the cap.
@@ -814,43 +792,50 @@ def enumerate_ideal_pairs(g: KGraph, cap: Degree) -> List[IdealPair]:
         H = hv.as_frozenset
         gq = quotient_graph(g, H)
         sf = restricted_fe_family(g, H, cap)
-        ehsets = sf.sets()
-        cands: Set[PathSet] = set()
-        for v in gq.vertices:
-            cands.update(_fe_candidates(gq, v, cap))
-        refutations = {**sf.quotient_refuted, **sf.refuted_parents}
+        basekeys = _keys(sf.base)
+        cands = {(v, mask): c for v in gq.vertices for mask, c in _candidates(gq, v, cap).items()}
+        # verified refutations as masks at their vertex in gq, replayed on
+        # the quotient for every candidate they cover
+        refutations = []
+        for Y, tau in {**sf.quotient_refuted, **sf.refuted_parents}.items():
+            yv = next(iter(Y)).r
+            if _path_in(gq, tau):
+                idx = universe(gq, yv, cap).member_index
+                refutations.append((yv, sum(1 << idx[p] for p in Y if p in idx), tau))
 
-        def certified_non_fe(D: PathSet) -> bool:
-            # coverage by a verified refutation, replayed on the quotient
-            for Y, tau in refutations.items():
-                if D <= Y and _path_in(gq, tau) and _verify_refutation(gq, D, tau):
-                    return True
-            return False
+        def certified_non_fe(D: SetKey) -> bool:
+            v, dmask = D
+            return any(yv == v and not dmask & ~ymask and _verify_refutation(gq, _set(gq, D, cap), tau)
+                       for yv, ymask, tau in refutations)
 
-        buniverse = [
-            D for D in sorted(cands - ehsets, key=set_sort_key) if not certified_non_fe(D)
-        ]
+        key = _set_sort_key(gq, cap)
+        buniverse = sorted((D for D in cands if D not in basekeys and not certified_non_fe(D)), key=key)
 
-        base_ok = all(c.is_true for c in sf.certs().values()) and not sf.tainted
-        families: Dict[FrozenSet[PathSet], Tuple[CertifiedBool, bool]] = {
-            ehsets: (sf.satiated, base_ok)
+        base_ok = _all_true(sf.base) and not sf.tainted
+        families: Dict[FrozenSet[SetKey], Tuple[CertifiedBool, bool, FEFamily]] = {
+            basekeys: (sf.satiated, base_ok, sf.base)
         }
-        queue: List[FrozenSet[PathSet]] = [ehsets]
+        queue: List[FrozenSet[SetKey]] = [basekeys]
         while queue:
-            fam = queue.pop(0)
+            famkey = queue.pop(0)
             for x in buniverse:
-                if x in fam:
+                if x in famkey:
                     continue
-                cl = satiation_closure(gq, set(fam) | {x}, cap)
-                key = cl.sets()
-                if key not in families:
-                    ok = base_ok and all(c.is_true for c in cl.certs().values())
-                    families[key] = (cl.satiated, ok)
-                    queue.append(key)
+                by_vertex = {v: dict(certs) for v, certs in families[famkey][2].by_vertex.items()}
+                by_vertex.setdefault(x[0], {})[x[1]] = cands[x]
+                cl = satiation_closure(gq, FEFamily(gq, cap, by_vertex), cap)
+                clkey = _keys(cl.base)
+                if clkey not in families:
+                    families[clkey] = (cl.satiated, base_ok and _all_true(cl.base), cl.base)
+                    queue.append(clkey)
 
-        for famkey in sorted(families, key=lambda fs: tuple(sorted(set_sort_key(S) for S in fs))):
-            B = tuple(sorted(famkey - ehsets, key=set_sort_key))
-            fam_cert, member_ok = families[famkey]
+        ehsets = sf.sets()
+        order = list(families)
+        if len(order) > 1:
+            order.sort(key=lambda fk: tuple(sorted(map(key, fk))))
+        for famkey in order:
+            B = tuple(_set(gq, D, cap) for D in sorted(famkey - basekeys, key=key))
+            fam_cert, member_ok, _ = families[famkey]
             pairs.append(
                 IdealPair(
                     graph_key=g.cache_key(),

@@ -20,7 +20,7 @@ from the range end toward the source end.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from . import degrees
 from .degrees import Degree
@@ -170,22 +170,26 @@ class KGraph:
         return self.skeleton.edges
 
     def cache_key(self):
-        key = self._cache.get("key")
-        if key is None:
-            key = (
-                self.skeleton.k,
-                self.skeleton.vertices,
-                tuple((e.eid, e.color, e.r, e.s) for e in self.skeleton.edges),
-                tuple(sq.key() for sq in self.squares),
-            )
-            self._cache["key"] = key
-        return key
+        return self.memo("key", lambda: (
+            self.skeleton.k,
+            self.skeleton.vertices,
+            tuple((e.eid, e.color, e.r, e.s) for e in self.skeleton.edges),
+            tuple(sq.key() for sq in self.squares),
+        ))
 
     def __eq__(self, other):
         return isinstance(other, KGraph) and self.cache_key() == other.cache_key()
 
     def __hash__(self):
         return hash(self.cache_key())
+
+    def memo(self, key, build: Callable[..., Any], *args):
+        """The derived value stored under key, computed as build(*args) on
+        first use; the one cache of values derived from this graph."""
+        hit = self._cache.get(key)
+        if hit is None:
+            hit = self._cache[key] = build(*args)
+        return hit
 
     # -- basic accessors ----------------------------------------------------
 
@@ -269,6 +273,7 @@ class KGraph:
         """The unique factorization p = prefix·suffix with d(prefix) = m."""
         if not degrees.leq(m, p.d):
             raise SegmentBoundsError(f"split degree {m} exceeds d(p) = {p.d}")
+        # the innermost path operation: its memo lookup stays inline
         key = ("split", p, m)
         hit = self._cache.get(key)
         if hit is not None:
@@ -311,10 +316,9 @@ class KGraph:
         """All normal-form paths with range v and degree exactly n."""
         self.require_vertex(v)
         n = degrees.check(n, self.k)
-        key = ("pod", v, n)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
+        return self.memo(("pod", v, n), self._paths_of_degree, v, n)
+
+    def _paths_of_degree(self, v: str, n: Degree) -> Tuple[Path, ...]:
         seqs: List[Tuple[str, List[str]]] = [(v, [])]
         for c in range(1, self.k + 1):
             for _ in range(n[c - 1]):
@@ -325,34 +329,26 @@ class KGraph:
                 seqs = nxt
             if not seqs:
                 break
-        out = sorted_paths(
+        return sorted_paths(
             Path(v, vert, n, tuple(acc)) if acc else self.identity(v) for vert, acc in seqs
         )
-        self._cache[key] = out
-        return out
 
     def paths_up_to(self, v: str, cap: Degree) -> Tuple[Path, ...]:
         """All paths with range v and degree <= cap, canonically sorted."""
         self.require_vertex(v)
         cap = degrees.check(cap, self.k)
-        key = ("put", v, cap)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        acc: List[Path] = []
-        for n in degrees.below(cap):
-            acc.extend(self.paths_of_degree(v, n))
-        out = sorted_paths(acc)
-        self._cache[key] = out
-        return out
+        return self.memo(("put", v, cap), self._paths_up_to, v, cap)
+
+    def _paths_up_to(self, v: str, cap: Degree) -> Tuple[Path, ...]:
+        return sorted_paths(p for n in degrees.below(cap) for p in self.paths_of_degree(v, n))
 
     # -- vertex reachability (v <= w iff vΛw nonempty) ---------------------------
 
     def reach(self) -> Dict[str, FrozenSet[str]]:
         """reach()[v] = {w : vΛw nonempty}, computed on the skeleton."""
-        hit = self._cache.get("reach")
-        if hit is not None:
-            return hit
+        return self.memo("reach", self._reach)
+
+    def _reach(self) -> Dict[str, FrozenSet[str]]:
         succ: Dict[str, set] = {v: {v} for v in self.vertices}
         adj: Dict[str, set] = {v: set() for v in self.vertices}
         for e in self.edges:
@@ -366,9 +362,7 @@ class KGraph:
                     if w not in succ[v]:
                         succ[v].add(w)
                         stack.append(w)
-        out = {v: frozenset(ws) for v, ws in succ.items()}
-        self._cache["reach"] = out
-        return out
+        return {v: frozenset(ws) for v, ws in succ.items()}
 
     def reaches(self, v: str, w: str) -> bool:
         return w in self.reach().get(v, frozenset())
@@ -459,20 +453,3 @@ def validate_kgraph(g: KGraph) -> ValidationReport:
     violations = sorted(set(violations))
     return ValidationReport(ok=not violations, violations=tuple(violations))
 
-
-# Functional aliases matching the operation names used across the package.
-
-def compose(g: KGraph, p: Path, q: Path) -> Path:
-    return g.compose(p, q)
-
-
-def segment(g: KGraph, p: Path, m: Degree, n: Degree) -> Path:
-    return g.segment(p, m, n)
-
-
-def paths_of_degree(g: KGraph, v: str, n: Degree) -> Tuple[Path, ...]:
-    return g.paths_of_degree(v, n)
-
-
-def paths_up_to(g: KGraph, v: str, cap: Degree) -> Tuple[Path, ...]:
-    return g.paths_up_to(v, cap)

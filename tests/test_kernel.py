@@ -1,6 +1,7 @@
 """The bitmask kernel of align.VertexUniverse against the path arithmetic
-it stands in for, and a call-count gate that keeps that arithmetic out of
-the inner loops of the lattice computation."""
+it stands in for, and call-count gates that keep that arithmetic, and the
+conversions between path sets and masks, out of the inner loops of the
+lattice computation."""
 
 import random
 from collections import Counter
@@ -70,16 +71,16 @@ def test_kernel_tables_match_path_arithmetic():
     assert seen > 50
 
 
-def _counting(monkeypatch, names):
+def _counting(monkeypatch, cls, names):
     calls = Counter()
     for name in names:
-        orig = getattr(KGraph, name)
+        orig = getattr(cls, name)
 
         def counted(self, *args, _orig=orig, _name=name):
             calls[_name] += 1
             return _orig(self, *args)
 
-        monkeypatch.setattr(KGraph, name, counted)
+        monkeypatch.setattr(cls, name, counted)
     return calls
 
 
@@ -91,8 +92,22 @@ def _counting(monkeypatch, names):
 ])
 def test_lattice_path_arithmetic_calls_pinned(monkeypatch, name, cap, split_max, compose_max):
     g = textio.parse_kgraph_text(textio.FIXTURE_TEXTS[name]).graph  # fresh memo
-    calls = _counting(monkeypatch, ("extends", "split", "compose"))
+    calls = _counting(monkeypatch, KGraph, ("extends", "split", "compose"))
     ideals.ideal_lattice(g, cap)
     assert calls["extends"] == 0
     assert calls["split"] <= split_max
     assert calls["compose"] <= compose_max
+
+
+@pytest.mark.parametrize("name, cap, subsets", [("FX6", (2,), 63), ("FX2", (2, 2), 255)])
+def test_lattice_family_mask_calls_pinned(monkeypatch, name, cap, subsets):
+    """Families stay member masks from fe_sets to the lattice: no set is
+    turned back into a mask, each subset is classified once, and path sets
+    are built only for the eh_sets of the pairs."""
+    g = textio.parse_kgraph_text(textio.FIXTURE_TEXTS[name]).graph  # fresh memo
+    calls = _counting(monkeypatch, align.VertexUniverse, ("mask_of", "set_of", "classify"))
+    lat = ideals.ideal_lattice(g, cap)
+    eh_sets = {p.H: len(p.eh_sets) for p in lat.pairs}
+    assert calls["mask_of"] == 0
+    assert calls["classify"] <= subsets
+    assert calls["set_of"] <= sum(eh_sets.values())
