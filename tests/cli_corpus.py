@@ -1,10 +1,12 @@
 """The CLI invocation corpus that pins kgraphlat's output across versions.
 
 ``criterion_9_invocations`` is the determinism corpus of acceptance
-criterion 9; ``corpus`` adds the family commands at cap 2.  The SHA-256
-of (exit code, stdout) of every invocation is committed in
-``data/cli_digests.json``.  After an intended output change, regenerate
-it with
+criterion 9; ``corpus`` adds the family commands at cap 2.
+``random_corpus`` runs the family commands at cap (1,1) on the seeded
+random 2-graphs whose stripped family reacts to missing extension-rule
+derivatives, which no fixture does.  The SHA-256 of (exit code, stdout)
+of every invocation is committed in ``data/cli_digests.json``.  After an
+intended output change, regenerate it with
 
     PYTHONPATH=src python tests/cli_corpus.py
 """
@@ -16,10 +18,12 @@ import hashlib
 import io
 import json
 import os
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from kgraphlat import textio
+from kgraphlat.cli import RunConfig, run_with_status
 from kgraphlat.cli import main as cli_main
+from kgraphlat.randomgraphs import random_2graph
 
 DIGESTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "cli_digests.json")
 
@@ -74,15 +78,49 @@ def corpus() -> List[Tuple[str, ...]]:
     return out
 
 
+# random_2graph seeds whose stripped family at cap (1,1) meets (S2)
+# derivatives that are missing from it
+REACTING_SEEDS = (3, 5, 35, 41, 58, 72, 87, 91)
+
+
+def random_corpus() -> List[Tuple[int, str, Optional[str]]]:
+    """(seed, command, --set argument) at cap (1,1)."""
+    out = []
+    for seed in REACTING_SEEDS:
+        out += [(seed, "ehfamily", ""), (seed, "satiate", ""), (seed, "pairs", None)]
+        if seed in (41, 72):
+            out.append((seed, "ehfamily", "v1"))
+    return out
+
+
+def _sha(code: int, stdout: str) -> str:
+    return hashlib.sha256(json.dumps([code, stdout]).encode("utf-8")).hexdigest()
+
+
 def digest(argv: Tuple[str, ...]) -> str:
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
         code = cli_main(list(argv))
-    return hashlib.sha256(json.dumps([code, buf.getvalue()]).encode("utf-8")).hexdigest()
+    return _sha(code, buf.getvalue())
+
+
+def random_digest(seed: int, command: str, setarg: Optional[str]) -> str:
+    """The digest the CLI would give on the emitted text of random_2graph(seed)."""
+    doc = textio.parse_kgraph_text(textio.emit_kgraph_text(random_2graph(seed)))
+    text, code = run_with_status(doc, RunConfig(command=command, cap=(1, 1), setarg=setarg))
+    return _sha(code, text)
+
+
+def _label(args) -> str:
+    return " ".join(repr(a) if a == "" else str(a) for a in args if a is not None)
 
 
 def digests() -> Dict[str, str]:
-    return {" ".join(repr(a) if a == "" else a for a in argv): digest(argv) for argv in corpus()}
+    out = {_label(argv): digest(argv) for argv in corpus()}
+    for seed, command, setarg in random_corpus():
+        flags = ("--set", setarg) if setarg is not None else ()
+        out[_label((command, f"random_2graph({seed})", *flags, "--cap", "1,1"))] = random_digest(seed, command, setarg)
+    return out
 
 
 if __name__ == "__main__":
