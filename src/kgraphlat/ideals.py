@@ -315,6 +315,8 @@ class _ScanResult:
     overflow: Set[Path] = field(default_factory=set)
     budget_hit: List[str] = field(default_factory=list)
     s4_missing: int = 0
+    # per member G, the (S2) derivatives missing from the family: (mu, D mask)
+    s2_misses: Dict[SetKey, List[Tuple[Path, int]]] = field(default_factory=dict)
 
     @property
     def dirty(self) -> bool:
@@ -322,17 +324,20 @@ class _ScanResult:
 
 
 def _scan_satiation(gq: KGraph, family: Family, cap: Degree, extend: bool,
-                    known_bad: Optional[Dict[str, List[int]]] = None) -> _ScanResult:
+                    known_bad: Iterable[SetKey] = ()) -> _ScanResult:
     """One round of the (S1)-(S4) closure rules over the capped universe.
 
     In check mode a missing (S1)-(S3) demand that is itself a capped
     candidate is a violation; (S4) misses, everything blocked by the cap,
     and derived sets covered by a verified refutation (a subset of one of
-    the known_bad masks at its vertex) only dirty the result.  In extend
-    mode missing candidates are collected as additions instead.
+    the known_bad sets) only dirty the result.  In extend mode missing
+    candidates are collected as additions instead.  Every missing (S2)
+    derivative is also recorded in s2_misses, whatever became of it.
     """
     res = _ScanResult()
-    bad_at = known_bad or {}
+    bad_at: Dict[str, List[int]] = {}
+    for v, mask in known_bad:
+        bad_at.setdefault(v, []).append(mask)
 
     def demand(rule: str, G: SetKey, extra, dmask: int, dv: str):
         """Handle a derived set, given by its mask at dv, that the rules
@@ -386,8 +391,9 @@ def _scan_satiation(gq: KGraph, family: Family, cap: Degree, extend: bool,
                 dmask = uni.ext_mask(i, gm) >> 1
                 if not dmask:
                     res.taints.append("S2-empty")
-                    continue
-                demand("S2", (v, gm), mu, dmask, mu.s)
+                elif dmask not in family.get(mu.s, ()):
+                    res.s2_misses.setdefault((v, gm), []).append((mu, dmask))
+                    demand("S2", (v, gm), mu, dmask, mu.s)
 
         # (S3): initial segments, one nonzero cut per member
         s3_left = S3_BUDGET
@@ -661,24 +667,23 @@ def _stripped_family(g: KGraph, H: FrozenSet[str], cap: Degree) -> SatiatedFamil
         if progress:
             continue
 
-        # extension-rule closure: a missing derivative certifies bogus
-        # inputs; refutations are verified independently, so a whole round
-        # is collected before the family is rebuilt
-        members = {key for key in strips if key not in bad_quotient and key not in tainted}
+        # the round's family and its closure scan.  A missing (S2)
+        # derivative certifies bogus inputs; refutations are verified
+        # independently, so a whole round is collected before the family
+        # is rebuilt.  A reaction can refute a derivative without progress,
+        # which the scan must then see as known bad: one more round.
+        family: Dict[str, Dict[int, CertifiedBool]] = {}
         for key in order:
-            if key not in members or key in bad_quotient:
-                continue
-            v, smask = key
-            uq, ug = universe(gq, v, cap), universe(g, v, cap)
-            for i, mu in enumerate(uq.paths):
-                if uq.captured[i] & smask:
-                    continue
+            if key in strips and key not in bad_quotient and key not in tainted:
+                family.setdefault(key[0], {})[key[1]] = qcert(key)
+        known_bad = [(E[0], smask) for E, smask in parents if E in bad_parent] + list(bad_quotient)
+        res = _scan_satiation(gq, family, cap, extend=False, known_bad=known_bad)
+        nbad = len(bad_quotient)
+        for key in order:
+            for mu, dmask in res.s2_misses.get(key, ()):
                 # mu extends no member of the strip, and no H-sourced
                 # member of a parent either (its source is outside H), so
                 # no continuation below is the identity
-                dmask = uq.ext_mask(i, smask) >> 1
-                if not dmask or (mu.s, dmask) in members:
-                    continue
                 sigma = quotient_bad_witness((mu.s, dmask))
                 if sigma is not None:
                     # the composite escapes the cap but replays exactly
@@ -688,8 +693,8 @@ def _stripped_family(g: KGraph, H: FrozenSet[str], cap: Degree) -> SatiatedFamil
                             tainted[key] = false_certified(mu_sigma)
                         progress = True
                         break
-                iu = ug.index[mu]
-                at_source = universe(g, mu.s, cap)
+                ug = universe(g, key[0], cap)
+                iu, at_source = ug.index[mu], universe(g, mu.s, cap)
                 for E in strips[key]:
                     if E in bad_parent:
                         continue
@@ -706,20 +711,9 @@ def _stripped_family(g: KGraph, H: FrozenSet[str], cap: Degree) -> SatiatedFamil
                             if yv == mu.s and not pmask & ~ymask and refute(bad_parent, g, E, g.compose(mu, tau)):
                                 progress = True
                                 break
-        if not progress:
+        if not progress and len(bad_quotient) == nbad:
             break
 
-    family: Dict[str, Dict[int, CertifiedBool]] = {}
-    for key in order:
-        if key in strips and key not in bad_quotient and key not in tainted:
-            family.setdefault(key[0], {})[key[1]] = qcert(key)
-    known_bad: Dict[str, List[int]] = {}
-    for E, smask in parents:
-        if E in bad_parent:
-            known_bad.setdefault(E[0], []).append(smask)
-    for v, mask in bad_quotient:
-        known_bad.setdefault(v, []).append(mask)
-    res = _scan_satiation(gq, family, cap, extend=False, known_bad=known_bad)
     gkey = _set_sort_key(g, cap)
     return SatiatedFamily(
         base=FEFamily(gq, cap, family),
@@ -742,10 +736,16 @@ class IdealPair:
     cap: Degree
     H: Tuple[str, ...]
     B: Tuple[PathSet, ...]
-    eh_sets: FrozenSet[PathSet]
+    # the stripped family of H, fixed by graph, cap and H
+    eh_family: FEFamily = field(repr=False, compare=False)
     h_saturated: CertifiedBool
     family_cert: CertifiedBool
     member_certs_true: bool
+
+    @property
+    def eh_sets(self) -> FrozenSet[PathSet]:
+        """The stripped family of H as path sets, built on each read."""
+        return frozenset(self.eh_family.all_sets())
 
     @property
     def exact(self) -> bool:
@@ -829,7 +829,6 @@ def enumerate_ideal_pairs(g: KGraph, cap: Degree) -> List[IdealPair]:
                     families[clkey] = (cl.satiated, base_ok and _all_true(cl.base), cl.base)
                     queue.append(clkey)
 
-        ehsets = sf.sets()
         order = list(families)
         if len(order) > 1:
             order.sort(key=lambda fk: tuple(sorted(map(key, fk))))
@@ -842,7 +841,7 @@ def enumerate_ideal_pairs(g: KGraph, cap: Degree) -> List[IdealPair]:
                     cap=cap,
                     H=hv.members,
                     B=B,
-                    eh_sets=ehsets,
+                    eh_family=sf.base,
                     h_saturated=hv.saturated,
                     family_cert=fam_cert,
                     member_certs_true=member_ok,
@@ -862,6 +861,8 @@ def pair_leq(g: KGraph, p1: IdealPair, p2: IdealPair) -> bool:
     H1, H2 = frozenset(p1.H), frozenset(p2.H)
     if not H1 <= H2:
         return False
+    if not p1.B:
+        return True
     allowed = p2.eh_sets | set(p2.B)
     for E in p1.B:
         if next(iter(E)).r in H2:

@@ -56,6 +56,39 @@ def oracle_ext(g: KGraph, mu: Path, E, cap):
     return frozenset(out)
 
 
+# -- satiation rules (S1)-(S3) ----------------------------------------------------
+
+
+def oracle_extends(g: KGraph, lam: Path, nu: Path) -> bool:
+    """lam lies in nu Lambda: nu is the initial segment of lam at d(nu)."""
+    return lam.r == nu.r and degrees.leq(nu.d, lam.d) and oracle_prefix(g, lam, nu.d) == nu
+
+
+def oracle_rule_derives(g: KGraph, rule: str, G, extra, D, cap) -> bool:
+    """The satiation rule, with the choice extra, demands D from the set G.
+
+    (S1) extra is None and D is a proper superset of G.  (S2) extra is a
+    path mu with r(mu) = r(G) that extends no member of G, and D is
+    Ext(mu; G).  (S3) extra holds one nonzero cut degree n <= d(lam) per
+    member lam of G, members in Path.sort_key order, and D is the set of
+    initial segments lam(0, n), other than G.
+    """
+    G, D = frozenset(G), frozenset(D)
+    if rule == "S1":
+        return extra is None and G < D
+    if rule == "S2":
+        mu = extra
+        return (mu.r == next(iter(G)).r and not any(oracle_extends(g, mu, nu) for nu in G)
+                and D == oracle_ext(g, mu, G, cap))
+    if rule == "S3":
+        members = sorted(G, key=Path.sort_key)
+        zero = degrees.zero(g.k)
+        if len(extra) != len(members) or any(n == zero or not degrees.leq(n, lam.d) for lam, n in zip(members, extra)):
+            return False
+        return D != G and D == frozenset(oracle_prefix(g, lam, n) for lam, n in zip(members, extra))
+    return False
+
+
 # -- rank-1 classical closure rules ------------------------------------------------
 
 

@@ -7,6 +7,8 @@ against brute-force reimplementations of the definitions.
 """
 
 import itertools
+import random
+from collections import Counter
 
 from kgraphlat import align, degrees
 from kgraphlat.align import ext, fe_sets, is_exhaustive, mce
@@ -16,6 +18,7 @@ from kgraphlat.ideals import (
     enumerate_sat_hered,
     ideal_lattice,
     is_hereditary,
+    is_satiated,
     is_saturated,
     pair_leq,
     quotient_graph,
@@ -42,6 +45,7 @@ K1_SEEDS = range(50)
 K2_SEEDS = range(100)
 K1_CAP = (1,)
 K2_CAP = (1, 1)
+SATIATION_DRAWS = 2  # random sub-families per graph in criterion 8
 
 
 def _lattice_shape(g, cap):
@@ -274,6 +278,16 @@ def _replay_saturation_witness(g, H, v, F, cap):
             ), (v, q)
 
 
+def _replay_satiation_witness(g, family, witness, cap):
+    """G is in the family, D is a capped candidate missing from it, and
+    the rule derives D from G by the definition of (S1), (S2) or (S3)."""
+    rule, G, extra, D = witness
+    assert G in family and D not in family, witness
+    assert D and all(degrees.leq(p.d, cap) for p in D), witness
+    assert not is_exhaustive(g, D, cap).is_false, witness
+    assert oracles.oracle_rule_derives(g, rule, G, extra, D, cap), witness
+
+
 def _reach_oracle(g):
     succ = {v: {v} for v in g.vertices}
     changed = True
@@ -332,6 +346,7 @@ def _replay_loop_negative(g, v, reason):
 
 def test_criterion_8_witness_soundness(fx):
     replayed = 0
+    satiation_rules = Counter()
     graphs = [(f"fixture:{n}", g, (2,) * g.k) for n, g in sorted(fx.items())]
     graphs += [(f"k1:{s}", random_1graph(s), K1_CAP) for s in K1_SEEDS]
     graphs += [(f"k2:{s}", random_2graph(s), K2_CAP) for s in K2_SEEDS]
@@ -356,6 +371,18 @@ def test_criterion_8_witness_soundness(fx):
                     v, F = res.witness
                     _replay_saturation_witness(g, combo, v, F, cap)
                     replayed += 1
+        # satiation violations on seeded random sub-families of the candidates
+        rng = random.Random(tag)
+        cands = [S for v in g.vertices for S in fe_sets(g, v, cap).all_sets()]
+        for draw in range(SATIATION_DRAWS):
+            family = set(rng.sample(cands, min(len(cands), rng.randint(1, 6))))
+            if draw % 2:  # closed under (S1), so that (S2) and (S3) violations surface
+                family = {S for S in cands if any(G <= S for G in family)}
+            res = is_satiated(g, family, cap)
+            if res.is_false:
+                _replay_satiation_witness(g, family, res.witness, cap)
+                satiation_rules[res.witness[0]] += 1
+                replayed += 1
         res = cofinality_check(g, cap)
         if res.is_false:
             x, w = res.witness
@@ -370,6 +397,7 @@ def test_criterion_8_witness_soundness(fx):
                 _replay_loop_negative(g, v, cert.witness)
                 replayed += 1
     assert replayed > 100
+    assert set(satiation_rules) == {"S1", "S2", "S3"}, satiation_rules
     print(f"[criterion 8] PASS: {replayed} certificates replayed against the raw definitions, zero failures")
 
 

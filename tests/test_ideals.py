@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -275,6 +276,40 @@ def test_pair_leq_examples(fx):
     assert not pair_leq(g, by_h[("w",)], by_h[("u",)])
     for p in pairs:
         assert pair_leq(g, p, p)
+
+
+def test_pair_leq_with_nonempty_B_matches_definition(fx):
+    """(H1, B1) <= (H2, B2) iff H1 is inside H2 and every set of B1 whose
+    range is outside H2, stripped of its H2-sourced paths, lies in the
+    stripped family of H2 or in B2.  No fixture has a pair with B, so
+    pairs are given small capped path sets as B."""
+    g, cap = fx["FX4"], (2,)
+    pairs = enumerate_ideal_pairs(g, cap)
+
+    def stripped(E, H):
+        return frozenset(q for q in E if q.s not in H)
+
+    def by_definition(p1, p2):
+        H2 = set(p2.H)
+        allowed = p2.eh_sets | set(p2.B)
+        return set(p1.H) <= H2 and all(next(iter(E)).r in H2 or stripped(E, H2) in allowed for E in p1.B)
+
+    outcomes = set()
+    for p1, p2 in itertools.product(pairs, repeat=2):
+        gq = quotient_graph(g, p1.H)
+        for v in gq.vertices:
+            members = align.universe(gq, v, cap).members
+            for n in (1, 2):
+                for E in map(frozenset, itertools.combinations(members, n)):
+                    q1 = dataclasses.replace(p1, B=(E,))
+                    strip2 = stripped(E, p2.H)
+                    for B2 in {(), (strip2,) if strip2 else ()}:
+                        q2 = dataclasses.replace(p2, B=B2)
+                        want = by_definition(q1, q2)
+                        assert pair_leq(g, q1, q2) == want, (q1.label(), q2.label())
+                        if set(p1.H) <= set(p2.H):
+                            outcomes.add(want)
+    assert outcomes == {True, False}
 
 
 def test_pair_leq_rejects_cap_mismatch(fx):

@@ -71,16 +71,18 @@ def test_kernel_tables_match_path_arithmetic():
     assert seen > 50
 
 
-def _counting(monkeypatch, cls, names):
+def _counting(monkeypatch, owner, names):
+    """Count calls of the named methods of a class, or functions of a
+    module, called with positional arguments."""
     calls = Counter()
     for name in names:
-        orig = getattr(cls, name)
+        orig = getattr(owner, name)
 
         def counted(self, *args, _orig=orig, _name=name):
             calls[_name] += 1
             return _orig(self, *args)
 
-        monkeypatch.setattr(cls, name, counted)
+        monkeypatch.setattr(owner, name, counted)
     return calls
 
 
@@ -99,15 +101,32 @@ def test_lattice_path_arithmetic_calls_pinned(monkeypatch, name, cap, split_max,
     assert calls["compose"] <= compose_max
 
 
+@pytest.mark.parametrize("name, cap, ext_max, universe_max", [
+    ("FX6", (2,), 35, 4),
+    ("FX2", (2, 2), 680, 4),
+])
+def test_lattice_s2_walk_calls_pinned(monkeypatch, name, cap, ext_max, universe_max):
+    """The (S2) derivatives of each stripped family are computed once, by
+    the closure scan, and no universe is looked up per strip: a separate
+    extension walk made 70 / 1,360 ext_mask and 54 / 514 universe calls."""
+    g = textio.parse_kgraph_text(textio.FIXTURE_TEXTS[name]).graph  # fresh memo
+    ext_calls = _counting(monkeypatch, align.VertexUniverse, ("ext_mask",))
+    universe_calls = _counting(monkeypatch, ideals, ("universe",))
+    ideals.ideal_lattice(g, cap)
+    assert ext_calls["ext_mask"] <= ext_max
+    assert universe_calls["universe"] <= universe_max
+
+
 @pytest.mark.parametrize("name, cap, subsets", [("FX6", (2,), 63), ("FX2", (2, 2), 255)])
 def test_lattice_family_mask_calls_pinned(monkeypatch, name, cap, subsets):
     """Families stay member masks from fe_sets to the lattice: no set is
-    turned back into a mask, each subset is classified once, and path sets
-    are built only for the eh_sets of the pairs."""
+    turned back into a mask, each subset is classified once, and no path
+    set is built; a pair builds its eh_sets only when they are read."""
     g = textio.parse_kgraph_text(textio.FIXTURE_TEXTS[name]).graph  # fresh memo
     calls = _counting(monkeypatch, align.VertexUniverse, ("mask_of", "set_of", "classify"))
     lat = ideals.ideal_lattice(g, cap)
-    eh_sets = {p.H: len(p.eh_sets) for p in lat.pairs}
     assert calls["mask_of"] == 0
     assert calls["classify"] <= subsets
-    assert calls["set_of"] <= sum(eh_sets.values())
+    assert calls["set_of"] == 0
+    for p in lat.pairs:
+        assert p.eh_sets == ideals.restricted_fe_family(g, p.H, cap).sets()
