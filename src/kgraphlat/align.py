@@ -54,7 +54,7 @@ def _mce(g: KGraph, mu: Path, nu: Path) -> Tuple[Path, ...]:
     n = degrees.join(mu.d, nu.d)
     return tuple(
         lam
-        for lam in g.paths_of_degree(mu.r, n)
+        for lam in g._paths_of_degree(mu.r, n)
         if g.prefix(lam, mu.d) == mu and g.prefix(lam, nu.d) == nu
     )
 

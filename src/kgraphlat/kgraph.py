@@ -312,13 +312,29 @@ class KGraph:
 
     # -- path enumeration ------------------------------------------------------
 
+    def _checked_hit(self, key):
+        """The memo entry under a key of public arguments, or None.  Only
+        a checked vertex and degree are ever stored, so an equal key is
+        valid and skips the checks; any other key misses and the checks
+        raise their usual errors."""
+        try:
+            return self._cache.get(key)
+        except TypeError:  # unhashable arguments
+            return None
+
     def paths_of_degree(self, v: str, n: Degree) -> Tuple[Path, ...]:
         """All normal-form paths with range v and degree exactly n."""
-        self.require_vertex(v)
-        n = degrees.check(n, self.k)
-        return self.memo(("pod", v, n), self._paths_of_degree, v, n)
+        hit = self._checked_hit(("pod", v, n))
+        if hit is None:
+            self.require_vertex(v)
+            hit = self._paths_of_degree(v, degrees.check(n, self.k))
+        return hit
 
     def _paths_of_degree(self, v: str, n: Degree) -> Tuple[Path, ...]:
+        # for callers that hold a vertex and a checked degree
+        return self.memo(("pod", v, n), self._enumerate_degree, v, n)
+
+    def _enumerate_degree(self, v: str, n: Degree) -> Tuple[Path, ...]:
         seqs: List[Tuple[str, List[str]]] = [(v, [])]
         for c in range(1, self.k + 1):
             for _ in range(n[c - 1]):
@@ -335,37 +351,74 @@ class KGraph:
 
     def paths_up_to(self, v: str, cap: Degree) -> Tuple[Path, ...]:
         """All paths with range v and degree <= cap, canonically sorted."""
-        self.require_vertex(v)
-        cap = degrees.check(cap, self.k)
-        return self.memo(("put", v, cap), self._paths_up_to, v, cap)
+        hit = self._checked_hit(("put", v, cap))
+        if hit is None:
+            self.require_vertex(v)
+            cap = degrees.check(cap, self.k)
+            hit = self.memo(("put", v, cap), self._paths_up_to, v, cap)
+        return hit
 
     def _paths_up_to(self, v: str, cap: Degree) -> Tuple[Path, ...]:
-        return sorted_paths(p for n in degrees.below(cap) for p in self.paths_of_degree(v, n))
+        return sorted_paths(p for n in degrees.below(cap) for p in self._paths_of_degree(v, n))
 
     # -- vertex reachability (v <= w iff vΛw nonempty) ---------------------------
 
-    def reach(self) -> Dict[str, FrozenSet[str]]:
-        """reach()[v] = {w : vΛw nonempty}, computed on the skeleton."""
-        return self.memo("reach", self._reach)
+    def vertex_bits(self) -> Dict[str, int]:
+        """vertex_bits()[v] = 1 << i for v = vertices[i]: the bit of v in a vertex mask."""
+        return self.memo("vbits", lambda: {v: 1 << i for i, v in enumerate(self.vertices)})
 
-    def _reach(self) -> Dict[str, FrozenSet[str]]:
-        succ: Dict[str, set] = {v: {v} for v in self.vertices}
-        adj: Dict[str, set] = {v: set() for v in self.vertices}
+    def reach_masks(self) -> Dict[str, int]:
+        """reach_masks()[v] = the vertex mask of {w : vΛw nonempty}, computed
+        on the skeleton."""
+        return self.memo("reach", self._reach_masks)
+
+    def _reach_masks(self) -> Dict[str, int]:
+        # Tarjan's strongly connected components, iteratively: a component
+        # closes after every component it reaches, so its cone is final
+        # then; a visited vertex with no cone yet is still open
+        at = {v: i for i, v in enumerate(self.vertices)}
+        succ: List[set] = [set() for _ in at]
         for e in self.edges:
-            if e.r in adj and e.s in self._vset:
-                adj[e.r].add(e.s)
-        for v in self.vertices:
-            stack = [v]
-            while stack:
-                u = stack.pop()
-                for w in adj.get(u, ()):
-                    if w not in succ[v]:
-                        succ[v].add(w)
-                        stack.append(w)
-        return {v: frozenset(ws) for v, ws in succ.items()}
+            if e.r in at and e.s in at:
+                succ[at[e.r]].add(at[e.s])
+        cone = [0] * len(at)
+        num: Dict[int, int] = {}
+        low: Dict[int, int] = {}
+        open_: List[int] = []
+        for root in range(len(at)):
+            if root in num:
+                continue
+            work = [(root, iter(succ[root]))]
+            num[root] = low[root] = len(num)
+            open_.append(root)
+            while work:
+                u, todo = work[-1]
+                for w in todo:
+                    if w not in num:
+                        num[w] = low[w] = len(num)
+                        open_.append(w)
+                        work.append((w, iter(succ[w])))
+                        break
+                    if not cone[w]:
+                        low[u] = min(low[u], num[w])
+                else:
+                    work.pop()
+                    if work:
+                        low[work[-1][0]] = min(low[work[-1][0]], low[u])
+                    if low[u] == num[u]:
+                        comp = [open_.pop()]
+                        while comp[-1] != u:
+                            comp.append(open_.pop())
+                        mask = sum(1 << w for w in comp)
+                        for w in comp:
+                            for x in succ[w]:
+                                mask |= cone[x]
+                        for w in comp:
+                            cone[w] = mask
+        return {v: cone[i] for i, v in enumerate(self.vertices)}
 
     def reaches(self, v: str, w: str) -> bool:
-        return w in self.reach().get(v, frozenset())
+        return bool(self.reach_masks().get(v, 0) & self.vertex_bits().get(w, 0))
 
 
 def validate_kgraph(g: KGraph) -> ValidationReport:
@@ -416,11 +469,13 @@ def validate_kgraph(g: KGraph) -> ValidationReport:
             if key in swap and swap[key] != val:
                 dup.add(key)
             swap[key] = val
-    bicolored = []
-    for a in good_edges.values():
-        for b in good_edges.values():
-            if a.color != b.color and a.s == b.r:
-                bicolored.append((a.eid, b.eid))
+    # range buckets: the pair and triple scans meet only composable edges
+    by_range: Dict[str, List[Edge]] = {}
+    for e in good_edges.values():
+        by_range.setdefault(e.r, []).append(e)
+    bicolored = [
+        (a.eid, b.eid) for a in good_edges.values() for b in by_range.get(a.s, ()) if a.color != b.color
+    ]
     for pair in sorted(bicolored):
         if pair not in swap:
             violations.append(("incomplete-square", pair))
@@ -438,11 +493,11 @@ def validate_kgraph(g: KGraph) -> ValidationReport:
             return tuple(e)
 
         for a in good_edges.values():
-            for b in good_edges.values():
-                if b.r != a.s or b.color == a.color:
+            for b in by_range.get(a.s, ()):
+                if b.color == a.color:
                     continue
-                for c in good_edges.values():
-                    if c.r != b.s or c.color in (a.color, b.color):
+                for c in by_range.get(b.s, ()):
+                    if c.color in (a.color, b.color):
                         continue
                     triple = (a.eid, b.eid, c.eid)
                     left = route(triple, (0, 1, 0))

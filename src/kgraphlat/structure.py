@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from . import degrees
 from .align import PathSet, fe_sets, is_exhaustive
@@ -300,20 +300,26 @@ def boundary_prefixes(g: KGraph, v: str, depth: Degree) -> List[BoundaryPrefix]:
 # -- cofinality ---------------------------------------------------------------------
 
 
-def _loop_vertices(g: KGraph) -> FrozenSet[str]:
-    """Vertices lying on a directed cycle of the skeleton."""
-    reach = g.reach()
-    out = {e.r for e in g.edges if e.r == e.s}
-    for v in g.vertices:
-        for w in reach[v]:
-            if v != w and v in reach[w]:
-                out.add(v)
-                out.add(w)
-    return frozenset(out)
+def _loop_vertices(g: KGraph) -> int:
+    """The vertex mask of the vertices lying on a directed cycle of the
+    skeleton: those that reach themselves again through one of their edges."""
+    reach, bit = g.reach_masks(), g.vertex_bits()
+    out = 0
+    for e in g.edges:
+        b = bit.get(e.r, 0)
+        if reach.get(e.s, 0) & b:
+            out |= b
+    return out
 
 
-def _position_vertices(g: KGraph, x: Path) -> FrozenSet[str]:
-    return frozenset(g.split(x, m)[0].s for m in degrees.below(x.d))
+def _position_vertices(g: KGraph, x: Path) -> int:
+    """The vertex mask of the points of x; a point off the vertex set (an
+    unvalidated graph) is reached by no vertex, so it adds no bit."""
+    bit = g.vertex_bits()
+    out = 0
+    for m in degrees.below(x.d):
+        out |= bit.get(g.split(x, m)[0].s, 0)
+    return out
 
 
 def cofinality_check(g: KGraph, cap: Degree) -> CertifiedBool:
@@ -331,8 +337,7 @@ def cofinality_check(g: KGraph, cap: Degree) -> CertifiedBool:
     infinite one revisits a cycle vertex, so every boundary path is met.
     """
     cap = degrees.check(cap, g.k)
-    reach = g.reach()
-    edge_free = [t for t in g.vertices if not g.edges_at(t)]
+    reach, bit = g.reach_masks(), g.vertex_bits()
 
     # terminal finite boundary paths, smallest first
     candidates: List[Path] = []
@@ -348,13 +353,13 @@ def cofinality_check(g: KGraph, cap: Degree) -> CertifiedBool:
                 return false_certified((x, w))
     # start-vertex obstruction: disjoint forward cones
     for v in g.vertices:
+        cone = reach[v]
         for w in g.vertices:
-            if not reach[v] & reach[w]:
+            if not cone & reach[w]:
                 return false_certified((g.identity(v), w))
 
-    loopers = _loop_vertices(g)
-    targets = set(edge_free) | set(loopers)
-    if all(targets <= reach[w] for w in g.vertices):
+    targets = _loop_vertices(g) | sum(bit[t] for t in g.vertices if not g.edges_at(t))
+    if all(reach[w] & targets == targets for w in g.vertices):
         return true_certified()
     return unknown_at_cap(cap)
 
@@ -366,7 +371,7 @@ def _entrance_for(g: KGraph, z: str, mu: Path) -> Optional[Path]:
     for n in degrees.below(mu.d):
         if sum(n) == 0:
             continue
-        cands = g.paths_of_degree(z, n)
+        cands = g._paths_of_degree(z, n)
         if len(cands) >= 2:
             pref = g.prefix(mu, n)
             for alpha in cands:
@@ -395,12 +400,12 @@ def find_loop_with_entrance(g: KGraph, cap: Degree) -> Dict[str, CertifiedBool]:
     exists iff some cycle vertex reaches a branch vertex, decided exactly.
     """
     cap = degrees.check(cap, g.k)
-    reach = g.reach()
+    reach, bit = g.reach_masks(), g.vertex_bits()
     loopers = _loop_vertices(g)
 
     witnesses: Dict[str, Tuple[Path, Path]] = {}
     for z in g.vertices:
-        if z not in loopers:
+        if not loopers & bit[z]:
             continue
         found = None
         for mu in g.paths_up_to(z, cap):
@@ -416,11 +421,16 @@ def find_loop_with_entrance(g: KGraph, cap: Degree) -> Dict[str, CertifiedBool]:
     out: Dict[str, CertifiedBool] = {}
     acyclic = not loopers
     deterministic = _deterministic_colors(g)
-    branchy = {u for u in g.vertices if len(g.edges_at(u)) >= 2}
+    # masks of distinct vertices: the sum of their bits is their union
+    witnessed = sum(bit[z] for z in witnesses)
+    # k = 1: the cycle vertices that reach a vertex with out-degree >= 2
+    branchy = sum(bit[u] for u in g.vertices if len(g.edges_at(u)) >= 2)
+    qualifying = sum(bit[z] for z in g.vertices if loopers & bit[z] and reach[z] & branchy)
     for v in g.vertices:
-        hit = next((z for z in g.vertices if z in witnesses and z in reach[v]), None)
-        if hit is not None:
-            mu, alpha = witnesses[hit]
+        hit = reach[v] & witnessed
+        if hit:
+            # the lowest bit is the first witnessed vertex in vertex order
+            mu, alpha = witnesses[g.vertices[(hit & -hit).bit_length() - 1]]
             out[v] = true_certified((mu, alpha))
             continue
         if acyclic:
@@ -430,10 +440,7 @@ def find_loop_with_entrance(g: KGraph, cap: Degree) -> Dict[str, CertifiedBool]:
         elif g.k == 1:
             # exact: a qualifying loop exists iff a cycle vertex reachable
             # from v also reaches a vertex with out-degree >= 2
-            qualifying = [
-                z for z in loopers if reach[z] & branchy
-            ]
-            if any(z in reach[v] for z in qualifying):
+            if reach[v] & qualifying:
                 out[v] = unknown_at_cap(cap)  # witness exists beyond cap
             else:
                 out[v] = false_certified(("k1-cycle-analysis",))

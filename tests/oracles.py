@@ -2,15 +2,21 @@
 
 Prefixes are recovered by scanning factorizations with compose, never
 with the library's segment extraction; the rank-1 saturation oracle uses
-the classical edge-level closure rules directly.
+the classical edge-level closure rules directly.  The presentation check
+scans all pairs and triples of edges, and reachability is a fixpoint over
+the edge list held in plain sets.
 """
 
 from __future__ import annotations
 
 import itertools
 
+from typing import Dict, List, Tuple
+
 from kgraphlat import degrees
-from kgraphlat.kgraph import KGraph, Path
+from kgraphlat.certify import false_certified, true_certified, unknown_at_cap
+from kgraphlat.kgraph import KGraph, Path, ValidationReport
+from kgraphlat.structure import _deterministic_colors, _entrance_for
 
 
 def oracle_prefix(g: KGraph, tau: Path, m):
@@ -123,4 +129,181 @@ def k1_sat_hered_sets(g: KGraph):
             S = frozenset(combo)
             if k1_hereditary(g, S) and k1_saturate(g, S) == S:
                 out.append(S)
+    return out
+
+
+# -- the presentation check, all pairs ---------------------------------------------
+
+
+def oracle_validate(g: KGraph) -> ValidationReport:
+    """Completeness, unambiguity and (k >= 3) cube consistency, scanning
+    every pair and every triple of edges."""
+    violations: List[Tuple[str, Tuple[str, ...]]] = []
+    sk = g.skeleton
+    vset = set(sk.vertices)
+    good_edges = {}
+    for e in sk.edges:
+        bad = [x for x in (e.r, e.s) if x not in vset]
+        if bad or not 1 <= e.color <= sk.k:
+            violations.append(("dangling-edge", (e.eid,) + tuple(bad)))
+        else:
+            good_edges[e.eid] = e
+
+    well_formed = []
+    for rule in g.squares:
+        f, gg, g2, f2 = rule.lhs[0], rule.lhs[1], rule.rhs[0], rule.rhs[1]
+        ids = (f, gg, g2, f2)
+        if not all(x in good_edges for x in ids):
+            violations.append(("malformed-square", ids))
+            continue
+        ef, eg, eg2, ef2 = (good_edges[x] for x in ids)
+        shape_ok = (
+            ef.color != eg.color
+            and ef.s == eg.r
+            and eg2.s == ef2.r
+            and ef.color == ef2.color
+            and eg.color == eg2.color
+            and ef.r == eg2.r
+            and eg.s == ef2.s
+        )
+        if not shape_ok:
+            violations.append(("malformed-square", ids))
+        else:
+            well_formed.append(rule)
+
+    # completeness / unambiguity over well-formed rules
+    swap: Dict[Tuple[str, str], Tuple[str, str]] = {}
+    dup: set = set()
+    for rule in well_formed:
+        f, gg = rule.lhs
+        g2, f2 = rule.rhs
+        for key, val in (((f, gg), (g2, f2)), ((g2, f2), (f, gg))):
+            if key in swap and swap[key] != val:
+                dup.add(key)
+            swap[key] = val
+    bicolored = []
+    for a in good_edges.values():
+        for b in good_edges.values():
+            if a.color != b.color and a.s == b.r:
+                bicolored.append((a.eid, b.eid))
+    for pair in sorted(bicolored):
+        if pair not in swap:
+            violations.append(("incomplete-square", pair))
+    for pair in sorted(dup):
+        violations.append(("duplicate-square", pair))
+
+    if sk.k >= 3 and not dup:
+        def route(seq, positions):
+            e = list(seq)
+            for i in positions:
+                key = (e[i], e[i + 1])
+                if key not in swap:
+                    return None
+                e[i], e[i + 1] = swap[key]
+            return tuple(e)
+
+        for a in good_edges.values():
+            for b in good_edges.values():
+                if b.r != a.s or b.color == a.color:
+                    continue
+                for c in good_edges.values():
+                    if c.r != b.s or c.color in (a.color, b.color):
+                        continue
+                    triple = (a.eid, b.eid, c.eid)
+                    left = route(triple, (0, 1, 0))
+                    right = route(triple, (1, 0, 1))
+                    if left is not None and right is not None and left != right:
+                        violations.append(("cube-inconsistent", triple))
+
+    violations = sorted(set(violations))
+    return ValidationReport(ok=not violations, violations=tuple(violations))
+
+
+# -- reachability, cofinality and loops on vertex sets --------------------------------
+
+
+def oracle_reach(g: KGraph):
+    """oracle_reach(g)[v] = {w : vΛw nonempty}, by fixpoint over the edges."""
+    succ = {v: {v} for v in g.vertices}
+    changed = True
+    while changed:
+        changed = False
+        for e in g.edges:
+            for v in g.vertices:
+                if e.r in succ[v] and e.s not in succ[v]:
+                    succ[v].add(e.s)
+                    changed = True
+    return succ
+
+
+def oracle_loop_vertices(g: KGraph) -> frozenset:
+    """Vertices with a self-loop or a second vertex reaching them back."""
+    reach = oracle_reach(g)
+    out = {e.r for e in g.edges if e.r == e.s}
+    for v in g.vertices:
+        for w in reach[v]:
+            if v != w and v in reach[w]:
+                out.add(v)
+                out.add(w)
+    return frozenset(out)
+
+
+def oracle_cofinality(g: KGraph, cap):
+    """structure.cofinality_check with vertex sets for reachability: the
+    same scan order, so the same status and witness."""
+    cap = degrees.check(cap, g.k)
+    reach = oracle_reach(g)
+    edge_free = [t for t in g.vertices if not g.edges_at(t)]
+    candidates = [x for v in g.vertices for x in g.paths_up_to(v, cap) if not g.edges_at(x.s)]
+    candidates.sort(key=Path.sort_key)
+    for x in candidates:
+        pts = {oracle_prefix(g, x, m).s for m in degrees.below(x.d)}
+        for w in g.vertices:
+            if not pts & reach[w]:
+                return false_certified((x, w))
+    for v in g.vertices:
+        for w in g.vertices:
+            if not reach[v] & reach[w]:
+                return false_certified((g.identity(v), w))
+    targets = set(edge_free) | oracle_loop_vertices(g)
+    if all(targets <= reach[w] for w in g.vertices):
+        return true_certified()
+    return unknown_at_cap(cap)
+
+
+def oracle_loops(g: KGraph, cap):
+    """structure.find_loop_with_entrance with vertex sets for reachability;
+    the entrance search is the library's own and is not checked here."""
+    cap = degrees.check(cap, g.k)
+    reach = oracle_reach(g)
+    loopers = oracle_loop_vertices(g)
+    witnesses = {}
+    for z in g.vertices:
+        if z not in loopers:
+            continue
+        for mu in g.paths_up_to(z, cap):
+            if mu.is_vertex or mu.s != z:
+                continue
+            alpha = _entrance_for(g, z, mu)
+            if alpha is not None:
+                witnesses[z] = (mu, alpha)
+                break
+    branchy = {u for u in g.vertices if len(g.edges_at(u)) >= 2}
+    out = {}
+    for v in g.vertices:
+        hit = next((z for z in g.vertices if z in witnesses and z in reach[v]), None)
+        if hit is not None:
+            out[v] = true_certified(witnesses[hit])
+        elif not loopers:
+            out[v] = false_certified(("acyclic-skeleton",))
+        elif _deterministic_colors(g):
+            out[v] = false_certified(("degree-deterministic",))
+        elif g.k == 1:
+            qualifying = [z for z in loopers if reach[z] & branchy]
+            if any(z in reach[v] for z in qualifying):
+                out[v] = unknown_at_cap(cap)
+            else:
+                out[v] = false_certified(("k1-cycle-analysis",))
+        else:
+            out[v] = unknown_at_cap(cap)
     return out

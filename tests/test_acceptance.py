@@ -288,21 +288,8 @@ def _replay_satiation_witness(g, family, witness, cap):
     assert oracles.oracle_rule_derives(g, rule, G, extra, D, cap), witness
 
 
-def _reach_oracle(g):
-    succ = {v: {v} for v in g.vertices}
-    changed = True
-    while changed:
-        changed = False
-        for e in g.edges:
-            for v in g.vertices:
-                if e.r in succ[v] and e.s not in succ[v]:
-                    succ[v].add(e.s)
-                    changed = True
-    return succ
-
-
 def _replay_cofinality_witness(g, x, w):
-    reach = _reach_oracle(g)
+    reach = oracles.oracle_reach(g)
     if not g.edges_at(x.s):
         # finite boundary path: w reaches none of its points
         points = {oracles.oracle_prefix(g, x, m).s for m in degrees.below(x.d)}
@@ -317,11 +304,11 @@ def _replay_loop_witness(g, v, mu, alpha):
     assert mu.r == mu.s
     assert degrees.leq(alpha.d, mu.d) and alpha.r == mu.s
     assert oracles.oracle_prefix(g, mu, alpha.d) != alpha
-    assert mu.r in _reach_oracle(g)[v]
+    assert mu.r in oracles.oracle_reach(g)[v]
 
 
 def _replay_loop_negative(g, v, reason):
-    reach = _reach_oracle(g)
+    reach = oracles.oracle_reach(g)
     if reason == ("acyclic-skeleton",):
         for u in g.vertices:
             for e in g.edges:

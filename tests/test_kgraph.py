@@ -1,16 +1,20 @@
 
+import itertools
+import re
+
 import pytest
 
 from kgraphlat import degrees
 from kgraphlat.kgraph import (
     KGraph,
+    KGraphError,
     NonComposableError,
     SegmentBoundsError,
     Skeleton,
     SquareRule,
     validate_kgraph,
 )
-from kgraphlat.randomgraphs import random_2graph
+from kgraphlat.randomgraphs import random_1graph, random_2graph
 
 import oracles
 
@@ -70,22 +74,104 @@ def test_cube_condition_detects_noncommuting_swaps():
     assert {k for k, _ in rep.violations} == {"cube-inconsistent"}
 
 
+def _square_mutations(g):
+    """g with each single square removed, and with each square's right side
+    swapped for the next square's."""
+    for i, sq in enumerate(g.squares):
+        yield KGraph(g.skeleton, g.squares[:i] + g.squares[i + 1 :])
+        other = g.squares[(i + 1) % len(g.squares)]
+        if other is not sq:
+            yield KGraph(g.skeleton, g.squares[:i] + (SquareRule(sq.lhs, other.rhs),) + g.squares[i + 1 :])
+
+
 def test_single_square_mutations_rejected():
     for seed in range(12):
-        g = random_2graph(seed)
-        if not g.squares:
-            continue
-        for i, sq in enumerate(g.squares):
-            removed = KGraph(g.skeleton, g.squares[:i] + g.squares[i + 1 :])
-            assert not validate_kgraph(removed).ok
-            other = g.squares[(i + 1) % len(g.squares)]
-            if other is sq:
-                continue
-            mutated = KGraph(
-                g.skeleton,
-                g.squares[:i] + (SquareRule(sq.lhs, other.rhs),) + g.squares[i + 1 :],
-            )
+        for mutated in _square_mutations(random_2graph(seed)):
             assert not validate_kgraph(mutated).ok
+
+
+def _product3(factors):
+    """The product of three rank-1 graphs: color c moves coordinate c along
+    an edge of factors[c - 1], and each square swaps the moves of two
+    coordinates."""
+
+    def edge_id(c, e, at):
+        return f"{e.eid}@{c}:" + ",".join(x for i, x in enumerate(at) if i != c - 1)
+
+    def moved(at, c, x):
+        return at[: c - 1] + (x,) + at[c:]
+
+    verts = list(itertools.product(*(f.vertices for f in factors)))
+    edges = [
+        (edge_id(c, e, at), c, "|".join(at), "|".join(moved(at, c, e.s)))
+        for c, f in enumerate(factors, 1)
+        for e in f.edges
+        for at in verts
+        if at[c - 1] == e.r
+    ]
+    squares = [
+        SquareRule(
+            (edge_id(i, e, at), edge_id(j, f, moved(at, i, e.s))),
+            (edge_id(j, f, at), edge_id(i, e, moved(at, j, f.s))),
+        )
+        for i, j in ((1, 2), (1, 3), (2, 3))
+        for e in factors[i - 1].edges
+        for f in factors[j - 1].edges
+        for at in verts
+        if at[i - 1] == e.r and at[j - 1] == f.r
+    ]
+    return KGraph(Skeleton.build(3, ["|".join(v) for v in verts], edges), squares)
+
+
+def _cube_mutation(g):
+    """Two blue-red squares through the same red edge and the same red
+    diagonal trade their blue right-hand edges: still complete and
+    unambiguous, but the swaps no longer commute with the green ones."""
+    color = {e.eid: e.color for e in g.edges}
+    seen = {}
+    for i, sq in enumerate(g.squares):
+        if (color[sq.lhs[0]], color[sq.lhs[1]]) != (1, 2):
+            continue
+        j = seen.setdefault((sq.lhs[1], sq.rhs[0]), i)
+        if j != i:
+            other = g.squares[j]
+            squares = list(g.squares)
+            squares[i] = SquareRule(sq.lhs, (sq.rhs[0], other.rhs[1]))
+            squares[j] = SquareRule(other.lhs, (other.rhs[0], sq.rhs[1]))
+            return KGraph(g.skeleton, squares)
+    raise AssertionError("no two squares share a red edge and diagonal")
+
+
+def _rank3_inputs():
+    for seeds in ((0, 1, 2), (5, 2, 0), (3, 1, 2)):
+        g = _product3([random_1graph(s) for s in seeds])
+        v = g.vertices[0]
+        a, b = g.edges[0].eid, g.edges[1].eid
+        loose = [("loose", 2, v, "nowhere"), ("hue", 4, v, v)]
+        dangling = Skeleton.build(3, g.vertices, [(e.eid, e.color, e.r, e.s) for e in g.edges] + loose)
+        malformed = (SquareRule((a, a), (b, b)), SquareRule((a, "ghost"), (b, a)))
+        cube = _cube_mutation(g)
+        yield g
+        yield cube
+        yield KGraph(dangling, g.squares)
+        yield KGraph(g.skeleton, g.squares + malformed)
+        yield KGraph(dangling, cube.squares + malformed)
+
+
+def test_validation_matches_all_pairs_oracle(fx):
+    graphs = list(fx.values())
+    for seed in range(40):
+        g = random_2graph(seed)
+        graphs += [g, *_square_mutations(g)]
+    graphs += _rank3_inputs()
+    kinds = set()
+    for g in graphs:
+        rep = validate_kgraph(g)
+        assert rep == oracles.oracle_validate(g)
+        kinds |= {kind for kind, _ in rep.violations}
+    assert kinds == {
+        "dangling-edge", "malformed-square", "incomplete-square", "duplicate-square", "cube-inconsistent"
+    }
 
 
 # -- composition and segments -------------------------------------------------------
@@ -196,6 +282,26 @@ def test_paths_up_to_examples(fx):
     assert [p.literal() for p in g4.paths_up_to("v", (2,))] == ["v", "e", "f", "e.g"]
     assert [p.literal() for p in g5.paths_up_to("u", (3,))] == ["u", "e"]
     assert [p.literal() for p in g4.paths_up_to("u", (0,))] == ["u"]
+
+
+def test_path_enumeration_errors_survive_memo_hits(fx):
+    """A memo hit skips the vertex and degree checks, so a bad argument must
+    raise the same error on a warm memo as on a cold one."""
+    g = KGraph(fx["FX2"].skeleton, fx["FX2"].squares)
+    bad = [
+        ("zz", (1, 1), KGraphError, "unknown vertex 'zz'"),
+        ("v", (1,), ValueError, "degree (1,) has length 1, expected rank 2"),
+        ("v", (-1, 0), ValueError, "degree (-1, 0) has a negative coordinate"),
+        ("v", ([1], 0), TypeError, "int() argument must be"),
+        (["v"], (1, 1), TypeError, "unhashable type: 'list'"),
+    ]
+    for warm in (False, True):
+        for enumerate_paths in (g.paths_of_degree, g.paths_up_to):
+            for v, n, error, message in bad:
+                with pytest.raises(error, match=re.escape(message)):
+                    enumerate_paths(v, n)
+            want = enumerate_paths("v", (1, 1))
+            assert enumerate_paths("v", [1, 1]) == enumerate_paths("v", (True, 1.0)) == want
 
 
 def test_finite_alignment_by_construction(fx):

@@ -2,11 +2,13 @@ import itertools
 
 import pytest
 
-from kgraphlat import align, degrees
+from kgraphlat import align, degrees, textio
 from kgraphlat.align import fe_sets
 from kgraphlat.kgraph import KGraphError, validate_kgraph
+from kgraphlat.randomgraphs import random_1graph, random_2graph
 from kgraphlat.structure import (
     Grading,
+    _loop_vertices,
     boundary_prefixes,
     cofinality_check,
     find_loop_with_entrance,
@@ -19,6 +21,8 @@ from kgraphlat.structure import (
     skew_product_window,
     structure_report,
 )
+
+import oracles
 
 
 # -- gradings -----------------------------------------------------------------
@@ -262,6 +266,38 @@ def test_loop_witness_replays(fx):
 def test_loop_acyclic_negative(fx):
     out = find_loop_with_entrance(fx["FX5"], (2,))
     assert all(c.is_false and c.witness == ("acyclic-skeleton",) for c in out.values())
+
+
+def _reach_inputs():
+    for seed in range(150):
+        for c in (1, 2):
+            yield random_1graph(seed), (c,)
+            yield random_2graph(seed), (c, c)
+    for name in ("FX1", "FX5"):
+        for r in (1, 2, 3):
+            sw = skew_product_window(textio.fixture(name), (-r,), (r,))
+            for c in (1, 2):
+                yield sw.graph, (c,)
+
+
+def test_reachability_matches_vertex_set_oracles():
+    """reaches, _loop_vertices, cofinality_check and find_loop_with_entrance
+    against fixpoint reachability on vertex sets; cofinality witnesses of
+    both kinds occur at both ranks."""
+    branches = set()
+    for g, cap in _reach_inputs():
+        reach = oracles.oracle_reach(g)
+        for v in g.vertices:
+            assert {w for w in g.vertices if g.reaches(v, w)} == reach[v]
+        loops = _loop_vertices(g)
+        assert {v for v in g.vertices if loops & g.vertex_bits()[v]} == oracles.oracle_loop_vertices(g)
+        got = cofinality_check(g, cap)
+        assert got == oracles.oracle_cofinality(g, cap)
+        if got.is_false:
+            x, _ = got.witness
+            branches.add((g.k, "cone" if g.edges_at(x.s) else "terminal"))
+        assert find_loop_with_entrance(g, cap) == oracles.oracle_loops(g, cap)
+    assert branches == {(k, kind) for k in (1, 2) for kind in ("cone", "terminal")}
 
 
 # -- assembled report ---------------------------------------------------------------
