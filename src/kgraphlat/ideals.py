@@ -339,21 +339,21 @@ def _scan_satiation(gq: KGraph, family: Family, cap: Degree, extend: bool,
     for v, mask in known_bad:
         bad_at.setdefault(v, []).append(mask)
 
-    def demand(rule: str, G: SetKey, extra, dmask: int, dv: str):
+    def demand(rule: str, G: SetKey, extra, dmask: int, dv: str, times: int = 1):
         """Handle a derived set, given by its mask at dv, that the rules
-        require to be present."""
+        require to be present; times counts the (S4) assignments giving it."""
         if dmask in family.get(dv, ()):
             return
         if dmask not in _candidates(gq, dv, cap):
             # not a capped candidate: certified non-exhaustive derivative
-            res.taints.append(rule)
+            res.taints.extend([rule] * times)
         elif any(not dmask & ~Y for Y in bad_at.get(dv, ())):
             # a verified refutation covers D, so its absence is explained
-            res.taints.append(rule + "-refuted")
+            res.taints.extend([rule + "-refuted"] * times)
         elif extend:
             res.additions.add((dv, dmask))
         elif rule == "S4":
-            res.s4_missing += 1
+            res.s4_missing += times
         else:
             res.violations.append((rule, G, extra, (dv, dmask)))
 
@@ -464,16 +464,27 @@ def _scan_satiation(gq: KGraph, family: Family, cap: Degree, extend: bool,
                     base = gm
                     for j in Gp:
                         base &= ~(1 << j)
-                    for assign in itertools.product(*options):
-                        dmask = base
-                        for j, slmask in zip(Gp, assign):
+                    # the assignments' unions, built one member at a time
+                    # and kept as {distinct partial union: assignments}; a
+                    # product is computed exactly when some prefix of an
+                    # assignment stays inside the cap, so overflow records
+                    # the same escapes as a walk over every assignment
+                    partials = {base: 1}
+                    for j, opts in zip(Gp, options):
+                        grown: Dict[int, int] = {}
+                        for slmask in opts:
                             part = products(j + 1, slmask)
                             if part is None:
-                                break
-                            dmask |= part
-                        else:  # no product left the cap
-                            if dmask not in fam:
-                                demand("S4", (v, gm), None, dmask, v)
+                                continue
+                            for pmask, times in partials.items():
+                                dmask = pmask | part
+                                grown[dmask] = grown.get(dmask, 0) + times
+                        partials = grown
+                        if not partials:
+                            break
+                    for dmask, times in partials.items():
+                        if dmask not in fam:
+                            demand("S4", (v, gm), None, dmask, v, times)
     return res
 
 

@@ -4,17 +4,21 @@ Prefixes are recovered by scanning factorizations with compose, never
 with the library's segment extraction; the rank-1 saturation oracle uses
 the classical edge-level closure rules directly.  The presentation check
 scans all pairs and triples of edges, and reachability is a fixpoint over
-the edge list held in plain sets.
+the edge list held in plain sets.  The closure scan substitutes (S4) one
+assignment at a time.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from kgraphlat import degrees
+from kgraphlat.align import universe
 from kgraphlat.certify import false_certified, true_certified, unknown_at_cap
+from kgraphlat.degrees import Degree
+from kgraphlat.ideals import S3_BUDGET, S4_BUDGET, Family, SetKey, _candidates, _mask_key, _ScanResult
 from kgraphlat.kgraph import KGraph, Path, ValidationReport
 from kgraphlat.structure import _deterministic_colors, _entrance_for
 
@@ -307,3 +311,163 @@ def oracle_loops(g: KGraph, cap):
         else:
             out[v] = unknown_at_cap(cap)
     return out
+
+
+# -- the closure scan, one (S4) assignment at a time -------------------------------
+
+
+def oracle_scan_satiation(gq: KGraph, family: Family, cap: Degree, extend: bool,
+                          known_bad: Iterable[SetKey] = ()) -> _ScanResult:
+    """ideals._scan_satiation with (S4) walking every assignment of family
+    sets to the substituted members, one at a time.
+
+    One round of the (S1)-(S4) closure rules over the capped universe.
+
+    In check mode a missing (S1)-(S3) demand that is itself a capped
+    candidate is a violation; (S4) misses, everything blocked by the cap,
+    and derived sets covered by a verified refutation (a subset of one of
+    the known_bad sets) only dirty the result.  In extend mode missing
+    candidates are collected as additions instead.  Every missing (S2)
+    derivative is also recorded in s2_misses, whatever became of it.
+    """
+    res = _ScanResult()
+    bad_at: Dict[str, List[int]] = {}
+    for v, mask in known_bad:
+        bad_at.setdefault(v, []).append(mask)
+
+    def demand(rule: str, G: SetKey, extra, dmask: int, dv: str):
+        """Handle a derived set, given by its mask at dv, that the rules
+        require to be present."""
+        if dmask in family.get(dv, ()):
+            return
+        if dmask not in _candidates(gq, dv, cap):
+            # not a capped candidate: certified non-exhaustive derivative
+            res.taints.append(rule)
+        elif any(not dmask & ~Y for Y in bad_at.get(dv, ())):
+            # a verified refutation covers D, so its absence is explained
+            res.taints.append(rule + "-refuted")
+        elif extend:
+            res.additions.add((dv, dmask))
+        elif rule == "S4":
+            res.s4_missing += 1
+        else:
+            res.violations.append((rule, G, extra, (dv, dmask)))
+
+    for v in sorted(family):
+        fam = family[v]
+        uni = universe(gq, v, cap)
+        m = len(uni.members)
+        # (S1): upward closure inside the candidate universe, via subset DP
+        contains = bytearray(1 << m)
+        for mask in range(1, 1 << m):
+            if mask in fam:
+                contains[mask] = 1
+                continue
+            mm = mask
+            while mm:
+                low = mm & -mm
+                if contains[mask ^ low]:
+                    contains[mask] = 1
+                    break
+                mm ^= low
+        for fmask in _candidates(gq, v, cap):
+            if contains[fmask] and fmask not in fam:
+                if extend:
+                    res.additions.add((v, fmask))
+                else:
+                    gm = next(gm for gm in fam if gm & fmask == gm)
+                    res.violations.append(("S1", (v, gm), None, (v, fmask)))
+
+        # (S2): extensions along capped paths not already extending the set;
+        # such a path's continuations never include the identity
+        for gm in fam:
+            for i, mu in enumerate(uni.paths):
+                if uni.captured[i] & gm:
+                    continue
+                dmask = uni.ext_mask(i, gm) >> 1
+                if not dmask:
+                    res.taints.append("S2-empty")
+                elif dmask not in family.get(mu.s, ()):
+                    res.s2_misses.setdefault((v, gm), []).append((mu, dmask))
+                    demand("S2", (v, gm), mu, dmask, mu.s)
+
+        # (S3): initial segments, one nonzero cut per member
+        s3_left = S3_BUDGET
+        for gm in fam:
+            cuts = []
+            bits = []
+            for j in _mask_key(gm):
+                pre = uni.prefix[j + 1]
+                cuts.append([n for n, p in pre.items() if p])
+                bits.append([1 << (p - 1) for p in pre.values() if p])
+            count = 1
+            for c in cuts:
+                count *= len(c)
+            if count > s3_left:
+                res.budget_hit.append(f"S3 at {v}")
+                break
+            s3_left -= count
+            for combo, parts in zip(itertools.product(*cuts), itertools.product(*bits)):
+                dmask = 0
+                for b in parts:
+                    dmask |= b
+                if dmask != gm:
+                    demand("S3", (v, gm), combo, dmask, v)
+
+        # (S4): substitute members by their own family sets
+        prod_cache: Dict[Tuple[int, int], Optional[int]] = {}
+
+        def products(i: int, slmask: int) -> Optional[int]:
+            """Mask of paths[i] composed with every member of the set
+            slmask at its source; None when capped out."""
+            key = (i, slmask)
+            if key not in prod_cache:
+                row, beyond = uni.compositions(i)
+                part = 0
+                blocked = False
+                while slmask:
+                    low = slmask & -slmask
+                    slmask ^= low
+                    j = low.bit_length() - 1
+                    if row[j]:
+                        part |= row[j]
+                    else:
+                        res.overflow.add(beyond[j])
+                        blocked = True
+                prod_cache[key] = None if blocked else part
+            return prod_cache[key]
+
+        s4_left = S4_BUDGET
+        for gm in fam:
+            if s4_left <= 0:
+                break
+            members = _mask_key(gm)
+            for r in range(1, len(members) + 1):
+                if s4_left <= 0:
+                    break
+                for Gp in itertools.combinations(members, r):
+                    options = [family.get(uni.members[j].s, ()) for j in Gp]
+                    if any(not o for o in options):
+                        continue
+                    count = 1
+                    for o in options:
+                        count *= len(o)
+                    if count > s4_left:
+                        res.budget_hit.append(f"S4 at {v}")
+                        s4_left = 0
+                        break
+                    s4_left -= count
+                    base = gm
+                    for j in Gp:
+                        base &= ~(1 << j)
+                    for assign in itertools.product(*options):
+                        dmask = base
+                        for j, slmask in zip(Gp, assign):
+                            part = products(j + 1, slmask)
+                            if part is None:
+                                break
+                            dmask |= part
+                        else:  # no product left the cap
+                            if dmask not in fam:
+                                demand("S4", (v, gm), None, dmask, v)
+    return res

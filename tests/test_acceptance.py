@@ -388,6 +388,40 @@ def test_criterion_8_witness_soundness(fx):
     print(f"[criterion 8] PASS: {replayed} certificates replayed against the raw definitions, zero failures")
 
 
+def _capped_answers(g, cap, hereditary, candidates):
+    out = {("cofinal",): cofinality_check(g, cap)}
+    for H in hereditary:
+        out[("saturated", H)] = is_saturated(g, H, cap)
+    for v, cert in find_loop_with_entrance(g, cap).items():
+        out[("loop", v)] = cert
+    for E in candidates:
+        out[("exhaustive", E)] = is_exhaustive(g, E, cap)
+    return out
+
+
+def test_raising_the_cap_never_flips_a_decided_answer():
+    """For caps c <= c', an answer decided at c is decided the same way at
+    c': a cap only bounds the search, so it may leave an answer unknown but
+    never decide it wrongly."""
+    compared = Counter()
+    for make, caps in ((random_1graph, [(1,), (2,), (3,)]), (random_2graph, [(1, 1), (2, 2), (3, 3)])):
+        for seed in range(40):
+            g = make(seed)
+            hereditary = [H for n in range(len(g.vertices) + 1)
+                          for H in itertools.combinations(g.vertices, n) if is_hereditary(g, H)]
+            candidates = [E for v in g.vertices for r in (1, 2)
+                          for E in itertools.combinations(align.universe(g, v, caps[0]).members, r)]
+            answers = [_capped_answers(g, cap, hereditary, candidates) for cap in caps]
+            for low, high in itertools.combinations(range(len(caps)), 2):
+                for key, cert in answers[low].items():
+                    if cert.decided:
+                        later = answers[high][key]
+                        assert later.value is cert.value, (make.__name__, seed, key, caps[low], caps[high], later)
+                        compared[key[0]] += 1
+    assert min(compared[kind] for kind in ("cofinal", "saturated", "loop", "exhaustive")) > 0, compared
+    print(f"[cap monotonicity] PASS: {sum(compared.values())} decided answers unchanged at higher caps")
+
+
 def test_criterion_9_cli_determinism(fx, capsys):
     total = 0
     for name, g in sorted(fx.items()):

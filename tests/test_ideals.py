@@ -1,9 +1,11 @@
+import collections
 import dataclasses
 import itertools
+import random
 
 import pytest
 
-from kgraphlat import align
+from kgraphlat import align, ideals, textio
 from kgraphlat.align import is_exhaustive
 from kgraphlat.ideals import (
     enumerate_ideal_pairs,
@@ -18,9 +20,10 @@ from kgraphlat.ideals import (
     restricted_fe_family,
     satiation_closure,
     saturation,
+    set_sort_key,
 )
 from kgraphlat.kgraph import KGraphError, validate_kgraph
-from kgraphlat.randomgraphs import random_2graph
+from kgraphlat.randomgraphs import random_1graph, random_2graph
 
 import oracles
 
@@ -253,6 +256,53 @@ def test_satiation_closure_idempotent(fx):
     cl = satiation_closure(g2, [{g2.path(["b"])}], (1, 1))
     again = satiation_closure(g2, cl, (1, 1))
     assert again.sets() == cl.sets()
+
+
+def test_scan_matches_assignment_walk_oracle(monkeypatch):
+    """Every closure scan run by the stripped families, and by is_satiated
+    and satiation_closure on seeded sub-families of them, equals the scan
+    that walks each (S4) assignment.  The taints are compared as a list in
+    extend mode, where notes read their order, and as a multiset in check
+    mode."""
+    scans = []
+    scan = ideals._scan_satiation
+
+    def recorded(gq, family, cap, extend, known_bad=()):
+        snapshot = {v: dict(masks) for v, masks in family.items()}
+        known_bad = list(known_bad)
+        res = scan(gq, family, cap, extend, known_bad)
+        scans.append((gq, snapshot, cap, extend, known_bad, res))
+        return res
+
+    monkeypatch.setattr(ideals, "_scan_satiation", recorded)
+    inputs = [(textio.fixture(name), c) for name in sorted(textio.FIXTURE_TEXTS) for c in (1, 2)]
+    inputs += [(random_1graph(seed), 1) for seed in range(20)]
+    inputs += [(random_2graph(seed), 1) for seed in range(20)]
+    rng = random.Random(0)
+    for g, c in inputs:
+        cap = (c,) * g.k
+        for hv in enumerate_sat_hered(g, cap):
+            H = hv.as_frozenset
+            sets = sorted(restricted_fe_family(g, H, cap).sets(), key=set_sort_key)
+            sub = rng.sample(sets, rng.randint(0, len(sets)))
+            gq = quotient_graph(g, H)
+            is_satiated(gq, sub, cap)
+            satiation_closure(gq, sub, cap)
+
+    seen = collections.Counter()
+    for gq, family, cap, extend, known_bad, res in scans:
+        want = oracles.oracle_scan_satiation(gq, family, cap, extend, known_bad)
+        for f in dataclasses.fields(res):
+            got, exp = getattr(res, f.name), getattr(want, f.name)
+            if f.name == "taints" and not extend:
+                got, exp = collections.Counter(got), collections.Counter(exp)
+            assert got == exp, (f.name, gq.vertices, cap, extend)
+        seen["known_bad"] += bool(known_bad)
+        seen["s4_missing"] += res.s4_missing > 0
+        seen["overflow"] += bool(res.overflow)
+        seen["S4 budget"] += any(b.startswith("S4") for b in res.budget_hit)
+        seen["additions"] += extend and bool(res.additions)
+    assert min(seen[k] for k in ("known_bad", "s4_missing", "overflow", "S4 budget", "additions")) > 0, seen
 
 
 # -- pairs and lattice -----------------------------------------------------------
