@@ -9,6 +9,7 @@ propagated instead of guessed.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
@@ -747,16 +748,35 @@ class IdealPair:
     cap: Degree
     H: Tuple[str, ...]
     B: Tuple[PathSet, ...]
-    # the stripped family of H, fixed by graph, cap and H
-    eh_family: FEFamily = field(repr=False, compare=False)
     h_saturated: CertifiedBool
-    family_cert: CertifiedBool
-    member_certs_true: bool
+    # the graph whose stripped family of H the pair reads on demand
+    graph: KGraph = field(repr=False, compare=False)
+    # the closed family the pair indexes: the stripped family, or for a
+    # nonempty B its satiation closure; None reads the stripped family
+    closure: Optional[SatiatedFamily] = field(default=None, repr=False, compare=False)
+
+    @functools.cached_property
+    def stripped(self) -> SatiatedFamily:
+        """The stripped family of H, built on first read.  It is memoized
+        on the graph, so a replaced copy of the pair reads the same one."""
+        return restricted_fe_family(self.graph, self.H, self.cap)
 
     @property
     def eh_sets(self) -> FrozenSet[PathSet]:
         """The stripped family of H as path sets, built on each read."""
-        return frozenset(self.eh_family.all_sets())
+        return frozenset(self.stripped.base.all_sets())
+
+    @property
+    def family_cert(self) -> CertifiedBool:
+        """The closure certificate of the pair's family."""
+        return (self.stripped if self.closure is None else self.closure).satiated
+
+    @property
+    def member_certs_true(self) -> bool:
+        """No strip was tainted, and every member of the stripped family
+        and of the pair's family is TrueCertified."""
+        sf = self.stripped
+        return not sf.tainted and _all_true(sf.base) and (self.closure is None or _all_true(self.closure.base))
 
     @property
     def exact(self) -> bool:
@@ -796,11 +816,23 @@ def enumerate_ideal_pairs(g: KGraph, cap: Degree) -> List[IdealPair]:
 
     Distinct B candidates with the same satiation closure collapse to the
     closure, so each emitted pair indexes a distinct closed family.
+
+    H = ∅ gives its one pair (∅, ∅) without building any family.  In the
+    paper's indexing B lies in FE(Λ∖ΛH) minus the strips E_H, and E_∅ is
+    all of FE(Λ), so B is empty.  In the code: the quotient by ∅ is g
+    itself, so every candidate of g is its own only parent.  A candidate
+    missing from the stripped family was therefore refuted on g by a
+    verified witness lying in g, which certified_non_fe would replay, so
+    the B universe is empty.  The pair builds its stripped family only
+    when it is read.
     """
     cap = degrees.check(cap, g.k)
     pairs: List[IdealPair] = []
     for hv in enumerate_sat_hered(g, cap):
         H = hv.as_frozenset
+        if not H:
+            pairs.append(IdealPair(g.cache_key(), cap, hv.members, (), hv.saturated, g))
+            continue
         gq = quotient_graph(g, H)
         sf = restricted_fe_family(g, H, cap)
         basekeys = _keys(sf.base)
@@ -822,22 +854,19 @@ def enumerate_ideal_pairs(g: KGraph, cap: Degree) -> List[IdealPair]:
         key = _set_sort_key(gq, cap)
         buniverse = sorted((D for D in cands if D not in basekeys and not certified_non_fe(D)), key=key)
 
-        base_ok = _all_true(sf.base) and not sf.tainted
-        families: Dict[FrozenSet[SetKey], Tuple[CertifiedBool, bool, FEFamily]] = {
-            basekeys: (sf.satiated, base_ok, sf.base)
-        }
+        families: Dict[FrozenSet[SetKey], SatiatedFamily] = {basekeys: sf}
         queue: List[FrozenSet[SetKey]] = [basekeys]
         while queue:
             famkey = queue.pop(0)
             for x in buniverse:
                 if x in famkey:
                     continue
-                by_vertex = {v: dict(certs) for v, certs in families[famkey][2].by_vertex.items()}
+                by_vertex = {v: dict(certs) for v, certs in families[famkey].base.by_vertex.items()}
                 by_vertex.setdefault(x[0], {})[x[1]] = cands[x]
                 cl = satiation_closure(gq, FEFamily(gq, cap, by_vertex), cap)
                 clkey = _keys(cl.base)
                 if clkey not in families:
-                    families[clkey] = (cl.satiated, base_ok and _all_true(cl.base), cl.base)
+                    families[clkey] = cl
                     queue.append(clkey)
 
         order = list(families)
@@ -845,19 +874,7 @@ def enumerate_ideal_pairs(g: KGraph, cap: Degree) -> List[IdealPair]:
             order.sort(key=lambda fk: tuple(sorted(map(key, fk))))
         for famkey in order:
             B = tuple(_set(gq, D, cap) for D in sorted(famkey - basekeys, key=key))
-            fam_cert, member_ok, _ = families[famkey]
-            pairs.append(
-                IdealPair(
-                    graph_key=g.cache_key(),
-                    cap=cap,
-                    H=hv.members,
-                    B=B,
-                    eh_family=sf.base,
-                    h_saturated=hv.saturated,
-                    family_cert=fam_cert,
-                    member_certs_true=member_ok,
-                )
-            )
+            pairs.append(IdealPair(g.cache_key(), cap, hv.members, B, hv.saturated, g, families[famkey]))
     pairs.sort(key=IdealPair.sort_key)
     return pairs
 

@@ -1,7 +1,9 @@
 """The CLI invocation corpus that pins kgraphlat's output across versions.
 
 ``criterion_9_invocations`` is the determinism corpus of acceptance
-criterion 9; ``corpus`` adds the family commands at cap 2.
+criterion 9; ``corpus`` adds the family commands at cap 2 and the
+lattices of FX2 and FX6 at caps whose candidates at g exceed the fe
+enumeration limit (``BEYOND_FE_LIMIT``).
 ``random_corpus`` runs the family commands at cap (1,1) on the seeded
 random 2-graphs whose stripped family reacts to missing extension-rule
 derivatives, which no fixture does.  The SHA-256 of (exit code, stdout)
@@ -60,6 +62,17 @@ def criterion_9_invocations(name: str, g) -> List[Tuple[str, ...]]:
     return base
 
 
+# Queries on one-vertex graphs whose universe at v has more members than
+# the fe enumeration allows; their H are {} and {v}, and neither needs a
+# candidate of g, so they answer.
+BEYOND_FE_LIMIT = (
+    ("lattice", "FX2", "--cap", "4,4"),
+    ("pairs", "FX2", "--cap", "4,4"),
+    ("lattice", "FX6", "--cap", "4"),
+    ("report", "FX6", "--cap", "4", "--assume-condition-c"),
+)
+
+
 def corpus() -> List[Tuple[str, ...]]:
     out = []
     for name in sorted(textio.FIXTURE_TEXTS):
@@ -75,7 +88,7 @@ def corpus() -> List[Tuple[str, ...]]:
         ("ehfamily", "FX4", "--set", "w", "--cap", "2"),
         ("satiate", "FX4", "--set", "w", "--cap", "2"),
     ]
-    return out
+    return out + list(BEYOND_FE_LIMIT)
 
 
 # random_2graph seeds whose stripped family at cap (1,1) meets (S2)

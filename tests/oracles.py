@@ -5,20 +5,40 @@ with the library's segment extraction; the rank-1 saturation oracle uses
 the classical edge-level closure rules directly.  The presentation check
 scans all pairs and triples of edges, and reachability is a fixpoint over
 the edge list held in plain sets.  The closure scan substitutes (S4) one
-assignment at a time.
+assignment at a time.  The pair enumeration builds the stripped family
+and the B search for every H, the empty one included.
 """
 
 from __future__ import annotations
 
 import itertools
-
-from typing import Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from kgraphlat import degrees
-from kgraphlat.align import universe
-from kgraphlat.certify import false_certified, true_certified, unknown_at_cap
+from kgraphlat.align import FEFamily, PathSet, universe
+from kgraphlat.certify import CertifiedBool, false_certified, true_certified, unknown_at_cap
 from kgraphlat.degrees import Degree
-from kgraphlat.ideals import S3_BUDGET, S4_BUDGET, Family, SetKey, _candidates, _mask_key, _ScanResult
+from kgraphlat.ideals import (
+    S3_BUDGET,
+    S4_BUDGET,
+    Family,
+    SetKey,
+    _candidates,
+    _mask_key,
+    _path_in,
+    _ScanResult,
+    _set,
+    _set_sort_key,
+    _verify_refutation,
+    enumerate_sat_hered,
+    fmt_pathset,
+    fmt_vertexset,
+    quotient_graph,
+    restricted_fe_family,
+    satiation_closure,
+    set_sort_key,
+)
 from kgraphlat.kgraph import KGraph, Path, ValidationReport
 from kgraphlat.structure import _deterministic_colors, _entrance_for
 
@@ -471,3 +491,131 @@ def oracle_scan_satiation(gq: KGraph, family: Family, cap: Degree, extend: bool,
                             if dmask not in fam:
                                 demand("S4", (v, gm), None, dmask, v)
     return res
+
+
+# -- the pair enumeration with the stripped family of every H, H = {} included --------
+
+
+@dataclass(frozen=True)
+class OracleIdealPair:
+    graph_key: object
+    cap: Degree
+    H: Tuple[str, ...]
+    B: Tuple[PathSet, ...]
+    # the stripped family of H, fixed by graph, cap and H
+    eh_family: FEFamily = field(repr=False, compare=False)
+    h_saturated: CertifiedBool
+    family_cert: CertifiedBool
+    member_certs_true: bool
+
+    @property
+    def eh_sets(self) -> FrozenSet[PathSet]:
+        """The stripped family of H as path sets, built on each read."""
+        return frozenset(self.eh_family.all_sets())
+
+    @property
+    def exact(self) -> bool:
+        """Certified-at-every-level tag.
+
+        With B empty the pair is indexed by H alone: the stripped family
+        of a saturated hereditary set is closed by construction, so only
+        the saturation certificate matters.  A nonempty B additionally
+        needs the closure scan and the member certificates.
+        """
+        if not self.h_saturated.is_true:
+            return False
+        if not self.B:
+            return True
+        return self.family_cert.is_true and self.member_certs_true
+
+    def sort_key(self):
+        return (len(self.H), self.H, len(self.B), tuple(set_sort_key(S) for S in self.B))
+
+    def label(self) -> str:
+        b = ",".join(fmt_pathset(S) for S in self.B) if self.B else ""
+        tag = "exact" if self.exact else "at-cap"
+        return f"H={fmt_vertexset(self.H)} B={{{b}}} [{tag}]"
+
+
+def _keys(fam: FEFamily) -> FrozenSet[SetKey]:
+    return frozenset((v, mask) for v, masks in fam.by_vertex.items() for mask in masks)
+
+
+def _all_true(fam: FEFamily) -> bool:
+    return all(c.is_true for certs in fam.by_vertex.values() for c in certs.values())
+
+
+def oracle_enumerate_ideal_pairs(g: KGraph, cap: Degree) -> List[OracleIdealPair]:
+    """ideals.enumerate_ideal_pairs as it was before H = {} took a shortcut:
+    every H, the empty one included, builds its stripped family, its B
+    universe and the B search, and every pair carries its family values.
+
+    All pairs (H, B): saturated hereditary H plus a set family B that,
+    together with the stripped family of H, is satiated at the cap.
+
+    Distinct B candidates with the same satiation closure collapse to the
+    closure, so each emitted pair indexes a distinct closed family.
+    """
+    cap = degrees.check(cap, g.k)
+    pairs: List[OracleIdealPair] = []
+    for hv in enumerate_sat_hered(g, cap):
+        H = hv.as_frozenset
+        gq = quotient_graph(g, H)
+        sf = restricted_fe_family(g, H, cap)
+        basekeys = _keys(sf.base)
+        cands = {(v, mask): c for v in gq.vertices for mask, c in _candidates(gq, v, cap).items()}
+        # verified refutations as masks at their vertex in gq, replayed on
+        # the quotient for every candidate they cover
+        refutations = []
+        for Y, tau in {**sf.quotient_refuted, **sf.refuted_parents}.items():
+            yv = next(iter(Y)).r
+            if _path_in(gq, tau):
+                idx = universe(gq, yv, cap).member_index
+                refutations.append((yv, sum(1 << idx[p] for p in Y if p in idx), tau))
+
+        def certified_non_fe(D: SetKey) -> bool:
+            v, dmask = D
+            return any(yv == v and not dmask & ~ymask and _verify_refutation(gq, _set(gq, D, cap), tau)
+                       for yv, ymask, tau in refutations)
+
+        key = _set_sort_key(gq, cap)
+        buniverse = sorted((D for D in cands if D not in basekeys and not certified_non_fe(D)), key=key)
+
+        base_ok = _all_true(sf.base) and not sf.tainted
+        families: Dict[FrozenSet[SetKey], Tuple[CertifiedBool, bool, FEFamily]] = {
+            basekeys: (sf.satiated, base_ok, sf.base)
+        }
+        queue: List[FrozenSet[SetKey]] = [basekeys]
+        while queue:
+            famkey = queue.pop(0)
+            for x in buniverse:
+                if x in famkey:
+                    continue
+                by_vertex = {v: dict(certs) for v, certs in families[famkey][2].by_vertex.items()}
+                by_vertex.setdefault(x[0], {})[x[1]] = cands[x]
+                cl = satiation_closure(gq, FEFamily(gq, cap, by_vertex), cap)
+                clkey = _keys(cl.base)
+                if clkey not in families:
+                    families[clkey] = (cl.satiated, base_ok and _all_true(cl.base), cl.base)
+                    queue.append(clkey)
+
+        order = list(families)
+        if len(order) > 1:
+            order.sort(key=lambda fk: tuple(sorted(map(key, fk))))
+        for famkey in order:
+            B = tuple(_set(gq, D, cap) for D in sorted(famkey - basekeys, key=key))
+            fam_cert, member_ok, _ = families[famkey]
+            pairs.append(
+                OracleIdealPair(
+                    graph_key=g.cache_key(),
+                    cap=cap,
+                    H=hv.members,
+                    B=B,
+                    eh_family=sf.base,
+                    h_saturated=hv.saturated,
+                    family_cert=fam_cert,
+                    member_certs_true=member_ok,
+                )
+            )
+    pairs.sort(key=OracleIdealPair.sort_key)
+    return pairs

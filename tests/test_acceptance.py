@@ -399,10 +399,41 @@ def _capped_answers(g, cap, hereditary, candidates):
     return out
 
 
+def _lattice_answer(g, cap):
+    """(pair H list, Hasse edges, exact tags) of the lattice, or None when
+    a candidate table is over the fe enumeration limit."""
+    try:
+        lat = ideal_lattice(g, cap)
+    except RuntimeError:
+        return None
+    return [p.H for p in lat.pairs], lat.hasse, [p.exact for p in lat.pairs]
+
+
+def _compare_lattices(low, high):
+    """The lattice's decided answers at a cap, against a higher cap: a
+    hereditary set refuted as unsaturated stays refuted, an exact node
+    stays an exact node, and a lattice whose nodes are all exact keeps its
+    nodes and Hasse edges.  Counts the comparisons made, by kind."""
+    (hs, hasse, exact), (hs2, hasse2, exact2) = low, high
+    made = Counter()
+    assert set(hs2) <= set(hs), (hs, hs2)
+    made["lattice H list"] += 1
+    tags = dict(zip(hs2, exact2))
+    for H, tag in zip(hs, exact):
+        if tag:
+            assert tags.get(H) is True, (H, hs2, exact2)
+            made["lattice exact node"] += 1
+    if all(exact):
+        assert (hs2, hasse2) == (hs, hasse)
+        made["lattice shape"] += 1
+    return made
+
+
 def test_raising_the_cap_never_flips_a_decided_answer():
     """For caps c <= c', an answer decided at c is decided the same way at
     c': a cap only bounds the search, so it may leave an answer unknown but
-    never decide it wrongly."""
+    never decide it wrongly.  The lattice is compared by _compare_lattices
+    wherever both caps answer."""
     compared = Counter()
     for make, caps in ((random_1graph, [(1,), (2,), (3,)]), (random_2graph, [(1, 1), (2, 2), (3, 3)])):
         for seed in range(40):
@@ -412,14 +443,18 @@ def test_raising_the_cap_never_flips_a_decided_answer():
             candidates = [E for v in g.vertices for r in (1, 2)
                           for E in itertools.combinations(align.universe(g, v, caps[0]).members, r)]
             answers = [_capped_answers(g, cap, hereditary, candidates) for cap in caps]
+            lattices = [_lattice_answer(g, cap) for cap in caps]
             for low, high in itertools.combinations(range(len(caps)), 2):
                 for key, cert in answers[low].items():
                     if cert.decided:
                         later = answers[high][key]
                         assert later.value is cert.value, (make.__name__, seed, key, caps[low], caps[high], later)
                         compared[key[0]] += 1
-    assert min(compared[kind] for kind in ("cofinal", "saturated", "loop", "exhaustive")) > 0, compared
-    print(f"[cap monotonicity] PASS: {sum(compared.values())} decided answers unchanged at higher caps")
+                if lattices[low] is not None and lattices[high] is not None:
+                    compared += _compare_lattices(lattices[low], lattices[high])
+    kinds = ("cofinal", "saturated", "loop", "exhaustive", "lattice H list", "lattice exact node", "lattice shape")
+    assert min(compared[kind] for kind in kinds) > 0, compared
+    print(f"[cap monotonicity] PASS: {sum(compared.values())} decided answers unchanged at higher caps: {dict(compared)}")
 
 
 def test_criterion_9_cli_determinism(fx, capsys):

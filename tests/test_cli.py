@@ -242,3 +242,30 @@ def test_cli_output_matches_committed_digests():
     assert len(got) == len(cli_corpus.corpus()) + len(cli_corpus.random_corpus())
     changed = sorted(k for k in pinned.keys() | got.keys() if pinned.get(k) != got.get(k))
     assert not changed, changed
+
+
+def test_caps_beyond_the_fe_limit_answer_criterion_1_chain(capsys):
+    """FX2 at (4,4) and FX6 at (4,) have more members at v than the fe
+    enumeration allows, but their pairs H = {} and H = {v} need no
+    candidate of the graph: they answer with criterion 1's exact chain."""
+    import cli_corpus
+
+    chain = [{"H": [], "B": [], "exact": True}, {"H": ["v"], "B": [], "exact": True}]
+    for argv in cli_corpus.BEYOND_FE_LIMIT:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, (argv, err)
+        result = json.loads(out)["result"]
+        if argv[0] == "report":
+            assert result["lattice_size"] == 2
+            continue
+        assert result.get("nodes", result.get("pairs")) == chain, argv
+        if argv[0] == "lattice":
+            assert result["hasse"] == [[0, 1]] and result["is_lattice"]
+
+
+def test_proper_H_over_the_fe_limit_still_refused(capsys):
+    """FX4's proper H = {u} strips candidates of the graph at v, whose
+    universe at cap 18 is over the limit."""
+    code, out, err = run_cli(capsys, "lattice", "FX4", "--cap", "18")
+    assert code == 2 and out == ""
+    assert "fe enumeration at 'v' needs 2^19 subsets, over the limit of 2^18" in err

@@ -317,6 +317,45 @@ def test_enumerate_ideal_pairs_examples(fx):
     assert got6 == [((), ()), (("v",), ())]
 
 
+PAIR_FIELDS = ("graph_key", "cap", "H", "B", "h_saturated", "eh_sets", "family_cert", "member_certs_true", "exact")
+
+
+def _pair_inputs():
+    for name in sorted(textio.FIXTURE_TEXTS):
+        k = textio.fixture(name).k
+        for c in (1, 2, 3):
+            yield f"{name}{(c,) * k}", textio.fixture(name), (c,) * k
+    for make, caps in ((random_1graph, [(1,), (2,)]), (random_2graph, [(1, 1), (2, 1), (1, 2)])):
+        for seed in range(150):
+            for cap in caps:
+                yield f"{make.__name__}({seed}){cap}", make(seed), cap
+
+
+def test_pair_enumeration_matches_every_H_oracle():
+    """The pairs equal those of the enumeration that builds the stripped
+    family and the B search for H = {} too, on every field and label.  The
+    pairs are enumerated first, on a fresh memo; the fields they read on
+    demand then resolve through the families the oracle built."""
+    compared = refused = 0
+    for label, g, cap in _pair_inputs():
+        try:
+            got = enumerate_ideal_pairs(g, cap)
+        except RuntimeError:  # over the fe enumeration limit
+            got = None
+        try:
+            want = oracles.oracle_enumerate_ideal_pairs(g, cap)
+        except RuntimeError:
+            refused += 1
+            continue
+        assert got is not None and len(got) == len(want), label
+        for p, q in zip(got, want):
+            for name in PAIR_FIELDS:
+                assert getattr(p, name) == getattr(q, name), (label, p.H, name)
+            assert p.label() == q.label(), (label, p.H)
+        compared += 1
+    assert compared > 700 and refused < 50, (compared, refused)
+
+
 def test_pair_leq_examples(fx):
     g = fx["FX4"]
     pairs = enumerate_ideal_pairs(g, (2,))

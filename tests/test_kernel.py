@@ -1,7 +1,8 @@
 """The bitmask kernel of align.VertexUniverse against the path arithmetic
 it stands in for, and call-count gates that keep that arithmetic, and the
 conversions between path sets and masks, out of the inner loops of the
-lattice computation."""
+lattice computation.  The lattice builds no stripped family for H = {}, so
+the gates on the closure loops also read every pair's stripped family."""
 
 import random
 from collections import Counter
@@ -86,6 +87,14 @@ def _counting(monkeypatch, owner, names):
     return calls
 
 
+def _lattice_and_families(g, cap):
+    """The lattice, then the stripped family of each of its pairs."""
+    lat = ideals.ideal_lattice(g, cap)
+    for p in lat.pairs:
+        p.stripped
+    return lat
+
+
 # Exact counts at the time of writing, pinned as upper bounds; they do not
 # depend on string hashing, so machine noise cannot trip this gate.
 @pytest.mark.parametrize("name, cap, split_max, compose_max", [
@@ -95,7 +104,7 @@ def _counting(monkeypatch, owner, names):
 def test_lattice_path_arithmetic_calls_pinned(monkeypatch, name, cap, split_max, compose_max):
     g = textio.parse_kgraph_text(textio.FIXTURE_TEXTS[name]).graph  # fresh memo
     calls = _counting(monkeypatch, KGraph, ("extends", "split", "compose"))
-    ideals.ideal_lattice(g, cap)
+    _lattice_and_families(g, cap)
     assert calls["extends"] == 0
     assert calls["split"] <= split_max
     assert calls["compose"] <= compose_max
@@ -112,7 +121,7 @@ def test_lattice_s2_walk_calls_pinned(monkeypatch, name, cap, ext_max, universe_
     g = textio.parse_kgraph_text(textio.FIXTURE_TEXTS[name]).graph  # fresh memo
     ext_calls = _counting(monkeypatch, align.VertexUniverse, ("ext_mask",))
     universe_calls = _counting(monkeypatch, ideals, ("universe",))
-    ideals.ideal_lattice(g, cap)
+    _lattice_and_families(g, cap)
     assert ext_calls["ext_mask"] <= ext_max
     assert universe_calls["universe"] <= universe_max
 
@@ -124,9 +133,37 @@ def test_lattice_family_mask_calls_pinned(monkeypatch, name, cap, subsets):
     set is built; a pair builds its eh_sets only when they are read."""
     g = textio.parse_kgraph_text(textio.FIXTURE_TEXTS[name]).graph  # fresh memo
     calls = _counting(monkeypatch, align.VertexUniverse, ("mask_of", "set_of", "classify"))
-    lat = ideals.ideal_lattice(g, cap)
+    lat = _lattice_and_families(g, cap)
     assert calls["mask_of"] == 0
     assert calls["classify"] <= subsets
     assert calls["set_of"] == 0
     for p in lat.pairs:
         assert p.eh_sets == ideals.restricted_fe_family(g, p.H, cap).sets()
+
+
+@pytest.mark.parametrize("name, cap, built, fe_calls", [
+    ("FX6", (2,), [("v",)], 0),
+    ("FX2", (2, 2), [("v",)], 0),
+    ("FX4", (2,), [("u",), ("w",), ("u", "v", "w")], 7),
+])
+def test_lattice_builds_no_family_for_empty_H(monkeypatch, name, cap, built, fe_calls):
+    """The pair of H = {} is enumerated without its stripped family, so a
+    one-vertex graph enumerates no candidate at all (the family of the full
+    vertex set has no vertex to look at); reading eh_sets builds the family
+    of {} on demand."""
+    g = textio.parse_kgraph_text(textio.FIXTURE_TEXTS[name]).graph  # fresh memo
+    calls = _counting(monkeypatch, ideals, ("fe_sets",))
+    families = []
+    stripped = ideals._stripped_family
+
+    def recorded(g, H, cap):
+        families.append(tuple(sorted(H)))
+        return stripped(g, H, cap)
+
+    monkeypatch.setattr(ideals, "_stripped_family", recorded)
+    lat = ideals.ideal_lattice(g, cap)
+    assert families == built
+    assert calls["fe_sets"] == fe_calls
+    for p in lat.pairs:
+        p.eh_sets
+    assert families == built + [()]
