@@ -16,7 +16,7 @@ which form a prefix-closed tree:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Tuple
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Tuple
 
 from . import degrees
 from .certify import CertifiedBool, false_certified, true_certified, unknown_at_cap
@@ -27,6 +27,10 @@ PathSet = FrozenSet[Path]
 
 # 2^MAX_FE_MEMBERS candidate sets are enumerated per vertex; refuse beyond this.
 MAX_FE_MEMBERS = 18
+
+# Memo key under which a quotient graph records (parent graph, H); a graph
+# that is no quotient stores () there on first read.
+QUOTIENT_OF = "quotient of"
 
 
 class MinPair(NamedTuple):
@@ -143,9 +147,15 @@ class VertexUniverse:
     eagerly for each capped path: which members it extends (captured),
     which members it has a common extension with (compat), the
     captured-masks of its one-edge extensions that leave the cap box
-    (beyond), and, per degree below its own, the id of its prefix and the
-    matching suffix path (prefix, suffix).  The continuation and
-    composition rows are filled on first use.
+    (beyond) with the source of each extension's edge (beyond_src), and,
+    per degree below its own, the id of its prefix and the matching
+    suffix path (prefix, suffix).  The continuation and composition rows
+    are filled on first use.
+
+    The universe of a quotient graph is the restriction of its parent's
+    universe at the vertex (``parent``) to the paths with source outside
+    H, renumbered in the same order; ``strip_mask`` carries a member mask
+    of the parent's universe across.
     """
 
     graph: KGraph = field(repr=False, compare=False)
@@ -160,6 +170,11 @@ class VertexUniverse:
     beyond: List[List[int]]
     prefix: List[Dict[Degree, int]]
     suffix: List[Dict[Degree, Path]]
+    beyond_src: List[List[str]]
+    parent: Optional["VertexUniverse"] = field(default=None, repr=False, compare=False)
+    # parent member j -> its member bit here, 0 when dropped; None when
+    # the restriction drops no member
+    _kept_bits: Optional[List[int]] = field(default=None, repr=False, compare=False)
     _cont: Dict[int, List[int]] = field(default_factory=dict, repr=False, compare=False)
     _comp: Dict[int, Tuple[List[int], Dict[int, Path]]] = field(
         default_factory=dict, repr=False, compare=False
@@ -221,13 +236,15 @@ class VertexUniverse:
         """Path mask, in the universe at paths[i].s, of ext(paths[i], E) for
         the member set E given by emask.  Bit 0 (the identity) is set only
         when paths[i] extends a member of E."""
-        row = self.continuations(i)
-        out = 0
-        while emask:
-            low = emask & -emask
-            out |= row[low.bit_length() - 1]
-            emask ^= low
-        return out
+        return _union_of_bits(self.continuations(i), emask)
+
+    def strip_mask(self, pmask: int) -> int:
+        """Member mask here of the members of the parent's universe in
+        pmask that the restriction keeps: on a quotient by H, the strip
+        of the set by H.  A universe with no parent keeps every member."""
+        if self._kept_bits is None:
+            return pmask
+        return _union_of_bits(self._kept_bits, pmask)
 
     def compositions(self, i: int) -> Tuple[List[int], Dict[int, Path]]:
         """Row i of the composition table, over the members at paths[i].s:
@@ -243,9 +260,44 @@ class VertexUniverse:
             for t, pre in enumerate(self.prefix):
                 if t != i and pre.get(lam.d) == i:
                     row[at[self.suffix[t][lam.d]]] = 1 << (t - 1)
-            out = {j: self.graph.compose(lam, q) for j, q in enumerate(there) if not row[j]}
+            base = self
+            while base.parent is not None:  # a quotient's paths compose as in its parent
+                base = base.parent
+            out = {j: base.graph.compose(lam, q) for j, q in enumerate(there) if not row[j]}
             hit = self._comp[i] = (row, out)
         return hit
+
+
+def _union_of_bits(row: List[int], mask: int) -> int:
+    """The union of row[j] over the set bits j of mask."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= row[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def _captured(prefix: List[Dict[Degree, int]]) -> List[int]:
+    out = []
+    for pre in prefix:
+        mask = 0
+        for p in pre.values():
+            if p:
+                mask |= 1 << (p - 1)
+        out.append(mask)
+    return out
+
+
+def _compat(paths: Tuple[Path, ...], prefix: List[Dict[Degree, int]]) -> List[int]:
+    out = [0] * len(paths)
+    for t, pre in enumerate(prefix):
+        dt = paths[t].d
+        for a, pa in pre.items():
+            for b, pb in pre.items():
+                if pb and degrees.join(a, b) == dt:
+                    out[pa] |= 1 << (pb - 1)
+    return out
 
 
 def _build_universe(g: KGraph, v: str, cap: Degree) -> VertexUniverse:
@@ -262,23 +314,10 @@ def _build_universe(g: KGraph, v: str, cap: Degree) -> VertexUniverse:
             pre[m] = index[head]
         prefix.append(pre)
         suffix.append(suf)
-    captured = []
-    for pre in prefix:
-        mask = 0
-        for p in pre.values():
-            if p:
-                mask |= 1 << (p - 1)
-        captured.append(mask)
-    compat = [0] * len(paths)
-    for t, pre in enumerate(prefix):
-        dt = paths[t].d
-        for a, pa in pre.items():
-            for b, pb in pre.items():
-                if pb and degrees.join(a, b) == dt:
-                    compat[pa] |= 1 << (pb - 1)
     beyond: List[List[int]] = []
+    beyond_src: List[List[str]] = []
     for lam in paths:
-        masks = []
+        masks, srcs = [], []
         for e in g.edges_at(lam.s):
             q = g.compose(lam, g.path([e.eid]))
             if degrees.leq(q.d, cap):
@@ -288,16 +327,73 @@ def _build_universe(g: KGraph, v: str, cap: Degree) -> VertexUniverse:
                 if any(m) and degrees.leq(m, cap):
                     qmask |= 1 << (index[g.prefix(q, m)] - 1)
             masks.append(qmask)
+            srcs.append(e.s)
         beyond.append(masks)
+        beyond_src.append(srcs)
     return VertexUniverse(
         g, v, cap, paths, members, index, {p: i - 1 for p, i in index.items() if i},
-        captured, compat, beyond, prefix, suffix,
+        _captured(prefix), _compat(paths, prefix), beyond, prefix, suffix, beyond_src,
     )
 
 
+def _restrict_universe(gq: KGraph, v: str, cap: Degree, g: KGraph, H: FrozenSet[str]) -> VertexUniverse:
+    """The universe of gq = quotient_graph(g, H) at v, read off g's: a path
+    with source outside H has every vertex outside H, so the capped paths
+    of gq at v, their factorizations and their one-edge extensions are
+    those of g whose source is outside H.  Common extensions are not: two
+    paths can meet in g only beyond H, so compat is recomputed."""
+    gq.require_vertex(v)
+    up = _universe(g, v, cap)
+    kept = [t for t, p in enumerate(up.paths) if p.s not in H]
+    if len(kept) == len(up.paths):
+        paths, members, index, member_index = up.paths, up.members, up.index, up.member_index
+        captured, compat, prefix, suffix = up.captured, up.compat, up.prefix, up.suffix
+        kept_bits = None
+    else:
+        paths = tuple(up.paths[t] for t in kept)
+        members = paths[1:]
+        index = {p: i for i, p in enumerate(paths)}
+        member_index = {p: i - 1 for p, i in index.items() if i}
+        new = {t: i for i, t in enumerate(kept)}
+        prefix = [{m: new[p] for m, p in up.prefix[t].items()} for t in kept]
+        suffix = [up.suffix[t] for t in kept]
+        captured, compat = _captured(prefix), _compat(paths, prefix)
+        kept_bits = [0] * len(up.members)
+        for i, t in enumerate(kept[1:]):
+            kept_bits[t - 1] = 1 << i
+    beyond: List[List[int]] = []
+    beyond_src: List[List[str]] = []
+    for t in kept:
+        masks, srcs = [], []
+        for mask, s in zip(up.beyond[t], up.beyond_src[t]):
+            if s not in H:
+                masks.append(mask if kept_bits is None else _union_of_bits(kept_bits, mask))
+                srcs.append(s)
+        beyond.append(masks)
+        beyond_src.append(srcs)
+    return VertexUniverse(
+        gq, v, cap, paths, members, index, member_index,
+        captured, compat, beyond, prefix, suffix, beyond_src, up, kept_bits,
+    )
+
+
+def _make_universe(g: KGraph, v: str, cap: Degree) -> VertexUniverse:
+    quotient_of = g.memo(QUOTIENT_OF, tuple)
+    if quotient_of:
+        return _restrict_universe(g, v, cap, *quotient_of)
+    return _build_universe(g, v, cap)
+
+
+def _universe(g: KGraph, v: str, cap: Degree) -> VertexUniverse:
+    # for callers that hold a checked cap
+    return g.memo(("universe", v, cap), _make_universe, g, v, cap)
+
+
 def universe(g: KGraph, v: str, cap: Degree) -> VertexUniverse:
-    cap = degrees.check(cap, g.k)
-    return g.memo(("universe", v, cap), _build_universe, g, v, cap)
+    hit = g._checked_hit(("universe", v, cap))
+    if hit is None:
+        hit = _universe(g, v, degrees.check(cap, g.k))
+    return hit
 
 
 def is_exhaustive(g: KGraph, E: Iterable[Path], cap: Degree) -> CertifiedBool:

@@ -16,6 +16,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from . import degrees
 from .align import (
+    QUOTIENT_OF,
     FEFamily,
     PathSet,
     ext,
@@ -185,7 +186,12 @@ def enumerate_sat_hered(g: KGraph, cap: Degree) -> List[VertexSet]:
 def quotient_graph(g: KGraph, H: Iterable[str]) -> KGraph:
     """The sub-k-graph on paths with source outside H (H hereditary).
 
-    With H empty that is g itself, which then shares its memo."""
+    A path of g with source outside H has every vertex outside H: an edge
+    with range in H has its source in H, so a path that enters H stays
+    there.  Its edges and every factorization of it therefore lie in the
+    quotient, where it has the same normal form.  The quotient records g
+    and H in its memo, and its capped universes are restrictions of g's.
+    With H empty the quotient is g itself, which then shares its memo."""
     H = frozenset(H)
     if not is_hereditary(g, H):
         raise KGraphError(f"quotient needs a hereditary set, got {fmt_vertexset(H)}")
@@ -199,7 +205,9 @@ def _quotient(g: KGraph, H: FrozenSet[str]) -> KGraph:
     edges = [(e.eid, e.color, e.r, e.s) for e in g.edges if e.s not in H]
     kept = {e[0] for e in edges}
     squares = [sq for sq in g.squares if all(x in kept for x in (*sq.lhs, *sq.rhs))]
-    return KGraph(Skeleton.build(g.k, verts, edges), squares)
+    gq = KGraph(Skeleton.build(g.k, verts, edges), squares)
+    gq.memo(QUOTIENT_OF, lambda: (g, H))
+    return gq
 
 
 # A set inside the package is (vertex, member mask) in the universe of its
@@ -588,19 +596,11 @@ def _stripped_family(g: KGraph, H: FrozenSet[str], cap: Degree) -> SatiatedFamil
     for v in g.vertices:
         if v in H:
             continue
-        ug, uq = universe(g, v, cap), universe(gq, v, cap)
-        kept = [(1 << j, 1 << uq.member_index[p]) for j, p in enumerate(ug.members) if p.s not in H]
-        same = len(kept) == len(ug.members)  # then both universes have the same members
+        uq = universe(gq, v, cap)  # the restriction of g's universe at v
         for emask, cert in _candidates(g, v, cap).items():
-            if same:
-                smask = emask
-            else:
-                smask = 0
-                for gbit, qbit in kept:
-                    if emask & gbit:
-                        smask |= qbit
+            smask = uq.strip_mask(emask)
             parents.append(((v, emask), smask))
-            if uq is ug:  # the strip is the parent, certificate included
+            if gq is g:  # the strip is the parent, certificate included
                 qcerts[(v, smask)] = cert
     qkey = _set_sort_key(gq, cap)
     # every strip in set_sort_key order; later rounds only lose strips
@@ -698,8 +698,9 @@ def _stripped_family(g: KGraph, H: FrozenSet[str], cap: Degree) -> SatiatedFamil
                 # no continuation below is the identity
                 sigma = quotient_bad_witness((mu.s, dmask))
                 if sigma is not None:
-                    # the composite escapes the cap but replays exactly
-                    mu_sigma = gq.compose(mu, sigma)
+                    # the composite escapes the cap but replays exactly;
+                    # it composes in g as in gq
+                    mu_sigma = g.compose(mu, sigma)
                     if refute(bad_quotient, gq, key, mu_sigma):
                         if not refute_parents_of(strips[key], mu_sigma):
                             tainted[key] = false_certified(mu_sigma)

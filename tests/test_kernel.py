@@ -1,9 +1,11 @@
 """The bitmask kernel of align.VertexUniverse against the path arithmetic
-it stands in for, and call-count gates that keep that arithmetic, and the
-conversions between path sets and masks, out of the inner loops of the
-lattice computation.  The lattice builds no stripped family for H = {}, so
-the gates on the closure loops also read every pair's stripped family."""
+it stands in for, the universes of quotient graphs against fresh builds,
+and call-count gates that keep that arithmetic, and the conversions
+between path sets and masks, out of the inner loops of the lattice
+computation.  The lattice builds no stripped family for H = {}, so the
+gates on the closure loops also read every pair's stripped family."""
 
+import itertools
 import random
 from collections import Counter
 
@@ -12,6 +14,8 @@ import pytest
 from kgraphlat import align, degrees, ideals, textio
 from kgraphlat.kgraph import KGraph
 from kgraphlat.randomgraphs import random_2graph
+
+from test_ideals import _pair_inputs
 
 
 def _graphs():
@@ -72,6 +76,60 @@ def test_kernel_tables_match_path_arithmetic():
     assert seen > 50
 
 
+def _hereditary_sets(g):
+    """Every nonempty hereditary vertex set, saturated or not."""
+    for n in range(1, len(g.vertices) + 1):
+        for H in itertools.combinations(g.vertices, n):
+            if ideals.is_hereditary(g, H):
+                yield frozenset(H)
+
+
+def _assert_restriction_matches(gq, cap, seen):
+    """Every universe of the quotient gq equals the one align._build_universe
+    makes on an unlinked copy of gq: the same skeleton and squares, no
+    parent.  seen counts the members and beyond entries the restrictions
+    dropped."""
+    fresh_graph = KGraph(gq.skeleton, gq.squares)
+    for v in gq.vertices:
+        uq = align.universe(gq, v, cap)
+        fresh = align._build_universe(fresh_graph, v, cap)
+        assert uq.graph is gq and uq.parent.graph is not gq
+        for name in ("paths", "members", "index", "member_index", "captured", "compat", "prefix", "suffix"):
+            assert getattr(uq, name) == getattr(fresh, name), (v, name)
+        for i in range(len(uq.paths)):
+            assert sorted(zip(uq.beyond[i], uq.beyond_src[i])) == sorted(zip(fresh.beyond[i], fresh.beyond_src[i]))
+            assert uq.continuations(i) == fresh.continuations(i), (v, i)
+            assert uq.compositions(i) == fresh.compositions(i), (v, i)
+        if len(uq.members) <= 10:
+            for emask in range(1 << len(uq.members)):
+                assert uq.classify(emask) == fresh.classify(emask), (v, emask)
+        up = uq.parent
+        for j, p in enumerate(up.members):
+            want = 1 << uq.member_index[p] if p in uq.member_index else 0
+            assert uq.strip_mask(1 << j) == want, (v, p)
+        seen["members"] += len(up.members) - len(uq.members)
+        seen["beyond"] += sum(len(up.beyond[up.index[p]]) - len(uq.beyond[i]) for i, p in enumerate(uq.paths))
+
+
+def test_restricted_universe_matches_fresh_build():
+    """A quotient's universe restricts its parent's, for every hereditary
+    H (saturated or not) and every vertex outside it: fixtures at caps 1-3,
+    random 1-graphs (seeds 0-149) at (1,), (2,) and random 2-graphs at
+    (1,1), (2,1), (1,2), plus a quotient of a quotient."""
+    seen = Counter()
+    for _, g, cap in _pair_inputs():
+        assert ideals.quotient_graph(g, ()) is g
+        for H in _hereditary_sets(g):
+            _assert_restriction_matches(ideals.quotient_graph(g, H), cap, seen)
+    g = random_2graph(75)  # members at v2: 5 in g, 3 in gq, 1 in gqq at (1,1)
+    gqq = ideals.quotient_graph(ideals.quotient_graph(g, {"v0"}), {"v1"})
+    for cap in ((1, 1), (2, 1)):
+        _assert_restriction_matches(gqq, cap, seen)
+        assert align.universe(gqq, "v2", cap).parent.parent.graph is g
+    # restrictions that drop nothing would pass vacuously
+    assert seen["members"] and seen["beyond"], seen
+
+
 def _counting(monkeypatch, owner, names):
     """Count calls of the named methods of a class, or functions of a
     module, called with positional arguments."""
@@ -110,9 +168,44 @@ def test_lattice_path_arithmetic_calls_pinned(monkeypatch, name, cap, split_max,
     assert calls["compose"] <= compose_max
 
 
+@pytest.mark.parametrize("cap, builds, split_max, compose_max", [
+    ((2,), 3, 19, 19),
+    ((3,), 3, 29, 33),
+])
+def test_quotients_run_no_path_arithmetic(monkeypatch, cap, builds, split_max, compose_max):
+    """FX4's lattice reads the quotients by {u} and {w}, and by {u,v,w},
+    which has no vertex.  Their universes restrict g's, so universes are built on g alone, one per
+    vertex, and split and compose never run on a quotient graph: building
+    each quotient's universes afresh made 7 builds and 39 / 59 splits and
+    26 / 42 composes, 20 / 30 and 13 / 21 of them on quotients."""
+    g = textio.parse_kgraph_text(textio.FIXTURE_TEXTS["FX4"]).graph  # fresh memo
+    built = []
+    build = align._build_universe
+
+    def recorded(gx, v, cap):
+        built.append(gx)
+        return build(gx, v, cap)
+
+    monkeypatch.setattr(align, "_build_universe", recorded)
+    calls = Counter()
+    for name in ("split", "compose"):
+        def counted(self, *args, _orig=getattr(KGraph, name), _name=name):
+            calls[_name, "g" if self is g else "other"] += 1
+            return _orig(self, *args)
+
+        monkeypatch.setattr(KGraph, name, counted)
+    lat = _lattice_and_families(g, cap)
+    quotients = {ideals.quotient_graph(g, p.H) for p in lat.pairs if p.H} - {g}
+    assert sorted(gq.vertices for gq in quotients) == [(), ("u", "v"), ("v", "w")]
+    assert built == [g] * builds
+    assert calls["split", "other"] == calls["compose", "other"] == 0
+    assert calls["split", "g"] <= split_max
+    assert calls["compose", "g"] <= compose_max
+
+
 @pytest.mark.parametrize("name, cap, ext_max, universe_max", [
-    ("FX6", (2,), 35, 4),
-    ("FX2", (2, 2), 680, 4),
+    ("FX6", (2,), 35, 3),
+    ("FX2", (2, 2), 680, 3),
 ])
 def test_lattice_s2_walk_calls_pinned(monkeypatch, name, cap, ext_max, universe_max):
     """The (S2) derivatives of each stripped family are computed once, by

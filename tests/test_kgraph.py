@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from kgraphlat import degrees
+from kgraphlat import align, degrees, ideals
 from kgraphlat.kgraph import (
     KGraph,
     KGraphError,
@@ -284,24 +284,49 @@ def test_paths_up_to_examples(fx):
     assert [p.literal() for p in g4.paths_up_to("u", (0,))] == ["u"]
 
 
+# (vertex, degree, error, message) for a rank-2 graph with vertex "v"
+BAD_ARGUMENTS = [
+    ("zz", (1, 1), KGraphError, "unknown vertex 'zz'"),
+    ("v", (1,), ValueError, "degree (1,) has length 1, expected rank 2"),
+    ("v", (-1, 0), ValueError, "degree (-1, 0) has a negative coordinate"),
+    ("v", ([1], 0), TypeError, "int() argument must be"),
+    (["v"], (1, 1), TypeError, "unhashable type: 'list'"),
+]
+
+
 def test_path_enumeration_errors_survive_memo_hits(fx):
     """A memo hit skips the vertex and degree checks, so a bad argument must
     raise the same error on a warm memo as on a cold one."""
     g = KGraph(fx["FX2"].skeleton, fx["FX2"].squares)
-    bad = [
-        ("zz", (1, 1), KGraphError, "unknown vertex 'zz'"),
-        ("v", (1,), ValueError, "degree (1,) has length 1, expected rank 2"),
-        ("v", (-1, 0), ValueError, "degree (-1, 0) has a negative coordinate"),
-        ("v", ([1], 0), TypeError, "int() argument must be"),
-        (["v"], (1, 1), TypeError, "unhashable type: 'list'"),
-    ]
     for warm in (False, True):
         for enumerate_paths in (g.paths_of_degree, g.paths_up_to):
-            for v, n, error, message in bad:
+            for v, n, error, message in BAD_ARGUMENTS:
                 with pytest.raises(error, match=re.escape(message)):
                     enumerate_paths(v, n)
             want = enumerate_paths("v", (1, 1))
             assert enumerate_paths("v", [1, 1]) == enumerate_paths("v", (True, 1.0)) == want
+
+
+def test_universe_errors_survive_memo_hits(fx):
+    """align.universe looks up its memo before checking the cap, so a bad
+    argument raises the same error cold and warm, on a graph and on a
+    quotient, whose universes restrict the parent's."""
+    g = KGraph(fx["FX2"].skeleton, fx["FX2"].squares)
+    for warm in (False, True):
+        for v, n, error, message in BAD_ARGUMENTS:
+            with pytest.raises(error, match=re.escape(message)):
+                align.universe(g, v, n)
+        want = align.universe(g, "v", (1, 1))
+        assert align.universe(g, "v", [1, 1]) is align.universe(g, "v", (True, 1.0)) is want
+    g4 = KGraph(fx["FX4"].skeleton, fx["FX4"].squares)
+    gq = ideals.quotient_graph(g4, {"w"})
+    for warm in (False, True):
+        for v in ("w", "zz"):
+            with pytest.raises(KGraphError, match=re.escape(f"unknown vertex {v!r}")):
+                align.universe(gq, v, (1,))
+        with pytest.raises(ValueError, match=re.escape("degree (1, 1) has length 2, expected rank 1")):
+            align.universe(gq, "v", (1, 1))
+        assert align.universe(gq, "v", (1,)).parent is align.universe(g4, "v", (1,))
 
 
 def test_finite_alignment_by_construction(fx):
