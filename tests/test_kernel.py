@@ -204,8 +204,8 @@ def test_quotients_run_no_path_arithmetic(monkeypatch, cap, builds, split_max, c
 
 
 @pytest.mark.parametrize("name, cap, ext_max, universe_max", [
-    ("FX6", (2,), 35, 3),
-    ("FX2", (2, 2), 680, 3),
+    ("FX6", (2,), 35, 4),
+    ("FX2", (2, 2), 680, 4),
 ])
 def test_lattice_s2_walk_calls_pinned(monkeypatch, name, cap, ext_max, universe_max):
     """The (S2) derivatives of each stripped family are computed once, by
@@ -217,6 +217,19 @@ def test_lattice_s2_walk_calls_pinned(monkeypatch, name, cap, ext_max, universe_
     _lattice_and_families(g, cap)
     assert ext_calls["ext_mask"] <= ext_max
     assert universe_calls["universe"] <= universe_max
+
+
+@pytest.mark.parametrize("name, cap", [("FX6", (2,)), ("FX2", (2, 2))])
+def test_stripped_family_reads_only_quotient_universes(monkeypatch, name, cap):
+    """The stripped family reads its strips from the quotient's universe,
+    which restricts g's, and looks up no universe of g beside it: the
+    lattice plus every pair's stripped family make 3 universe lookups on
+    FX6 (2,) and FX2 (2,2), where looking up both universes per vertex
+    made 4."""
+    g = textio.parse_kgraph_text(textio.FIXTURE_TEXTS[name]).graph  # fresh memo
+    calls = _counting(monkeypatch, ideals, ("universe",))
+    _lattice_and_families(g, cap)
+    assert calls["universe"] <= 3
 
 
 @pytest.mark.parametrize("name, cap, subsets", [("FX6", (2,), 63), ("FX2", (2, 2), 255)])
