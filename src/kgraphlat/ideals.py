@@ -12,13 +12,14 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 from . import degrees
 from .align import (
     QUOTIENT_OF,
     FEFamily,
     PathSet,
+    VertexUniverse,
     ext,
     fe_sets,
     is_exhaustive,
@@ -162,20 +163,37 @@ def saturation(g: KGraph, G: Iterable[str], cap: Degree) -> VertexSet:
     return VertexSet(members, is_hereditary(g, members), _saturation_status(g, frozenset(members), cap))
 
 
+def _hereditary_combos(g: KGraph) -> Iterator[Tuple[str, ...]]:
+    """Every hereditary vertex set, as the combinations of g.vertices by
+    size that is_hereditary accepts, tested by vertex masks."""
+    verts = g.vertices
+    bits = g.vertex_bits()
+    # the vertex mask of the sources of the edges into each vertex; a
+    # source that is no vertex takes a bit that no vertex set holds
+    outside = 1 << len(verts)
+    into = dict.fromkeys(verts, 0)
+    for e in g.edges:
+        if e.r in into:
+            into[e.r] |= bits.get(e.s, outside)
+    for n in range(len(verts) + 1):
+        for combo in itertools.combinations(verts, n):
+            hmask = need = 0
+            for v in combo:
+                hmask |= bits[v]
+                need |= into[v]
+            if not need & ~hmask:
+                yield combo
+
+
 def enumerate_sat_hered(g: KGraph, cap: Degree) -> List[VertexSet]:
     """All hereditary H with saturation certified or unknown-at-cap,
     including the empty set and the full vertex set."""
     cap = degrees.check(cap, g.k)
     out: List[VertexSet] = []
-    verts = g.vertices
-    for n in range(len(verts) + 1):
-        for combo in itertools.combinations(verts, n):
-            if not is_hereditary(g, combo):
-                continue
-            cert = is_saturated(g, combo, cap)
-            if cert.is_false:
-                continue
-            out.append(VertexSet(tuple(combo), True, cert))
+    for combo in _hereditary_combos(g):
+        cert = _saturation_status(g, frozenset(combo), cap)
+        if not cert.is_false:
+            out.append(VertexSet(combo, True, cert))
     out.sort(key=lambda h: (len(h.members), h.members))
     return out
 
@@ -267,16 +285,38 @@ class SatiatedFamily:
     (a path whose continuation set against the refuted candidate is
     empty); ``tainted`` lists members excluded without a parent-level
     refutation, which only happens under an unknown-at-cap H.
+
+    ``satiated`` (the closure certificate) and ``overflow`` (the
+    substitution products that exceed the cap) come from one check scan.
+    satiation_closure gives both when it builds the family; a stripped
+    family computes them when either is first read, by the check scan of
+    ``base`` with the refuted sets its loop ended with.
     """
 
     base: FEFamily
     cap: Degree
-    satiated: CertifiedBool
-    overflow: Tuple[Path, ...] = ()
     refuted_parents: Dict[PathSet, Path] = field(default_factory=dict)
     quotient_refuted: Dict[PathSet, Path] = field(default_factory=dict)
     tainted: Dict[PathSet, CertifiedBool] = field(default_factory=dict)
     notes: Tuple[str, ...] = ()
+    # (satiated, overflow), None until the check scan has run
+    _checked: Optional[Tuple[CertifiedBool, Tuple[Path, ...]]] = field(default=None, repr=False, compare=False)
+    _known_bad: Tuple[SetKey, ...] = field(default=(), repr=False, compare=False)
+
+    def _check(self) -> Tuple[CertifiedBool, Tuple[Path, ...]]:
+        if self._checked is None:
+            gq = self.base.graph
+            res = _scan_satiation(gq, self.base.by_vertex, self.cap, extend=False, known_bad=self._known_bad)
+            self._checked = (_verdict(gq, res, self.cap), tuple(sorted(res.overflow, key=Path.sort_key)))
+        return self._checked
+
+    @property
+    def satiated(self) -> CertifiedBool:
+        return self._check()[0]
+
+    @property
+    def overflow(self) -> Tuple[Path, ...]:
+        return self._check()[1]
 
     def sets(self) -> FrozenSet[PathSet]:
         return frozenset(self.base.all_sets())
@@ -324,12 +364,26 @@ class _ScanResult:
     overflow: Set[Path] = field(default_factory=set)
     budget_hit: List[str] = field(default_factory=list)
     s4_missing: int = 0
-    # per member G, the (S2) derivatives missing from the family: (mu, D mask)
-    s2_misses: Dict[SetKey, List[Tuple[Path, int]]] = field(default_factory=dict)
 
     @property
     def dirty(self) -> bool:
         return bool(self.taints or self.overflow or self.budget_hit or self.s4_missing)
+
+
+def _s2_walk(uni: VertexUniverse, family: Family) -> Iterator[Tuple[int, Path, int]]:
+    """The (S2) derivatives of the family's sets at uni's vertex that the
+    family lacks, as (member mask G, mu, derivative mask D), set by set in
+    family order and then by path id; D is 0 when the derivative is empty.
+
+    A path already extending G is skipped: its continuations include the
+    identity.  No other path's continuations do."""
+    for gm in family[uni.vertex]:
+        for i, mu in enumerate(uni.paths):
+            if uni.captured[i] & gm:
+                continue
+            dmask = uni.ext_mask(i, gm) >> 1
+            if not dmask or dmask not in family.get(mu.s, ()):
+                yield gm, mu, dmask
 
 
 def _scan_satiation(gq: KGraph, family: Family, cap: Degree, extend: bool,
@@ -340,8 +394,7 @@ def _scan_satiation(gq: KGraph, family: Family, cap: Degree, extend: bool,
     candidate is a violation; (S4) misses, everything blocked by the cap,
     and derived sets covered by a verified refutation (a subset of one of
     the known_bad sets) only dirty the result.  In extend mode missing
-    candidates are collected as additions instead.  Every missing (S2)
-    derivative is also recorded in s2_misses, whatever became of it.
+    candidates are collected as additions instead.
     """
     res = _ScanResult()
     bad_at: Dict[str, List[int]] = {}
@@ -391,18 +444,12 @@ def _scan_satiation(gq: KGraph, family: Family, cap: Degree, extend: bool,
                     gm = next(gm for gm in fam if gm & fmask == gm)
                     res.violations.append(("S1", (v, gm), None, (v, fmask)))
 
-        # (S2): extensions along capped paths not already extending the set;
-        # such a path's continuations never include the identity
-        for gm in fam:
-            for i, mu in enumerate(uni.paths):
-                if uni.captured[i] & gm:
-                    continue
-                dmask = uni.ext_mask(i, gm) >> 1
-                if not dmask:
-                    res.taints.append("S2-empty")
-                elif dmask not in family.get(mu.s, ()):
-                    res.s2_misses.setdefault((v, gm), []).append((mu, dmask))
-                    demand("S2", (v, gm), mu, dmask, mu.s)
+        # (S2): extensions along capped paths
+        for gm, mu, dmask in _s2_walk(uni, family):
+            if dmask:
+                demand("S2", (v, gm), mu, dmask, mu.s)
+            else:
+                res.taints.append("S2-empty")
 
         # (S3): initial segments, one nonzero cut per member
         s3_left = S3_BUDGET
@@ -556,11 +603,11 @@ def satiation_closure(gq: KGraph, fam, cap: Degree) -> SatiatedFamily:
         uni, table = universe(gq, v, cap), _candidates(gq, v, cap)
         by_vertex[v] = {mask: table[mask] if mask in table else uni.classify(mask) for mask in family[v]}
     clean = not (overflow or taints or budget)
+    satiated = true_certified() if clean else unknown_at_cap(cap, witness=tuple(sorted({str(b) for b in budget})))
     return SatiatedFamily(
         base=FEFamily(gq, cap, by_vertex),
         cap=cap,
-        satiated=true_certified() if clean else unknown_at_cap(cap, witness=tuple(sorted({str(b) for b in budget}))),
-        overflow=tuple(sorted(overflow, key=Path.sort_key)),
+        _checked=(satiated, tuple(sorted(overflow, key=Path.sort_key))),
         notes=tuple(f"{rule} derivative left candidates" for rule in taints),
     )
 
@@ -586,6 +633,10 @@ def restricted_fe_family(g: KGraph, H: Iterable[str], cap: Degree) -> SatiatedFa
 
 
 def _stripped_family(g: KGraph, H: FrozenSet[str], cap: Degree) -> SatiatedFamily:
+    """The stripped family of H (see restricted_fe_family).  Each round
+    walks only rule (S2), whose misses drive the refutations; the family's
+    (S1)-(S4) verdict and overflow are computed when first read, by one
+    check scan of the final family."""
     gq = quotient_graph(g, H)
 
     # Parents are SetKeys of g, their strips SetKeys of gq.  Parents keep
@@ -679,20 +730,23 @@ def _stripped_family(g: KGraph, H: FrozenSet[str], cap: Degree) -> SatiatedFamil
         if progress:
             continue
 
-        # the round's family and its closure scan.  A missing (S2)
-        # derivative certifies bogus inputs; refutations are verified
-        # independently, so a whole round is collected before the family
-        # is rebuilt.  A reaction can refute a derivative without progress,
-        # which the scan must then see as known bad: one more round.
+        # the round's family and its (S2) walk.  A missing (S2) derivative
+        # certifies bogus inputs; refutations are verified independently,
+        # so a whole round is collected before the family is rebuilt.  A
+        # reaction can refute a derivative without progress, which the
+        # next round must then see as known bad: one more round.
         family: Dict[str, Dict[int, CertifiedBool]] = {}
         for key in order:
             if key in strips and key not in bad_quotient and key not in tainted:
                 family.setdefault(key[0], {})[key[1]] = qcert(key)
-        known_bad = [(E[0], smask) for E, smask in parents if E in bad_parent] + list(bad_quotient)
-        res = _scan_satiation(gq, family, cap, extend=False, known_bad=known_bad)
+        s2_misses: Dict[SetKey, List[Tuple[Path, int]]] = {}
+        for v in family:
+            for gm, mu, dmask in _s2_walk(universe(gq, v, cap), family):
+                if dmask:
+                    s2_misses.setdefault((v, gm), []).append((mu, dmask))
         nbad = len(bad_quotient)
         for key in order:
-            for mu, dmask in res.s2_misses.get(key, ()):
+            for mu, dmask in s2_misses.get(key, ()):
                 # mu extends no member of the strip, and no H-sourced
                 # member of a parent either (its source is outside H), so
                 # no continuation below is the identity
@@ -727,12 +781,14 @@ def _stripped_family(g: KGraph, H: FrozenSet[str], cap: Degree) -> SatiatedFamil
         if not progress and len(bad_quotient) == nbad:
             break
 
+    # the last round refuted nothing new: these are the refuted sets of
+    # its family, which the verdict scan takes as known bad
+    known_bad = [(E[0], smask) for E, smask in parents if E in bad_parent] + list(bad_quotient)
     gkey = _set_sort_key(g, cap)
     return SatiatedFamily(
         base=FEFamily(gq, cap, family),
         cap=cap,
-        satiated=_verdict(gq, res, cap),
-        overflow=tuple(sorted(res.overflow, key=Path.sort_key)),
+        _known_bad=tuple(known_bad),
         refuted_parents={_set(g, E, cap): tau for E, tau in sorted(bad_parent.items(), key=lambda kv: gkey(kv[0]))},
         quotient_refuted={_set(gq, key, cap): sigma
                           for key, sigma in sorted(bad_quotient.items(), key=lambda kv: qkey(kv[0]))},

@@ -5,8 +5,10 @@ with the library's segment extraction; the rank-1 saturation oracle uses
 the classical edge-level closure rules directly.  The presentation check
 scans all pairs and triples of edges, and reachability is a fixpoint over
 the edge list held in plain sets.  The closure scan substitutes (S4) one
-assignment at a time.  The pair enumeration builds the stripped family
-and the B search for every H, the empty one included.
+assignment at a time.  The stripped family runs that full scan every
+round and computes its verdict with the family.  The pair enumeration
+builds the stripped family and the B search for every H, the empty one
+included.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from kgraphlat import degrees
-from kgraphlat.align import FEFamily, PathSet, universe
+from kgraphlat.align import FEFamily, PathSet, is_exhaustive, universe
 from kgraphlat.certify import CertifiedBool, false_certified, true_certified, unknown_at_cap
 from kgraphlat.degrees import Degree
 from kgraphlat.ideals import (
@@ -25,11 +27,13 @@ from kgraphlat.ideals import (
     Family,
     SetKey,
     _candidates,
+    _h_sourced_paths,
     _mask_key,
     _path_in,
     _ScanResult,
     _set,
     _set_sort_key,
+    _verdict,
     _verify_refutation,
     enumerate_sat_hered,
     fmt_pathset,
@@ -336,8 +340,14 @@ def oracle_loops(g: KGraph, cap):
 # -- the closure scan, one (S4) assignment at a time -------------------------------
 
 
+@dataclass
+class OracleScanResult(_ScanResult):
+    # per member G, the (S2) derivatives missing from the family: (mu, D mask)
+    s2_misses: Dict[SetKey, List[Tuple[Path, int]]] = field(default_factory=dict)
+
+
 def oracle_scan_satiation(gq: KGraph, family: Family, cap: Degree, extend: bool,
-                          known_bad: Iterable[SetKey] = ()) -> _ScanResult:
+                          known_bad: Iterable[SetKey] = ()) -> OracleScanResult:
     """ideals._scan_satiation with (S4) walking every assignment of family
     sets to the substituted members, one at a time.
 
@@ -350,7 +360,7 @@ def oracle_scan_satiation(gq: KGraph, family: Family, cap: Degree, extend: bool,
     candidates are collected as additions instead.  Every missing (S2)
     derivative is also recorded in s2_misses, whatever became of it.
     """
-    res = _ScanResult()
+    res = OracleScanResult()
     bad_at: Dict[str, List[int]] = {}
     for v, mask in known_bad:
         bad_at.setdefault(v, []).append(mask)
@@ -491,6 +501,177 @@ def oracle_scan_satiation(gq: KGraph, family: Family, cap: Degree, extend: bool,
                             if dmask not in fam:
                                 demand("S4", (v, gm), None, dmask, v)
     return res
+
+
+# -- the stripped family with its eager verdict -----------------------------------
+
+
+@dataclass
+class OracleStrippedFamily:
+    base: FEFamily
+    satiated: CertifiedBool
+    overflow: Tuple[Path, ...]
+    refuted_parents: Dict[PathSet, Path]
+    quotient_refuted: Dict[PathSet, Path]
+    tainted: Dict[PathSet, CertifiedBool]
+
+
+def oracle_stripped_family(g: KGraph, H: FrozenSet[str], cap: Degree) -> OracleStrippedFamily:
+    """ideals._stripped_family as it was while every round ran the full
+    check scan (the assignment-walk scan here) and its verdict was computed
+    with the family: the loop reacts to that scan's s2_misses, and the
+    last round's scan gives satiated and overflow."""
+    gq = quotient_graph(g, H)
+
+    # Parents are SetKeys of g, their strips SetKeys of gq.  Parents keep
+    # the fe_sets order, since the order of refutations decides which
+    # witness later checks reuse.
+    parents: List[Tuple[SetKey, int]] = []  # (parent, strip mask)
+    qcerts: Dict[SetKey, CertifiedBool] = {}
+    for v in g.vertices:
+        if v in H:
+            continue
+        uq = universe(gq, v, cap)  # the restriction of g's universe at v
+        for emask, cert in _candidates(g, v, cap).items():
+            smask = uq.strip_mask(emask)
+            parents.append(((v, emask), smask))
+            if gq is g:  # the strip is the parent, certificate included
+                qcerts[(v, smask)] = cert
+    qkey = _set_sort_key(gq, cap)
+    # every strip in set_sort_key order; later rounds only lose strips
+    order = sorted({(E[0], smask) for E, smask in parents if smask}, key=qkey)
+
+    bad_parent: Dict[SetKey, Path] = {}
+    bad_quotient: Dict[SetKey, Path] = {}
+    tainted: Dict[SetKey, CertifiedBool] = {}
+
+    def qcert(key: SetKey) -> CertifiedBool:
+        """Capped exhaustiveness of a quotient set (is_exhaustive by mask)."""
+        cert = qcerts.get(key)
+        if cert is None:
+            cert = qcerts[key] = universe(gq, key[0], cap).classify(key[1])
+        return cert
+
+    def refute(bad: Dict[SetKey, Path], gx: KGraph, key: SetKey, tau: Path) -> bool:
+        """Record tau against the set key of gx (a parent or a strip) if it replays."""
+        if key in bad or not _verify_refutation(gx, _set(gx, key, cap), tau):
+            return False
+        bad[key] = tau
+        return True
+
+    def quotient_bad_witness(key: SetKey) -> Optional[Path]:
+        """A verified quotient witness for a set, via subset-monotone lookup."""
+        if key in bad_quotient:
+            return bad_quotient[key]
+        w, dmask = key
+        for (yv, ymask), sigma in bad_quotient.items():
+            if yv == w and not dmask & ~ymask and refute(bad_quotient, gq, key, sigma):
+                return sigma
+        cert = qcert(key)
+        if cert.is_false and refute(bad_quotient, gq, key, cert.witness):
+            return cert.witness
+        return None
+
+    def refute_parents_of(parent_list: List[SetKey], mu: Path) -> bool:
+        """Given a verified quotient witness mu against a strip, discard its parents."""
+        progress = False
+        fmax = _h_sourced_paths(g, mu.s, H, cap)
+        lam0 = None
+        if fmax:
+            fcert = is_exhaustive(g, fmax, cap)
+            if fcert.is_false:
+                lam0 = fcert.witness
+        for E in parent_list:
+            if E in bad_parent:
+                continue
+            if lam0 is not None and refute(bad_parent, g, E, g.compose(mu, lam0)):
+                progress = True
+            elif refute(bad_parent, g, E, mu):
+                progress = True
+        return progress
+
+    strips: Dict[SetKey, List[SetKey]] = {}
+    while True:
+        strips = {}
+        for E, smask in parents:
+            if smask and E not in bad_parent:
+                strips.setdefault((E[0], smask), []).append(E)
+        progress = False
+        tainted = {}
+        for key in order:
+            if key not in strips:
+                continue
+            cert = qcert(key)
+            if cert.is_false:
+                refute(bad_quotient, gq, key, cert.witness)
+            sigma = bad_quotient.get(key)
+            if sigma is None:
+                continue
+            if refute_parents_of(strips[key], sigma):
+                progress = True
+            elif any(E not in bad_parent for E in strips[key]):
+                tainted[key] = cert if cert.is_false else false_certified(sigma)
+        if progress:
+            continue
+
+        # the round's family and its closure scan.  A missing (S2)
+        # derivative certifies bogus inputs; refutations are verified
+        # independently, so a whole round is collected before the family
+        # is rebuilt.  A reaction can refute a derivative without progress,
+        # which the scan must then see as known bad: one more round.
+        family: Dict[str, Dict[int, CertifiedBool]] = {}
+        for key in order:
+            if key in strips and key not in bad_quotient and key not in tainted:
+                family.setdefault(key[0], {})[key[1]] = qcert(key)
+        known_bad = [(E[0], smask) for E, smask in parents if E in bad_parent] + list(bad_quotient)
+        res = oracle_scan_satiation(gq, family, cap, extend=False, known_bad=known_bad)
+        nbad = len(bad_quotient)
+        for key in order:
+            for mu, dmask in res.s2_misses.get(key, ()):
+                # mu extends no member of the strip, and no H-sourced
+                # member of a parent either (its source is outside H), so
+                # no continuation below is the identity
+                sigma = quotient_bad_witness((mu.s, dmask))
+                if sigma is not None:
+                    # the composite escapes the cap but replays exactly;
+                    # it composes in g as in gq
+                    mu_sigma = g.compose(mu, sigma)
+                    if refute(bad_quotient, gq, key, mu_sigma):
+                        if not refute_parents_of(strips[key], mu_sigma):
+                            tainted[key] = false_certified(mu_sigma)
+                        progress = True
+                        break
+                ug = universe(g, key[0], cap)
+                iu, at_source = ug.index[mu], universe(g, mu.s, cap)
+                for E in strips[key]:
+                    if E in bad_parent:
+                        continue
+                    pmask = ug.ext_mask(iu, E[1]) >> 1
+                    if not pmask:
+                        if refute(bad_parent, g, E, mu):
+                            progress = True
+                        continue
+                    pcert = at_source.classify(pmask)
+                    if pcert.is_false and refute(bad_parent, g, E, g.compose(mu, pcert.witness)):
+                        progress = True
+                    else:
+                        for (yv, ymask), tau in bad_parent.items():
+                            if yv == mu.s and not pmask & ~ymask and refute(bad_parent, g, E, g.compose(mu, tau)):
+                                progress = True
+                                break
+        if not progress and len(bad_quotient) == nbad:
+            break
+
+    gkey = _set_sort_key(g, cap)
+    return OracleStrippedFamily(
+        base=FEFamily(gq, cap, family),
+        satiated=_verdict(gq, res, cap),
+        overflow=tuple(sorted(res.overflow, key=Path.sort_key)),
+        refuted_parents={_set(g, E, cap): tau for E, tau in sorted(bad_parent.items(), key=lambda kv: gkey(kv[0]))},
+        quotient_refuted={_set(gq, key, cap): sigma
+                          for key, sigma in sorted(bad_quotient.items(), key=lambda kv: qkey(kv[0]))},
+        tainted={_set(gq, key, cap): cert for key, cert in tainted.items()},
+    )
 
 
 # -- the pair enumeration with the stripped family of every H, H = {} included --------

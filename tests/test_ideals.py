@@ -22,7 +22,7 @@ from kgraphlat.ideals import (
     saturation,
     set_sort_key,
 )
-from kgraphlat.kgraph import KGraphError, validate_kgraph
+from kgraphlat.kgraph import KGraph, KGraphError, Skeleton, validate_kgraph
 from kgraphlat.randomgraphs import random_1graph, random_2graph
 
 import oracles
@@ -37,6 +37,38 @@ def test_is_hereditary_examples(fx):
     assert not is_hereditary(g, {"v"})
     assert is_hereditary(g, set())
     assert is_hereditary(g, set(g.vertices))
+
+
+def _dangling_graph():
+    """An unvalidated 1-graph: edge e has a source that is no vertex, edge
+    x a range that is no vertex."""
+    edges = [("e", 1, "u", "ghost"), ("f", 1, "v", "u"), ("h", 1, "w", "w"), ("x", 1, "nowhere", "w")]
+    return KGraph(Skeleton.build(1, ["u", "v", "w"], edges), [])
+
+
+def test_hereditary_combos_match_is_hereditary():
+    """The vertex-mask test of enumerate_sat_hered accepts exactly the
+    subsets is_hereditary accepts, in combination order, on the fixtures,
+    random 1- and 2-graphs (seeds 0-49) and a graph with dangling edges,
+    where an edge from outside the vertex set keeps its range out of every
+    H; enumerate_sat_hered equals is_hereditary plus is_saturated."""
+    graphs = [textio.fixture(name) for name in sorted(textio.FIXTURE_TEXTS)]
+    for make in (random_1graph, random_2graph):
+        for seed in range(50):
+            try:
+                graphs.append(make(seed))
+            except RuntimeError:
+                continue
+    graphs.append(_dangling_graph())
+    for g in graphs:
+        subsets = [c for n in range(len(g.vertices) + 1) for c in itertools.combinations(g.vertices, n)]
+        hereditary = [c for c in subsets if is_hereditary(g, c)]
+        assert list(ideals._hereditary_combos(g)) == hereditary, g.vertices
+        cap = (1,) * g.k
+        want = [(c, is_saturated(g, c, cap)) for c in hereditary]
+        got = [(h.members, h.saturated) for h in enumerate_sat_hered(g, cap)]
+        assert got == [(c, cert) for c, cert in want if not cert.is_false]
+    assert list(ideals._hereditary_combos(_dangling_graph())) == [(), ("w",)]
 
 
 def test_hereditary_closure_examples(fx):
@@ -259,13 +291,16 @@ def test_satiation_closure_idempotent(fx):
 
 
 def test_scan_matches_assignment_walk_oracle(monkeypatch):
-    """Every closure scan run by the stripped families, and by is_satiated
-    and satiation_closure on seeded sub-families of them, equals the scan
-    that walks each (S4) assignment.  The taints are compared as a list in
-    extend mode, where notes read their order, and as a multiset in check
-    mode."""
+    """Every closure scan run by the stripped families' verdicts (each one
+    is read), and by is_satiated and satiation_closure on seeded
+    sub-families of them, equals the scan that walks each (S4) assignment.
+    The taints are compared as a list in extend mode, where notes read
+    their order, and as a multiset in check mode.  Every (S2) walk, the
+    stripped-family rounds' included, finds at its vertex the (S2) misses
+    of the assignment-walk scan of the family it walks."""
     scans = []
-    scan = ideals._scan_satiation
+    walks = []
+    scan, walk = ideals._scan_satiation, ideals._s2_walk
 
     def recorded(gq, family, cap, extend, known_bad=()):
         snapshot = {v: dict(masks) for v, masks in family.items()}
@@ -274,16 +309,26 @@ def test_scan_matches_assignment_walk_oracle(monkeypatch):
         scans.append((gq, snapshot, cap, extend, known_bad, res))
         return res
 
+    def recorded_walk(uni, family):
+        out = list(walk(uni, family))
+        walks.append((uni, {v: tuple(masks) for v, masks in family.items()}, out))
+        return iter(out)
+
     monkeypatch.setattr(ideals, "_scan_satiation", recorded)
+    monkeypatch.setattr(ideals, "_s2_walk", recorded_walk)
     inputs = [(textio.fixture(name), c) for name in sorted(textio.FIXTURE_TEXTS) for c in (1, 2)]
     inputs += [(random_1graph(seed), 1) for seed in range(20)]
     inputs += [(random_2graph(seed), 1) for seed in range(20)]
+    # random 2-graphs whose stripped families react to missing (S2) derivatives
+    inputs += [(random_2graph(seed), 1) for seed in (35, 41, 58, 72, 87, 91)]
     rng = random.Random(0)
     for g, c in inputs:
         cap = (c,) * g.k
         for hv in enumerate_sat_hered(g, cap):
             H = hv.as_frozenset
-            sets = sorted(restricted_fe_family(g, H, cap).sets(), key=set_sort_key)
+            sf = restricted_fe_family(g, H, cap)
+            sf.satiated
+            sets = sorted(sf.sets(), key=set_sort_key)
             sub = rng.sample(sets, rng.randint(0, len(sets)))
             gq = quotient_graph(g, H)
             is_satiated(gq, sub, cap)
@@ -297,12 +342,89 @@ def test_scan_matches_assignment_walk_oracle(monkeypatch):
             if f.name == "taints" and not extend:
                 got, exp = collections.Counter(got), collections.Counter(exp)
             assert got == exp, (f.name, gq.vertices, cap, extend)
+        seen["scans"] += 1
         seen["known_bad"] += bool(known_bad)
         seen["s4_missing"] += res.s4_missing > 0
         seen["overflow"] += bool(res.overflow)
         seen["S4 budget"] += any(b.startswith("S4") for b in res.budget_hit)
         seen["additions"] += extend and bool(res.additions)
-    assert min(seen[k] for k in ("known_bad", "s4_missing", "overflow", "S4 budget", "additions")) > 0, seen
+    misses = {}  # the oracle's s2_misses, by walked family
+    for uni, family, out in walks:
+        fkey = (uni.graph, uni.cap, tuple(sorted(family.items())))
+        if fkey not in misses:
+            fam = {v: dict.fromkeys(masks) for v, masks in family.items()}
+            misses[fkey] = oracles.oracle_scan_satiation(uni.graph, fam, uni.cap, False).s2_misses
+        got = {}
+        for gm, mu, dmask in out:
+            if dmask:
+                got.setdefault((uni.vertex, gm), []).append((mu, dmask))
+        assert got == {key: ms for key, ms in misses[fkey].items() if key[0] == uni.vertex}, (uni.vertex, family)
+        seen["s2 misses"] += bool(got)
+    # as many full scans as when every round of a stripped family ran one
+    assert seen["scans"] >= 553, seen
+    assert min(seen[k] for k in ("known_bad", "s4_missing", "overflow", "S4 budget", "additions", "s2 misses")) > 0, seen
+
+
+def _stripped_inputs():
+    """Fixtures at caps 1-3, random 1- and 2-graphs (seeds 0-59) at cap 1,
+    and random 2-graphs 72, 87 and 91 at (1,1): with seeds 3, 5, 35, 41
+    and 58, these are the ones whose stripped families react to missing
+    (S2) derivatives."""
+    for name in sorted(textio.FIXTURE_TEXTS):
+        k = textio.fixture(name).k
+        for c in (1, 2, 3):
+            yield f"{name}{(c,) * k}", textio.fixture(name), (c,) * k
+    for make in (random_1graph, random_2graph):
+        for seed in list(range(60)) + ([72, 87, 91] if make is random_2graph else []):
+            try:
+                g = make(seed)
+            except RuntimeError:
+                continue
+            yield f"{make.__name__}({seed})", g, (1,) * g.k
+
+
+def test_stripped_family_matches_eager_oracle(monkeypatch):
+    """Every stripped family, of every hereditary H (saturated or not),
+    equals the one built while every round ran the full check scan: the
+    same members in the same order, the same verdict and overflow (from
+    the deferred scan), and the same refutations and taints.  No stripped
+    family's verdict is FalseCertified on these inputs, so the FalseCertified
+    certificates compared are those of the tainted strips."""
+    rounds = []  # the family of each round, as the (S2) walks saw it
+    walk = ideals._s2_walk
+
+    def counted(uni, family):
+        if not rounds or rounds[-1] is not family:
+            rounds.append(family)
+        return walk(uni, family)
+
+    monkeypatch.setattr(ideals, "_s2_walk", counted)
+    seen = collections.Counter()
+    for label, g, cap in _stripped_inputs():
+        for n in range(len(g.vertices) + 1):
+            for H in map(frozenset, itertools.combinations(g.vertices, n)):
+                if not is_hereditary(g, H):
+                    continue
+                try:
+                    want = oracles.oracle_stripped_family(g, H, cap)
+                except RuntimeError:  # over the fe enumeration limit
+                    continue
+                rounds.clear()
+                got = restricted_fe_family(g, H, cap)
+                walked = len(rounds)
+                assert [(v, list(certs.items())) for v, certs in got.base.by_vertex.items()] == \
+                    [(v, list(certs.items())) for v, certs in want.base.by_vertex.items()], (label, H)
+                assert got.base.graph is want.base.graph and got.cap == want.base.cap == cap
+                for name in ("satiated", "overflow", "refuted_parents", "quotient_refuted", "tainted"):
+                    a, b = getattr(got, name), getattr(want, name)
+                    assert a == b and repr(a) == repr(b), (label, H, name)
+                seen["families"] += 1
+                seen["true"] += got.satiated.is_true
+                seen["unknown"] += got.satiated.is_unknown
+                seen["tainted false"] += any(c.is_false for c in got.tainted.values())
+                seen["overflow"] += bool(got.overflow)
+                seen["multi-round"] += walked > 1
+    assert seen["families"] > 700 and min(seen.values()) > 0, seen
 
 
 # -- pairs and lattice -----------------------------------------------------------

@@ -11,7 +11,7 @@ from collections import Counter
 
 import pytest
 
-from kgraphlat import align, degrees, ideals, textio
+from kgraphlat import align, degrees, ideals, structure, textio
 from kgraphlat.kgraph import KGraph
 from kgraphlat.randomgraphs import random_2graph
 
@@ -273,3 +273,39 @@ def test_lattice_builds_no_family_for_empty_H(monkeypatch, name, cap, built, fe_
     for p in lat.pairs:
         p.eh_sets
     assert families == built + [()]
+
+
+@pytest.mark.parametrize("source, cap, compose_max", [("FX4", (2,), 7), (41, (1, 1), 9), (72, (1, 1), 9)])
+def test_lattice_and_report_run_no_verdict_scan(monkeypatch, source, cap, compose_max):
+    """The lattice and the structure report read the stripped families'
+    members and refutations, not their (S1)-(S4) verdict, so they run no
+    check scan; the rounds of a stripped family walk rule (S2) alone.
+    Reading a family's verdict twice runs exactly one check scan, of that
+    family.  On FX4 and random_2graph seeds 41 and 72, scanning every
+    round of every family ran 3 / 6 / 6 check scans, and 13 / 37 / 51
+    composes for their (S4) rows."""
+    if isinstance(source, int):
+        g = random_2graph(source)
+    else:
+        g = textio.parse_kgraph_text(textio.FIXTURE_TEXTS[source]).graph  # fresh memo
+    calls = _counting(monkeypatch, KGraph, ("compose",))
+    checked = []
+    scan = ideals._scan_satiation
+
+    def recorded(gq, family, cap, extend, known_bad=()):
+        if not extend:
+            checked.append(family)
+        return scan(gq, family, cap, extend, known_bad)
+
+    monkeypatch.setattr(ideals, "_scan_satiation", recorded)
+    lat = ideals.ideal_lattice(g, cap)
+    structure.structure_report(g, cap, False)
+    assert checked == []
+    assert calls["compose"] <= compose_max
+    families = []
+    for p in lat.pairs:
+        if all(sf is not p.stripped for sf in families):
+            families.append(p.stripped)
+        for _ in range(2):
+            assert not p.stripped.satiated.is_false
+    assert [id(fam) for fam in checked] == [id(sf.base.by_vertex) for sf in families]
