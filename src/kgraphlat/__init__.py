@@ -23,6 +23,7 @@ from .kgraph import (
     Skeleton,
     SquareRule,
     ValidationReport,
+    is_locally_convex,
     validate_kgraph,
 )
 from .align import (

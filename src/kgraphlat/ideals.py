@@ -27,7 +27,7 @@ from .align import (
 )
 from .certify import CertifiedBool, false_certified, true_certified, unknown_at_cap
 from .degrees import Degree
-from .kgraph import KGraph, KGraphError, Path, Skeleton
+from .kgraph import KGraph, KGraphError, Path, Skeleton, is_locally_convex
 
 # Work limits for the combinatorial (S3)/(S4) scans; exceeding one only
 # downgrades a certificate to UnknownAtCap, never changes a decided answer.
@@ -213,6 +213,11 @@ def quotient_graph(g: KGraph, H: Iterable[str]) -> KGraph:
     H = frozenset(H)
     if not is_hereditary(g, H):
         raise KGraphError(f"quotient needs a hereditary set, got {fmt_vertexset(H)}")
+    return _quotient_by(g, H)
+
+
+def _quotient_by(g: KGraph, H: FrozenSet[str]) -> KGraph:
+    """quotient_graph for a set already known to be hereditary."""
     if not H:
         return g
     return g.memo(("quotient", H), _quotient, g, H)
@@ -624,12 +629,18 @@ def restricted_fe_family(g: KGraph, H: Iterable[str], cap: Degree) -> SatiatedFa
     discards it.  Refutations are subset-monotone (a witness avoiding a
     set avoids every subset), so they propagate; the loop runs until the
     family is stable.
+
+    H and the cap are checked only when the memo has no family for them:
+    only checked arguments are ever stored, so a hit needs no check.
     """
     H = frozenset(H)
-    cap = degrees.check(cap, g.k)
-    if not is_hereditary(g, H):
-        raise KGraphError(f"{fmt_vertexset(H)} is not hereditary")
-    return g.memo(("ehfam", H, cap), _stripped_family, g, H, cap)
+    hit = g._checked_hit(("ehfam", H, cap))
+    if hit is None:
+        cap = degrees.check(cap, g.k)
+        if not is_hereditary(g, H):
+            raise KGraphError(f"{fmt_vertexset(H)} is not hereditary")
+        hit = g.memo(("ehfam", H, cap), _stripped_family, g, H, cap)
+    return hit
 
 
 def _stripped_family(g: KGraph, H: FrozenSet[str], cap: Degree) -> SatiatedFamily:
@@ -637,7 +648,7 @@ def _stripped_family(g: KGraph, H: FrozenSet[str], cap: Degree) -> SatiatedFamil
     walks only rule (S2), whose misses drive the refutations; the family's
     (S1)-(S4) verdict and overflow are computed when first read, by one
     check scan of the final family."""
-    gq = quotient_graph(g, H)
+    gq = _quotient_by(g, H)
 
     # Parents are SetKeys of g, their strips SetKeys of gq.  Parents keep
     # the fe_sets order, since the order of refutations decides which
@@ -874,23 +885,47 @@ def enumerate_ideal_pairs(g: KGraph, cap: Degree) -> List[IdealPair]:
     Distinct B candidates with the same satiation closure collapse to the
     closure, so each emitted pair indexes a distinct closed family.
 
-    H = ∅ gives its one pair (∅, ∅) without building any family.  In the
-    paper's indexing B lies in FE(Λ∖ΛH) minus the strips E_H, and E_∅ is
-    all of FE(Λ), so B is empty.  In the code: the quotient by ∅ is g
-    itself, so every candidate of g is its own only parent.  A candidate
-    missing from the stripped family was therefore refuted on g by a
-    verified witness lying in g, which certified_non_fe would replay, so
-    the B universe is empty.  The pair builds its stripped family only
-    when it is read.
+    On a locally convex graph (is_locally_convex) every H gives its one
+    pair (H, ∅), and no family is built.  Raeburn–Sims–Yeend, "Higher rank
+    graphs and their C*-algebras" (Proc. Edinb. Math. Soc. 46, 2003),
+    Theorem 5.2: for a row-finite, locally convex k-graph Λ, H ↦ I_H is a
+    bijection from the saturated hereditary sets onto the gauge-invariant
+    ideals of C*(Λ), where I_H is generated by the p_v with v ∈ H.  A
+    finite presentation is row-finite.  The source paper's bijection
+    (H, B) ↦ I_{H,B} sends (H, ∅) to that same I_H, so by injectivity no
+    pair has B ≠ ∅.  This needs the two saturations to agree.  The
+    paper's H is saturated when no v ∉ H has a finite exhaustive
+    E ⊆ vΛ∖{v} with s(E) ⊆ H; RSY's when no v ∉ H has s(vΛ^{≤n}) ⊆ H,
+    where vΛ^{≤n} holds the λ ∈ vΛ with d(λ) ≤ n and s(λ)Λ^{e_i} = ∅
+    whenever d(λ) + e_i ≤ n.
+    - Given such an E at v, let n = ∨d(E).  Each λ ∈ vΛ^{≤n} has a common
+      extension with some μ ∈ E.  Were d(μ)_i > d(λ)_i, that extension
+      would leave s(λ) in colour i while d(λ) + e_i ≤ n.  So d(λ) ≥ d(μ)
+      and λ = μλ'; heredity puts s(λ) in H, and s(vΛ^{≤n}) ⊆ H.
+    - Conversely, on a locally convex graph vΛ^{≤n} is finite and
+      exhaustive (RSY compare the two Cuntz–Krieger relations in J. Funct.
+      Anal. 213, 2004).  It contains v only when it is {v}, which
+      s(vΛ^{≤n}) ⊆ H rules out for v ∉ H.
+    The pair builds its stripped family only when it is read.
+
+    Graphs that are not locally convex take the capped route: the
+    stripped family of H, its B universe and the B search.  H = ∅ still
+    gives (∅, ∅) without a family.  In the paper's indexing B lies in
+    FE(Λ∖ΛH) minus the strips E_H, and E_∅ is all of FE(Λ).  In the code:
+    the quotient by ∅ is g itself, so every candidate of g is its own only
+    parent.  A candidate missing from the stripped family was therefore
+    refuted on g by a verified witness lying in g, which certified_non_fe
+    would replay, so the B universe is empty.
     """
     cap = degrees.check(cap, g.k)
+    by_h_alone = is_locally_convex(g)
     pairs: List[IdealPair] = []
     for hv in enumerate_sat_hered(g, cap):
         H = hv.as_frozenset
-        if not H:
+        if by_h_alone or not H:
             pairs.append(IdealPair(g.cache_key(), cap, hv.members, (), hv.saturated, g))
             continue
-        gq = quotient_graph(g, H)
+        gq = _quotient_by(g, H)
         sf = restricted_fe_family(g, H, cap)
         basekeys = _keys(sf.base)
         cands = {(v, mask): c for v in gq.vertices for mask, c in _candidates(gq, v, cap).items()}

@@ -508,3 +508,17 @@ def validate_kgraph(g: KGraph) -> ValidationReport:
     violations = sorted(set(violations))
     return ValidationReport(ok=not violations, violations=tuple(violations))
 
+
+def is_locally_convex(g: KGraph) -> bool:
+    """Local convexity in the sense of Raeburn–Sims–Yeend, read off the
+    skeleton: for every vertex v and edges e ∈ vΛ^{e_i}, f ∈ vΛ^{e_j} with
+    i ≠ j, both s(e)Λ^{e_j} and s(f)Λ^{e_i} are nonempty.  Put otherwise,
+    the source of every edge into v receives an edge of each colour that v
+    receives, its own colour apart.  An edge whose source is no vertex
+    receives nothing there."""
+    colors = dict.fromkeys(g.vertices, 0)  # per vertex, a bit per colour it receives
+    into = [e for e in g.edges if e.r in colors and 1 <= e.color <= g.k]
+    for e in into:
+        colors[e.r] |= 1 << e.color
+    return not any(colors[e.r] & ~(1 << e.color) & ~colors.get(e.s, 0) for e in into)
+

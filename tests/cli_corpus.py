@@ -2,7 +2,7 @@
 
 ``criterion_9_invocations`` is the determinism corpus of acceptance
 criterion 9; ``corpus`` adds the family commands at cap 2 and the
-lattices of FX2 and FX6 at caps whose candidates at g exceed the fe
+lattices of FX2, FX6 and FX4 at caps whose candidates at g exceed the fe
 enumeration limit (``BEYOND_FE_LIMIT``).
 ``random_corpus`` runs the family commands at cap (1,1) on the seeded
 random 2-graphs whose stripped family reacts to missing extension-rule
@@ -65,12 +65,21 @@ def criterion_9_invocations(name: str, g) -> List[Tuple[str, ...]]:
 # Queries on one-vertex graphs whose universe at v has more members than
 # the fe enumeration allows; their H are {} and {v}, and neither needs a
 # candidate of g, so they answer.
-BEYOND_FE_LIMIT = (
+ONE_VERTEX_BEYOND_FE_LIMIT = (
     ("lattice", "FX2", "--cap", "4,4"),
     ("pairs", "FX2", "--cap", "4,4"),
     ("lattice", "FX6", "--cap", "4"),
     ("report", "FX6", "--cap", "4", "--assume-condition-c"),
 )
+# FX4 at a cap where its universe at v is over the limit.  FX4 is locally
+# convex, so its proper H need no candidate either: its pairs are indexed
+# by H alone.
+PROPER_H_BEYOND_FE_LIMIT = (
+    ("lattice", "FX4", "--cap", "18"),
+    ("pairs", "FX4", "--cap", "18"),
+    ("report", "FX4", "--cap", "18", "--assume-condition-c"),
+)
+BEYOND_FE_LIMIT = ONE_VERTEX_BEYOND_FE_LIMIT + PROPER_H_BEYOND_FE_LIMIT
 
 
 def corpus() -> List[Tuple[str, ...]]:

@@ -247,6 +247,28 @@ def oracle_validate(g: KGraph) -> ValidationReport:
     return ValidationReport(ok=not violations, violations=tuple(violations))
 
 
+# -- local convexity from paths of degree e_i + e_j -----------------------------------
+
+
+def oracle_locally_convex(g: KGraph) -> bool:
+    """For every vertex v and colours i ≠ j with vΛ^{e_j} nonempty, every
+    edge of vΛ^{e_i} is the degree-e_i factor of a path in vΛ^{e_i+e_j}.
+    The factors are found by scanning compose factorizations, both colour
+    orders in turn; an edge whose source is no vertex factors nothing."""
+    for v in g.vertices:
+        for i, j in itertools.permutations(range(1, g.k + 1), 2):
+            ei, ej = degrees.unit(g.k, i), degrees.unit(g.k, j)
+            if not g.paths_of_degree(v, ej):
+                continue
+            both = set(g.paths_of_degree(v, degrees.add(ei, ej)))
+            firsts = g.paths_of_degree(v, ei)
+            factors = {mu for mu in firsts if g.has_vertex(mu.s)
+                       for nu in g.paths_of_degree(mu.s, ej) if g.compose(mu, nu) in both}
+            if factors != set(firsts):
+                return False
+    return True
+
+
 # -- reachability, cofinality and loops on vertex sets --------------------------------
 
 

@@ -251,7 +251,7 @@ def test_caps_beyond_the_fe_limit_answer_criterion_1_chain(capsys):
     import cli_corpus
 
     chain = [{"H": [], "B": [], "exact": True}, {"H": ["v"], "B": [], "exact": True}]
-    for argv in cli_corpus.BEYOND_FE_LIMIT:
+    for argv in cli_corpus.ONE_VERTEX_BEYOND_FE_LIMIT:
         code, out, err = run_cli(capsys, *argv)
         assert code == 0, (argv, err)
         result = json.loads(out)["result"]
@@ -263,9 +263,30 @@ def test_caps_beyond_the_fe_limit_answer_criterion_1_chain(capsys):
             assert result["hasse"] == [[0, 1]] and result["is_lattice"]
 
 
+def test_proper_H_over_the_fe_limit_answers_as_at_cap_2(capsys):
+    """FX4 is locally convex, so its lattice is indexed by H alone and
+    builds no stripped family: at cap 18, where its universe at v is over
+    the fe limit, it answers with the four exact pairs and the Hasse
+    diagram it has at cap 2."""
+    import cli_corpus
+
+    for argv in cli_corpus.PROPER_H_BEYOND_FE_LIMIT:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, (argv, err)
+        low = run_cli(capsys, *argv[:3], "2", *argv[4:])
+        assert low[0] == 0
+        result, expected = json.loads(out)["result"], json.loads(low[1])["result"]
+        assert result == expected, argv
+        if argv[0] == "lattice":
+            assert [node["H"] for node in result["nodes"]] == [[], ["u"], ["w"], ["u", "v", "w"]]
+            assert all(node["exact"] and node["B"] == [] for node in result["nodes"])
+            assert result["hasse"] == [[0, 1], [0, 2], [1, 3], [2, 3]]
+
+
 def test_proper_H_over_the_fe_limit_still_refused(capsys):
-    """FX4's proper H = {u} strips candidates of the graph at v, whose
-    universe at cap 18 is over the limit."""
-    code, out, err = run_cli(capsys, "lattice", "FX4", "--cap", "18")
+    """The family commands still enumerate candidates: FX4's stripped
+    family of H = {u} strips candidates of the graph at v, whose universe
+    at cap 18 is over the limit."""
+    code, out, err = run_cli(capsys, "ehfamily", "FX4", "--cap", "18", "--set", "u")
     assert code == 2 and out == ""
     assert "fe enumeration at 'v' needs 2^19 subsets, over the limit of 2^18" in err

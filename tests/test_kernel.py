@@ -2,8 +2,9 @@
 it stands in for, the universes of quotient graphs against fresh builds,
 and call-count gates that keep that arithmetic, and the conversions
 between path sets and masks, out of the inner loops of the lattice
-computation.  The lattice builds no stripped family for H = {}, so the
-gates on the closure loops also read every pair's stripped family."""
+computation.  The lattice builds no stripped family for H = {}, nor for
+any H of a locally convex graph, so the gates on the closure loops also
+read every pair's stripped family."""
 
 import itertools
 import random
@@ -12,8 +13,8 @@ from collections import Counter
 import pytest
 
 from kgraphlat import align, degrees, ideals, structure, textio
-from kgraphlat.kgraph import KGraph
-from kgraphlat.randomgraphs import random_2graph
+from kgraphlat.kgraph import KGraph, is_locally_convex
+from kgraphlat.randomgraphs import random_1graph, random_2graph
 
 from test_ideals import _pair_inputs
 
@@ -247,32 +248,71 @@ def test_lattice_family_mask_calls_pinned(monkeypatch, name, cap, subsets):
         assert p.eh_sets == ideals.restricted_fe_family(g, p.H, cap).sets()
 
 
-@pytest.mark.parametrize("name, cap, built, fe_calls", [
-    ("FX6", (2,), [("v",)], 0),
-    ("FX2", (2, 2), [("v",)], 0),
-    ("FX4", (2,), [("u",), ("w",), ("u", "v", "w")], 7),
-])
-def test_lattice_builds_no_family_for_empty_H(monkeypatch, name, cap, built, fe_calls):
-    """The pair of H = {} is enumerated without its stripped family, so a
-    one-vertex graph enumerates no candidate at all (the family of the full
-    vertex set has no vertex to look at); reading eh_sets builds the family
-    of {} on demand."""
-    g = textio.parse_kgraph_text(textio.FIXTURE_TEXTS[name]).graph  # fresh memo
-    calls = _counting(monkeypatch, ideals, ("fe_sets",))
-    families = []
+def _recording_families(monkeypatch):
+    """The H of every stripped family built from now on, in build order."""
+    built = []
     stripped = ideals._stripped_family
 
     def recorded(g, H, cap):
-        families.append(tuple(sorted(H)))
+        built.append(tuple(sorted(H)))
         return stripped(g, H, cap)
 
     monkeypatch.setattr(ideals, "_stripped_family", recorded)
+    return built
+
+
+@pytest.mark.parametrize("source, cap, built, fe_calls", [
+    ("FX6", (2,), [], 0),
+    ("FX2", (2, 2), [], 0),
+    ("FX4", (2,), [], 0),
+    (41, (1, 1), [("v1",), ("v2",), ("v0", "v2"), ("v1", "v2"), ("v0", "v1", "v2")], 9),
+])
+def test_lattice_builds_no_family_for_empty_H(monkeypatch, source, cap, built, fe_calls):
+    """The lattice and the structure report of a locally convex graph
+    build no stripped family and enumerate no candidate: its pairs are
+    indexed by H alone.  random_2graph(41) is not locally convex, so it
+    builds the family of each proper H, and none for H = {}.  Reading
+    eh_sets builds every other family on demand."""
+    if isinstance(source, int):
+        g = random_2graph(source)
+    else:
+        g = textio.parse_kgraph_text(textio.FIXTURE_TEXTS[source]).graph  # fresh memo
+    calls = _counting(monkeypatch, ideals, ("fe_sets",))
+    families = _recording_families(monkeypatch)
     lat = ideals.ideal_lattice(g, cap)
+    structure.structure_report(g, cap, False)
     assert families == built
     assert calls["fe_sets"] == fe_calls
     for p in lat.pairs:
         p.eh_sets
-    assert families == built + [()]
+    assert families == built + [p.H for p in lat.pairs if p.H not in built]
+
+
+def test_lattice_and_report_check_heredity_once_per_family(monkeypatch):
+    """The sets the lattice strips come from enumerate_sat_hered, which
+    proved them hereditary.  restricted_fe_family checks a set only when
+    its memo has no family for it, and the lattice takes quotients without
+    quotient_graph's check, so the lattice and the structure report check
+    heredity once per family they build; graphs that build none check
+    nothing."""
+    calls = _counting(monkeypatch, ideals, ("is_hereditary",))
+    built = _recording_families(monkeypatch)
+    for seed in range(30):
+        for g, cap in ((random_1graph(seed), (1,)), (random_2graph(seed), (1, 1))):
+            before = len(built)
+            lat = ideals.ideal_lattice(g, cap)
+            structure.structure_report(g, cap, False)
+            assert calls["is_hereditary"] == len(built)
+            assert (len(built) == before) == is_locally_convex(g)
+            for p in lat.pairs:
+                p.eh_sets
+            assert calls["is_hereditary"] == len(built)
+    checked = calls["is_hereditary"]
+    for p in lat.pairs:  # memo hits
+        ideals.restricted_fe_family(g, p.H, cap)
+    assert calls["is_hereditary"] == checked
+    ideals.quotient_graph(g, lat.pairs[-1].H)
+    assert calls["is_hereditary"] == checked + 1
 
 
 @pytest.mark.parametrize("source, cap, compose_max", [("FX4", (2,), 7), (41, (1, 1), 9), (72, (1, 1), 9)])

@@ -12,9 +12,11 @@ from kgraphlat.kgraph import (
     SegmentBoundsError,
     Skeleton,
     SquareRule,
+    is_locally_convex,
     validate_kgraph,
 )
 from kgraphlat.randomgraphs import random_1graph, random_2graph
+from kgraphlat.structure import skew_product_window
 
 import oracles
 
@@ -172,6 +174,39 @@ def test_validation_matches_all_pairs_oracle(fx):
     assert kinds == {
         "dangling-edge", "malformed-square", "incomplete-square", "duplicate-square", "cube-inconsistent"
     }
+
+
+# -- local convexity ------------------------------------------------------------------
+
+
+def _top_vertex_graphs():
+    """A locally convex 2-graph whose vertex w receives both colours from
+    v, and the same graph with one more edge into w, of either colour,
+    whose source is no vertex, so receives no colour."""
+    edges = [("b", 1, "v", "v"), ("r", 2, "v", "v"), ("p", 1, "w", "v"), ("q", 2, "w", "v")]
+    squares = [SquareRule(("b", "r"), ("r", "b")), SquareRule(("p", "r"), ("q", "b"))]
+    for extra in ([], [("x", 1, "w", "nowhere")], [("x", 2, "w", "nowhere")]):
+        yield KGraph(Skeleton.build(2, ["v", "w"], edges + extra), squares)
+
+
+def test_local_convexity_matches_paths_oracle(fx):
+    """The skeleton test against paths of degree e_i + e_j.  FX3 is the one
+    fixture that is not locally convex; every rank-1 graph is, and 131 of
+    random_2graph seeds 0-149 are."""
+
+    def verdicts(graphs):
+        out = [is_locally_convex(g) for g in graphs]
+        assert out == [oracles.oracle_locally_convex(g) for g in graphs]
+        return out
+
+    assert verdicts([fx[name] for name in sorted(fx)]) == [True, True, False, True, True, True]
+    assert sum(verdicts([random_1graph(s) for s in range(150)])) == 150
+    assert sum(verdicts([random_2graph(s) for s in range(150)])) == 131
+    product = _product3([random_1graph(s) for s in (0, 1, 2)])
+    window = skew_product_window(_tricolor_graph({1: 1, 2: 2, 3: 3}, {1: 1, 2: 2, 3: 3}), (0,) * 3, (1,) * 3).graph
+    spread = KGraph(Skeleton.build(3, ["v", "a", "b", "c"], [("x", 1, "v", "a"), ("y", 2, "v", "b"), ("z", 3, "v", "c")]), [])
+    assert verdicts([product, window, spread]) == [True, True, False]
+    assert verdicts(list(_top_vertex_graphs())) == [True, False, False]
 
 
 # -- composition and segments -------------------------------------------------------
