@@ -46,30 +46,49 @@ def common_range(E: Iterable[Path]) -> str:
 
 
 def mce(g: KGraph, mu: Path, nu: Path) -> Tuple[Path, ...]:
-    """Minimal common extensions: degree d(mu)∨d(nu), extending both."""
+    """Minimal common extensions: degree d(mu)∨d(nu), extending both.
+
+    A graph that does not validate can raise MissingSquareError here,
+    when a factorization needs a square its presentation lacks."""
+    return _min_triples(g, mu, nu)[0]
+
+
+def _min_triples(g: KGraph, mu: Path, nu: Path) -> Tuple[Tuple[Path, ...], ...]:
+    """The triples (tau, alpha, beta) with tau = mu·alpha = nu·beta of
+    degree d(mu)∨d(nu), as three columns sorted by tau, the order of
+    paths_of_degree.  One memo entry serves both argument orders."""
     if mu.r != nu.r:
         raise KGraphError(f"mce needs a common range; got {mu.r!r} and {nu.r!r}")
-    if nu.edges < mu.edges:  # mce is symmetric: one memo entry serves both orders
-        mu, nu = nu, mu
-    return g.memo(("mce", mu, nu), _mce, g, mu, nu)
+    if nu.edges < mu.edges:
+        taus, betas, alphas = g.memo(("mce", nu, mu), _build_min_triples, g, nu, mu)
+        return taus, alphas, betas
+    return g.memo(("mce", mu, nu), _build_min_triples, g, mu, nu)
 
 
-def _mce(g: KGraph, mu: Path, nu: Path) -> Tuple[Path, ...]:
+def _build_min_triples(g: KGraph, mu: Path, nu: Path) -> Tuple[Tuple[Path, ...], ...]:
+    # each tau factors as mu·alpha with a unique alpha of degree n - d(mu),
+    # and as nu·beta: walk the side with fewer continuations, composing each
+    # once and splitting it once at the other side's degree
     n = degrees.join(mu.d, nu.d)
-    return tuple(
-        lam
-        for lam in g._paths_of_degree(mu.r, n)
-        if g.prefix(lam, mu.d) == mu and g.prefix(lam, nu.d) == nu
-    )
+    alphas = g._paths_of_degree(mu.s, degrees.sub(n, mu.d))
+    betas = g._paths_of_degree(nu.s, degrees.sub(n, nu.d))
+    swap = len(betas) < len(alphas)
+    if swap:
+        mu, nu, alphas = nu, mu, betas
+    rows = []
+    for alpha in alphas:
+        tau = g.compose(mu, alpha)
+        head, beta = g.split(tau, nu.d)
+        if head == nu:
+            rows.append((tau, beta, alpha) if swap else (tau, alpha, beta))
+    rows.sort(key=lambda row: row[0].sort_key())
+    return tuple(tuple(row[i] for row in rows) for i in range(3))
 
 
 def lambda_min(g: KGraph, mu: Path, nu: Path) -> Tuple[MinPair, ...]:
     """The continuation pairs (alpha, beta) with mu·alpha = nu·beta minimal."""
-    out = []
-    for tau in mce(g, mu, nu):
-        alpha = g.split(tau, mu.d)[1]
-        beta = g.split(tau, nu.d)[1]
-        out.append(MinPair(alpha, beta))
+    _, alphas, betas = _min_triples(g, mu, nu)
+    out = map(MinPair, alphas, betas)
     return tuple(sorted(out, key=lambda p: (p.alpha.sort_key(), p.beta.sort_key())))
 
 
@@ -84,12 +103,8 @@ def ext(g: KGraph, mu: Path, E: Iterable[Path]) -> Tuple[Path, ...]:
 def _ext(g: KGraph, mu: Path, E: PathSet) -> Tuple[Path, ...]:
     out = set()
     for nu in E:
-        out.update(g.memo(("extc", mu, nu), _continuations, g, mu, nu))
+        out.update(_min_triples(g, mu, nu)[1])
     return sorted_paths(out)
-
-
-def _continuations(g: KGraph, mu: Path, nu: Path) -> Tuple[Path, ...]:
-    return tuple(g.split(tau, mu.d)[1] for tau in mce(g, mu, nu))
 
 
 def vee_closure(g: KGraph, E: Iterable[Path]) -> Tuple[Path, ...]:

@@ -274,8 +274,22 @@ def _strip(E: PathSet, H: FrozenSet[str]) -> PathSet:
 
 
 def _verify_refutation(g: KGraph, E: PathSet, tau: Path) -> bool:
-    """Exact replay: tau has the right range and no continuation meets E."""
-    return tau.r == next(iter(E)).r and not ext(g, tau, E)
+    """Exact replay: tau has the right range and no continuation meets E.
+
+    A path of quotient_graph(g, H) is a path of g with source outside H,
+    so a minimal common extension there is one in g with source outside
+    H, and ext(gq, tau, E) = {alpha in ext(g, tau, E) : s(alpha) not in H}.
+    On a quotient, and on a quotient of a quotient, the replay runs on the
+    root graph, and no path arithmetic runs on the quotient."""
+    if tau.r != next(iter(E)).r:
+        return False
+    H: FrozenSet[str] = frozenset()
+    quotient_of = g.memo(QUOTIENT_OF, tuple)
+    while quotient_of:
+        g, more = quotient_of
+        H |= more
+        quotient_of = g.memo(QUOTIENT_OF, tuple)
+    return all(alpha.s in H for alpha in ext(g, tau, E))
 
 
 def _path_in(g: KGraph, p: Path) -> bool:

@@ -271,13 +271,12 @@ class KGraph:
 
     def split(self, p: Path, m: Degree) -> Tuple[Path, Path]:
         """The unique factorization p = prefix·suffix with d(prefix) = m."""
-        if not degrees.leq(m, p.d):
-            raise SegmentBoundsError(f"split degree {m} exceeds d(p) = {p.d}")
-        # the innermost path operation: its memo lookup stays inline
         key = ("split", p, m)
-        hit = self._cache.get(key)
+        hit = self._checked_hit(key)
         if hit is not None:
             return hit
+        if not degrees.leq(m, p.d):
+            raise SegmentBoundsError(f"split degree {m} exceeds d(p) = {p.d}")
         rest = list(p.edges)
         pre: List[str] = []
         for c in range(1, self.k + 1):

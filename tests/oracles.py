@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from kgraphlat import degrees
-from kgraphlat.align import FEFamily, PathSet, is_exhaustive, universe
+from kgraphlat.align import FEFamily, MinPair, PathSet, common_range, is_exhaustive, universe
 from kgraphlat.certify import CertifiedBool, false_certified, true_certified, unknown_at_cap
 from kgraphlat.degrees import Degree
 from kgraphlat.ideals import (
@@ -43,7 +43,7 @@ from kgraphlat.ideals import (
     satiation_closure,
     set_sort_key,
 )
-from kgraphlat.kgraph import KGraph, Path, ValidationReport
+from kgraphlat.kgraph import KGraph, KGraphError, Path, ValidationReport, sorted_paths
 from kgraphlat.structure import _deterministic_colors, _entrance_for
 
 
@@ -88,6 +88,45 @@ def oracle_ext(g: KGraph, mu: Path, E, cap):
             if tau in oracle_mce(g, mu, nu):
                 out.add(beta)
     return frozenset(out)
+
+
+# -- the filter route for common extensions -----------------------------------
+# mce, lambda_min and ext as align computed them before it built minimal
+# common extensions from one side's continuations: mce filters every path
+# of degree d(mu)∨d(nu) at r(mu) by its two prefixes, and lambda_min and
+# ext split each extension again.  Uncached, and independent of align.
+
+
+def filter_mce(g: KGraph, mu: Path, nu: Path) -> Tuple[Path, ...]:
+    if mu.r != nu.r:
+        raise KGraphError(f"mce needs a common range; got {mu.r!r} and {nu.r!r}")
+    if nu.edges < mu.edges:
+        mu, nu = nu, mu
+    n = degrees.join(mu.d, nu.d)
+    return tuple(
+        lam
+        for lam in g._paths_of_degree(mu.r, n)
+        if g.prefix(lam, mu.d) == mu and g.prefix(lam, nu.d) == nu
+    )
+
+
+def filter_lambda_min(g: KGraph, mu: Path, nu: Path) -> Tuple[MinPair, ...]:
+    out = []
+    for tau in filter_mce(g, mu, nu):
+        alpha = g.split(tau, mu.d)[1]
+        beta = g.split(tau, nu.d)[1]
+        out.append(MinPair(alpha, beta))
+    return tuple(sorted(out, key=lambda p: (p.alpha.sort_key(), p.beta.sort_key())))
+
+
+def filter_ext(g: KGraph, mu: Path, E: Iterable[Path]) -> Tuple[Path, ...]:
+    E = frozenset(E)
+    if E and common_range(E) != mu.r:
+        raise KGraphError("ext needs r(mu) equal to the common range of E")
+    out = set()
+    for nu in E:
+        out.update(g.split(tau, mu.d)[1] for tau in filter_mce(g, mu, nu))
+    return sorted_paths(out)
 
 
 # -- satiation rules (S1)-(S3) ----------------------------------------------------

@@ -1,13 +1,15 @@
 import itertools
+from collections import Counter
 
 import pytest
 
-from kgraphlat import align, degrees
+from kgraphlat import align, degrees, structure, textio
 from kgraphlat.align import ext, fe_sets, is_exhaustive, lambda_min, mce, pi_closure, vee_closure
-from kgraphlat.kgraph import KGraphError, sorted_paths
-from kgraphlat.randomgraphs import random_2graph
+from kgraphlat.kgraph import KGraph, KGraphError, MissingSquareError, sorted_paths, validate_kgraph
+from kgraphlat.randomgraphs import random_1graph, random_2graph
 
 import oracles
+from test_kgraph import _product3
 
 
 # -- mce / lambda_min / ext examples ---------------------------------------------
@@ -83,6 +85,65 @@ def test_ext_matches_definitional_oracle(fx):
                     want = oracles.oracle_ext(g, mu, E, cap)
                     assert got == want
 
+
+def _route_inputs():
+    """Fresh graphs with a cap: the fixtures at (3,) or (2,2), random
+    1-graphs at (2,) and 2-graphs at (1,1) (seeds 0-49), the radius-1
+    window of the skew product of FX6^3 at (1,1,1), and random_2graph(126)
+    at (1,2), the first input found where the walked side's continuations
+    give the extensions out of order, so the sort by tau shows."""
+    for name in sorted(textio.FIXTURE_TEXTS):
+        g = textio.fixture(name)
+        yield name, g, (3,) if g.k == 1 else (2,) * g.k
+    for seed in range(50):
+        yield f"random_1graph({seed})", random_1graph(seed), (2,)
+        yield f"random_2graph({seed})", random_2graph(seed), (1, 1)
+    yield "random_2graph(126)", random_2graph(126), (1, 2)
+    base = _product3([textio.fixture("FX6")] * 3)
+    yield "FX6^3 window", structure.skew_product_window(base, (-1,) * 3, (1,) * 3).graph, (1, 1, 1)
+
+
+def test_min_triples_match_filter_route():
+    """mce, lambda_min and ext, read off one (tau, alpha, beta) table per
+    pair, return the filter route's tuples, order included, for every
+    ordered pair of capped paths at every vertex, so for both argument
+    orders of each; ext also for the members at a vertex and every other
+    capped path there."""
+    seen = Counter()
+    for label, g, cap in _route_inputs():
+        for v in g.vertices:
+            paths = g.paths_up_to(v, cap)
+            for mu, nu in itertools.product(paths, paths):
+                got = mce(g, mu, nu)
+                assert got == oracles.filter_mce(g, mu, nu), (label, mu, nu)
+                assert lambda_min(g, mu, nu) == oracles.filter_lambda_min(g, mu, nu), (label, mu, nu)
+                assert ext(g, mu, (nu,)) == oracles.filter_ext(g, mu, (nu,)), (label, mu, nu)
+                seen["empty"] += not got
+                seen["several"] += len(got) > 1
+                seen["identity"] += mu.is_vertex or nu.is_vertex
+                seen["d(mu) >= d(nu)"] += mu != nu and degrees.leq(nu.d, mu.d)
+            for mu in paths:
+                for E in (paths[1:], paths[::2]):
+                    assert ext(g, mu, E) == oracles.filter_ext(g, mu, E), (label, mu, E)
+    assert len(seen) == 4 and all(seen.values()), seen
+
+
+def test_unvalidated_graph_raises_missing_square():
+    """FX2 without its square does not validate, and the common extension
+    of b and r needs that square: mce, lambda_min and ext raise
+    MissingSquareError for (b, r) in both orders, as the filter route
+    does."""
+    fx2 = textio.fixture("FX2")
+    g = KGraph(fx2.skeleton, ())
+    assert not validate_kgraph(g).ok
+    b, r = g.path(["b"]), g.path(["r"])
+    for mu, nu in ((b, r), (r, b)):
+        for call in (mce, lambda_min, oracles.filter_mce, oracles.filter_lambda_min):
+            with pytest.raises(MissingSquareError):
+                call(g, mu, nu)
+        for call in (ext, oracles.filter_ext):
+            with pytest.raises(MissingSquareError):
+                call(g, mu, [nu])
 
 # -- closures -----------------------------------------------------------------------
 

@@ -478,6 +478,86 @@ def test_pair_enumeration_matches_every_H_oracle():
     assert compared > 700 and refused < 50, (compared, refused)
 
 
+def _replay_on_quotient(gq, E, tau):
+    """The replay as ext on the quotient itself computes it."""
+    return tau.r == next(iter(E)).r and not align.ext(gq, tau, E)
+
+
+def _quotients(g):
+    """The quotient by every proper nonempty hereditary H, saturated or not."""
+    for n in range(1, len(g.vertices)):
+        for H in itertools.combinations(g.vertices, n):
+            if is_hereditary(g, H):
+                yield ideals.quotient_graph(g, H)
+
+
+_SQUARES_INTO_H = """kgraph 2
+vertex v
+vertex x
+vertex y
+vertex h
+vertex z
+vertex w
+vertex x2
+vertex y2
+edge b : 1 v <- x
+edge r : 2 v <- y
+edge r1 : 2 x <- h
+edge b1 : 1 y <- h
+square b r1 ~ r b1
+edge c : 1 w <- x2
+edge s : 2 w <- y2
+edge s1 : 2 x2 <- z
+edge c1 : 1 y2 <- z
+square c s1 ~ s c1
+"""
+
+
+def test_quotient_replay_matches_replay_on_the_quotient(monkeypatch):
+    """A refutation on a quotient is replayed through its root graph: ext
+    there, keeping the continuations with source outside H.  On every
+    replay that the pair enumeration makes over the inputs above, that
+    answers as ext on the quotient does.  Those replays all refute, with
+    no continuation in the root graph either, so every capped path and
+    single member at each vertex is replayed as well, on the quotient by
+    each hereditary H of the inputs at their smallest cap, and on a
+    quotient of a quotient where each H decides an answer: there,
+    continuations with source in H decide some answers."""
+    replays = collections.Counter()
+    verify = ideals._verify_refutation
+
+    def compared(g, E, tau):
+        got = verify(g, E, tau)
+        assert got == _replay_on_quotient(g, E, tau), (g.vertices, E, tau)
+        replays["lattice", g.memo(align.QUOTIENT_OF, tuple) != ()] += 1
+        return got
+
+    monkeypatch.setattr(ideals, "_verify_refutation", compared)
+    swept = []
+    for label, g, cap in _pair_inputs():
+        try:
+            enumerate_ideal_pairs(g, cap)
+        except RuntimeError:  # over the fe enumeration limit
+            continue
+        if max(cap) == 1:
+            swept.extend((label, g, gq, cap) for gq in _quotients(g))
+    # the square on b and r closes only at h, the one on c and s only at z:
+    # neither pair has a common extension in the quotient by {h}, then {z}
+    g = textio.parse_kgraph_text(_SQUARES_INTO_H).graph
+    gqq = ideals.quotient_graph(ideals.quotient_graph(g, {"h"}), {"z"})
+    swept.append(("squares into h and z / {h} / {z}", g, gqq, (1, 1)))
+    for label, g, gq, cap in swept:
+        for v in gq.vertices:
+            uq = align.universe(gq, v, cap)
+            for tau, m in itertools.product(uq.paths, uq.members):
+                got = verify(gq, (m,), tau)
+                assert got == _replay_on_quotient(gq, (m,), tau), (label, gq.vertices, tau, m)
+                replays["sweep", got, got and bool(align.ext(g, tau, (m,)))] += 1
+    assert replays["lattice", True], replays
+    # refuted only because every continuation in g has its source in H
+    assert replays["sweep", True, True] and replays["sweep", False, False], replays
+
+
 def test_pair_leq_examples(fx):
     g = fx["FX4"]
     pairs = enumerate_ideal_pairs(g, (2,))

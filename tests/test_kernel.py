@@ -17,6 +17,7 @@ from kgraphlat.kgraph import KGraph, is_locally_convex
 from kgraphlat.randomgraphs import random_1graph, random_2graph
 
 from test_ideals import _pair_inputs
+from test_kgraph import _product3
 
 
 def _graphs():
@@ -146,6 +147,19 @@ def _counting(monkeypatch, owner, names):
     return calls
 
 
+def _counting_by_graph(monkeypatch, g, names):
+    """Count calls of the named KGraph methods, under (name, "g") on g and
+    (name, "other") on any other graph."""
+    calls = Counter()
+    for name in names:
+        def counted(self, *args, _orig=getattr(KGraph, name), _name=name):
+            calls[_name, "g" if self is g else "other"] += 1
+            return _orig(self, *args)
+
+        monkeypatch.setattr(KGraph, name, counted)
+    return calls
+
+
 def _lattice_and_families(g, cap):
     """The lattice, then the stripped family of each of its pairs."""
     lat = ideals.ideal_lattice(g, cap)
@@ -169,6 +183,59 @@ def test_lattice_path_arithmetic_calls_pinned(monkeypatch, name, cap, split_max,
     assert calls["compose"] <= compose_max
 
 
+def _window(name, radius):
+    base = _product3([textio.fixture("FX6")] * 3) if name == "FX6^3" else textio.fixture(name)
+    return structure.skew_product_window(base, (-radius,) * base.k, (radius,) * base.k).graph
+
+
+@pytest.mark.parametrize("name, radius, cap, split_max, compose_max", [
+    ("FX2", 2, (2, 2), 584, 584),
+    ("FX6^3", 1, (1, 1, 1), 4321, 4321),
+])
+def test_common_extension_calls_pinned(monkeypatch, name, radius, cap, split_max, compose_max):
+    """mce and ext read one table of minimal common extensions per pair,
+    built from the continuations of one side: a compose and a split per
+    continuation walked.  The session is paths_up_to plus mce and ext over
+    every ordered pair of capped paths at every vertex of a skew-product
+    window.  Filtering every path of the joined degree by its two
+    prefixes, and splitting each extension again, made 2,192 / 32,035
+    splits and no compose; walking the first argument's side always makes
+    6,557 of each on the FX6^3 window, where the sides differ in size."""
+    g = _window(name, radius)
+    calls = _counting(monkeypatch, KGraph, ("split", "compose"))
+    for v in g.vertices:
+        paths = g.paths_up_to(v, cap)
+        for mu, nu in itertools.product(paths, paths):
+            align.mce(g, mu, nu)
+            align.ext(g, mu, (nu,))
+    assert calls["split"] <= split_max
+    assert calls["compose"] <= compose_max
+
+
+def test_quotient_replays_run_no_path_arithmetic(monkeypatch):
+    """random_2graph(41) is not locally convex, so its lattice and report
+    build the stripped family of each proper H and replay refutations on
+    the quotients.  A replay on a quotient by H reads ext on the root
+    graph and keeps the continuations with source outside H, so no split,
+    compose or path enumeration runs on a quotient graph; replaying with
+    ext on the quotient made 32 splits and 5 enumerations there."""
+    g = random_2graph(41)
+    names = ("split", "compose", "_enumerate_degree")
+    calls = _counting_by_graph(monkeypatch, g, names)
+    replays = Counter()
+    verify = ideals._verify_refutation
+
+    def recorded(gx, E, tau):
+        replays["quotient" if gx is not g else "g"] += 1
+        return verify(gx, E, tau)
+
+    monkeypatch.setattr(ideals, "_verify_refutation", recorded)
+    ideals.ideal_lattice(g, (1, 1))
+    structure.structure_report(g, (1, 1), False)
+    assert replays["quotient"]
+    assert all(calls[name, "other"] == 0 for name in names), calls
+
+
 @pytest.mark.parametrize("cap, builds, split_max, compose_max", [
     ((2,), 3, 19, 19),
     ((3,), 3, 29, 33),
@@ -188,13 +255,7 @@ def test_quotients_run_no_path_arithmetic(monkeypatch, cap, builds, split_max, c
         return build(gx, v, cap)
 
     monkeypatch.setattr(align, "_build_universe", recorded)
-    calls = Counter()
-    for name in ("split", "compose"):
-        def counted(self, *args, _orig=getattr(KGraph, name), _name=name):
-            calls[_name, "g" if self is g else "other"] += 1
-            return _orig(self, *args)
-
-        monkeypatch.setattr(KGraph, name, counted)
+    calls = _counting_by_graph(monkeypatch, g, ("split", "compose"))
     lat = _lattice_and_families(g, cap)
     quotients = {ideals.quotient_graph(g, p.H) for p in lat.pairs if p.H} - {g}
     assert sorted(gq.vertices for gq in quotients) == [(), ("u", "v"), ("v", "w")]
