@@ -412,12 +412,10 @@ def universe(g: KGraph, v: str, cap: Degree) -> VertexUniverse:
 
 
 def is_exhaustive(g: KGraph, E: Iterable[Path], cap: Degree) -> CertifiedBool:
-    """Certified decision of whether E is exhaustive at its common range.
-
-    Fast path: when all members fit in the capped universe, one bitmask
-    scan answers.  The general route (members beyond the cap) checks the
-    same capture/compatibility conditions path by path.
-    """
+    """Certified decision of whether E is exhaustive at its common range,
+    by one bitmask scan of the universe at the cap joined with every
+    member degree, which holds each common extension of a member and a
+    path inside it.  An unknown answer carries the joined cap."""
     E = sorted_paths(E)
     if not E:
         raise KGraphError("exhaustiveness needs a nonempty candidate set")
@@ -425,29 +423,11 @@ def is_exhaustive(g: KGraph, E: Iterable[Path], cap: Degree) -> CertifiedBool:
     cap = degrees.check(cap, g.k)
     if any(p.is_vertex for p in E):
         raise KGraphError("exhaustive sets exclude the vertex identity")
-    uni = universe(g, v, cap)
-    if all(p in uni.member_index for p in E):
+    uni = _universe(g, v, tuple(map(max, cap, *(p.d for p in E))))
+    try:  # every path of g at v up to the joined cap is a member
         return uni.classify(uni.mask_of(E))
-
-    def captured(lam: Path) -> bool:
-        return any(g.extends(lam, mu) for mu in E)
-
-    def compatible(lam: Path) -> bool:
-        return any(mce(g, lam, mu) for mu in E)
-
-    overflow = False
-    for lam in uni.paths:
-        if captured(lam):
-            continue
-        if not compatible(lam):
-            return false_certified(lam)
-        for e in g.edges_at(lam.s):
-            q = g.compose(lam, g.path([e.eid]))
-            if not degrees.leq(q.d, cap) and not captured(q):
-                overflow = True
-    if overflow:
-        return unknown_at_cap(cap)
-    return true_certified()
+    except KeyError as err:
+        raise KGraphError(f"{err.args[0].literal()} is not a path of the graph") from None
 
 
 @dataclass

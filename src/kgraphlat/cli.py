@@ -45,7 +45,6 @@ class RunConfig:
     nu: Optional[str] = None
     setarg: Optional[str] = None
     radius: int = 1
-    level: Optional[str] = None
     rank: int = 1
 
 

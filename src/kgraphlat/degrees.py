@@ -52,10 +52,6 @@ def leq(a: Degree, b: Degree) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
-def total(a: Degree) -> int:
-    return sum(a)
-
-
 def below(cap: Degree) -> Iterator[Degree]:
     """All degree vectors n <= cap, in sorted (total, lexicographic) order."""
     all_n = [tuple(n) for n in product(*(range(c + 1) for c in cap))]

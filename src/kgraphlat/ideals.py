@@ -108,12 +108,17 @@ def _minimize_exhaustive(g: KGraph, F: PathSet, cap: Degree) -> PathSet:
 
 def is_saturated(g: KGraph, H: Iterable[str], cap: Degree) -> CertifiedBool:
     """Certified check that no outside vertex admits a capped exhaustive
-    set with all sources in H."""
+    set with all sources in H; a refutation names the vertex and a
+    greedily shrunk exhaustive set."""
     H = frozenset(H)
     cap = degrees.check(cap, g.k)
     if not is_hereditary(g, H):
         raise KGraphError(f"{fmt_vertexset(H)} is not hereditary")
-    return _saturation_status(g, H, cap)
+    cert = _saturation_status(g, H, cap)
+    if cert.is_false:
+        v, fmax = cert.witness
+        return false_certified((v, _minimize_exhaustive(g, fmax, cap)))
+    return cert
 
 
 def _saturation_status(g: KGraph, H: FrozenSet[str], cap: Degree) -> CertifiedBool:
@@ -121,9 +126,10 @@ def _saturation_status(g: KGraph, H: FrozenSet[str], cap: Degree) -> CertifiedBo
 
     The capped candidates at a vertex are monotone in the member set, so
     only the maximal candidate needs certifying: if it fails with a
-    witness, every subset fails with the same witness.  One certified
-    exhaustive set refutes saturation; otherwise any unknown check makes
-    the answer unknown.
+    witness, every subset fails with the same witness.  The first vertex
+    whose maximal candidate is certified exhaustive refutes saturation,
+    with (vertex, candidate) as witness; otherwise any unknown check
+    makes the answer unknown.
     """
     unknown = False
     for v in g.vertices:
@@ -134,7 +140,7 @@ def _saturation_status(g: KGraph, H: FrozenSet[str], cap: Degree) -> CertifiedBo
             continue
         cert = is_exhaustive(g, fmax, cap)
         if cert.is_true:
-            return false_certified((v, _minimize_exhaustive(g, fmax, cap)))
+            return false_certified((v, fmax))
         if cert.is_unknown:
             unknown = True
     if unknown:
@@ -144,23 +150,19 @@ def _saturation_status(g: KGraph, H: FrozenSet[str], cap: Degree) -> CertifiedBo
 
 def saturation(g: KGraph, G: Iterable[str], cap: Degree) -> VertexSet:
     """Least capped fixed point adding every vertex certified to carry an
-    exhaustive set with sources inside the growing set."""
+    exhaustive set with sources inside the growing set, one refutation's
+    vertex at a time: certified sets stay certified as the set grows, so
+    the order does not change the fixed point."""
     cap = degrees.check(cap, g.k)
-    cur: Set[str] = set(G)
+    cur = frozenset(G)
     for v in cur:
         g.require_vertex(v)
-    changed = True
-    while changed:
-        changed = False
-        for v in g.vertices:
-            if v in cur:
-                continue
-            fmax = _h_sourced_paths(g, v, frozenset(cur), cap)
-            if fmax and is_exhaustive(g, fmax, cap).is_true:
-                cur.add(v)
-                changed = True
+    status = _saturation_status(g, cur, cap)
+    while status.is_false:
+        cur |= {status.witness[0]}
+        status = _saturation_status(g, cur, cap)
     members = tuple(sorted(cur))
-    return VertexSet(members, is_hereditary(g, members), _saturation_status(g, frozenset(members), cap))
+    return VertexSet(members, is_hereditary(g, members), status)
 
 
 def _hereditary_combos(g: KGraph) -> Iterator[Tuple[str, ...]]:
@@ -306,10 +308,9 @@ class SatiatedFamily:
     refutation, which only happens under an unknown-at-cap H.
 
     ``satiated`` (the closure certificate) and ``overflow`` (the
-    substitution products that exceed the cap) come from one check scan.
-    satiation_closure gives both when it builds the family; a stripped
-    family computes them when either is first read, by the check scan of
-    ``base`` with the refuted sets its loop ended with.
+    substitution products that exceed the cap) come from one check scan
+    of ``base``, made when either is first read.  A stripped family scans
+    with the refuted sets its loop ended with as known bad.
     """
 
     base: FEFamily
@@ -317,7 +318,6 @@ class SatiatedFamily:
     refuted_parents: Dict[PathSet, Path] = field(default_factory=dict)
     quotient_refuted: Dict[PathSet, Path] = field(default_factory=dict)
     tainted: Dict[PathSet, CertifiedBool] = field(default_factory=dict)
-    notes: Tuple[str, ...] = ()
     # (satiated, overflow), None until the check scan has run
     _checked: Optional[Tuple[CertifiedBool, Tuple[Path, ...]]] = field(default=None, repr=False, compare=False)
     _known_bad: Tuple[SetKey, ...] = field(default=(), repr=False, compare=False)
@@ -596,17 +596,12 @@ def _dirty_summary(res: _ScanResult) -> Tuple[str, ...]:
 
 
 def satiation_closure(gq: KGraph, fam, cap: Degree) -> SatiatedFamily:
-    """Least capped superset closed under (S1)-(S4); cap escapes recorded."""
+    """Least capped superset closed under (S1)-(S4); its verdict and cap
+    escapes come from the check scan of the closed family."""
     cap = degrees.check(cap, gq.k)
     family = _normalize_family(gq, fam, cap)
-    overflow: Set[Path] = set()
-    taints: List[str] = []
-    budget: List[str] = []
     while True:
         res = _scan_satiation(gq, family, cap, extend=True)
-        overflow |= res.overflow
-        taints.extend(res.taints)
-        budget.extend(res.budget_hit)
         if not res.additions:
             break
         grown: Dict[str, List[int]] = {}
@@ -621,14 +616,7 @@ def satiation_closure(gq: KGraph, fam, cap: Degree) -> SatiatedFamily:
     for v in sorted(family, key=lambda v: key((v, next(iter(family[v]))))):
         uni, table = universe(gq, v, cap), _candidates(gq, v, cap)
         by_vertex[v] = {mask: table[mask] if mask in table else uni.classify(mask) for mask in family[v]}
-    clean = not (overflow or taints or budget)
-    satiated = true_certified() if clean else unknown_at_cap(cap, witness=tuple(sorted({str(b) for b in budget})))
-    return SatiatedFamily(
-        base=FEFamily(gq, cap, by_vertex),
-        cap=cap,
-        _checked=(satiated, tuple(sorted(overflow, key=Path.sort_key))),
-        notes=tuple(f"{rule} derivative left candidates" for rule in taints),
-    )
+    return SatiatedFamily(base=FEFamily(gq, cap, by_vertex), cap=cap)
 
 
 def restricted_fe_family(g: KGraph, H: Iterable[str], cap: Degree) -> SatiatedFamily:

@@ -275,7 +275,8 @@ class KGraph:
         hit = self._checked_hit(key)
         if hit is not None:
             return hit
-        if not degrees.leq(m, p.d):
+        if len(m) != self.k or not all(0 <= x <= y for x, y in zip(m, p.d)):
+            degrees.check(m, self.k)  # a malformed degree raises ValueError
             raise SegmentBoundsError(f"split degree {m} exceeds d(p) = {p.d}")
         rest = list(p.edges)
         pre: List[str] = []

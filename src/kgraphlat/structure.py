@@ -101,9 +101,6 @@ class SkewWindow:
     def edge(self, e: str, n: Sequence[int]) -> str:
         return _level_id(e, tuple(n))
 
-    def levels(self):
-        return itertools.product(*(range(l, h + 1) for l, h in zip(self.lo, self.hi)))
-
     def in_window(self, n: Sequence[int]) -> bool:
         return all(l <= x <= h for x, l, h in zip(n, self.lo, self.hi))
 
@@ -184,9 +181,9 @@ class LiftedSet:
 def skew_fe_lift(sw: SkewWindow, E: Iterable[Path], n: Sequence[int], cap: Degree) -> LiftedSet:
     """Shift an exhaustive-set candidate to range level n inside the window.
 
-    The exhaustiveness recheck clips its cap to the window headroom above
-    n, so a window truncation can never fabricate a refutation.
-    """
+    The exhaustiveness recheck runs inside the window headroom above n,
+    which holds the clipped cap and every member degree (each source
+    level lies in the window), so a truncation never fabricates a refutation."""
     E = sorted_paths(E)
     if not E:
         raise KGraphError("cannot lift an empty set")
@@ -194,15 +191,10 @@ def skew_fe_lift(sw: SkewWindow, E: Iterable[Path], n: Sequence[int], cap: Degre
     lifted = sorted_paths(
         lift_path(sw, p, tuple(a + b for a, b in zip(n, p.d))) for p in E
     )
-    v = {p.r for p in lifted}
-    if len(v) != 1:
-        raise KGraphError("lifted set has mixed ranges")
     headroom = tuple(h - x for h, x in zip(sw.hi, n))
-    if any(h < 0 for h in headroom):
-        raise KGraphError(f"range level {n} outside window")
     check_cap = degrees.meet(degrees.check(cap, sw.base.k), headroom)
     cert = is_exhaustive(sw.graph, lifted, check_cap)
-    return LiftedSet(paths=lifted, range_vertex=next(iter(v)), exhaustive=cert)
+    return LiftedSet(paths=lifted, range_vertex=lifted[0].r, exhaustive=cert)
 
 
 # -- suffix-product closure of a finite set (finite under a grading) ----------------

@@ -8,20 +8,23 @@ the edge list held in plain sets.  The closure scan substitutes (S4) one
 assignment at a time.  The stripped family runs that full scan every
 round and computes its verdict with the family.  The pair enumeration
 builds the stripped family and the B search for every H, the empty one
-included.
+included.  Exhaustiveness with members beyond the cap walks the capped
+paths one by one; saturation runs passes over the vertices; the
+satiation closure gathers its verdict from every round.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from kgraphlat import degrees
-from kgraphlat.align import FEFamily, MinPair, PathSet, common_range, is_exhaustive, universe
+from kgraphlat.align import FEFamily, MinPair, PathSet, common_range, is_exhaustive, mce, universe
 from kgraphlat.certify import CertifiedBool, false_certified, true_certified, unknown_at_cap
 from kgraphlat.degrees import Degree
 from kgraphlat.ideals import (
+    VertexSet,
     S3_BUDGET,
     S4_BUDGET,
     Family,
@@ -29,7 +32,10 @@ from kgraphlat.ideals import (
     _candidates,
     _h_sourced_paths,
     _mask_key,
+    _minimize_exhaustive,
+    _normalize_family,
     _path_in,
+    _scan_satiation,
     _ScanResult,
     _set,
     _set_sort_key,
@@ -38,6 +44,7 @@ from kgraphlat.ideals import (
     enumerate_sat_hered,
     fmt_pathset,
     fmt_vertexset,
+    is_hereditary,
     quotient_graph,
     restricted_fe_family,
     satiation_closure,
@@ -127,6 +134,51 @@ def filter_ext(g: KGraph, mu: Path, E: Iterable[Path]) -> Tuple[Path, ...]:
     for nu in E:
         out.update(g.split(tau, mu.d)[1] for tau in filter_mce(g, mu, nu))
     return sorted_paths(out)
+
+
+# -- exhaustiveness beyond the cap ------------------------------------------------
+# align.is_exhaustive as it was while members beyond the cap took a route
+# of their own, path by path through extends and mce, with unknown
+# answers carrying the given cap.
+
+
+def oracle_is_exhaustive(g: KGraph, E: Iterable[Path], cap: Degree) -> CertifiedBool:
+    """Certified decision of whether E is exhaustive at its common range.
+
+    Fast path: when all members fit in the capped universe, one bitmask
+    scan answers.  The general route (members beyond the cap) checks the
+    same capture/compatibility conditions path by path.
+    """
+    E = sorted_paths(E)
+    if not E:
+        raise KGraphError("exhaustiveness needs a nonempty candidate set")
+    v = common_range(E)
+    cap = degrees.check(cap, g.k)
+    if any(p.is_vertex for p in E):
+        raise KGraphError("exhaustive sets exclude the vertex identity")
+    uni = universe(g, v, cap)
+    if all(p in uni.member_index for p in E):
+        return uni.classify(uni.mask_of(E))
+
+    def captured(lam: Path) -> bool:
+        return any(g.extends(lam, mu) for mu in E)
+
+    def compatible(lam: Path) -> bool:
+        return any(mce(g, lam, mu) for mu in E)
+
+    overflow = False
+    for lam in uni.paths:
+        if captured(lam):
+            continue
+        if not compatible(lam):
+            return false_certified(lam)
+        for e in g.edges_at(lam.s):
+            q = g.compose(lam, g.path([e.eid]))
+            if not degrees.leq(q.d, cap) and not captured(q):
+                overflow = True
+    if overflow:
+        return unknown_at_cap(cap)
+    return true_certified()
 
 
 # -- satiation rules (S1)-(S3) ----------------------------------------------------
@@ -396,6 +448,108 @@ def oracle_loops(g: KGraph, cap):
         else:
             out[v] = unknown_at_cap(cap)
     return out
+
+
+# -- saturation by passes ---------------------------------------------------------
+# ideals.saturation as it was while it ran its own passes over the
+# vertices, and ideals._saturation_status while it shrank the witness of
+# every refutation it returned.
+
+
+def oracle_saturation_status(g: KGraph, H: FrozenSet[str], cap: Degree) -> CertifiedBool:
+    """Saturation of any vertex set, hereditary or not.
+
+    The capped candidates at a vertex are monotone in the member set, so
+    only the maximal candidate needs certifying: if it fails with a
+    witness, every subset fails with the same witness.  One certified
+    exhaustive set refutes saturation; otherwise any unknown check makes
+    the answer unknown.
+    """
+    unknown = False
+    for v in g.vertices:
+        if v in H:
+            continue
+        fmax = _h_sourced_paths(g, v, H, cap)
+        if not fmax:
+            continue
+        cert = is_exhaustive(g, fmax, cap)
+        if cert.is_true:
+            return false_certified((v, _minimize_exhaustive(g, fmax, cap)))
+        if cert.is_unknown:
+            unknown = True
+    if unknown:
+        return unknown_at_cap(cap)
+    return true_certified()
+
+
+def oracle_saturation(g: KGraph, G: Iterable[str], cap: Degree) -> VertexSet:
+    """Least capped fixed point adding every vertex certified to carry an
+    exhaustive set with sources inside the growing set."""
+    cap = degrees.check(cap, g.k)
+    cur: Set[str] = set(G)
+    for v in cur:
+        g.require_vertex(v)
+    changed = True
+    while changed:
+        changed = False
+        for v in g.vertices:
+            if v in cur:
+                continue
+            fmax = _h_sourced_paths(g, v, frozenset(cur), cap)
+            if fmax and is_exhaustive(g, fmax, cap).is_true:
+                cur.add(v)
+                changed = True
+    members = tuple(sorted(cur))
+    return VertexSet(members, is_hereditary(g, members), oracle_saturation_status(g, frozenset(members), cap))
+
+
+# -- the satiation closure with its verdict from every round -----------------------
+
+
+@dataclass
+class OracleClosure:
+    base: FEFamily
+    satiated: CertifiedBool
+    overflow: Tuple[Path, ...]
+
+
+def oracle_satiation_closure(gq: KGraph, fam, cap: Degree) -> OracleClosure:
+    """ideals.satiation_closure as it was while it gathered the overflow,
+    taints and budget hits of every round into its verdict, without the
+    notes it kept and nothing read.
+
+    Least capped superset closed under (S1)-(S4); cap escapes recorded."""
+    cap = degrees.check(cap, gq.k)
+    family = _normalize_family(gq, fam, cap)
+    overflow: Set[Path] = set()
+    taints: List[str] = []
+    budget: List[str] = []
+    while True:
+        res = _scan_satiation(gq, family, cap, extend=True)
+        overflow |= res.overflow
+        taints.extend(res.taints)
+        budget.extend(res.budget_hit)
+        if not res.additions:
+            break
+        grown: Dict[str, List[int]] = {}
+        for v, mask in res.additions:
+            grown.setdefault(v, list(family.get(v, ()))).append(mask)
+        for v, masks in grown.items():
+            family[v] = dict.fromkeys(sorted(masks, key=_mask_key))
+    # vertices in the order of their least set, as a set_sort_key sort of
+    # all the sets would group them
+    key = _set_sort_key(gq, cap)
+    by_vertex: Dict[str, Dict[int, CertifiedBool]] = {}
+    for v in sorted(family, key=lambda v: key((v, next(iter(family[v]))))):
+        uni, table = universe(gq, v, cap), _candidates(gq, v, cap)
+        by_vertex[v] = {mask: table[mask] if mask in table else uni.classify(mask) for mask in family[v]}
+    clean = not (overflow or taints or budget)
+    satiated = true_certified() if clean else unknown_at_cap(cap, witness=tuple(sorted({str(b) for b in budget})))
+    return OracleClosure(
+        base=FEFamily(gq, cap, by_vertex),
+        satiated=satiated,
+        overflow=tuple(sorted(overflow, key=Path.sort_key)),
+    )
 
 
 # -- the closure scan, one (S4) assignment at a time -------------------------------

@@ -1,4 +1,5 @@
 import itertools
+import random
 from collections import Counter
 
 import pytest
@@ -196,6 +197,8 @@ def test_is_exhaustive_rejects_identity_and_mixed_ranges(fx):
         is_exhaustive(g, [g.identity("v")], (1, 1))
     with pytest.raises(KGraphError):
         is_exhaustive(g, [g.path(["b"]), g.identity("w")], (1, 1))
+    with pytest.raises(KGraphError):  # a path of FX3 is no path of FX2
+        is_exhaustive(fx["FX2"], [g.path(["c"])], (1, 1))
 
 
 def test_false_witness_avoidance_persists(fx):
@@ -215,6 +218,65 @@ def test_general_route_agrees_with_mask_route(fx):
     assert res.is_unknown
     b = g.path(["b"])
     assert is_exhaustive(g, [b], (1, 1)).is_unknown
+
+
+def _beyond_cap_inputs():
+    """(graph, E, cap): at each vertex of the fixtures and of random 1- and
+    2-graphs (seeds 0-39), 15 seeded sets of one member of degree at most
+    2 that leaves the cap 1 box plus up to two more; and every capped
+    candidate of FX1-FX6 at cap 2, lifted to range levels 0 and -r of
+    the skew-product windows of radius r = 1, 2, checked at the cap clipped
+    to the headroom, as skew_fe_lift checks it."""
+    rng = random.Random(0)
+    graphs = [textio.fixture(name) for name in sorted(textio.FIXTURE_TEXTS)]
+    graphs += [make(seed) for make in (random_1graph, random_2graph) for seed in range(40)]
+    for g in graphs:
+        for v in g.vertices:
+            pool = [p for p in g.paths_up_to(v, (2,) * g.k) if not p.is_vertex]
+            beyond = [p for p in pool if max(p.d) > 1]
+            for _ in range(15 if beyond else 0):
+                extra = rng.sample(pool, min(len(pool), rng.randint(0, 2)))
+                yield g, {rng.choice(beyond), *extra}, (1,) * g.k
+    for name in ("FX1", "FX2", "FX3", "FX4", "FX5", "FX6"):
+        g = textio.fixture(name)
+        cap = (2,) * g.k
+        for r in (1, 2):
+            sw = structure.skew_product_window(g, (-r,) * g.k, (r,) * g.k)
+            for v in g.vertices:
+                for S in fe_sets(g, v, cap).sets_at(v):
+                    for n in ((0,) * g.k, (-r,) * g.k):
+                        try:
+                            lifted = [structure.lift_path(sw, p, degrees.add(n, p.d)) for p in S]
+                        except KGraphError:
+                            continue  # the lift leaves the window
+                        yield sw.graph, lifted, degrees.meet(cap, [h - x for h, x in zip(sw.hi, n)])
+
+
+def test_single_scan_matches_path_by_path_oracle():
+    """is_exhaustive scans the universe at the cap joined with every member
+    degree.  Against the route that walked the capped paths one by one
+    with extends and mce, no decided answer changes, and every
+    FalseCertified witness extends no member and has no continuation
+    against the set.  Of these 3,101 inputs, 2,205 have a member beyond
+    the cap; the scan decides 258 sets that the old route left unknown at
+    the cap, and 25 of its refutations name a path earlier in sort_key
+    order than the old route's, one that lies outside the given cap."""
+    seen = Counter()
+    for g, E, cap in _beyond_cap_inputs():
+        got, want = is_exhaustive(g, E, cap), oracles.oracle_is_exhaustive(g, E, cap)
+        if not want.is_unknown:
+            assert got.value == want.value, (E, cap, got, want)
+        if got.is_false:
+            lam = got.witness
+            assert not any(g.extends(lam, mu) for mu in E) and ext(g, lam, E) == (), (E, cap)
+        seen["inputs"] += 1
+        seen["beyond"] += not all(degrees.leq(p.d, cap) for p in E)
+        seen["false"] += got.is_false
+        seen["upgraded"] += want.is_unknown and not got.is_unknown
+        if got.is_false and want.is_false and got.witness != want.witness:
+            assert got.witness.sort_key() < want.witness.sort_key() and not degrees.leq(got.witness.d, cap), (E, cap)
+            seen["witness changed"] += 1
+    assert (seen["inputs"], seen["beyond"], seen["upgraded"], seen["witness changed"]) == (3101, 2205, 258, 25), seen
 
 
 def test_fe_sets_examples(fx):

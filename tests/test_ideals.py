@@ -25,6 +25,7 @@ from kgraphlat.ideals import (
 from kgraphlat.kgraph import KGraph, KGraphError, Skeleton, validate_kgraph
 from kgraphlat.randomgraphs import random_1graph, random_2graph
 
+import cli_corpus
 import oracles
 
 
@@ -177,6 +178,32 @@ def test_saturation_preserves_hereditary(fx):
                     assert saturation(g, combo, (2,) * g.k).hereditary
 
 
+def test_saturation_matches_pass_oracle():
+    """saturation adds the witness vertex of each refutation of
+    _saturation_status in turn; the fixed point, its hereditary flag and
+    its certificate equal those of the passes over every vertex, for
+    every vertex subset.  is_saturated shrinks the witness set only when
+    it returns one, and gives the old certificate for every hereditary
+    set, witness included."""
+    seen = collections.Counter()
+    for make in (random_1graph, random_2graph):
+        for seed in range(40):
+            g = make(seed)
+            cap = (1,) * g.k
+            for n in range(len(g.vertices) + 1):
+                for G in itertools.combinations(g.vertices, n):
+                    got, want = saturation(g, G, cap), oracles.oracle_saturation(g, G, cap)
+                    assert got == want and repr(got) == repr(want), (make.__name__, seed, G)
+                    seen["grown"] += len(got.members) > n
+                    seen["unknown"] += got.saturated.is_unknown
+                    if is_hereditary(g, G):
+                        got = is_saturated(g, G, cap)
+                        want = oracles.oracle_saturation_status(g, frozenset(G), cap)
+                        assert got == want and repr(got) == repr(want), (make.__name__, seed, G)
+                        seen["false"] += got.is_false
+    assert min(seen.values()) > 0, seen
+
+
 def test_enumerate_sat_hered_examples(fx):
     got4 = [h.members for h in enumerate_sat_hered(fx["FX4"], (2,))]
     assert got4 == [(), ("u",), ("w",), ("u", "v", "w")]
@@ -290,14 +317,62 @@ def test_satiation_closure_idempotent(fx):
     assert again.sets() == cl.sets()
 
 
+def _closure_inputs():
+    """FX4 at (2,)-(6,), where the (S4) budget runs out from (4,) on, and
+    random 2-graphs at (1,1): seeds 0-39 and the stripped families that
+    react to missing (S2) derivatives."""
+    for c in range(2, 7):
+        yield f"FX4{(c,)}", textio.fixture("FX4"), (c,)
+    for seed in sorted(set(range(40)) | set(cli_corpus.REACTING_SEEDS)):
+        yield f"random_2graph({seed})", random_2graph(seed), (1, 1)
+
+
+def test_satiation_closure_matches_every_round_oracle():
+    """satiation_closure takes its verdict and overflow from the check scan
+    of the closed family.  Against the closure that gathered the overflow,
+    taints and budget hits of every round, the stripped family of every
+    saturated hereditary H (the satiate command's input) closes to the
+    same sets, certificates, overflow and status; its unknown witness is
+    now the check scan's summary, as is_satiated gives it.  Seeded
+    sub-families, which grow over several rounds, close to the same sets
+    and status too.  Their overflow matches unless the last round ran out
+    of (S4) budget: that round then misses products an earlier round
+    recorded, and its overflow is a subset of the old one."""
+    seen = collections.Counter()
+    rng = random.Random(0)
+    for label, g, cap in _closure_inputs():
+        for hv in enumerate_sat_hered(g, cap):
+            H = hv.as_frozenset
+            gq = quotient_graph(g, H)
+            sf = restricted_fe_family(g, H, cap)
+            sets = sorted(sf.sets(), key=set_sort_key)
+            for fam in (sf, rng.sample(sets, rng.randint(0, len(sets)))):
+                got = satiation_closure(gq, fam, cap)
+                want = oracles.oracle_satiation_closure(gq, fam, cap)
+                assert [(v, list(c.items())) for v, c in got.base.by_vertex.items()] == \
+                    [(v, list(c.items())) for v, c in want.base.by_vertex.items()], (label, H)
+                assert got.satiated.value == want.satiated.value, (label, H)
+                assert got.satiated == is_satiated(gq, got, cap), (label, H)
+                budget = any(w.startswith("scan budget") for w in got.satiated.witness or ())
+                if fam is sf or not budget:
+                    assert got.overflow == want.overflow, (label, H)
+                else:
+                    assert set(got.overflow) <= set(want.overflow), (label, H)
+                    seen["overflow subset"] += got.overflow != want.overflow
+                seen["unknown"] += got.satiated.is_unknown
+                seen["budget"] += budget
+                seen["grown"] += got.base.size() > (len(sets) if fam is sf else len(fam))
+    assert min(seen.values()) > 0, seen
+
+
 def test_scan_matches_assignment_walk_oracle(monkeypatch):
     """Every closure scan run by the stripped families' verdicts (each one
     is read), and by is_satiated and satiation_closure on seeded
     sub-families of them, equals the scan that walks each (S4) assignment.
-    The taints are compared as a list in extend mode, where notes read
-    their order, and as a multiset in check mode.  Every (S2) walk, the
-    stripped-family rounds' included, finds at its vertex the (S2) misses
-    of the assignment-walk scan of the family it walks."""
+    The taints are compared as a list in extend mode and as a multiset in
+    check mode.  Every (S2) walk, the stripped-family rounds' included,
+    finds at its vertex the (S2) misses of the assignment-walk scan of
+    the family it walks."""
     scans = []
     walks = []
     scan, walk = ideals._scan_satiation, ideals._s2_walk

@@ -281,6 +281,21 @@ def test_lattice_s2_walk_calls_pinned(monkeypatch, name, cap, ext_max, universe_
     assert universe_calls["universe"] <= universe_max
 
 
+def test_lattice_shrinks_no_saturation_witness(monkeypatch):
+    """Only is_saturated, which returns its witness, shrinks a certified
+    exhaustive set; the lattice and the report, which drop every refuted
+    H, shrink none on random 1- and 2-graphs (seeds 0-39) at cap 1.
+    Shrinking each refutation's set where it was found made 148 calls."""
+    calls = _counting(monkeypatch, ideals, ("_minimize_exhaustive",))
+    for make in (random_1graph, random_2graph):
+        for seed in range(40):
+            g = make(seed)
+            cap = (1,) * g.k
+            ideals.ideal_lattice(g, cap)
+            structure.structure_report(g, cap, False)
+    assert calls["_minimize_exhaustive"] == 0
+
+
 @pytest.mark.parametrize("name, cap", [("FX6", (2,)), ("FX2", (2, 2))])
 def test_stripped_family_reads_only_quotient_universes(monkeypatch, name, cap):
     """The stripped family reads its strips from the quotient's universe,

@@ -245,6 +245,21 @@ def test_segment_examples(fx):
         g.segment(br, (1, 1), (0, 0))
 
 
+@pytest.mark.parametrize("method", ["split", "prefix", "segment"])
+@pytest.mark.parametrize("m", [(-1, 0), (1, 0, 0), (1,)])
+def test_malformed_cut_degree_raises_value_error(fx, method, m):
+    """A cut degree of the wrong rank or with a negative coordinate raises
+    the ValueError of a malformed degree, as paths_of_degree does, rather
+    than a wrong factorization or an internal error."""
+    g = fx["FX2"]
+    br = g.compose(g.path(["b"]), g.path(["r"]))
+    args = (m, (1, 1)) if method == "segment" else (m,)
+    with pytest.raises(ValueError):
+        getattr(g, method)(br, *args)
+    with pytest.raises(ValueError):
+        g.paths_of_degree("v", m)
+
+
 def test_segment_matches_compose_oracle(fx):
     for name in ("FX2", "FX4"):
         g = fx[name]
