@@ -67,22 +67,28 @@ def _min_triples(g: KGraph, mu: Path, nu: Path) -> Tuple[Tuple[Path, ...], ...]:
 
 def _build_min_triples(g: KGraph, mu: Path, nu: Path) -> Tuple[Tuple[Path, ...], ...]:
     # each tau factors as mu·alpha with a unique alpha of degree n - d(mu),
-    # and as nu·beta: walk the side with fewer continuations, composing each
-    # once and splitting it once at the other side's degree
+    # and as nu·beta: walk the side with fewer continuations, normalizing
+    # each candidate's edges once and cutting them at the other side's
+    # degree; Paths are built only for the rows kept
     n = degrees.join(mu.d, nu.d)
-    alphas = g._paths_of_degree(mu.s, degrees.sub(n, mu.d))
-    betas = g._paths_of_degree(nu.s, degrees.sub(n, nu.d))
+    alpha_d = tuple(x - y for x, y in zip(n, mu.d))
+    beta_d = tuple(x - y for x, y in zip(n, nu.d))
+    alphas = g._paths_of_degree(mu.s, alpha_d)
+    betas = g._paths_of_degree(nu.s, beta_d)
     swap = len(betas) < len(alphas)
     if swap:
-        mu, nu, alphas = nu, mu, betas
+        mu, nu, alphas, beta_d = nu, mu, betas, alpha_d
     rows = []
     for alpha in alphas:
-        tau = g.compose(mu, alpha)
-        head, beta = g.split(tau, nu.d)
-        if head == nu:
+        edges = g._normalize(mu.edges + alpha.edges)
+        head, rest = g._cut(edges, nu.d)
+        if head == nu.edges:
+            tau = Path(mu.r, alpha.s, n, edges)
+            beta = Path(nu.s, alpha.s, beta_d, rest)
             rows.append((tau, beta, alpha) if swap else (tau, alpha, beta))
-    rows.sort(key=lambda row: row[0].sort_key())
-    return tuple(tuple(row[i] for row in rows) for i in range(3))
+    if len(rows) > 1:
+        rows.sort(key=lambda row: row[0].sort_key())
+    return tuple(zip(*rows)) if rows else ((), (), ())
 
 
 def lambda_min(g: KGraph, mu: Path, nu: Path) -> Tuple[MinPair, ...]:
@@ -97,6 +103,9 @@ def ext(g: KGraph, mu: Path, E: Iterable[Path]) -> Tuple[Path, ...]:
     E = frozenset(E)
     if E and common_range(E) != mu.r:
         raise KGraphError("ext needs r(mu) equal to the common range of E")
+    if len(E) == 1:  # read off the pair's memoized table, with no entry of its own
+        (nu,) = E
+        return sorted_paths(_min_triples(g, mu, nu)[1])
     return g.memo(("ext", mu, E), _ext, g, mu, E)
 
 

@@ -133,6 +133,7 @@ class KGraph:
         self.skeleton = skeleton
         self.squares = tuple(sorted(set(squares), key=SquareRule.key))
         self._edge: Dict[str, Edge] = {e.eid: e for e in skeleton.edges}
+        self._color: Dict[str, int] = {e.eid: e.color for e in skeleton.edges}
         self._vset: FrozenSet[str] = frozenset(skeleton.vertices)
         # edges_at[v][c]: edges of color c with range v, sorted by id
         self._edges_at: Dict[str, Dict[int, List[Edge]]] = {
@@ -230,12 +231,16 @@ class KGraph:
             ) from None
 
     def _normalize(self, seq: Sequence[str]) -> Tuple[str, ...]:
+        color = self._color
+        cs = [color[x] for x in seq]
+        if cs == sorted(cs):  # already colour-ascending: no square is read
+            return tuple(seq)
         e = list(seq)
         swapped = True
         while swapped:
             swapped = False
             for i in range(len(e) - 1):
-                if self._edge[e[i]].color > self._edge[e[i + 1]].color:
+                if color[e[i]] > color[e[i + 1]]:
                     self._swap_at(e, i)
                     swapped = True
         return tuple(e)
@@ -252,7 +257,7 @@ class KGraph:
             raise NonComposableError(f"edge sequence {list(edge_ids)} is not composable")
         d = [0] * self.k
         for eid in edge_ids:
-            d[self._edge[eid].color - 1] += 1
+            d[self._color[eid] - 1] += 1
         norm = self._normalize(edge_ids)
         return Path(self._edge[norm[0]].r, self._edge[norm[-1]].s, tuple(d), norm)
 
@@ -278,27 +283,34 @@ class KGraph:
         if len(m) != self.k or not all(0 <= x <= y for x, y in zip(m, p.d)):
             degrees.check(m, self.k)  # a malformed degree raises ValueError
             raise SegmentBoundsError(f"split degree {m} exceeds d(p) = {p.d}")
-        rest = list(p.edges)
+        pre, rest = self._cut(p.edges, m)
+        mid = self._edge[rest[0]].r if rest else p.s
+        prefix = Path(p.r, mid, m, pre)
+        suffix = Path(mid, p.s, tuple(x - y for x, y in zip(p.d, m)), rest)
+        self._cache[key] = (prefix, suffix)
+        return prefix, suffix
+
+    def _cut(self, edges: Tuple[str, ...], m: Degree) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
+        """The normal-form edge tuples (prefix, suffix) of a normal form cut
+        at a degree m <= its own; no Path is built and nothing is memoized."""
+        color = self._color
+        rest = list(edges)
         pre: List[str] = []
         for c in range(1, self.k + 1):
             for _ in range(m[c - 1]):
-                i = next(j for j, eid in enumerate(rest) if self._edge[eid].color == c)
+                i = next(j for j, eid in enumerate(rest) if color[eid] == c)
                 while i > 0:
                     self._swap_at(rest, i - 1)
                     i -= 1
                 pre.append(rest.pop(0))
-        mid = self._edge[rest[0]].r if rest else p.s
-        prefix = Path(p.r, mid, m, tuple(pre))
-        suffix = Path(mid, p.s, degrees.sub(p.d, m), self._normalize(rest))
-        self._cache[key] = (prefix, suffix)
-        return prefix, suffix
+        return tuple(pre), self._normalize(rest)
 
     def segment(self, p: Path, m: Degree, n: Degree) -> Path:
         """The factor p(m, n) of degree n - m between the two cut points."""
         if not (degrees.leq(m, n) and degrees.leq(n, p.d)):
             raise SegmentBoundsError(f"need m <= n <= d(p); got {m}, {n}, {p.d}")
         _, tail = self.split(p, m)
-        seg, _ = self.split(tail, degrees.sub(n, m))
+        seg, _ = self.split(tail, tuple(x - y for x, y in zip(n, m)))
         return seg
 
     def prefix(self, p: Path, m: Degree) -> Path:

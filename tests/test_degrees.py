@@ -34,6 +34,14 @@ def test_sub_leaves_monoid():
         degrees.sub((1, 0), (0, 1))
 
 
+@pytest.mark.parametrize("a, b", [((0,), (1,)), ((2, 1, 0), (1, 1, 1)), ((0, 3), (1, 0))])
+def test_sub_raises_on_a_negative_result(a, b):
+    """sub keeps its check for public callers: the path arithmetic that
+    subtracts a degree it knows to be smaller does so without it."""
+    with pytest.raises(ValueError, match="leaves N"):
+        degrees.sub(a, b)
+
+
 def test_parse_broadcast_and_explicit():
     assert degrees.parse("2", 3) == (2, 2, 2)
     assert degrees.parse("2,1", 2) == (2, 1)

@@ -188,28 +188,47 @@ def _window(name, radius):
     return structure.skew_product_window(base, (-radius,) * base.k, (radius,) * base.k).graph
 
 
-@pytest.mark.parametrize("name, radius, cap, split_max, compose_max", [
-    ("FX2", 2, (2, 2), 584, 584),
-    ("FX6^3", 1, (1, 1, 1), 4321, 4321),
-])
-def test_common_extension_calls_pinned(monkeypatch, name, radius, cap, split_max, compose_max):
-    """mce and ext read one table of minimal common extensions per pair,
-    built from the continuations of one side: a compose and a split per
-    continuation walked.  The session is paths_up_to plus mce and ext over
-    every ordered pair of capped paths at every vertex of a skew-product
-    window.  Filtering every path of the joined degree by its two
-    prefixes, and splitting each extension again, made 2,192 / 32,035
-    splits and no compose; walking the first argument's side always makes
-    6,557 of each on the FX6^3 window, where the sides differ in size."""
-    g = _window(name, radius)
-    calls = _counting(monkeypatch, KGraph, ("split", "compose"))
+def _common_extension_session(g, cap):
+    """paths_up_to plus mce and ext over every ordered pair of capped
+    paths at every vertex of g."""
     for v in g.vertices:
         paths = g.paths_up_to(v, cap)
         for mu, nu in itertools.product(paths, paths):
             align.mce(g, mu, nu)
             align.ext(g, mu, (nu,))
-    assert calls["split"] <= split_max
-    assert calls["compose"] <= compose_max
+
+
+WINDOW_SESSIONS = [("FX2", 2, (2, 2)), ("FX6^3", 1, (1, 1, 1))]
+
+
+@pytest.mark.parametrize("name, radius, cap", WINDOW_SESSIONS)
+def test_common_extension_calls_pinned(monkeypatch, name, radius, cap):
+    """mce and ext read one table of minimal common extensions per pair,
+    built from the continuations of one side: each continuation's edges
+    are normalized and cut as edge tuples, so no compose or split runs.
+    The session is paths_up_to plus mce and ext over every ordered pair of
+    capped paths at every vertex of a skew-product window.  Filtering
+    every path of the joined degree by its two prefixes, and splitting
+    each extension again, made 2,192 / 32,035 splits and no compose;
+    composing and splitting each continuation walked made 584 / 4,321 of
+    each."""
+    g = _window(name, radius)
+    calls = _counting(monkeypatch, KGraph, ("split", "compose"))
+    _common_extension_session(g, cap)
+    assert calls["split"] == calls["compose"] == 0
+
+
+@pytest.mark.parametrize("name, radius, cap", WINDOW_SESSIONS)
+def test_common_extension_session_memo_footprint(name, radius, cap):
+    """The same sessions leave no split entry in the graph's memo, and no
+    ext entry for a one-member set, which reads its pair's table; they
+    left 244 / 1,331 split and 1,024 / 6,859 such ext entries when each
+    continuation was split through the memo."""
+    g = _window(name, radius)
+    _common_extension_session(g, cap)
+    keys = [key for key in g._cache if isinstance(key, tuple)]
+    assert any(key[0] == "mce" for key in keys)
+    assert not [key for key in keys if key[0] == "split" or (key[0] == "ext" and len(key[2]) == 1)]
 
 
 def test_quotient_replays_run_no_path_arithmetic(monkeypatch):
