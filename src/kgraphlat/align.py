@@ -103,17 +103,11 @@ def ext(g: KGraph, mu: Path, E: Iterable[Path]) -> Tuple[Path, ...]:
     E = frozenset(E)
     if E and common_range(E) != mu.r:
         raise KGraphError("ext needs r(mu) equal to the common range of E")
-    if len(E) == 1:  # read off the pair's memoized table, with no entry of its own
-        (nu,) = E
-        return sorted_paths(_min_triples(g, mu, nu)[1])
-    return g.memo(("ext", mu, E), _ext, g, mu, E)
-
-
-def _ext(g: KGraph, mu: Path, E: PathSet) -> Tuple[Path, ...]:
+    # the union of the members' memoized pair tables; no entry of its own
     out = set()
     for nu in E:
         out.update(_min_triples(g, mu, nu)[1])
-    return sorted_paths(out)
+    return tuple(sorted(out, key=Path.sort_key))
 
 
 def vee_closure(g: KGraph, E: Iterable[Path]) -> Tuple[Path, ...]:

@@ -294,10 +294,6 @@ def _verify_refutation(g: KGraph, E: PathSet, tau: Path) -> bool:
     return all(alpha.s in H for alpha in ext(g, tau, E))
 
 
-def _path_in(g: KGraph, p: Path) -> bool:
-    return g.has_vertex(p.r) and all(e in g._edge for e in p.edges)
-
-
 @dataclass
 class SatiatedFamily:
     """A capped family of exhaustive-set candidates with closure status.
@@ -932,11 +928,13 @@ def enumerate_ideal_pairs(g: KGraph, cap: Degree) -> List[IdealPair]:
         basekeys = _keys(sf.base)
         cands = {(v, mask): c for v in gq.vertices for mask, c in _candidates(gq, v, cap).items()}
         # verified refutations as masks at their vertex in gq, replayed on
-        # the quotient for every candidate they cover
+        # the quotient for every candidate they cover.  Each tau is a path
+        # of g, which lies in gq exactly when its source is outside H: a
+        # path that enters the hereditary H stays there
         refutations = []
         for Y, tau in {**sf.quotient_refuted, **sf.refuted_parents}.items():
             yv = next(iter(Y)).r
-            if _path_in(gq, tau):
+            if tau.s not in H:
                 idx = universe(gq, yv, cap).member_index
                 refutations.append((yv, sum(1 << idx[p] for p in Y if p in idx), tau))
 

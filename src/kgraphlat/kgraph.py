@@ -143,17 +143,15 @@ class KGraph:
             if e.r in self._edges_at and 1 <= e.color <= skeleton.k:
                 self._edges_at[e.r][e.color].append(e)
         # swap[(a, b)] = (b', a'): the opposite-order traversal of a∘b
+        # (of two conflicting rules the last wins; validate_kgraph reports them)
         self._swap: Dict[Tuple[str, str], Tuple[str, str]] = {}
-        self._swap_conflicts: List[Tuple[str, str]] = []
         for rule in self.squares:
             f, g = rule.lhs
             g2, f2 = rule.rhs
             if not all(x in self._edge for x in (f, g, g2, f2)):
                 continue
-            for key, val in (((f, g), (g2, f2)), ((g2, f2), (f, g))):
-                if key in self._swap and self._swap[key] != val:
-                    self._swap_conflicts.append(key)
-                self._swap[key] = val
+            self._swap[(f, g)] = (g2, f2)
+            self._swap[(g2, f2)] = (f, g)
         self._cache: Dict = {}
 
     # -- identity & hashing ------------------------------------------------
@@ -276,19 +274,13 @@ class KGraph:
 
     def split(self, p: Path, m: Degree) -> Tuple[Path, Path]:
         """The unique factorization p = prefix·suffix with d(prefix) = m."""
-        key = ("split", p, m)
-        hit = self._checked_hit(key)
-        if hit is not None:
-            return hit
+        m = tuple(m)
         if len(m) != self.k or not all(0 <= x <= y for x, y in zip(m, p.d)):
             degrees.check(m, self.k)  # a malformed degree raises ValueError
             raise SegmentBoundsError(f"split degree {m} exceeds d(p) = {p.d}")
         pre, rest = self._cut(p.edges, m)
         mid = self._edge[rest[0]].r if rest else p.s
-        prefix = Path(p.r, mid, m, pre)
-        suffix = Path(mid, p.s, tuple(x - y for x, y in zip(p.d, m)), rest)
-        self._cache[key] = (prefix, suffix)
-        return prefix, suffix
+        return Path(p.r, mid, m, pre), Path(mid, p.s, tuple(x - y for x, y in zip(p.d, m)), rest)
 
     def _cut(self, edges: Tuple[str, ...], m: Degree) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
         """The normal-form edge tuples (prefix, suffix) of a normal form cut

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from . import degrees
-from .align import PathSet, fe_sets, is_exhaustive
+from .align import PathSet, fe_sets, is_exhaustive, vee_closure
 from .certify import CertifiedBool, false_certified, true_certified, unknown_at_cap
 from .degrees import Degree
 from .ideals import enumerate_ideal_pairs
@@ -208,8 +208,6 @@ def m_closure(g: KGraph, grading: Grading, E: Iterable[Path]) -> Tuple[Path, ...
         raise KGraphError("no grading supplied; the closure may be infinite")
     if not grading_check(g, grading):
         raise KGraphError("grading does not match the graph")
-    from .align import vee_closure
-
     vee = vee_closure(g, E)
     suffixes: List[Path] = []
     for lam in vee:

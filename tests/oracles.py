@@ -34,7 +34,6 @@ from kgraphlat.ideals import (
     _mask_key,
     _minimize_exhaustive,
     _normalize_family,
-    _path_in,
     _scan_satiation,
     _ScanResult,
     _set,
@@ -52,6 +51,10 @@ from kgraphlat.ideals import (
 )
 from kgraphlat.kgraph import KGraph, KGraphError, Path, ValidationReport, sorted_paths
 from kgraphlat.structure import _deterministic_colors, _entrance_for
+
+
+def _path_in(g: KGraph, p: Path) -> bool:
+    return g.has_vertex(p.r) and all(e in g._edge for e in p.edges)
 
 
 def oracle_prefix(g: KGraph, tau: Path, m):
@@ -101,7 +104,12 @@ def oracle_ext(g: KGraph, mu: Path, E, cap):
 # mce, lambda_min and ext as align computed them before it built minimal
 # common extensions from one side's continuations: mce filters every path
 # of degree d(mu)∨d(nu) at r(mu) by its two prefixes, and lambda_min and
-# ext split each extension again.  Uncached, and independent of align.
+# ext split each extension again.  Independent of align; the splits are
+# memoized under a key of the oracles' own.
+
+
+def _filter_split(g: KGraph, p: Path, m) -> Tuple[Path, Path]:
+    return g.memo(("oracle split", p, m), g.split, p, m)
 
 
 def filter_mce(g: KGraph, mu: Path, nu: Path) -> Tuple[Path, ...]:
@@ -113,15 +121,15 @@ def filter_mce(g: KGraph, mu: Path, nu: Path) -> Tuple[Path, ...]:
     return tuple(
         lam
         for lam in g._paths_of_degree(mu.r, n)
-        if g.prefix(lam, mu.d) == mu and g.prefix(lam, nu.d) == nu
+        if _filter_split(g, lam, mu.d)[0] == mu and _filter_split(g, lam, nu.d)[0] == nu
     )
 
 
 def filter_lambda_min(g: KGraph, mu: Path, nu: Path) -> Tuple[MinPair, ...]:
     out = []
     for tau in filter_mce(g, mu, nu):
-        alpha = g.split(tau, mu.d)[1]
-        beta = g.split(tau, nu.d)[1]
+        alpha = _filter_split(g, tau, mu.d)[1]
+        beta = _filter_split(g, tau, nu.d)[1]
         out.append(MinPair(alpha, beta))
     return tuple(sorted(out, key=lambda p: (p.alpha.sort_key(), p.beta.sort_key())))
 
@@ -132,7 +140,7 @@ def filter_ext(g: KGraph, mu: Path, E: Iterable[Path]) -> Tuple[Path, ...]:
         raise KGraphError("ext needs r(mu) equal to the common range of E")
     out = set()
     for nu in E:
-        out.update(g.split(tau, mu.d)[1] for tau in filter_mce(g, mu, nu))
+        out.update(_filter_split(g, tau, mu.d)[1] for tau in filter_mce(g, mu, nu))
     return sorted_paths(out)
 
 

@@ -220,15 +220,29 @@ def test_common_extension_calls_pinned(monkeypatch, name, radius, cap):
 
 @pytest.mark.parametrize("name, radius, cap", WINDOW_SESSIONS)
 def test_common_extension_session_memo_footprint(name, radius, cap):
-    """The same sessions leave no split entry in the graph's memo, and no
-    ext entry for a one-member set, which reads its pair's table; they
-    left 244 / 1,331 split and 1,024 / 6,859 such ext entries when each
-    continuation was split through the memo."""
+    """The same sessions leave no split or ext entry in the graph's memo:
+    ext reads its members' pair tables; they left 244 / 1,331 split and
+    1,024 / 6,859 ext entries when each continuation was split through
+    the memo."""
     g = _window(name, radius)
     _common_extension_session(g, cap)
     keys = [key for key in g._cache if isinstance(key, tuple)]
     assert any(key[0] == "mce" for key in keys)
-    assert not [key for key in keys if key[0] == "split" or (key[0] == "ext" and len(key[2]) == 1)]
+    assert not [key for key in keys if key[0] in ("split", "ext")]
+
+
+def test_lattice_memo_stores_no_split_or_ext():
+    """random_2graph(41) is not locally convex, so its lattice and report
+    replay refutations through ext of sets with several members.  Neither
+    split nor ext stores a memo entry: with a split memo and an ext memo
+    for sets of several members, the graph's memo held 100 entries, 35
+    split and 12 ext; now it holds 53."""
+    g = random_2graph(41)
+    _lattice_and_families(g, (1, 1))
+    structure.structure_report(g, (1, 1), False)
+    keys = [key for key in g._cache if isinstance(key, tuple)]
+    assert any(key[0] == "mce" for key in keys)
+    assert not [key for key in keys if key[0] in ("split", "ext")]
 
 
 def test_quotient_replays_run_no_path_arithmetic(monkeypatch):

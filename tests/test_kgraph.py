@@ -260,6 +260,18 @@ def test_malformed_cut_degree_raises_value_error(fx, method, m):
         g.paths_of_degree("v", m)
 
 
+def test_list_cut_degree_equals_tuple(fx):
+    """A cut degree given as a list is frozen first, as paths_of_degree
+    freezes one, so the factors equal the tuple results and stay hashable."""
+    g = fx["FX2"]
+    br = g.compose(g.path(["b"]), g.path(["r"]))
+    assert g.split(br, [1, 0]) == g.split(br, (1, 0))
+    assert g.prefix(br, [0, 1]) == g.prefix(br, (0, 1))
+    assert g.segment(br, [0, 1], [1, 1]) == g.segment(br, (0, 1), (1, 1))
+    for p in (*g.split(br, [1, 0]), g.prefix(br, [0, 1]), g.segment(br, [0, 1], [1, 1])):
+        hash(p)
+
+
 def test_segment_matches_compose_oracle(fx):
     for name in ("FX2", "FX4"):
         g = fx[name]
