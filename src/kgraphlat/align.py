@@ -56,12 +56,13 @@ def mce(g: KGraph, mu: Path, nu: Path) -> Tuple[Path, ...]:
 def _min_triples(g: KGraph, mu: Path, nu: Path) -> Tuple[Tuple[Path, ...], ...]:
     """The triples (tau, alpha, beta) with tau = mu·alpha = nu·beta of
     degree d(mu)∨d(nu), as three columns sorted by tau, the order of
-    paths_of_degree.  One memo entry serves both argument orders."""
+    paths_of_degree, then the alpha and the beta column each in sort_key
+    order.  One memo entry serves both argument orders."""
     if mu.r != nu.r:
         raise KGraphError(f"mce needs a common range; got {mu.r!r} and {nu.r!r}")
     if nu.edges < mu.edges:
-        taus, betas, alphas = g.memo(("mce", nu, mu), _build_min_triples, g, nu, mu)
-        return taus, alphas, betas
+        table = g.memo(("mce", nu, mu), _build_min_triples, g, nu, mu)
+        return table[0], table[2], table[1], table[4], table[3]
     return g.memo(("mce", mu, nu), _build_min_triples, g, mu, nu)
 
 
@@ -69,31 +70,39 @@ def _build_min_triples(g: KGraph, mu: Path, nu: Path) -> Tuple[Tuple[Path, ...],
     # each tau factors as mu·alpha with a unique alpha of degree n - d(mu),
     # and as nu·beta: walk the side with fewer continuations, normalizing
     # each candidate's edges once and cutting them at the other side's
-    # degree; Paths are built only for the rows kept
+    # degree; Paths are built only for the rows kept.  A side of degree n
+    # has one continuation, its source, so when the degrees are comparable
+    # that side is walked, tau is that side itself, and one cut decides
     n = degrees.join(mu.d, nu.d)
-    alpha_d = tuple(x - y for x, y in zip(n, mu.d))
-    beta_d = tuple(x - y for x, y in zip(n, nu.d))
-    alphas = g._paths_of_degree(mu.s, alpha_d)
-    betas = g._paths_of_degree(nu.s, beta_d)
-    swap = len(betas) < len(alphas)
+    alpha_d = tuple(map(int.__sub__, n, mu.d))
+    beta_d = tuple(map(int.__sub__, n, nu.d))
+    if any(alpha_d) and any(beta_d):
+        swap = len(g._paths_of_degree(nu.s, beta_d)) < len(g._paths_of_degree(mu.s, alpha_d))
+    else:  # walk the side of degree n
+        swap = any(alpha_d)
     if swap:
-        mu, nu, alphas, beta_d = nu, mu, betas, alpha_d
+        mu, nu, alpha_d, beta_d = nu, mu, beta_d, alpha_d
     rows = []
-    for alpha in alphas:
-        edges = g._normalize(mu.edges + alpha.edges)
+    for alpha in g._paths_of_degree(mu.s, alpha_d):
+        edges = g._normalize(mu.edges + alpha.edges) if alpha.edges else mu.edges
         head, rest = g._cut(edges, nu.d)
         if head == nu.edges:
-            tau = Path(mu.r, alpha.s, n, edges)
+            tau = Path(mu.r, alpha.s, n, edges) if alpha.edges else mu
             beta = Path(nu.s, alpha.s, beta_d, rest)
             rows.append((tau, beta, alpha) if swap else (tau, alpha, beta))
-    if len(rows) > 1:
-        rows.sort(key=lambda row: row[0].sort_key())
-    return tuple(zip(*rows)) if rows else ((), (), ())
+    if len(rows) < 2:  # then each column is in sort_key order too
+        columns = tuple(zip(*rows)) if rows else ((), (), ())
+        return columns + columns[1:]
+    rows.sort(key=lambda row: row[0].sort_key())
+    taus, alphas, betas = zip(*rows)
+    # the continuation columns again in sort_key order, as ext returns them
+    return (taus, alphas, betas,
+            tuple(sorted(alphas, key=Path.sort_key)), tuple(sorted(betas, key=Path.sort_key)))
 
 
 def lambda_min(g: KGraph, mu: Path, nu: Path) -> Tuple[MinPair, ...]:
     """The continuation pairs (alpha, beta) with mu·alpha = nu·beta minimal."""
-    _, alphas, betas = _min_triples(g, mu, nu)
+    _, alphas, betas = _min_triples(g, mu, nu)[:3]
     out = map(MinPair, alphas, betas)
     return tuple(sorted(out, key=lambda p: (p.alpha.sort_key(), p.beta.sort_key())))
 
@@ -103,11 +112,12 @@ def ext(g: KGraph, mu: Path, E: Iterable[Path]) -> Tuple[Path, ...]:
     E = frozenset(E)
     if E and common_range(E) != mu.r:
         raise KGraphError("ext needs r(mu) equal to the common range of E")
-    # the union of the members' memoized pair tables; no entry of its own
-    out = set()
-    for nu in E:
-        out.update(_min_triples(g, mu, nu)[1])
-    return tuple(sorted(out, key=Path.sort_key))
+    # the union of the members' alpha columns, each memoized with its pair
+    # table in sort_key order, so that one column is the answer as it stands
+    columns = [_min_triples(g, mu, nu)[3] for nu in E]
+    if len(columns) == 1:
+        return columns[0]
+    return sorted_paths(p for col in columns for p in col)
 
 
 def vee_closure(g: KGraph, E: Iterable[Path]) -> Tuple[Path, ...]:

@@ -41,7 +41,7 @@ def sub(a: Degree, b: Degree) -> Degree:
 
 
 def join(a: Degree, b: Degree) -> Degree:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def meet(a: Degree, b: Degree) -> Degree:

@@ -10,7 +10,10 @@ triple agree), which makes the induced rewriting confluent.
 Morphisms ("paths") are kept in a canonical normal form: the edge
 sequence sorted by ascending color, computed by bubble-sorting with the
 square rules.  Two edge sequences denote the same morphism iff they
-normalize identically, so paths can live in sets and dicts.
+normalize identically, so paths can live in sets and dicts.  A Path is
+the 4-tuple (r, s, d, edges): it hashes as that tuple, equals a plain
+tuple of the same fields, and is ordered canonically only through
+Path.sort_key.
 
 Composition convention: in ``p = compose(q, t)`` the range of p is the
 range of q and the source of q is the range of t; edge sequences read
@@ -20,7 +23,7 @@ from the range end toward the source end.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import degrees
 from .degrees import Degree
@@ -85,12 +88,16 @@ class SquareRule:
         return (self.lhs, self.rhs)
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(NamedTuple):
     """A morphism in color-ascending normal form.
 
     ``edges`` reads from the range end to the source end; ``d`` is the
     color multiset of the edge sequence.  Degree-0 paths are vertices.
+
+    A Path is the 4-tuple (r, s, d, edges), immutable, so hashing,
+    equality and construction run at tuple speed.  Its hash is
+    hash((r, s, d, edges)), and it equals a plain tuple of the same
+    fields; tuple order is not the canonical order, which is sort_key's.
     """
 
     r: str
@@ -284,18 +291,29 @@ class KGraph:
 
     def _cut(self, edges: Tuple[str, ...], m: Degree) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
         """The normal-form edge tuples (prefix, suffix) of a normal form cut
-        at a degree m <= its own; no Path is built and nothing is memoized."""
+        at a degree m <= its own; no Path is built and nothing is memoized.
+
+        The prefix grows in place at the front of one list: each edge it
+        takes is the first of its colour at or after the cut point, swapped
+        down to it.  The suffix needs no normalizing.  It is colour-ascending
+        at the start, and each step keeps it so: the edges that the taken
+        edge of colour c passes have lower colours, and a well-formed square
+        (validate_kgraph reports any other) turns a pair (lower, c) into a
+        pair (c, lower) of the same two colours, so the suffix's colours
+        after a step are its colours before with one c removed."""
         color = self._color
-        rest = list(edges)
-        pre: List[str] = []
-        for c in range(1, self.k + 1):
-            for _ in range(m[c - 1]):
-                i = next(j for j, eid in enumerate(rest) if color[eid] == c)
-                while i > 0:
-                    self._swap_at(rest, i - 1)
-                    i -= 1
-                pre.append(rest.pop(0))
-        return tuple(pre), self._normalize(rest)
+        e = list(edges)
+        start = 0
+        for c, count in enumerate(m, 1):
+            for _ in range(count):
+                j = start
+                while color[e[j]] != c:
+                    j += 1
+                while j > start:
+                    j -= 1
+                    self._swap_at(e, j)
+                start += 1
+        return tuple(e[:start]), tuple(e[start:])
 
     def segment(self, p: Path, m: Degree, n: Degree) -> Path:
         """The factor p(m, n) of degree n - m between the two cut points."""

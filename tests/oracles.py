@@ -144,6 +144,51 @@ def filter_ext(g: KGraph, mu: Path, E: Iterable[Path]) -> Tuple[Path, ...]:
     return sorted_paths(out)
 
 
+# -- the count-compared walk ------------------------------------------------------
+# align._build_min_triples and KGraph._cut as they were before comparable
+# degrees took one cut: the walk enumerates both sides' continuations to
+# walk the side with fewer, even when one side has only its source, and
+# the cut takes each prefix edge off the front of a list, searching for
+# it with a generator, then normalizes the suffix.  No memo.
+
+
+def walk_cut(g: KGraph, edges: Tuple[str, ...], m: Degree) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
+    color = g._color
+    rest = list(edges)
+    pre: List[str] = []
+    for c in range(1, g.k + 1):
+        for _ in range(m[c - 1]):
+            i = next(j for j, eid in enumerate(rest) if color[eid] == c)
+            while i > 0:
+                g._swap_at(rest, i - 1)
+                i -= 1
+            pre.append(rest.pop(0))
+    return tuple(pre), g._normalize(rest)
+
+
+def walk_min_triples(g: KGraph, mu: Path, nu: Path) -> Tuple[Tuple[Path, ...], ...]:
+    """The columns (taus, alphas, betas) of the pair (mu, nu), sorted by tau."""
+    n = degrees.join(mu.d, nu.d)
+    alpha_d = tuple(x - y for x, y in zip(n, mu.d))
+    beta_d = tuple(x - y for x, y in zip(n, nu.d))
+    alphas = g._paths_of_degree(mu.s, alpha_d)
+    betas = g._paths_of_degree(nu.s, beta_d)
+    swap = len(betas) < len(alphas)
+    if swap:
+        mu, nu, alphas, beta_d = nu, mu, betas, alpha_d
+    rows = []
+    for alpha in alphas:
+        edges = g._normalize(mu.edges + alpha.edges)
+        head, rest = walk_cut(g, edges, nu.d)
+        if head == nu.edges:
+            tau = Path(mu.r, alpha.s, n, edges)
+            beta = Path(nu.s, alpha.s, beta_d, rest)
+            rows.append((tau, beta, alpha) if swap else (tau, alpha, beta))
+    if len(rows) > 1:
+        rows.sort(key=lambda row: row[0].sort_key())
+    return tuple(zip(*rows)) if rows else ((), (), ())
+
+
 # -- exhaustiveness beyond the cap ------------------------------------------------
 # align.is_exhaustive as it was while members beyond the cap took a route
 # of their own, path by path through extends and mce, with unknown

@@ -6,7 +6,7 @@ import pytest
 
 from kgraphlat import align, degrees, structure, textio
 from kgraphlat.align import ext, fe_sets, is_exhaustive, lambda_min, mce, pi_closure, vee_closure
-from kgraphlat.kgraph import KGraph, KGraphError, MissingSquareError, sorted_paths, validate_kgraph
+from kgraphlat.kgraph import KGraph, KGraphError, MissingSquareError, Path, Skeleton, sorted_paths, validate_kgraph
 from kgraphlat.randomgraphs import random_1graph, random_2graph
 
 import oracles
@@ -109,7 +109,10 @@ def test_min_triples_match_filter_route():
     pair, return the filter route's tuples, order included, for every
     ordered pair of capped paths at every vertex, so for both argument
     orders of each; ext also for the members at a vertex and every other
-    capped path there."""
+    capped path there.  The table's three columns equal, in order, those
+    of the count-compared walk that it replaced, read through the memo
+    and built afresh in each argument order, and its last two columns
+    are the alpha and beta columns in sort_key order."""
     seen = Counter()
     for label, g, cap in _route_inputs():
         for v in g.vertices:
@@ -119,21 +122,45 @@ def test_min_triples_match_filter_route():
                 assert got == oracles.filter_mce(g, mu, nu), (label, mu, nu)
                 assert lambda_min(g, mu, nu) == oracles.filter_lambda_min(g, mu, nu), (label, mu, nu)
                 assert ext(g, mu, (nu,)) == oracles.filter_ext(g, mu, (nu,)), (label, mu, nu)
+                table = align._min_triples(g, mu, nu)
+                assert table[:3] == oracles.walk_min_triples(g, mu, nu), (label, mu, nu)
+                assert align._build_min_triples(g, mu, nu) == table, (label, mu, nu)
+                assert table[3:] == tuple(tuple(sorted(col, key=Path.sort_key)) for col in table[1:3])
                 seen["empty"] += not got
                 seen["several"] += len(got) > 1
                 seen["identity"] += mu.is_vertex or nu.is_vertex
-                seen["d(mu) >= d(nu)"] += mu != nu and degrees.leq(nu.d, mu.d)
+                seen["d(mu) > d(nu)"] += mu.d != nu.d and degrees.leq(nu.d, mu.d)
+                seen["d(mu) < d(nu)"] += mu.d != nu.d and degrees.leq(mu.d, nu.d)
+                seen["d(mu) = d(nu)"] += mu != nu and mu.d == nu.d
             for mu in paths:
                 for E in (paths[1:], paths[::2]):
                     assert ext(g, mu, E) == oracles.filter_ext(g, mu, E), (label, mu, E)
-    assert len(seen) == 4 and all(seen.values()), seen
+    assert len(seen) == 6 and all(seen.values()), seen
+
+
+def test_cut_matches_kept_cut():
+    """KGraph._cut, which cuts one list in place, returns the kept cut's
+    prefix and suffix for every capped path of the route inputs and every
+    degree below its own.  Every edge tuple a pair table cuts there is
+    one of these paths: a candidate for tau has degree d(mu)∨d(nu), which
+    is within the cap."""
+    cuts = 0
+    for label, g, cap in _route_inputs():
+        for v in g.vertices:
+            for p in g.paths_up_to(v, cap):
+                for m in degrees.below(p.d):
+                    assert g._cut(p.edges, m) == oracles.walk_cut(g, p.edges, m), (label, p, m)
+                    cuts += 1
+    assert cuts > 4000, cuts
 
 
 def test_unvalidated_graph_raises_missing_square():
     """FX2 without its square does not validate, and the common extension
     of b and r needs that square: mce, lambda_min and ext raise
     MissingSquareError for (b, r) in both orders, as the filter route
-    does."""
+    does.  Over every ordered pair of paths up to (2,2) there, the pair
+    table raises for the same 36 of 81 pairs as the count-compared walk,
+    and answers the other 45 as it does."""
     fx2 = textio.fixture("FX2")
     g = KGraph(fx2.skeleton, ())
     assert not validate_kgraph(g).ok
@@ -145,6 +172,39 @@ def test_unvalidated_graph_raises_missing_square():
         for call in (ext, oracles.filter_ext):
             with pytest.raises(MissingSquareError):
                 call(g, mu, [nu])
+
+    def outcome(build, mu, nu):
+        try:
+            return build(g, mu, nu)[:3]
+        except MissingSquareError:
+            return "raises"
+
+    paths = g.paths_up_to("v", (2, 2))
+    seen = Counter()
+    for mu, nu in itertools.product(paths, paths):
+        got = outcome(align._min_triples, mu, nu)
+        assert got == outcome(oracles.walk_min_triples, mu, nu), (mu, nu)
+        seen["raises" if got == "raises" else "answers"] += 1
+    assert seen == {"raises": 36, "answers": 45}
+
+
+def test_comparable_pair_cuts_on_unvalidated_graph():
+    """A comparable pair whose other side has no continuation: b·r at v
+    and r2 into v from x, which receives no edge of colour 1.  The
+    count-compared walk walked that empty side and answered () without a
+    cut; the pair table cuts b·r at d(r2), which needs the square for
+    (b, r) that this presentation lacks, so it raises."""
+    sk = Skeleton.build(2, ["u", "v", "w", "x"], [("b", 1, "v", "w"), ("r", 2, "w", "u"), ("r2", 2, "v", "x")])
+    g = KGraph(sk, ())
+    assert ("incomplete-square", ("b", "r")) in validate_kgraph(g).violations
+    br, r2 = g.path(["b", "r"]), g.path(["r2"])
+    assert oracles.walk_min_triples(g, br, r2) == ((), (), ())
+    for mu, nu in ((br, r2), (r2, br)):
+        for call in (mce, lambda_min):
+            with pytest.raises(MissingSquareError):
+                call(g, mu, nu)
+        with pytest.raises(MissingSquareError):
+            ext(g, mu, [nu])
 
 # -- closures -----------------------------------------------------------------------
 

@@ -4,11 +4,12 @@ import re
 
 import pytest
 
-from kgraphlat import align, degrees, ideals
+from kgraphlat import align, degrees, ideals, structure, textio
 from kgraphlat.kgraph import (
     KGraph,
     KGraphError,
     NonComposableError,
+    Path,
     SegmentBoundsError,
     Skeleton,
     SquareRule,
@@ -326,6 +327,65 @@ def test_split_then_compose_roundtrip(fx):
             for m in degrees.below(p.d):
                 pre, suf = g.split(p, m)
                 assert g.compose(pre, suf) == p
+
+
+# -- the Path contract -----------------------------------------------------------------
+
+
+def test_path_hashes_and_equals_its_field_tuple(fx):
+    """A Path is the tuple (r, s, d, edges): it hashes as that tuple, which
+    is how the frozen dataclass it replaced hashed, so set iteration
+    orders and digests keep; it equals the plain tuple; and no field can
+    be assigned."""
+    for g in fx.values():
+        for v in g.vertices:
+            for p in g.paths_up_to(v, (2,) * g.k):
+                fields = (p.r, p.s, p.d, p.edges)
+                assert hash(p) == hash(fields) and p == fields
+                for name in ("r", "s", "d", "edges"):
+                    with pytest.raises(AttributeError):
+                        setattr(p, name, getattr(p, name))
+
+
+def test_path_repr_literal_and_is_vertex(fx):
+    g2, g4 = fx["FX2"], fx["FX4"]
+    got = [(repr(p), p.literal(), p.is_vertex) for p in (*g2.paths_up_to("v", (1, 1)), g4.path(["e", "g"]))]
+    assert got == [
+        ("<v:v<-v|0,0>", "v", True),
+        ("<r:v<-v|0,1>", "r", False),
+        ("<b:v<-v|1,0>", "b", False),
+        ("<b.r:v<-v|1,1>", "b.r", False),
+        ("<e.g:v<-w|2>", "e.g", False),
+    ]
+
+
+def test_no_memo_key_can_equal_a_path():
+    """A Path equals the plain 4-tuple of its fields, so a memo key that is
+    a bare 4-tuple could collide with a key that is a Path.  Every key is
+    a kind name or a tuple led by one, and none has four items: checked
+    after common extensions over a skew-product window, and after the
+    lattice, every stripped family and the report of random_2graph(41),
+    on the graph and on each quotient in its memo."""
+    fx2 = skew_product_window(textio.fixture("FX2"), (-2, -2), (2, 2)).graph
+    for v in fx2.vertices:
+        paths = fx2.paths_up_to(v, (2, 2))
+        for mu, nu in itertools.product(paths, paths):
+            align.mce(fx2, mu, nu)
+            align.ext(fx2, mu, (nu,))
+    g41 = random_2graph(41)
+    for pair in ideals.ideal_lattice(g41, (1, 1)).pairs:
+        pair.stripped
+    structure.structure_report(g41, (1, 1), False)
+    graphs = [fx2, g41] + [q for q in g41._cache.values() if isinstance(q, KGraph)]
+    assert len(graphs) > 2
+    kinds = set()
+    for g in graphs:
+        for key in g._cache:
+            kind = key if isinstance(key, str) else key[0]
+            assert isinstance(kind, str) and not isinstance(key, Path), key
+            assert isinstance(key, str) or len(key) != 4, key
+            kinds.add(kind)
+    assert {"mce", "pod", "put", "quotient", "universe"} <= kinds, kinds
 
 
 # -- enumeration ---------------------------------------------------------------------
