@@ -20,6 +20,7 @@ from .align import (
     FEFamily,
     PathSet,
     VertexUniverse,
+    _union_of_bits,
     ext,
     fe_sets,
     is_exhaustive,
@@ -69,22 +70,25 @@ def is_hereditary(g: KGraph, H: Iterable[str]) -> bool:
     return all(e.s in H for e in g.edges if e.r in H)
 
 
+def _outside_fed(g: KGraph) -> int:
+    """The vertex mask of the ranges of edges whose source is no vertex:
+    no hereditary set holds one of them, nor any vertex that reaches one."""
+    bits = g.vertex_bits()
+    return sum({bits[e.r] for e in g.edges if e.r in bits and e.s not in bits})
+
+
 def hereditary_closure(g: KGraph, G: Iterable[str]) -> FrozenSet[str]:
-    """Least hereditary superset, by edge reachability toward sources."""
-    out = set(G)
-    for v in out:
+    """Least hereditary superset: the union of the reach cones of G.  None
+    exists, and KGraphError is raised, when it meets a range fed from no vertex."""
+    G = frozenset(G)
+    reach = g.reach_masks()
+    mask = 0
+    for v in G:
         g.require_vertex(v)
-    frontier = list(out)
-    succ: Dict[str, List[str]] = {}
-    for e in g.edges:
-        succ.setdefault(e.r, []).append(e.s)
-    while frontier:
-        v = frontier.pop()
-        for w in succ.get(v, ()):
-            if w not in out:
-                out.add(w)
-                frontier.append(w)
-    return frozenset(out)
+        mask |= reach[v]
+    if mask & _outside_fed(g):
+        raise KGraphError(f"no hereditary set contains {fmt_vertexset(G)}: it reaches an edge from no vertex")
+    return frozenset(g.vertices[j] for j in _mask_key(mask))
 
 
 # -- saturation ----------------------------------------------------------------
@@ -165,39 +169,38 @@ def saturation(g: KGraph, G: Iterable[str], cap: Degree) -> VertexSet:
     return VertexSet(members, is_hereditary(g, members), status)
 
 
-def _hereditary_combos(g: KGraph) -> Iterator[Tuple[str, ...]]:
-    """Every hereditary vertex set, as the combinations of g.vertices by
-    size that is_hereditary accepts, tested by vertex masks."""
+def _hereditary_sets(g: KGraph) -> List[Tuple[str, ...]]:
+    """Every hereditary vertex set, ordered by (size, members): the
+    down-sets of reachability, listed as Steiner lists the ideals of a
+    partial order (Oper. Res. Lett. 5, 1986), in at most |V| steps a set.
+    The lowest undecided vertex goes in with its cone, if no vertex of
+    the cone is out, or out with every vertex whose cone holds it.  A
+    vertex whose cone meets a range fed from a non-vertex is out at once."""
     verts = g.vertices
-    bits = g.vertex_bits()
-    # the vertex mask of the sources of the edges into each vertex; a
-    # source that is no vertex takes a bit that no vertex set holds
-    outside = 1 << len(verts)
-    into = dict.fromkeys(verts, 0)
-    for e in g.edges:
-        if e.r in into:
-            into[e.r] |= bits.get(e.s, outside)
-    for n in range(len(verts) + 1):
-        for combo in itertools.combinations(verts, n):
-            hmask = need = 0
-            for v in combo:
-                hmask |= bits[v]
-                need |= into[v]
-            if not need & ~hmask:
-                yield combo
+    reach, fed = g.reach_masks(), _outside_fed(g)
+    cones = [reach[v] for v in verts]
+    holders = [sum(1 << i for i, cone in enumerate(cones) if cone >> j & 1) for j in range(len(verts))]
+    found: List[int] = []
+    stack = [(0, sum(1 << i for i, cone in enumerate(cones) if not cone & fed))]
+    while stack:
+        h, undecided = stack.pop()
+        if not undecided:
+            found.append(h)
+            continue
+        i = (undecided & -undecided).bit_length() - 1
+        stack.append((h, undecided & ~holders[i]))
+        if not cones[i] & ~(h | undecided):
+            stack.append((h | cones[i], undecided & ~cones[i]))
+    return sorted((tuple(verts[j] for j in _mask_key(h)) for h in found), key=lambda c: (len(c), c))
 
 
 def enumerate_sat_hered(g: KGraph, cap: Degree) -> List[VertexSet]:
-    """All hereditary H with saturation certified or unknown-at-cap,
-    including the empty set and the full vertex set."""
+    """All hereditary H with saturation certified or unknown-at-cap, the
+    empty and the full vertex set included, ordered by (size, members):
+    the down-sets of _hereditary_sets, each with its saturation status."""
     cap = degrees.check(cap, g.k)
-    out: List[VertexSet] = []
-    for combo in _hereditary_combos(g):
-        cert = _saturation_status(g, frozenset(combo), cap)
-        if not cert.is_false:
-            out.append(VertexSet(combo, True, cert))
-    out.sort(key=lambda h: (len(h.members), h.members))
-    return out
+    certs = ((members, _saturation_status(g, frozenset(members), cap)) for members in _hereditary_sets(g))
+    return [VertexSet(members, True, cert) for members, cert in certs if not cert.is_false]
 
 
 # -- quotient graphs and the stripped family ------------------------------------
@@ -247,9 +250,14 @@ def _candidates(g: KGraph, v: str, cap: Degree) -> Dict[int, CertifiedBool]:
 
 
 def _mask_key(mask: int) -> Tuple[int, ...]:
-    """Sort key of a member mask: orders the sets at one vertex as
-    set_sort_key does, because member order is Path.sort_key order."""
-    return tuple(j for j in range(mask.bit_length()) if mask >> j & 1)
+    """The positions of a mask's bits, ascending; as a sort key it orders
+    the sets at one vertex as set_sort_key does (members are in sort_key order)."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
 def _set_sort_key(g: KGraph, cap: Degree):
@@ -1005,50 +1013,44 @@ class IdealLattice:
 
 
 def ideal_lattice(g: KGraph, cap: Degree) -> IdealLattice:
-    """The pair lattice with Hasse diagram; meets/joins recovered from the
-    order by search, with any gaps at the cap reported rather than hidden."""
+    """The pair lattice with Hasse diagram, meets and joins from pair_leq's
+    matrix by _order_tables, with any gaps at the cap reported, not hidden."""
     cap = degrees.check(cap, g.k)
     pairs = enumerate_ideal_pairs(g, cap)
     n = len(pairs)
     leq = [[pair_leq(g, pairs[i], pairs[j]) for j in range(n)] for i in range(n)]
-    hasse = []
-    for i in range(n):
-        for j in range(n):
-            if i == j or not leq[i][j]:
-                continue
-            if any(leq[i][k] and leq[k][j] for k in range(n) if k not in (i, j)):
-                continue
-            hasse.append((i, j))
+    hasse, meets, joins, failures = _order_tables(leq)
+    return IdealLattice(pairs, leq, hasse, meets, joins, not failures, failures, cap)
+
+
+def _order_tables(leq: List[List[bool]]):
+    """Hasse diagram, meets, joins and failures of a relation, leq[i][j]
+    meaning i <= j, as bitmask rows: up[i] holds the j >= i, down[j] the
+    i <= j.  (i, j) is a Hasse edge when j is in i's strict up-row and in
+    no strict up-row of a k in it.  The meet of i and j is the one k of
+    the bound down[i] & down[j] whose down-row covers the bound, else
+    None; the join likewise with up-rows.  No step assumes an order."""
+    n = len(leq)
+    up = [sum(1 << j for j, le in enumerate(row) if le) for row in leq]
+    down = [sum(1 << i for i, le in enumerate(col) if le) for col in zip(*leq)]
+    strict = [row & ~(1 << i) for i, row in enumerate(up)]
+    hasse = [(i, j) for i in range(n) for j in _mask_key(strict[i] & ~_union_of_bits(strict, strict[i]))]
     meets: Dict[Tuple[int, int], Optional[int]] = {}
     joins: Dict[Tuple[int, int], Optional[int]] = {}
-    failures: List[str] = []
+    known: Dict[Tuple[bool, int], Optional[int]] = {}  # pairs share bounds; a lattice has 2n at most
 
-    def extremum(i: int, j: int, lower: bool) -> Optional[int]:
-        if lower:
-            bound = [k for k in range(n) if leq[k][i] and leq[k][j]]
-            best = [k for k in bound if all(leq[x][k] for x in bound)]
-        else:
-            bound = [k for k in range(n) if leq[i][k] and leq[j][k]]
-            best = [k for k in bound if all(leq[k][x] for x in bound)]
-        return best[0] if len(best) == 1 else None
+    def covering(rows: List[int], bound: int) -> Optional[int]:
+        key = (rows is down, bound)
+        if key not in known:
+            best = [k for k in _mask_key(bound) if not bound & ~rows[k]]
+            known[key] = best[0] if len(best) == 1 else None
+        return known[key]
 
     for i in range(n):
         for j in range(i, n):
-            mt = extremum(i, j, lower=True)
-            jn = extremum(i, j, lower=False)
-            meets[(i, j)] = meets[(j, i)] = mt
-            joins[(i, j)] = joins[(j, i)] = jn
-            if mt is None:
-                failures.append(f"no meet for nodes {i},{j}")
-            if jn is None:
-                failures.append(f"no join for nodes {i},{j}")
-    return IdealLattice(
-        pairs=pairs,
-        leq=leq,
-        hasse=tuple(sorted(hasse)),
-        meets=meets,
-        joins=joins,
-        is_lattice=not failures,
-        failures=tuple(failures),
-        cap=cap,
-    )
+            meets[i, j] = meets[j, i] = covering(down, down[i] & down[j])
+            joins[i, j] = joins[j, i] = covering(up, up[i] & up[j])
+    failures = tuple(f"no {kind} for nodes {i},{j}" for i in range(n) for j in range(i, n)
+                     for kind, table in (("meet", meets), ("join", joins)) if table[i, j] is None)
+    return tuple(hasse), meets, joins, failures
+

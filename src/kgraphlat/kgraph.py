@@ -150,15 +150,17 @@ class KGraph:
             if e.r in self._edges_at and 1 <= e.color <= skeleton.k:
                 self._edges_at[e.r][e.color].append(e)
         # swap[(a, b)] = (b', a'): the opposite-order traversal of a∘b
-        # (of two conflicting rules the last wins; validate_kgraph reports them)
+        # (of two conflicting rules the last wins; validate_kgraph reports
+        # them).  Only a rule that reverses the two colours enters: any
+        # other would let a normal form swap a pair forever
+        color = self._color
         self._swap: Dict[Tuple[str, str], Tuple[str, str]] = {}
         for rule in self.squares:
             f, g = rule.lhs
             g2, f2 = rule.rhs
-            if not all(x in self._edge for x in (f, g, g2, f2)):
-                continue
-            self._swap[(f, g)] = (g2, f2)
-            self._swap[(g2, f2)] = (f, g)
+            if all(x in color for x in (f, g, g2, f2)) and color[f] == color[f2] != color[g] == color[g2]:
+                self._swap[(f, g)] = (g2, f2)
+                self._swap[(g2, f2)] = (f, g)
         self._cache: Dict = {}
 
     # -- identity & hashing ------------------------------------------------
@@ -397,36 +399,38 @@ class KGraph:
     def _reach_masks(self) -> Dict[str, int]:
         # Tarjan's strongly connected components, iteratively: a component
         # closes after every component it reaches, so its cone is final
-        # then; a visited vertex with no cone yet is still open
+        # then; a visited vertex with no cone yet is still open.  num[v]
+        # is 1 + v's visit rank, 0 while v is unvisited
         at = {v: i for i, v in enumerate(self.vertices)}
-        succ: List[set] = [set() for _ in at]
+        succ: List[List[int]] = [[] for _ in at]
         for e in self.edges:
             if e.r in at and e.s in at:
-                succ[at[e.r]].add(at[e.s])
+                succ[at[e.r]].append(at[e.s])
         cone = [0] * len(at)
-        num: Dict[int, int] = {}
-        low: Dict[int, int] = {}
+        num = [0] * len(at)
+        low = [0] * len(at)
+        count = 0
         open_: List[int] = []
         for root in range(len(at)):
-            if root in num:
+            if num[root]:
                 continue
-            work = [(root, iter(succ[root]))]
-            num[root] = low[root] = len(num)
+            num[root] = low[root] = count = count + 1
             open_.append(root)
+            work = [(root, iter(succ[root]))]
             while work:
                 u, todo = work[-1]
                 for w in todo:
-                    if w not in num:
-                        num[w] = low[w] = len(num)
+                    if not num[w]:
+                        num[w] = low[w] = count = count + 1
                         open_.append(w)
                         work.append((w, iter(succ[w])))
                         break
-                    if not cone[w]:
-                        low[u] = min(low[u], num[w])
+                    if not cone[w] and num[w] < low[u]:
+                        low[u] = num[w]
                 else:
                     work.pop()
-                    if work:
-                        low[work[-1][0]] = min(low[work[-1][0]], low[u])
+                    if work and low[u] < low[work[-1][0]]:
+                        low[work[-1][0]] = low[u]
                     if low[u] == num[u]:
                         comp = [open_.pop()]
                         while comp[-1] != u:
@@ -437,7 +441,7 @@ class KGraph:
                                 mask |= cone[x]
                         for w in comp:
                             cone[w] = mask
-        return {v: cone[i] for i, v in enumerate(self.vertices)}
+        return dict(zip(self.vertices, cone))
 
     def reaches(self, v: str, w: str) -> bool:
         return bool(self.reach_masks().get(v, 0) & self.vertex_bits().get(w, 0))

@@ -10,7 +10,10 @@ round and computes its verdict with the family.  The pair enumeration
 builds the stripped family and the B search for every H, the empty one
 included.  Exhaustiveness with members beyond the cap walks the capped
 paths one by one; saturation runs passes over the vertices; the
-satiation closure gathers its verdict from every round.
+satiation closure gathers its verdict from every round.  Hereditary
+sets are the subsets that pass a mask test, a hereditary closure is a
+search toward sources, and the lattice finds its Hasse diagram, meets and
+joins by searches over the order matrix.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from kgraphlat.align import FEFamily, MinPair, PathSet, common_range, is_exhaust
 from kgraphlat.certify import CertifiedBool, false_certified, true_certified, unknown_at_cap
 from kgraphlat.degrees import Degree
 from kgraphlat.ideals import (
+    IdealLattice,
     VertexSet,
     S3_BUDGET,
     S4_BUDGET,
@@ -40,10 +44,12 @@ from kgraphlat.ideals import (
     _set_sort_key,
     _verdict,
     _verify_refutation,
+    enumerate_ideal_pairs,
     enumerate_sat_hered,
     fmt_pathset,
     fmt_vertexset,
     is_hereditary,
+    pair_leq,
     quotient_graph,
     restricted_fe_family,
     satiation_closure,
@@ -1068,3 +1074,96 @@ def oracle_enumerate_ideal_pairs(g: KGraph, cap: Degree) -> List[OracleIdealPair
             )
     pairs.sort(key=OracleIdealPair.sort_key)
     return pairs
+
+
+# -- hereditary sets by subsets, the closure by search, the lattice by search ------
+
+
+def oracle_hereditary_combos(g: KGraph):
+    """Every hereditary vertex set, as the combinations of g.vertices by
+    size that is_hereditary accepts, tested by vertex masks."""
+    verts = g.vertices
+    bits = g.vertex_bits()
+    # the vertex mask of the sources of the edges into each vertex; a
+    # source that is no vertex takes a bit that no vertex set holds
+    outside = 1 << len(verts)
+    into = dict.fromkeys(verts, 0)
+    for e in g.edges:
+        if e.r in into:
+            into[e.r] |= bits.get(e.s, outside)
+    for n in range(len(verts) + 1):
+        for combo in itertools.combinations(verts, n):
+            hmask = need = 0
+            for v in combo:
+                hmask |= bits[v]
+                need |= into[v]
+            if not need & ~hmask:
+                yield combo
+
+
+def oracle_hereditary_closure(g: KGraph, G: Iterable[str]) -> FrozenSet[str]:
+    """The vertices reached from G by a search toward edge sources; it may
+    hold a source that is no vertex."""
+    out = set(G)
+    for v in out:
+        g.require_vertex(v)
+    frontier = list(out)
+    succ: Dict[str, List[str]] = {}
+    for e in g.edges:
+        succ.setdefault(e.r, []).append(e.s)
+    while frontier:
+        v = frontier.pop()
+        for w in succ.get(v, ()):
+            if w not in out:
+                out.add(w)
+                frontier.append(w)
+    return frozenset(out)
+
+
+def oracle_ideal_lattice(g: KGraph, cap: Degree) -> IdealLattice:
+    """ideals.ideal_lattice with oracle_order_tables for its order."""
+    cap = degrees.check(cap, g.k)
+    pairs = enumerate_ideal_pairs(g, cap)
+    n = len(pairs)
+    leq = [[pair_leq(g, pairs[i], pairs[j]) for j in range(n)] for i in range(n)]
+    hasse, meets, joins, failures = oracle_order_tables(leq)
+    return IdealLattice(pairs, leq, hasse, meets, joins, not failures, failures, cap)
+
+
+def oracle_order_tables(leq: List[List[bool]]):
+    """ideals._order_tables by search: the Hasse diagram by a search for a
+    node between each related pair, meets and joins by a search of each
+    bound for its one element above (below) all of the bound."""
+    n = len(leq)
+    hasse = []
+    for i in range(n):
+        for j in range(n):
+            if i == j or not leq[i][j]:
+                continue
+            if any(leq[i][k] and leq[k][j] for k in range(n) if k not in (i, j)):
+                continue
+            hasse.append((i, j))
+    meets: Dict[Tuple[int, int], Optional[int]] = {}
+    joins: Dict[Tuple[int, int], Optional[int]] = {}
+    failures: List[str] = []
+
+    def extremum(i: int, j: int, lower: bool) -> Optional[int]:
+        if lower:
+            bound = [k for k in range(n) if leq[k][i] and leq[k][j]]
+            best = [k for k in bound if all(leq[x][k] for x in bound)]
+        else:
+            bound = [k for k in range(n) if leq[i][k] and leq[j][k]]
+            best = [k for k in bound if all(leq[k][x] for x in bound)]
+        return best[0] if len(best) == 1 else None
+
+    for i in range(n):
+        for j in range(i, n):
+            mt = extremum(i, j, lower=True)
+            jn = extremum(i, j, lower=False)
+            meets[(i, j)] = meets[(j, i)] = mt
+            joins[(i, j)] = joins[(j, i)] = jn
+            if mt is None:
+                failures.append(f"no meet for nodes {i},{j}")
+            if jn is None:
+                failures.append(f"no join for nodes {i},{j}")
+    return tuple(sorted(hasse)), meets, joins, tuple(failures)

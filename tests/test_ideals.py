@@ -48,7 +48,7 @@ def _dangling_graph():
 
 
 def test_hereditary_combos_match_is_hereditary():
-    """The vertex-mask test of enumerate_sat_hered accepts exactly the
+    """The down-set enumeration of enumerate_sat_hered lists exactly the
     subsets is_hereditary accepts, in combination order, on the fixtures,
     random 1- and 2-graphs (seeds 0-49) and a graph with dangling edges,
     where an edge from outside the vertex set keeps its range out of every
@@ -64,12 +64,12 @@ def test_hereditary_combos_match_is_hereditary():
     for g in graphs:
         subsets = [c for n in range(len(g.vertices) + 1) for c in itertools.combinations(g.vertices, n)]
         hereditary = [c for c in subsets if is_hereditary(g, c)]
-        assert list(ideals._hereditary_combos(g)) == hereditary, g.vertices
+        assert ideals._hereditary_sets(g) == hereditary, g.vertices
         cap = (1,) * g.k
         want = [(c, is_saturated(g, c, cap)) for c in hereditary]
         got = [(h.members, h.saturated) for h in enumerate_sat_hered(g, cap)]
         assert got == [(c, cert) for c, cert in want if not cert.is_false]
-    assert list(ideals._hereditary_combos(_dangling_graph())) == [(), ("w",)]
+    assert ideals._hereditary_sets(_dangling_graph()) == [(), ("w",)]
 
 
 def test_hereditary_closure_examples(fx):
@@ -77,6 +77,45 @@ def test_hereditary_closure_examples(fx):
     assert hereditary_closure(g4, {"v"}) == {"u", "v", "w"}
     assert hereditary_closure(g1, {"v"}) == {"v"}
     assert hereditary_closure(g4, set()) == set()
+    # u receives an edge from ghost, which is no vertex: no hereditary set
+    # holds u or v, which reaches u
+    dangling = _dangling_graph()
+    assert hereditary_closure(dangling, {"w"}) == {"w"}
+    for G in ({"u"}, {"v", "w"}):
+        with pytest.raises(KGraphError, match="no hereditary set contains"):
+            hereditary_closure(dangling, G)
+
+
+def _random_graphs():
+    """Random 1- and 2-graphs of seeds 0-149, but for seeds that draw none."""
+    graphs = []
+    for make in (random_1graph, random_2graph):
+        for seed in range(150):
+            try:
+                graphs.append(make(seed))
+            except RuntimeError:
+                continue
+    return graphs
+
+
+def test_hereditary_sets_and_closures_match_search_oracles():
+    """The down-sets of the reach cones are the subsets that pass the
+    vertex-mask test, and the closure of every vertex set is the search
+    oracle's, or raises exactly when the search reaches a non-vertex."""
+    compared = raised = 0
+    for g in [*map(textio.fixture, sorted(textio.FIXTURE_TEXTS)), *_random_graphs(), _dangling_graph()]:
+        assert ideals._hereditary_sets(g) == list(oracles.oracle_hereditary_combos(g)), g.vertices
+        for n in range(len(g.vertices) + 1):
+            for G in itertools.combinations(g.vertices, n):
+                want = oracles.oracle_hereditary_closure(g, G)
+                if want <= set(g.vertices):
+                    assert hereditary_closure(g, G) == want, (g.vertices, G)
+                    compared += 1
+                else:
+                    with pytest.raises(KGraphError):
+                        hereditary_closure(g, G)
+                    raised += 1
+    assert compared > 2000 and raised == 6, (compared, raised)
 
 
 def test_hereditary_closure_is_least(fx):
@@ -718,6 +757,75 @@ def test_lattice_meets_joins_on_diamond(fx):
     assert lat.meets[(1, 2)] == 0
     assert lat.joins[(1, 2)] == 3
     assert lat.meets[(0, 3)] == 0 and lat.joins[(0, 3)] == 3
+
+
+def _chain(n):
+    """A 1-graph on n vertices with a loop at each and an edge into each
+    from the next: its hereditary sets are the n + 1 tails."""
+    vs = [f"v{i:03d}" for i in range(n)]
+    edges = [(f"l{i:03d}", 1, v, v) for i, v in enumerate(vs)]
+    edges += [(f"e{i:03d}", 1, vs[i], vs[i + 1]) for i in range(n - 1)]
+    return KGraph(Skeleton.build(1, vs, edges), [])
+
+
+def _loops(n):
+    """n disjoint loops: every one of the 2**n vertex sets is hereditary."""
+    vs = [f"v{i:03d}" for i in range(n)]
+    return KGraph(Skeleton.build(1, vs, [(f"l{i:03d}", 1, v, v) for i, v in enumerate(vs)]), [])
+
+
+def test_ideal_lattice_matches_search_oracle():
+    """Every field of the lattice equals the search oracle's, whose Hasse
+    diagram, meets and joins search the order matrix: on the fixtures at
+    two caps, random 1- and 2-graphs (seeds 0-149), the graph with
+    dangling edges, chains and 7 disjoint loops (128 pairs)."""
+    inputs = [(textio.fixture(name), (c,) * textio.fixture(name).k)
+              for name in sorted(textio.FIXTURE_TEXTS) for c in (1, 2)]
+    inputs += [(g, (1,) * g.k) for g in [*_random_graphs(), _dangling_graph()]]
+    inputs += [(_chain(n), (1,)) for n in (1, 2, 5, 9)] + [(_loops(7), (1,))]
+    seen = collections.Counter()
+    for g, cap in inputs:
+        try:
+            got = ideal_lattice(g, cap)
+        except RuntimeError:  # over the fe enumeration limit
+            seen["refused"] += 1
+            continue
+        want = oracles.oracle_ideal_lattice(g, cap)
+        for f in dataclasses.fields(got):
+            assert getattr(got, f.name) == getattr(want, f.name), (g.vertices, cap, f.name)
+        seen["lattices"] += 1
+        seen["max pairs"] = max(seen["max pairs"], len(got.pairs))
+    assert seen["lattices"] > 300 and seen["max pairs"] == 128, seen
+
+
+def test_order_tables_match_search_oracle():
+    """The bitmask order tables equal the searches on relations that are
+    no order, on preorders and on partial orders, lattices or not, of up
+    to 9 nodes, drawn at random (seed 0)."""
+    rng = random.Random(0)
+    seen = collections.Counter()
+    for trial in range(600):
+        n = rng.randrange(10)
+        leq = [[i == j or rng.random() < 0.3 for j in range(n)] for i in range(n)]
+        kind = ("relation", "preorder", "partial order")[trial % 3]
+        if kind == "partial order":
+            leq = [[i <= j and x for j, x in enumerate(row)] for i, row in enumerate(leq)]
+        if kind != "relation":  # transitive closure
+            for k, i, j in itertools.product(range(n), repeat=3):
+                leq[i][j] = leq[i][j] or (leq[i][k] and leq[k][j])
+        got = ideals._order_tables(leq)
+        assert got == oracles.oracle_order_tables(leq), leq
+        seen[kind, "lattice" if not got[3] else "failures"] += 1
+    assert len(seen) == 6 and min(seen.values()) > 10, seen
+
+
+def test_vertex_scale_chain():
+    """The down-set enumeration and the bitmask order scale with the
+    number of hereditary sets, not with 2**|V|."""
+    assert len(ideals._hereditary_sets(_chain(400))) == 401
+    lat = ideal_lattice(_chain(22), (1,))
+    assert len(lat.pairs) == 23 and lat.is_lattice
+    assert lat.hasse == tuple((i, i + 1) for i in range(22))
 
 
 # -- rank-1 oracle ---------------------------------------------------------------

@@ -8,6 +8,7 @@ from kgraphlat import align, degrees, ideals, structure, textio
 from kgraphlat.kgraph import (
     KGraph,
     KGraphError,
+    MissingSquareError,
     NonComposableError,
     Path,
     SegmentBoundsError,
@@ -55,6 +56,28 @@ def test_malformed_square_reported(fx):
     bad = KGraph(g.skeleton, [SquareRule(("b", "b"), ("r", "r"))])
     rep = validate_kgraph(bad)
     assert ("malformed-square", ("b", "b", "r", "r")) in rep.violations
+
+
+def test_colour_keeping_square_raises_missing_square(fx):
+    """Only a square that reverses its two colours enters the swap table.
+    A malformed square that keeps its colour order makes normalizing and
+    cutting raise MissingSquareError, where normalizing used to swap the
+    same pair forever; on a valid graph the table holds every square both
+    ways."""
+    g = fx["FX2"]
+    bad = KGraph(g.skeleton, [SquareRule(("r", "b"), ("r", "b"))])
+    with pytest.raises(MissingSquareError):
+        bad.path(["r", "b"])
+    bad = KGraph(g.skeleton, [SquareRule(("b", "r"), ("b", "r"))])
+    with pytest.raises(MissingSquareError):
+        bad.split(bad.path(["b", "r"]), (0, 1))
+    valid = [h for h in [*fx.values(), *map(random_2graph, range(20))] if validate_kgraph(h).ok]
+    assert len(valid) > 20
+    for h in valid:
+        want = {}
+        for sq in h.squares:
+            want[sq.lhs], want[sq.rhs] = sq.rhs, sq.lhs
+        assert h._swap == want
 
 
 def _tricolor_graph(sigma_y, sigma_z):
