@@ -1,9 +1,10 @@
 """The CLI invocation corpus that pins kgraphlat's output across versions.
 
 ``criterion_9_invocations`` is the determinism corpus of acceptance
-criterion 9; ``corpus`` adds the family commands at cap 2 and the
-lattices of FX2, FX6 and FX4 at caps whose candidates at g exceed the fe
-enumeration limit (``BEYOND_FE_LIMIT``).
+criterion 9; ``corpus`` adds the family commands at cap 2, ``--format
+text`` copies of the criterion 9 commands named in ``TEXT_COMMANDS``, and
+the lattices of FX2, FX6 and FX4 at caps whose candidates at g exceed the
+fe enumeration limit (``BEYOND_FE_LIMIT``).
 ``random_corpus`` runs the family commands at cap (1,1) on the seeded
 random 2-graphs whose stripped family reacts to missing extension-rule
 derivatives, which no fixture does.  The SHA-256 of (exit code, stdout)
@@ -81,12 +82,18 @@ PROPER_H_BEYOND_FE_LIMIT = (
 )
 BEYOND_FE_LIMIT = ONE_VERTEX_BEYOND_FE_LIMIT + PROPER_H_BEYOND_FE_LIMIT
 
+# criterion 9 commands whose plain-text rendering is pinned as well: the
+# certificate lines and the nested results of the family commands
+TEXT_COMMANDS = ("report", "loops", "sathered", "satiate", "ehfamily", "fe")
+
 
 def corpus() -> List[Tuple[str, ...]]:
     out = []
     for name in sorted(textio.FIXTURE_TEXTS):
         g = textio.fixture(name)
-        out += criterion_9_invocations(name, g)
+        base = criterion_9_invocations(name, g)
+        out += base
+        out += [(*argv, "--format", "text") for argv in base if argv[0] in TEXT_COMMANDS]
         out += [
             ("fe", name, "--vertex", g.vertices[0], "--cap", "2"),
             ("ehfamily", name, "--set", "", "--cap", "2"),
