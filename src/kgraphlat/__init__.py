@@ -31,12 +31,9 @@ from .align import (
     MinPair,
     ext,
     fe_sets,
-    fe_sets_all,
     is_exhaustive,
     lambda_min,
     mce,
-    minimal_antichain,
-    pi_closure,
     vee_closure,
 )
 from .ideals import (

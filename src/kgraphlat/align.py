@@ -108,10 +108,8 @@ def lambda_min(g: KGraph, mu: Path, nu: Path) -> Tuple[MinPair, ...]:
 
 
 def ext(g: KGraph, mu: Path, E: Iterable[Path]) -> Tuple[Path, ...]:
-    """Continuations of mu that realize a minimal common extension with E."""
-    E = frozenset(E)
-    if E and common_range(E) != mu.r:
-        raise KGraphError("ext needs r(mu) equal to the common range of E")
+    """Continuations of mu that realize a minimal common extension with E.
+    A member whose range is not r(mu) raises KGraphError."""
     # the union of the members' alpha columns, each memoized with its pair
     # table in sort_key order, so that one column is the answer as it stands
     columns = [_min_triples(g, mu, nu)[3] for nu in E]
@@ -136,28 +134,6 @@ def vee_closure(g: KGraph, E: Iterable[Path]) -> Tuple[Path, ...]:
                         new.append(tau)
         cur.update(new)
         frontier = new
-    return sorted_paths(cur)
-
-
-def pi_closure(g: KGraph, G: Iterable[Path]) -> Tuple[Path, ...]:
-    """Least superset closed under λ·alpha for degree/source-matched triples."""
-    cur = set(G)
-    changed = True
-    while changed:
-        changed = False
-        items = sorted(cur, key=Path.sort_key)
-        for lam in items:
-            for mu in items:
-                if lam.d != mu.d or lam.s != mu.s:
-                    continue
-                for sigma in items:
-                    if mu.r != sigma.r:
-                        continue
-                    for pair in lambda_min(g, mu, sigma):
-                        cand = g.compose(lam, pair.alpha)
-                        if cand not in cur:
-                            cur.add(cand)
-                            changed = True
     return sorted_paths(cur)
 
 
@@ -492,17 +468,3 @@ def fe_sets(g: KGraph, v: str, cap: Degree) -> FEFamily:
         fam.by_vertex[v] = found
     return fam
 
-
-def fe_sets_all(g: KGraph, cap: Degree) -> FEFamily:
-    fam = FEFamily(g, degrees.check(cap, g.k))
-    for v in g.vertices:
-        fam.by_vertex.update(fe_sets(g, v, cap).by_vertex)
-    return fam
-
-
-def minimal_antichain(g: KGraph, E: Iterable[Path]) -> Tuple[Path, ...]:
-    """Members of E that extend no other member; exhaustiveness only
-    depends on this antichain."""
-    E = sorted_paths(E)
-    out = [p for p in E if not any(q != p and g.extends(p, q) for q in E)]
-    return tuple(out)

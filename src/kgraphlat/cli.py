@@ -17,16 +17,9 @@ from . import __version__, align, degrees, ideals, structure, textio
 from .certify import CertifiedBool
 from .degrees import Degree
 from .ideals import IdealLattice, IdealPair
-from .kgraph import KGraph, KGraphError, Path
+from .kgraph import KGraph, KGraphError, Path, validate_kgraph
 from .randomgraphs import random_1graph, random_2graph
 from .textio import KGraphDocument, KGraphSyntaxError, parse_kgraph_text
-
-COMMANDS = (
-    "validate", "paths", "mce", "ext", "fe", "saturation", "sathered",
-    "quotient", "ehfamily", "satiate", "pairs", "lattice", "skew",
-    "grading", "mclosure", "boundary", "cofinal", "loops", "report", "fuzz",
-)
-
 
 class UsageError(ValueError):
     pass
@@ -63,21 +56,13 @@ def _encode(obj: Any) -> Any:
         return out
     if isinstance(obj, (frozenset, set)):
         return sorted((_encode(x) for x in obj), key=json.dumps)
-    if isinstance(obj, dict):
-        return {str(_key(k)): _encode(v) for k, v in sorted(obj.items(), key=lambda kv: str(_key(kv[0])))}
+    if isinstance(obj, dict):  # keys are str; the renderers sort them
+        return {k: _encode(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_encode(x) for x in obj]
     if isinstance(obj, (str, int, float, bool)) or obj is None:
         return obj
     return repr(obj)
-
-
-def _key(k: Any) -> Any:
-    if isinstance(k, Path):
-        return k.literal()
-    if isinstance(k, (frozenset, tuple)):
-        return json.dumps(_encode(k))
-    return k
 
 
 class _Certificates:
@@ -207,17 +192,22 @@ def _cmd_ext(doc, cfg, certs):
     return {"ext": [p.literal() for p in align.ext(g, mu, E)]}
 
 
+def _set_rows(sets: Dict[align.PathSet, CertifiedBool], fact: str, certs: _Certificates):
+    """Rows of a set's members and certificate fields, in set_sort_key order."""
+    out = []
+    for S, cert in sorted(sets.items(), key=lambda kv: ideals.set_sort_key(kv[0])):
+        out.append({"set": [p.literal() for p in sorted(S, key=Path.sort_key)], **_encode(cert)})
+        certs.add(f"{fact} {ideals.fmt_pathset(S)}", cert)
+    return out
+
+
 def _cmd_fe(doc, cfg, certs):
     g = doc.graph
     if not cfg.vertex:
         raise UsageError("fe needs --vertex")
     cap = _need_cap(cfg, g)
     fam = align.fe_sets(g, cfg.vertex, cap)
-    out = []
-    for S, cert in sorted(fam.sets_at(cfg.vertex).items(), key=lambda kv: ideals.set_sort_key(kv[0])):
-        out.append({"set": [p.literal() for p in sorted(S, key=Path.sort_key)], **_encode(cert)})
-        certs.add(f"exhaustive {ideals.fmt_pathset(S)}", cert)
-    return {"vertex": cfg.vertex, "sets": out}
+    return {"vertex": cfg.vertex, "sets": _set_rows(fam.sets_at(cfg.vertex), "exhaustive", certs)}
 
 
 def _cmd_saturation(doc, cfg, certs):
@@ -227,7 +217,7 @@ def _cmd_saturation(doc, cfg, certs):
     vs = ideals.saturation(g, G, cap)
     certs.add(f"saturated {ideals.fmt_vertexset(vs.members)}", vs.saturated)
     return {"input": sorted(G), "saturation": list(vs.members),
-            "hereditary": vs.hereditary, "saturated": _encode(vs.saturated)}
+            "hereditary": vs.hereditary, "saturated": vs.saturated}
 
 
 def _cmd_sathered(doc, cfg, certs):
@@ -236,7 +226,7 @@ def _cmd_sathered(doc, cfg, certs):
     out = []
     for hv in ideals.enumerate_sat_hered(g, cap):
         certs.add(f"saturated {ideals.fmt_vertexset(hv.members)}", hv.saturated)
-        out.append({"H": list(hv.members), "saturated": _encode(hv.saturated)})
+        out.append({"H": list(hv.members), "saturated": hv.saturated})
     return {"sets": out}
 
 
@@ -253,14 +243,10 @@ def _cmd_ehfamily(doc, cfg, certs):
     H = _parse_vertexset(g, cfg.setarg)
     sf = ideals.restricted_fe_family(g, H, cap)
     certs.add("family satiated", sf.satiated)
-    sets_out = []
-    for S, cert in sorted(sf.certs().items(), key=lambda kv: ideals.set_sort_key(kv[0])):
-        sets_out.append({"set": [p.literal() for p in sorted(S, key=Path.sort_key)], **_encode(cert)})
-        certs.add(f"exhaustive-in-quotient {ideals.fmt_pathset(S)}", cert)
     return {
         "H": sorted(H),
-        "sets": sets_out,
-        "satiated": _encode(sf.satiated),
+        "sets": _set_rows(sf.certs(), "exhaustive-in-quotient", certs),
+        "satiated": sf.satiated,
         "refuted_parents": [
             {"parent": [p.literal() for p in sorted(E, key=Path.sort_key)], "witness": tau.literal()}
             for E, tau in sf.refuted_parents.items()
@@ -279,7 +265,7 @@ def _cmd_satiate(doc, cfg, certs):
     certs.add("satiated", verdict)
     return {
         "H": sorted(H),
-        "is_satiated": _encode(verdict),
+        "is_satiated": verdict,
         "closure_size": closure.base.size(),
         "base_size": sf.base.size(),
         "overflow": [p.literal() for p in closure.overflow],
@@ -324,8 +310,6 @@ def _cmd_skew(doc, cfg, certs):
     sw = structure.skew_product_window(g, (-r,) * g.k, (r,) * g.k)
     if cfg.fmt == "dot":
         return sw.graph
-    from .kgraph import validate_kgraph
-
     rep = validate_kgraph(sw.graph)
     return {
         "radius": r,
@@ -373,7 +357,7 @@ def _cmd_cofinal(doc, cfg, certs):
     cap = _need_cap(cfg, g)
     cert = structure.cofinality_check(g, cap)
     certs.add("cofinal", cert)
-    return {"cofinal": _encode(cert)}
+    return {"cofinal": cert}
 
 
 def _cmd_loops(doc, cfg, certs):
@@ -382,7 +366,7 @@ def _cmd_loops(doc, cfg, certs):
     out = structure.find_loop_with_entrance(g, cap)
     for v, cert in sorted(out.items()):
         certs.add(f"loop-with-entrance reachable from {v}", cert)
-    return {"vertices": {v: _encode(c) for v, c in out.items()}}
+    return {"vertices": out}
 
 
 def _cmd_report(doc, cfg, certs):
@@ -392,8 +376,8 @@ def _cmd_report(doc, cfg, certs):
     certs.add("cofinal", rep.cofinal)
     certs.add("all vertices reach a loop with an entrance", rep.all_vertices_reach_loop_with_entrance)
     return {
-        "cofinal": _encode(rep.cofinal),
-        "loops": {v: _encode(c) for v, c in rep.loops.items()},
+        "cofinal": rep.cofinal,
+        "loops": rep.loops,
         "lattice_size": rep.lattice_size,
         "assumed_condition_C": rep.assumed_condition_C,
         "verdicts": rep.verdicts,
@@ -402,8 +386,6 @@ def _cmd_report(doc, cfg, certs):
 
 def _cmd_fuzz(doc, cfg, certs):
     g = random_1graph(cfg.seed) if cfg.rank == 1 else random_2graph(cfg.seed)
-    from .kgraph import validate_kgraph
-
     rep = validate_kgraph(g)
     cap = cfg.cap if cfg.cap is not None else (1,) * g.k
     lat = ideals.ideal_lattice(g, degrees.check(cap, g.k))
@@ -429,10 +411,6 @@ _HANDLERS = {
 }
 
 
-def run_command(doc: Optional[KGraphDocument], cfg: RunConfig) -> str:
-    return run_with_status(doc, cfg)[0]
-
-
 def run_with_status(doc: Optional[KGraphDocument], cfg: RunConfig) -> Tuple[str, int]:
     """Dispatch a command; deterministic output plus the exit code."""
     if cfg.command not in _HANDLERS:
@@ -447,10 +425,7 @@ def run_with_status(doc: Optional[KGraphDocument], cfg: RunConfig) -> Tuple[str,
                    "violations": [[k, list(i)] for k, i in doc.report.violations]}
         return _render(payload, cfg, certs), 1
     payload = _HANDLERS[cfg.command](doc, cfg, certs)
-    if isinstance(payload, (IdealLattice, KGraph)):
-        text = emit_dot(payload)
-    else:
-        text = _render(payload, cfg, certs)
+    text = _render(payload, cfg, certs) if isinstance(payload, dict) else emit_dot(payload)
     code = 3 if cfg.require_exact and certs.any_unknown() else 0
     return text, code
 
@@ -463,7 +438,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="kgraphlat",
         description="exact combinatorics for finitely presented higher-rank graphs",
     )
-    p.add_argument("command", choices=COMMANDS)
+    p.add_argument("command", choices=tuple(_HANDLERS))
     p.add_argument("input", nargs="?", help="k-graph text file, '-' for stdin, or FX1..FX6")
     p.add_argument("--cap", help="degree cap, comma separated or broadcast (e.g. 2,2 or 2)")
     p.add_argument("--format", dest="fmt", choices=("json", "dot", "text"), default="json")

@@ -79,7 +79,9 @@ def _outside_fed(g: KGraph) -> int:
 
 def hereditary_closure(g: KGraph, G: Iterable[str]) -> FrozenSet[str]:
     """Least hereditary superset: the union of the reach cones of G.  None
-    exists, and KGraphError is raised, when it meets a range fed from no vertex."""
+    exists, and KGraphError is raised, when it meets a range fed from no vertex.
+    The ideal generated by {p_v : v in G} is I_H, where H is the saturation
+    of this closure."""
     G = frozenset(G)
     reach = g.reach_masks()
     mask = 0
@@ -986,6 +988,11 @@ def pair_leq(g: KGraph, p1: IdealPair, p2: IdealPair) -> bool:
         raise KGraphError("pairs come from a different graph")
     if p1.cap != p2.cap:
         raise KGraphError("pairs computed at different caps")
+    return _pair_leq(p1, p2)
+
+
+def _pair_leq(p1: IdealPair, p2: IdealPair) -> bool:
+    # pair_leq for two pairs of one graph at one cap
     H1, H2 = frozenset(p1.H), frozenset(p2.H)
     if not H1 <= H2:
         return False
@@ -1018,7 +1025,7 @@ def ideal_lattice(g: KGraph, cap: Degree) -> IdealLattice:
     cap = degrees.check(cap, g.k)
     pairs = enumerate_ideal_pairs(g, cap)
     n = len(pairs)
-    leq = [[pair_leq(g, pairs[i], pairs[j]) for j in range(n)] for i in range(n)]
+    leq = [[_pair_leq(pairs[i], pairs[j]) for j in range(n)] for i in range(n)]
     hasse, meets, joins, failures = _order_tables(leq)
     return IdealLattice(pairs, leq, hasse, meets, joins, not failures, failures, cap)
 

@@ -5,8 +5,8 @@ from collections import Counter
 import pytest
 
 from kgraphlat import align, degrees, structure, textio
-from kgraphlat.align import ext, fe_sets, is_exhaustive, lambda_min, mce, pi_closure, vee_closure
-from kgraphlat.kgraph import KGraph, KGraphError, MissingSquareError, Path, Skeleton, sorted_paths, validate_kgraph
+from kgraphlat.align import ext, fe_sets, is_exhaustive, lambda_min, mce, vee_closure
+from kgraphlat.kgraph import KGraph, KGraphError, MissingSquareError, Path, Skeleton, validate_kgraph
 from kgraphlat.randomgraphs import random_1graph, random_2graph
 
 import oracles
@@ -72,6 +72,25 @@ def test_ext_examples(fx):
     assert [p.literal() for p in ext(g2, r, [b])] == ["b"]
     assert ext(g3, g3.path(["c"]), [g3.path(["b"])]) == ()
     assert [p.literal() for p in ext(g2, g2.identity("v"), [b])] == ["b"]
+
+
+def test_ext_rejects_members_off_the_range_of_mu(fx):
+    g = fx["FX4"]
+    e, f, gg = g.path(["e"]), g.path(["f"]), g.path(["g"])  # e, f end at v; g at w
+    with pytest.raises(KGraphError):  # mixed ranges
+        ext(g, e, [f, gg])
+    with pytest.raises(KGraphError):  # one range, not r(e)
+        ext(g, e, [gg])
+    with pytest.raises(KGraphError):
+        ext(g, g.identity("w"), [e, f])
+
+
+def test_ext_of_a_repeated_member_is_the_sets_answer(fx):
+    g2 = fx["FX2"]
+    b, r = g2.path(["b"]), g2.path(["r"])
+    assert ext(g2, r, [b, b]) == ext(g2, r, {b}) == ext(g2, r, [b])
+    assert ext(g2, r, [b, r, b]) == ext(g2, r, {b, r})
+    assert ext(g2, r, (p for p in [b, b])) == ext(g2, r, {b})  # any iterable, read once
 
 
 def test_ext_matches_definitional_oracle(fx):
@@ -229,15 +248,6 @@ def test_vee_closure_properties(fx):
             assert any(g.extends(lam, mu) for mu in E)  # factors through a member
 
 
-def test_pi_closure_examples(fx):
-    g2, g3 = fx["FX2"], fx["FX3"]
-    b, r = g2.path(["b"]), g2.path(["r"])
-    assert {p.literal() for p in pi_closure(g2, [b, r])} == {"b", "r", "b.r"}
-    assert pi_closure(g2, [b]) == (b,)
-    got = pi_closure(g3, [g3.path(["b"]), g3.path(["c"])])
-    assert {p.literal() for p in got} == {"b", "c"}
-
-
 # -- exhaustiveness ---------------------------------------------------------------
 
 
@@ -369,9 +379,3 @@ def test_all_edges_set_always_true(fx):
             edges = [g.path([e.eid]) for e in g.edges_at(v)]
             if edges:
                 assert is_exhaustive(g, edges, (1,) * g.k).is_true
-
-
-def test_minimal_antichain(fx):
-    g = fx["FX4"]
-    e, eg, f = g.path(["e"]), g.path(["e", "g"]), g.path(["f"])
-    assert align.minimal_antichain(g, [e, eg, f]) == tuple(sorted_paths([e, f]))

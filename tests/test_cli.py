@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from kgraphlat import textio
-from kgraphlat.cli import RunConfig, emit_dot, main, run_command, run_with_status
+from kgraphlat.cli import RunConfig, emit_dot, main, run_with_status
 from kgraphlat.ideals import ideal_lattice
 from kgraphlat.textio import KGraphSyntaxError, emit_kgraph_text, parse_kgraph_text
 
@@ -65,7 +65,7 @@ def test_parse_unknown_square_edge():
 
 def test_run_command_mce_payload(fx):
     doc = parse_kgraph_text(textio.FIXTURE_TEXTS["FX2"])
-    out = run_command(doc, RunConfig(command="mce", mu="b", nu="r"))
+    out = run_with_status(doc, RunConfig(command="mce", mu="b", nu="r"))[0]
     data = json.loads(out)
     assert data["result"]["mce"] == ["b.r"]
     assert data["tool"] == "kgraphlat" and data["version"]

@@ -293,8 +293,10 @@ def test_restricted_fe_family_examples(fx):
     }
     # empty H: the family is the capped candidate family itself
     sf0 = restricted_fe_family(g, set(), (2,))
-    direct = align.fe_sets_all(g, (2,))
-    assert sf0.sets() == frozenset(direct.all_sets())
+    direct = set()
+    for v in g.vertices:
+        direct.update(align.fe_sets(g, v, (2,)).all_sets())
+    assert sf0.sets() == frozenset(direct)
 
 
 def test_restricted_members_never_refuted(fx):
@@ -828,6 +830,26 @@ def test_vertex_scale_chain():
     assert lat.hasse == tuple((i, i + 1) for i in range(22))
 
 
+def test_lattice_order_reads_no_graph_key_per_comparison(monkeypatch):
+    """The lattice's pairs come from one enumeration, so they share a graph
+    and a cap: on 7 disjoint loops (128 pairs, 16,384 comparisons) the
+    lattice makes at most one cache_key call per pair, yet its order is
+    pair_leq's."""
+    g = _loops(7)
+    calls = collections.Counter()
+    cache_key = KGraph.cache_key
+
+    def counted(self):
+        calls["cache_key"] += 1
+        return cache_key(self)
+
+    with monkeypatch.context() as m:
+        m.setattr(KGraph, "cache_key", counted)
+        lat = ideal_lattice(g, (1,))
+    assert len(lat.pairs) == 128 and 0 < calls["cache_key"] <= len(lat.pairs), calls
+    assert lat.leq == [[pair_leq(g, a, b) for b in lat.pairs] for a in lat.pairs]
+
+
 # -- rank-1 oracle ---------------------------------------------------------------
 
 
@@ -845,18 +867,3 @@ def test_is_satiated_rejects_out_of_universe_members(fx):
     deep = g.path(["e", "g"])  # degree 2 member against a cap-1 universe
     with pytest.raises(KGraphError):
         is_satiated(g, [{deep}], (1,))
-
-
-def test_pi_closure_idempotent_on_random_graphs():
-    from kgraphlat.align import pi_closure
-    from kgraphlat.randomgraphs import random_2graph
-
-    for seed in range(6):
-        g = random_2graph(seed)
-        v = g.vertices[0]
-        pool = [p for p in g.paths_up_to(v, (1, 1)) if not p.is_vertex][:4]
-        if not pool:
-            continue
-        once = pi_closure(g, pool)
-        assert pi_closure(g, once) == once
-        assert set(pool) <= set(once)
