@@ -66,28 +66,41 @@ def _min_triples(g: KGraph, mu: Path, nu: Path) -> Tuple[Tuple[Path, ...], ...]:
     return g.memo(("mce", mu, nu), _build_min_triples, g, mu, nu)
 
 
+# the one pair table of every pair with no common extension
+_NO_TRIPLES: Tuple[Tuple[Path, ...], ...] = ((),) * 5
+
+
 def _build_min_triples(g: KGraph, mu: Path, nu: Path) -> Tuple[Tuple[Path, ...], ...]:
     # each tau factors as mu·alpha with a unique alpha of degree n - d(mu),
-    # and as nu·beta: walk the side with fewer continuations, normalizing
-    # each candidate's edges once and cutting them at the other side's
-    # degree; Paths are built only for the rows kept.  A side of degree n
-    # has one continuation, its source, so when the degrees are comparable
-    # that side is walked, tau is that side itself, and one cut decides
+    # and as nu·beta.  When the degrees are comparable, tau can only be
+    # the larger side itself: one cut of it at the smaller side's degree
+    # decides the pair, and the smaller side's continuation is its suffix
     n = degrees.join(mu.d, nu.d)
+    if n == mu.d or n == nu.d:
+        big, small = (mu, nu) if n == mu.d else (nu, mu)
+        # the memoized identity, read before the cut as the walk read it,
+        # so that a source which is no vertex raises first
+        vertex = g._paths_of_degree(big.s, degrees.zero(g.k))[0]
+        head, rest = g._cut(big.edges, small.d)
+        if head != small.edges:
+            return _NO_TRIPLES
+        tail = Path(small.s, big.s, tuple(map(int.__sub__, n, small.d)), rest)
+        columns = ((big,), (vertex,), (tail,)) if big is mu else ((big,), (tail,), (vertex,))
+        return columns + columns[1:]
+    # otherwise walk the side with fewer continuations, normalizing each
+    # candidate's edges once and cutting them at the other side's degree;
+    # Paths are built only for the rows kept
     alpha_d = tuple(map(int.__sub__, n, mu.d))
     beta_d = tuple(map(int.__sub__, n, nu.d))
-    if any(alpha_d) and any(beta_d):
-        swap = len(g._paths_of_degree(nu.s, beta_d)) < len(g._paths_of_degree(mu.s, alpha_d))
-    else:  # walk the side of degree n
-        swap = any(alpha_d)
+    swap = len(g._paths_of_degree(nu.s, beta_d)) < len(g._paths_of_degree(mu.s, alpha_d))
     if swap:
         mu, nu, alpha_d, beta_d = nu, mu, beta_d, alpha_d
     rows = []
     for alpha in g._paths_of_degree(mu.s, alpha_d):
-        edges = g._normalize(mu.edges + alpha.edges) if alpha.edges else mu.edges
+        edges = g._normalize(mu.edges + alpha.edges)
         head, rest = g._cut(edges, nu.d)
         if head == nu.edges:
-            tau = Path(mu.r, alpha.s, n, edges) if alpha.edges else mu
+            tau = Path(mu.r, alpha.s, n, edges)
             beta = Path(nu.s, alpha.s, beta_d, rest)
             rows.append((tau, beta, alpha) if swap else (tau, alpha, beta))
     if len(rows) < 2:  # then each column is in sort_key order too
@@ -112,10 +125,10 @@ def ext(g: KGraph, mu: Path, E: Iterable[Path]) -> Tuple[Path, ...]:
     A member whose range is not r(mu) raises KGraphError."""
     # the union of the members' alpha columns, each memoized with its pair
     # table in sort_key order, so that one column is the answer as it stands
-    columns = [_min_triples(g, mu, nu)[3] for nu in E]
-    if len(columns) == 1:
-        return columns[0]
-    return sorted_paths(p for col in columns for p in col)
+    E = tuple(E)
+    if len(E) == 1:
+        return _min_triples(g, mu, E[0])[3]
+    return sorted_paths(p for nu in E for p in _min_triples(g, mu, nu)[3])
 
 
 def vee_closure(g: KGraph, E: Iterable[Path]) -> Tuple[Path, ...]:

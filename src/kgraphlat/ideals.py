@@ -988,16 +988,22 @@ def pair_leq(g: KGraph, p1: IdealPair, p2: IdealPair) -> bool:
         raise KGraphError("pairs come from a different graph")
     if p1.cap != p2.cap:
         raise KGraphError("pairs computed at different caps")
-    return _pair_leq(p1, p2)
+    bits = g.vertex_bits()
+    return _pair_leq(p1, p2, _vertex_mask(bits, p1.H), _vertex_mask(bits, p2.H))
 
 
-def _pair_leq(p1: IdealPair, p2: IdealPair) -> bool:
-    # pair_leq for two pairs of one graph at one cap
-    H1, H2 = frozenset(p1.H), frozenset(p2.H)
-    if not H1 <= H2:
+def _vertex_mask(bits: Dict[str, int], H: Iterable[str]) -> int:
+    return sum(bits[v] for v in H)
+
+
+def _pair_leq(p1: IdealPair, p2: IdealPair, h1: int, h2: int) -> bool:
+    # pair_leq for two pairs of one graph at one cap, whose H have the
+    # vertex masks h1 and h2
+    if h1 & ~h2:
         return False
     if not p1.B:
         return True
+    H2 = frozenset(p2.H)
     allowed = p2.eh_sets | set(p2.B)
     for E in p1.B:
         if next(iter(E)).r in H2:
@@ -1024,8 +1030,9 @@ def ideal_lattice(g: KGraph, cap: Degree) -> IdealLattice:
     matrix by _order_tables, with any gaps at the cap reported, not hidden."""
     cap = degrees.check(cap, g.k)
     pairs = enumerate_ideal_pairs(g, cap)
-    n = len(pairs)
-    leq = [[_pair_leq(pairs[i], pairs[j]) for j in range(n)] for i in range(n)]
+    bits = g.vertex_bits()
+    masks = [_vertex_mask(bits, p.H) for p in pairs]
+    leq = [[_pair_leq(p1, p2, h1, h2) for p2, h2 in zip(pairs, masks)] for p1, h1 in zip(pairs, masks)]
     hasse, meets, joins, failures = _order_tables(leq)
     return IdealLattice(pairs, leq, hasse, meets, joins, not failures, failures, cap)
 
@@ -1053,11 +1060,14 @@ def _order_tables(leq: List[List[bool]]):
             known[key] = best[0] if len(best) == 1 else None
         return known[key]
 
+    failures = []
     for i in range(n):
         for j in range(i, n):
-            meets[i, j] = meets[j, i] = covering(down, down[i] & down[j])
-            joins[i, j] = joins[j, i] = covering(up, up[i] & up[j])
-    failures = tuple(f"no {kind} for nodes {i},{j}" for i in range(n) for j in range(i, n)
-                     for kind, table in (("meet", meets), ("join", joins)) if table[i, j] is None)
-    return tuple(hasse), meets, joins, failures
+            meet = meets[i, j] = meets[j, i] = covering(down, down[i] & down[j])
+            join = joins[i, j] = joins[j, i] = covering(up, up[i] & up[j])
+            if meet is None:
+                failures.append(f"no meet for nodes {i},{j}")
+            if join is None:
+                failures.append(f"no join for nodes {i},{j}")
+    return tuple(hasse), meets, joins, tuple(failures)
 

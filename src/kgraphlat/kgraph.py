@@ -45,6 +45,10 @@ class MissingSquareError(KGraphError):
     """Raised when normalization needs a square the presentation lacks."""
 
 
+def _no_square(a: str, b: str) -> MissingSquareError:
+    return MissingSquareError(f"no square for composable pair {a}∘{b}")
+
+
 @dataclass(frozen=True)
 class Edge:
     eid: str
@@ -229,13 +233,10 @@ class KGraph:
         return all(self._edge[a].s == self._edge[b].r for a, b in zip(seq, seq[1:]))
 
     def _swap_at(self, seq: List[str], i: int) -> None:
-        key = (seq[i], seq[i + 1])
         try:
-            seq[i], seq[i + 1] = self._swap[key]
+            seq[i], seq[i + 1] = self._swap[seq[i], seq[i + 1]]
         except KeyError:
-            raise MissingSquareError(
-                f"no square for composable pair {key[0]}∘{key[1]}"
-            ) from None
+            raise _no_square(seq[i], seq[i + 1]) from None
 
     def _normalize(self, seq: Sequence[str]) -> Tuple[str, ...]:
         color = self._color
@@ -303,7 +304,7 @@ class KGraph:
         (validate_kgraph reports any other) turns a pair (lower, c) into a
         pair (c, lower) of the same two colours, so the suffix's colours
         after a step are its colours before with one c removed."""
-        color = self._color
+        color, swap = self._color, self._swap
         e = list(edges)
         start = 0
         for c, count in enumerate(m, 1):
@@ -311,9 +312,12 @@ class KGraph:
                 j = start
                 while color[e[j]] != c:
                     j += 1
-                while j > start:
+                while j > start:  # the swaps of _swap_at, read off the table here
                     j -= 1
-                    self._swap_at(e, j)
+                    try:
+                        e[j], e[j + 1] = swap[e[j], e[j + 1]]
+                    except KeyError:
+                        raise _no_square(e[j], e[j + 1]) from None
                 start += 1
         return tuple(e[:start]), tuple(e[start:])
 
@@ -359,18 +363,30 @@ class KGraph:
         return self.memo(("pod", v, n), self._enumerate_degree, v, n)
 
     def _enumerate_degree(self, v: str, n: Degree) -> Tuple[Path, ...]:
-        seqs: List[Tuple[str, List[str]]] = [(v, [])]
-        for c in range(1, self.k + 1):
-            for _ in range(n[c - 1]):
-                nxt = []
-                for vert, acc in seqs:
-                    for e in self._edges_at.get(vert, {}).get(c, []):
-                        nxt.append((e.s, acc + [e.eid]))
-                seqs = nxt
-            if not seqs:
-                break
-        return sorted_paths(
-            Path(v, vert, n, tuple(acc)) if acc else self.identity(v) for vert, acc in seqs
+        """vΛ^n by extension: with c the top colour of n, each memoized
+        path of degree n - e_c, in order, followed by each colour-c edge at
+        its source, in id order.  A normal form is colour-ascending and c is
+        the top colour, so each extension is a normal form as it stands.
+        The paths of one degree at v are ordered by sort_key exactly when
+        their edge tuples are, and the extensions of distinct paths of one
+        length by distinct edges are distinct and ordered by (path, edge),
+        so the result is in sort_key order and free of duplicates."""
+        c = len(n)
+        while c and not n[c - 1]:
+            c -= 1
+        if not c:
+            return (self.identity(v),)
+        m = n[:c - 1] + (n[c - 1] - 1,) + n[c:]
+        if ("pod", v, m) not in self._cache:
+            # memoize the degrees below m bottom up, one edge at a time in
+            # colour order, so that no build recurses more than one level
+            for i in range(c):
+                for j in range(1, m[i] + 1):
+                    self._paths_of_degree(v, m[:i] + (j,) + (0,) * (len(n) - i - 1))
+        at = self._edges_at
+        return tuple(
+            Path(v, e.s, n, p.edges + (e.eid,))
+            for p in self._paths_of_degree(v, m) for e in at.get(p.s, {}).get(c, ())
         )
 
     def paths_up_to(self, v: str, cap: Degree) -> Tuple[Path, ...]:
@@ -383,7 +399,10 @@ class KGraph:
         return hit
 
     def _paths_up_to(self, v: str, cap: Degree) -> Tuple[Path, ...]:
-        return sorted_paths(p for n in degrees.below(cap) for p in self._paths_of_degree(v, n))
+        # degrees.below lists the degrees by (total, degree), the order in
+        # which sort_key ranks paths of distinct degrees at one range, and
+        # each degree's paths are in sort_key order already
+        return tuple(p for n in degrees.below(cap) for p in self._paths_of_degree(v, n))
 
     # -- vertex reachability (v <= w iff vΛw nonempty) ---------------------------
 

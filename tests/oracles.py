@@ -150,6 +150,31 @@ def filter_ext(g: KGraph, mu: Path, E: Iterable[Path]) -> Tuple[Path, ...]:
     return sorted_paths(out)
 
 
+# -- path enumeration colour by colour -------------------------------------------
+# KGraph._enumerate_degree and _paths_up_to as they were before paths were
+# enumerated by extension: every edge sequence of degree n is grown from
+# the vertex, one colour after the other, with no memo, and the results
+# are deduplicated and sorted; paths_up_to sorts the union of the degrees.
+
+
+def colour_walk_paths_of_degree(g: KGraph, v: str, n: Degree) -> Tuple[Path, ...]:
+    seqs: List[Tuple[str, List[str]]] = [(v, [])]
+    for c in range(1, g.k + 1):
+        for _ in range(n[c - 1]):
+            nxt = []
+            for vert, acc in seqs:
+                for e in g._edges_at.get(vert, {}).get(c, []):
+                    nxt.append((e.s, acc + [e.eid]))
+            seqs = nxt
+        if not seqs:
+            break
+    return sorted_paths(Path(v, vert, n, tuple(acc)) if acc else g.identity(v) for vert, acc in seqs)
+
+
+def colour_walk_paths_up_to(g: KGraph, v: str, cap: Degree) -> Tuple[Path, ...]:
+    return sorted_paths(p for n in degrees.below(cap) for p in colour_walk_paths_of_degree(g, v, n))
+
+
 # -- the count-compared walk ------------------------------------------------------
 # align._build_min_triples and KGraph._cut as they were before comparable
 # degrees took one cut: the walk enumerates both sides' continuations to

@@ -218,6 +218,34 @@ def test_common_extension_calls_pinned(monkeypatch, name, radius, cap):
     assert calls["split"] == calls["compose"] == 0
 
 
+def test_common_extension_kernel_calls_pinned(monkeypatch):
+    """The memo census window: FX2's radius-3 skew-product window, every
+    ordered pair of paths up to (2,2) at each vertex.  Enumerating the
+    paths extends normal forms, so it cuts and normalizes nothing.  A pair
+    of comparable degrees is decided by one _cut of the larger side and no
+    _normalize: 1,156 pair tables, one per unordered pair, as both argument
+    orders share one.  The 256 incomparable pairs walk one continuation
+    each, with one _normalize and one _cut; 1,412 cuts in all."""
+    g = _window("FX2", 3)
+    calls = _counting(monkeypatch, KGraph, ("_cut", "_normalize"))
+    paths = {v: g.paths_up_to(v, (2, 2)) for v in g.vertices}
+    assert not calls
+    pairs = [(mu, nu) for v in g.vertices for mu, nu in itertools.product(paths[v], paths[v])]
+
+    def comparable(mu, nu):
+        return degrees.leq(mu.d, nu.d) or degrees.leq(nu.d, mu.d)
+
+    for wanted in (True, False):
+        for mu, nu in pairs:
+            if comparable(mu, nu) == wanted:
+                align.mce(g, mu, nu)
+                align.ext(g, mu, (nu,))
+        tables = sum(key[0] == "mce" for key in g._cache if isinstance(key, tuple))
+        if wanted:
+            assert tables == calls["_cut"] == 1156 and calls["_normalize"] == 0, (tables, calls)
+    assert tables == calls["_cut"] == 1412 and calls["_normalize"] == 256, (tables, calls)
+
+
 @pytest.mark.parametrize("name, radius, cap", WINDOW_SESSIONS)
 def test_common_extension_session_memo_footprint(name, radius, cap):
     """The same sessions leave no split or ext entry in the graph's memo:

@@ -21,6 +21,7 @@ from kgraphlat.randomgraphs import random_1graph, random_2graph
 from kgraphlat.structure import skew_product_window
 
 import oracles
+from test_ideals import _dangling_graph
 
 
 # -- validation ---------------------------------------------------------------
@@ -427,6 +428,56 @@ def test_paths_up_to_examples(fx):
     assert [p.literal() for p in g4.paths_up_to("v", (2,))] == ["v", "e", "f", "e.g"]
     assert [p.literal() for p in g5.paths_up_to("u", (3,))] == ["u", "e"]
     assert [p.literal() for p in g4.paths_up_to("u", (0,))] == ["u"]
+
+
+def _enumeration_inputs():
+    """(label, graph, cap): every fixture at caps 1-3, random 1-graphs
+    (seeds 0-59) at (1,) and (3,) and random 2-graphs at (1,1) and (2,2),
+    a graph with dangling edges, FX2 without its square, and small
+    skew-product windows of FX2 and FX6^3."""
+    for name in sorted(textio.FIXTURE_TEXTS):
+        g = textio.fixture(name)
+        for level in (1, 2, 3):
+            yield f"{name} at {level}", g, (level,) * g.k
+    for seed in range(60):
+        for cap in ((1,), (3,)):
+            yield f"random_1graph({seed}) at {cap}", random_1graph(seed), cap
+        try:
+            g = random_2graph(seed)
+        except RuntimeError:
+            continue
+        for cap in ((1, 1), (2, 2)):
+            yield f"random_2graph({seed}) at {cap}", g, cap
+    yield "dangling", _dangling_graph(), (3,)
+    fx2 = textio.fixture("FX2")
+    yield "FX2 without its square", KGraph(fx2.skeleton, ()), (2, 2)
+    yield "FX2 window", skew_product_window(fx2, (-1, -1), (1, 1)).graph, (2, 2)
+    fx6_cubed = _product3([textio.fixture("FX6")] * 3)
+    yield "FX6^3 window", skew_product_window(fx6_cubed, (-1,) * 3, (1,) * 3).graph, (1, 1, 1)
+
+
+def test_paths_by_extension_match_colour_walk():
+    """paths_of_degree and paths_up_to, which extend the memoized paths of
+    one degree lower by one edge of the top colour, return the tuples of
+    the colour-by-colour enumeration they replaced, order included, with
+    no duplicates.  paths_up_to runs on a cold memo, which it fills degree
+    by degree upward; paths_of_degree runs on another cold memo with the
+    degrees asked from the top down, so each first request fills the
+    degrees below it."""
+    cases = 0
+    for label, g, cap in _enumeration_inputs():
+        up, down = KGraph(g.skeleton, g.squares), KGraph(g.skeleton, g.squares)
+        for v in g.vertices:
+            got = up.paths_up_to(v, cap)
+            assert got == oracles.colour_walk_paths_up_to(g, v, cap), (label, v)
+            assert len(set(got)) == len(got), (label, v)
+        for n in reversed(list(degrees.below(cap))):
+            for v in g.vertices:
+                got = down.paths_of_degree(v, n)
+                assert got == oracles.colour_walk_paths_of_degree(g, v, n), (label, v, n)
+                assert len(set(got)) == len(got), (label, v, n)
+        cases += 1
+    assert cases == 262, cases
 
 
 # (vertex, degree, error, message) for a rank-2 graph with vertex "v"
