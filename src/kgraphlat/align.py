@@ -162,12 +162,20 @@ class VertexUniverse:
     Bitmask bit j refers to members[j] = paths[j + 1], the non-identity
     paths, so a member mask is a path mask shifted down by one.  Built
     eagerly for each capped path: which members it extends (captured),
-    which members it has a common extension with (compat), the
-    captured-masks of its one-edge extensions that leave the cap box
-    (beyond) with the source of each extension's edge (beyond_src), and,
-    per degree below its own, the id of its prefix and the matching
-    suffix path (prefix, suffix).  The continuation and composition rows
-    are filled on first use.
+    which members it has a common extension with (compat), the sources,
+    in edges_at order, of the edges e at its source along which it leaves
+    the cap box (escapes), and, per degree below its own, the id of its
+    prefix and the matching suffix path (prefix, suffix).  The
+    continuation and composition rows are filled on first use.
+
+    An escape row is all that exhaustiveness needs of the paths past the
+    cap.  If lam·e leaves the cap, e has a colour c with d(lam)_c = cap_c,
+    so every degree m <= d(lam·e) inside the cap is <= d(lam), and by
+    unique factorization the m-prefix of lam·e is lam's own: lam·e
+    extends exactly the members lam extends.  So when lam is uncaptured,
+    every such extension is too, and unless some uncaptured path meets no
+    member, the answer is unknown exactly when some uncaptured path has a
+    nonempty escape row.
 
     The universe of a quotient graph is the restriction of its parent's
     universe at the vertex (``parent``) to the paths with source outside
@@ -184,10 +192,9 @@ class VertexUniverse:
     member_index: Dict[Path, int]
     captured: List[int]
     compat: List[int]
-    beyond: List[List[int]]
+    escapes: List[List[str]]
     prefix: List[Dict[Degree, int]]
     suffix: List[Dict[Degree, Path]]
-    beyond_src: List[List[str]]
     parent: Optional["VertexUniverse"] = field(default=None, repr=False, compare=False)
     # parent member j -> its member bit here, 0 when dropped; None when
     # the restriction drops no member
@@ -214,16 +221,13 @@ class VertexUniverse:
     def classify(self, emask: int) -> CertifiedBool:
         """Three-valued exhaustiveness of the member subset given by emask."""
         overflow = False
-        for i, lam in enumerate(self.paths):
-            if self.captured[i] & emask:
+        for lam, captured, compat, escapes in zip(self.paths, self.captured, self.compat, self.escapes):
+            if captured & emask:
                 continue
-            if not self.compat[i] & emask:
+            if not compat & emask:
                 return false_certified(lam)
-            if not overflow:
-                for chmask in self.beyond[i]:
-                    if not chmask & emask:
-                        overflow = True
-                        break
+            if escapes:
+                overflow = True
         if overflow:
             return unknown_at_cap(self.cap)
         return true_certified()
@@ -318,38 +322,42 @@ def _compat(paths: Tuple[Path, ...], prefix: List[Dict[Degree, int]]) -> List[in
 
 
 def _build_universe(g: KGraph, v: str, cap: Degree) -> VertexUniverse:
+    """The universe at v, from the capped paths alone.
+
+    A normal form tau = p·e of top colour c ends in an edge e of colour c,
+    and p, tau less that edge, is a normal form of lower degree, so an
+    earlier capped path.  For m <= d(tau) with m_c < d(tau)_c, m <= d(p),
+    so the m-prefix of tau is p's, and the suffix is p's followed by e,
+    colour-ascending and so a normal form; only the degrees with
+    m_c = d(tau)_c are cut.  Escape rows read the skeleton: lam leaves the
+    cap along e exactly when d(lam) is at the cap in e's colour."""
     paths = g.paths_up_to(v, cap)
-    members = paths[1:]
     index = {p: i for i, p in enumerate(paths)}
-    prefix: List[Dict[Degree, int]] = []
-    suffix: List[Dict[Degree, Path]] = []
-    for tau in paths:
+    by_edges = {p.edges: i for i, p in enumerate(paths)}
+    vertex = paths[0]
+    prefix: List[Dict[Degree, int]] = [{vertex.d: 0}]
+    suffix: List[Dict[Degree, Path]] = [{vertex.d: vertex}]
+    for tau in paths[1:]:
+        d, e = tau.d, tau.edges[-1]
+        c = g.edge(e).color - 1
+        p = by_edges[tau.edges[:-1]]
+        pre_p, suf_p = prefix[p], suffix[p]
         pre: Dict[Degree, int] = {}
         suf: Dict[Degree, Path] = {}
-        for m in degrees.below(tau.d):
-            head, suf[m] = g.split(tau, m)
-            pre[m] = index[head]
+        for m in degrees.below(d):
+            if m[c] < d[c]:
+                pre[m] = pre_p[m]
+                s = suf_p[m]
+                suf[m] = Path(s.r, tau.s, tuple(map(int.__sub__, d, m)), s.edges + (e,))
+            else:
+                head, suf[m] = g.split(tau, m)
+                pre[m] = index[head]
         prefix.append(pre)
         suffix.append(suf)
-    beyond: List[List[int]] = []
-    beyond_src: List[List[str]] = []
-    for lam in paths:
-        masks, srcs = [], []
-        for e in g.edges_at(lam.s):
-            q = g.compose(lam, g.path([e.eid]))
-            if degrees.leq(q.d, cap):
-                continue
-            qmask = 0
-            for m in degrees.below(q.d):
-                if any(m) and degrees.leq(m, cap):
-                    qmask |= 1 << (index[g.prefix(q, m)] - 1)
-            masks.append(qmask)
-            srcs.append(e.s)
-        beyond.append(masks)
-        beyond_src.append(srcs)
+    escapes = [[e.s for e in g.edges_at(lam.s) if lam.d[e.color - 1] == cap[e.color - 1]] for lam in paths]
     return VertexUniverse(
-        g, v, cap, paths, members, index, {p: i - 1 for p, i in index.items() if i},
-        _captured(prefix), _compat(paths, prefix), beyond, prefix, suffix, beyond_src,
+        g, v, cap, paths, paths[1:], index, {p: i - 1 for p, i in index.items() if i},
+        _captured(prefix), _compat(paths, prefix), escapes, prefix, suffix,
     )
 
 
@@ -358,7 +366,8 @@ def _restrict_universe(gq: KGraph, v: str, cap: Degree, g: KGraph, H: FrozenSet[
     with source outside H has every vertex outside H, so the capped paths
     of gq at v, their factorizations and their one-edge extensions are
     those of g whose source is outside H.  Common extensions are not: two
-    paths can meet in g only beyond H, so compat is recomputed."""
+    paths can meet in g only beyond H, so compat is recomputed.  An escape
+    row keeps the edges whose source is outside H."""
     gq.require_vertex(v)
     up = _universe(g, v, cap)
     kept = [t for t, p in enumerate(up.paths) if p.s not in H]
@@ -378,19 +387,10 @@ def _restrict_universe(gq: KGraph, v: str, cap: Degree, g: KGraph, H: FrozenSet[
         kept_bits = [0] * len(up.members)
         for i, t in enumerate(kept[1:]):
             kept_bits[t - 1] = 1 << i
-    beyond: List[List[int]] = []
-    beyond_src: List[List[str]] = []
-    for t in kept:
-        masks, srcs = [], []
-        for mask, s in zip(up.beyond[t], up.beyond_src[t]):
-            if s not in H:
-                masks.append(mask if kept_bits is None else _union_of_bits(kept_bits, mask))
-                srcs.append(s)
-        beyond.append(masks)
-        beyond_src.append(srcs)
+    escapes = [[s for s in up.escapes[t] if s not in H] for t in kept]
     return VertexUniverse(
         gq, v, cap, paths, members, index, member_index,
-        captured, compat, beyond, prefix, suffix, beyond_src, up, kept_bits,
+        captured, compat, escapes, prefix, suffix, up, kept_bits,
     )
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import random
 from typing import List, Optional, Tuple
 
-from .align import universe
 from .kgraph import KGraph, Skeleton, SquareRule, validate_kgraph
 
 
@@ -80,13 +79,13 @@ def random_2graph(
     max_members: int = 10,
     attempts: int = 50,
 ) -> KGraph:
-    """A random valid rank-2 graph, redrawn (deterministically) until the
-    per-vertex capped path universe is small enough to enumerate subsets."""
+    """A random valid rank-2 graph, redrawn (deterministically) until no
+    vertex has more than max_members paths up to universe_cap but its own."""
     rng = random.Random(f"k2:{seed}")
     for _ in range(attempts):
         g = _random_2graph_once(rng, max_vertices, max_blue)
         if universe_cap is None:
             return g
-        if all(len(universe(g, v, universe_cap).members) <= max_members for v in g.vertices):
+        if all(len(g.paths_up_to(v, universe_cap)) - 1 <= max_members for v in g.vertices):
             return g
     raise RuntimeError(f"no tractable 2-graph found for seed {seed}")

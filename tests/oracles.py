@@ -9,7 +9,8 @@ assignment at a time.  The stripped family runs that full scan every
 round and computes its verdict with the family.  The pair enumeration
 builds the stripped family and the B search for every H, the empty one
 included.  Exhaustiveness with members beyond the cap walks the capped
-paths one by one; saturation runs passes over the vertices; the
+paths one by one, and the capped universe composes every one-edge
+extension past the cap; saturation runs passes over the vertices; the
 satiation closure gathers its verdict from every round.  Hereditary
 sets are the subsets that pass a mask test, a hereditary closure is a
 search toward sources, and the lattice finds its Hasse diagram, meets and
@@ -218,6 +219,56 @@ def walk_min_triples(g: KGraph, mu: Path, nu: Path) -> Tuple[Tuple[Path, ...], .
     if len(rows) > 1:
         rows.sort(key=lambda row: row[0].sort_key())
     return tuple(zip(*rows)) if rows else ((), (), ())
+
+
+# -- one-edge extensions past the cap as masks ----------------------------------------
+# align._build_universe and VertexUniverse.classify as they were before
+# escape rows: each one-edge extension of a capped path that leaves the cap
+# is composed, and the member prefixes of the product inside the cap are
+# gathered into a mask; an uncaptured path overflows when one such mask
+# misses the member set.
+
+
+def beyond_rows(g: KGraph, uni) -> Tuple[List[List[int]], List[List[str]]]:
+    """Per path of uni, a universe of g built with no parent, the member
+    masks of its one-edge extensions that leave the cap, and the source of
+    each extension's edge, in edges_at order."""
+    masks_out: List[List[int]] = []
+    srcs_out: List[List[str]] = []
+    for lam in uni.paths:
+        masks, srcs = [], []
+        for e in g.edges_at(lam.s):
+            q = g.compose(lam, g.path([e.eid]))
+            if degrees.leq(q.d, uni.cap):
+                continue
+            qmask = 0
+            for m in degrees.below(q.d):
+                if any(m) and degrees.leq(m, uni.cap):
+                    qmask |= 1 << (uni.index[g.prefix(q, m)] - 1)
+            masks.append(qmask)
+            srcs.append(e.s)
+        masks_out.append(masks)
+        srcs_out.append(srcs)
+    return masks_out, srcs_out
+
+
+def beyond_classify(uni, beyond: List[List[int]], emask: int) -> CertifiedBool:
+    """Three-valued exhaustiveness of the member subset emask, read off the
+    extension masks of beyond_rows."""
+    overflow = False
+    for i, lam in enumerate(uni.paths):
+        if uni.captured[i] & emask:
+            continue
+        if not uni.compat[i] & emask:
+            return false_certified(lam)
+        if not overflow:
+            for chmask in beyond[i]:
+                if not chmask & emask:
+                    overflow = True
+                    break
+    if overflow:
+        return unknown_at_cap(uni.cap)
+    return true_certified()
 
 
 # -- exhaustiveness beyond the cap ------------------------------------------------

@@ -16,6 +16,7 @@ from kgraphlat import align, degrees, ideals, structure, textio
 from kgraphlat.kgraph import KGraph, is_locally_convex
 from kgraphlat.randomgraphs import random_1graph, random_2graph
 
+import oracles
 from test_ideals import _pair_inputs
 from test_kgraph import _product3
 
@@ -48,6 +49,8 @@ def _check_universe(g, v, cap, rng):
             head, tail = g.split(lam, m)
             assert uni.paths[uni.prefix[i][m]] == head == g.prefix(lam, m)
             assert uni.suffix[i][m] == tail
+        escapes = [e.s for e in g.edges_at(lam.s) if not degrees.leq(g.compose(lam, g.path([e.eid])).d, cap)]
+        assert uni.escapes[i] == escapes, lam
         there = align.universe(g, lam.s, cap)
         row = uni.continuations(i)
         for j, mu in enumerate(uni.members):
@@ -66,9 +69,10 @@ def _check_universe(g, v, cap, rng):
 
 
 def test_kernel_tables_match_path_arithmetic():
-    """Capture bits, prefix table, continuation masks and composition table
-    agree with extends, prefix/split, ext and compose on every capped path
-    and member, for every fixture and random 2-graph seeds 0-49."""
+    """Capture bits, prefix table, escape rows, continuation masks and
+    composition table agree with extends, prefix/split, one-edge products,
+    ext and compose on every capped path and member, for every fixture and
+    random 2-graph seeds 0-49."""
     seen = 0
     for label, g, cap in _graphs():
         rng = random.Random(label)
@@ -76,6 +80,77 @@ def test_kernel_tables_match_path_arithmetic():
             _check_universe(g, v, cap, rng)
         seen += 1
     assert seen > 50
+
+
+def test_universe_build_cuts_only_at_the_top_colour(monkeypatch):
+    """A universe build reads the prefix and suffix of a path tau at each
+    degree m with m_c < d(tau)_c, c the top colour of d(tau), off the rows
+    of tau less its last edge, and its escape row off the skeleton.  So it
+    makes no compose or path call, and cuts tau only at degrees m with
+    m_c = d(tau)_c: 1,092 cuts over the inputs of the test above, on
+    copies with an empty memo.  Cutting every degree and composing each
+    one-edge extension past the cap made 5,820 splits and 2,176 compose
+    and path calls each."""
+    inputs = [(KGraph(g.skeleton, g.squares), cap) for _, g, cap in _graphs()]
+    for g, cap in inputs:
+        for v in g.vertices:
+            g.paths_up_to(v, cap)
+    calls = _counting(monkeypatch, KGraph, ("compose", "path"))
+    cuts = []
+    split = KGraph.split
+
+    def recorded(self, p, m):
+        cuts.append((p.d, m, self.edge(p.edges[-1]).color - 1))
+        return split(self, p, m)
+
+    monkeypatch.setattr(KGraph, "split", recorded)
+    for g, cap in inputs:
+        for v in g.vertices:
+            align._build_universe(g, v, cap)
+    assert not calls
+    assert all(m[c] == d[c] for d, m, c in cuts)
+    assert len(cuts) == 1092
+
+
+def _escape_corpus():
+    """Fixtures at caps 1-3 (and (2,1), (1,2) at rank 2), random 1-graphs
+    of seeds 0-149 at (1,), (2,), (3,) and random 2-graphs of seeds 0-299
+    at (1,1), (2,1), (1,2), (2,2)."""
+    for name in sorted(textio.FIXTURE_TEXTS):
+        g = textio.fixture(name)
+        for cap in [(c,) * g.k for c in (1, 2, 3)] + ([(2, 1), (1, 2)] if g.k == 2 else []):
+            yield g, cap
+    for seed in range(150):
+        g = random_1graph(seed)
+        for c in (1, 2, 3):
+            yield g, (c,)
+    for seed in range(300):
+        g = random_2graph(seed)
+        for cap in ((1, 1), (2, 1), (1, 2), (2, 2)):
+            yield g, cap
+
+
+def test_escape_rows_match_extension_masks():
+    """A one-edge extension past the cap extends exactly the members its
+    path extends: the member mask the universe once built for it, by
+    composing and cutting, equals the path's captured mask, and the escape
+    row read off the skeleton names the same sources in the same order.
+    So classify on escape rows answers as the mask route did, checked for
+    every member set of each universe with at most 10 members."""
+    seen = Counter()
+    for g, cap in _escape_corpus():
+        for v in g.vertices:
+            uni = align.universe(g, v, cap)
+            masks, srcs = oracles.beyond_rows(g, uni)
+            assert srcs == uni.escapes, (v, cap)
+            for i, row in enumerate(masks):
+                assert all(mask == uni.captured[i] for mask in row), (v, cap, i)
+            seen["universes"] += 1
+            seen["entries"] += sum(map(len, srcs))
+            if len(uni.members) <= 10:
+                for emask in range(1 << len(uni.members)):
+                    assert uni.classify(emask) == oracles.beyond_classify(uni, masks, emask), (v, cap, emask)
+    assert (seen["universes"], seen["entries"]) == (3840, 55415), seen
 
 
 def _hereditary_sets(g):
@@ -89,8 +164,8 @@ def _hereditary_sets(g):
 def _assert_restriction_matches(gq, cap, seen):
     """Every universe of the quotient gq equals the one align._build_universe
     makes on an unlinked copy of gq: the same skeleton and squares, no
-    parent.  seen counts the members and beyond entries the restrictions
-    dropped."""
+    parent.  seen counts the members and escape row entries the
+    restrictions dropped."""
     fresh_graph = KGraph(gq.skeleton, gq.squares)
     for v in gq.vertices:
         uq = align.universe(gq, v, cap)
@@ -99,7 +174,7 @@ def _assert_restriction_matches(gq, cap, seen):
         for name in ("paths", "members", "index", "member_index", "captured", "compat", "prefix", "suffix"):
             assert getattr(uq, name) == getattr(fresh, name), (v, name)
         for i in range(len(uq.paths)):
-            assert sorted(zip(uq.beyond[i], uq.beyond_src[i])) == sorted(zip(fresh.beyond[i], fresh.beyond_src[i]))
+            assert uq.escapes[i] == fresh.escapes[i], (v, i)
             assert uq.continuations(i) == fresh.continuations(i), (v, i)
             assert uq.compositions(i) == fresh.compositions(i), (v, i)
         if len(uq.members) <= 10:
@@ -110,7 +185,7 @@ def _assert_restriction_matches(gq, cap, seen):
             want = 1 << uq.member_index[p] if p in uq.member_index else 0
             assert uq.strip_mask(1 << j) == want, (v, p)
         seen["members"] += len(up.members) - len(uq.members)
-        seen["beyond"] += sum(len(up.beyond[up.index[p]]) - len(uq.beyond[i]) for i, p in enumerate(uq.paths))
+        seen["escapes"] += sum(len(up.escapes[up.index[p]]) - len(uq.escapes[i]) for i, p in enumerate(uq.paths))
 
 
 def test_restricted_universe_matches_fresh_build():
@@ -129,7 +204,7 @@ def test_restricted_universe_matches_fresh_build():
         _assert_restriction_matches(gqq, cap, seen)
         assert align.universe(gqq, "v2", cap).parent.parent.graph is g
     # restrictions that drop nothing would pass vacuously
-    assert seen["members"] and seen["beyond"], seen
+    assert seen["members"] and seen["escapes"], seen
 
 
 def _counting(monkeypatch, owner, names):
@@ -171,10 +246,15 @@ def _lattice_and_families(g, cap):
 # Exact counts at the time of writing, pinned as upper bounds; they do not
 # depend on string hashing, so machine noise cannot trip this gate.
 @pytest.mark.parametrize("name, cap, split_max, compose_max", [
-    ("FX6", (2,), 33, 34),
-    ("FX2", (2, 2), 66, 24),
+    ("FX6", (2,), 6, 0),
+    ("FX2", (2, 2), 14, 0),
 ])
 def test_lattice_path_arithmetic_calls_pinned(monkeypatch, name, cap, split_max, compose_max):
+    """The universes of the lattice and its families cut a path only at
+    the degrees that hold all its edges of its top colour, so a rank-1
+    build cuts each path once, at its own degree, and they compose
+    nothing.  Cutting every degree and composing each one-edge extension
+    past the cap made 33 / 66 splits and 34 / 24 composes."""
     g = textio.parse_kgraph_text(textio.FIXTURE_TEXTS[name]).graph  # fresh memo
     calls = _counting(monkeypatch, KGraph, ("extends", "split", "compose"))
     _lattice_and_families(g, cap)
@@ -298,15 +378,18 @@ def test_quotient_replays_run_no_path_arithmetic(monkeypatch):
 
 
 @pytest.mark.parametrize("cap, builds, split_max, compose_max", [
-    ((2,), 3, 19, 19),
-    ((3,), 3, 29, 33),
+    ((2,), 3, 5, 0),
+    ((3,), 3, 7, 0),
 ])
 def test_quotients_run_no_path_arithmetic(monkeypatch, cap, builds, split_max, compose_max):
     """FX4's lattice reads the quotients by {u} and {w}, and by {u,v,w},
-    which has no vertex.  Their universes restrict g's, so universes are built on g alone, one per
-    vertex, and split and compose never run on a quotient graph: building
-    each quotient's universes afresh made 7 builds and 39 / 59 splits and
-    26 / 42 composes, 20 / 30 and 13 / 21 of them on quotients."""
+    which has no vertex.  Their universes restrict g's, so universes are
+    built on g alone, one per vertex, and split and compose never run on a
+    quotient graph: building each quotient's universes afresh made 7
+    builds and 39 / 59 splits and 26 / 42 composes, 20 / 30 and 13 / 21 of
+    them on quotients.  On g, a rank-1 build cuts each path once and
+    composes nothing; cutting every degree and composing each one-edge
+    extension past the cap made 19 / 29 splits and 19 / 33 composes."""
     g = textio.parse_kgraph_text(textio.FIXTURE_TEXTS["FX4"]).graph  # fresh memo
     built = []
     build = align._build_universe

@@ -541,3 +541,15 @@ def test_random_2graph_texts_pinned():
     for seed in range(400):
         digest.update(f"{seed}\n{textio.emit_kgraph_text(random_2graph(seed))}".encode())
     assert digest.hexdigest() == "17b471a391249acd565d32a4fdc07b684435ad78d4230f5fafe5995b33214ee7"
+
+
+def test_random_2graph_builds_no_universe(monkeypatch):
+    """random_2graph tests a draw by counting the paths up to its cap at
+    each vertex, the identity and the members of the capped universe
+    there, so it builds no universe."""
+    def refuse(g, v, cap):
+        raise AssertionError(f"universe built at {v!r}")
+
+    monkeypatch.setattr(align, "_make_universe", refuse)
+    for seed in range(50):
+        random_2graph(seed)
