@@ -243,24 +243,30 @@ def _lattice_and_families(g, cap):
     return lat
 
 
-# Exact counts at the time of writing, pinned as upper bounds; they do not
-# depend on string hashing, so machine noise cannot trip this gate.
-@pytest.mark.parametrize("name, cap, split_max, compose_max", [
-    ("FX6", (2,), 6, 0),
-    ("FX2", (2, 2), 14, 0),
+# Exact split and compose counts at the time of writing, pinned as upper
+# bounds; they do not depend on string hashing, so machine noise cannot
+# trip this gate.  The parameters are the counts of the route that cut
+# every degree and composed each one-edge extension past the cap.
+_LATTICE_CALLS = {"FX6": (6, 0), "FX2": (14, 0)}
+
+
+@pytest.mark.parametrize("name, cap, split_was, compose_was", [
+    ("FX6", (2,), 33, 34),
+    ("FX2", (2, 2), 66, 24),
 ])
-def test_lattice_path_arithmetic_calls_pinned(monkeypatch, name, cap, split_max, compose_max):
+def test_lattice_path_arithmetic_calls_pinned(monkeypatch, name, cap, split_was, compose_was):
     """The universes of the lattice and its families cut a path only at
     the degrees that hold all its edges of its top colour, so a rank-1
     build cuts each path once, at its own degree, and they compose
     nothing.  Cutting every degree and composing each one-edge extension
     past the cap made 33 / 66 splits and 34 / 24 composes."""
+    split_max, compose_max = _LATTICE_CALLS[name]
     g = textio.parse_kgraph_text(textio.FIXTURE_TEXTS[name]).graph  # fresh memo
     calls = _counting(monkeypatch, KGraph, ("extends", "split", "compose"))
     _lattice_and_families(g, cap)
     assert calls["extends"] == 0
-    assert calls["split"] <= split_max
-    assert calls["compose"] <= compose_max
+    assert calls["split"] <= split_max < split_was
+    assert calls["compose"] <= compose_max < compose_was
 
 
 def _window(name, radius):
@@ -377,11 +383,16 @@ def test_quotient_replays_run_no_path_arithmetic(monkeypatch):
     assert all(calls[name, "other"] == 0 for name in names), calls
 
 
-@pytest.mark.parametrize("cap, builds, split_max, compose_max", [
-    ((2,), 3, 5, 0),
-    ((3,), 3, 7, 0),
+# Split and compose counts on g, pinned as in _LATTICE_CALLS; the
+# parameters give the counts of the route that cut every degree.
+_QUOTIENT_CALLS = {(2,): (5, 0), (3,): (7, 0)}
+
+
+@pytest.mark.parametrize("cap, builds, split_was, compose_was", [
+    ((2,), 3, 19, 19),
+    ((3,), 3, 29, 33),
 ])
-def test_quotients_run_no_path_arithmetic(monkeypatch, cap, builds, split_max, compose_max):
+def test_quotients_run_no_path_arithmetic(monkeypatch, cap, builds, split_was, compose_was):
     """FX4's lattice reads the quotients by {u} and {w}, and by {u,v,w},
     which has no vertex.  Their universes restrict g's, so universes are
     built on g alone, one per vertex, and split and compose never run on a
@@ -390,6 +401,7 @@ def test_quotients_run_no_path_arithmetic(monkeypatch, cap, builds, split_max, c
     them on quotients.  On g, a rank-1 build cuts each path once and
     composes nothing; cutting every degree and composing each one-edge
     extension past the cap made 19 / 29 splits and 19 / 33 composes."""
+    split_max, compose_max = _QUOTIENT_CALLS[cap]
     g = textio.parse_kgraph_text(textio.FIXTURE_TEXTS["FX4"]).graph  # fresh memo
     built = []
     build = align._build_universe
@@ -405,8 +417,8 @@ def test_quotients_run_no_path_arithmetic(monkeypatch, cap, builds, split_max, c
     assert sorted(gq.vertices for gq in quotients) == [(), ("u", "v"), ("v", "w")]
     assert built == [g] * builds
     assert calls["split", "other"] == calls["compose", "other"] == 0
-    assert calls["split", "g"] <= split_max
-    assert calls["compose", "g"] <= compose_max
+    assert calls["split", "g"] <= split_max < split_was
+    assert calls["compose", "g"] <= compose_max < compose_was
 
 
 @pytest.mark.parametrize("name, cap, ext_max, universe_max", [
