@@ -96,8 +96,10 @@ def hereditary_closure(g: KGraph, G: Iterable[str]) -> FrozenSet[str]:
 # -- saturation ----------------------------------------------------------------
 
 
-def _h_sourced_paths(g: KGraph, v: str, H: FrozenSet[str], cap: Degree) -> PathSet:
-    return frozenset(p for p in g.paths_up_to(v, cap) if p.s in H and not p.is_vertex)
+def _h_sourced(g: KGraph, v: str, H: FrozenSet[str], cap: Degree) -> int:
+    """Member mask at v of the capped paths with source in H, without the
+    universe: bit j is paths_up_to(v, cap)[j + 1]."""
+    return sum(1 << i for i, p in enumerate(g.paths_up_to(v, cap)) if p.s in H) >> 1
 
 
 def _minimize_exhaustive(g: KGraph, F: PathSet, cap: Degree) -> PathSet:
@@ -141,12 +143,12 @@ def _saturation_status(g: KGraph, H: FrozenSet[str], cap: Degree) -> CertifiedBo
     for v in g.vertices:
         if v in H:
             continue
-        fmax = _h_sourced_paths(g, v, H, cap)
+        fmax = _h_sourced(g, v, H, cap)
         if not fmax:
             continue
-        cert = is_exhaustive(g, fmax, cap)
+        cert = universe(g, v, cap).classify(fmax)
         if cert.is_true:
-            return false_certified((v, fmax))
+            return false_certified((v, _set(g, (v, fmax), cap)))
         if cert.is_unknown:
             unknown = True
     if unknown:
@@ -314,9 +316,10 @@ class SatiatedFamily:
     refutation, which only happens under an unknown-at-cap H.
 
     ``satiated`` (the closure certificate) and ``overflow`` (the
-    substitution products that exceed the cap) come from one check scan
-    of ``base``, made when either is first read.  A stripped family scans
-    with the refuted sets its loop ended with as known bad.
+    substitution products that exceed the cap) come from one closure scan
+    of ``base``: a satiation closure's last round, or for a stripped
+    family a scan made when either is first read, with the refuted sets
+    its loop ended with as known bad.
     """
 
     base: FEFamily
@@ -324,15 +327,15 @@ class SatiatedFamily:
     refuted_parents: Dict[PathSet, Path] = field(default_factory=dict)
     quotient_refuted: Dict[PathSet, Path] = field(default_factory=dict)
     tainted: Dict[PathSet, CertifiedBool] = field(default_factory=dict)
-    # (satiated, overflow), None until the check scan has run
+    # (satiated, overflow), None until a scan of base has run
     _checked: Optional[Tuple[CertifiedBool, Tuple[Path, ...]]] = field(default=None, repr=False, compare=False)
     _known_bad: Tuple[SetKey, ...] = field(default=(), repr=False, compare=False)
 
     def _check(self) -> Tuple[CertifiedBool, Tuple[Path, ...]]:
         if self._checked is None:
             gq = self.base.graph
-            res = _scan_satiation(gq, self.base.by_vertex, self.cap, extend=False, known_bad=self._known_bad)
-            self._checked = (_verdict(gq, res, self.cap), tuple(sorted(res.overflow, key=Path.sort_key)))
+            res = _scan_satiation(gq, self.base.by_vertex, self.cap, self._known_bad)
+            self._checked = _verdict_and_overflow(gq, res, self.cap)
         return self._checked
 
     @property
@@ -383,12 +386,12 @@ def _normalize_family(gq: KGraph, fam, cap: Degree) -> Family:
 
 @dataclass
 class _ScanResult:
-    additions: Set[SetKey] = field(default_factory=set)
     violations: List[Tuple] = field(default_factory=list)  # (rule, G, extra, D), G and D SetKeys
     taints: List[str] = field(default_factory=list)  # the rule of each derived set left out
     overflow: Set[Path] = field(default_factory=set)
     budget_hit: List[str] = field(default_factory=list)
-    s4_missing: int = 0
+    # each missing (S4) derived set, with the number of assignments giving it
+    s4_missing: Dict[SetKey, int] = field(default_factory=dict)
 
     @property
     def dirty(self) -> bool:
@@ -411,16 +414,14 @@ def _s2_walk(uni: VertexUniverse, family: Family) -> Iterator[Tuple[int, Path, i
                 yield gm, mu, dmask
 
 
-def _scan_satiation(gq: KGraph, family: Family, cap: Degree, extend: bool,
-                    known_bad: Iterable[SetKey] = ()) -> _ScanResult:
+def _scan_satiation(gq: KGraph, family: Family, cap: Degree, known_bad: Iterable[SetKey] = ()) -> _ScanResult:
     """One round of the (S1)-(S4) closure rules over the capped universe.
 
-    In check mode a missing (S1)-(S3) demand that is itself a capped
-    candidate is a violation; (S4) misses, everything blocked by the cap,
-    and derived sets covered by a verified refutation (a subset of one of
-    the known_bad sets) only dirty the result.  In extend mode missing
-    candidates are collected as additions instead.
-    """
+    A missing demand that is itself a capped candidate is recorded, as a
+    violation under (S1)-(S3) and in s4_missing under (S4); a closure
+    round adds them all.  Only violations refute; (S4) misses, everything
+    blocked by the cap, and derived sets covered by a verified refutation
+    (a subset of one of the known_bad sets) only dirty the result."""
     res = _ScanResult()
     bad_at: Dict[str, List[int]] = {}
     for v, mask in known_bad:
@@ -437,10 +438,8 @@ def _scan_satiation(gq: KGraph, family: Family, cap: Degree, extend: bool,
         elif any(not dmask & ~Y for Y in bad_at.get(dv, ())):
             # a verified refutation covers D, so its absence is explained
             res.taints.extend([rule + "-refuted"] * times)
-        elif extend:
-            res.additions.add((dv, dmask))
         elif rule == "S4":
-            res.s4_missing += times
+            res.s4_missing[(dv, dmask)] = res.s4_missing.get((dv, dmask), 0) + times
         else:
             res.violations.append((rule, G, extra, (dv, dmask)))
 
@@ -463,11 +462,8 @@ def _scan_satiation(gq: KGraph, family: Family, cap: Degree, extend: bool,
                 mm ^= low
         for fmask in _candidates(gq, v, cap):
             if contains[fmask] and fmask not in fam:
-                if extend:
-                    res.additions.add((v, fmask))
-                else:
-                    gm = next(gm for gm in fam if gm & fmask == gm)
-                    res.violations.append(("S1", (v, gm), None, (v, fmask)))
+                gm = next(gm for gm in fam if gm & fmask == gm)
+                res.violations.append(("S1", (v, gm), None, (v, fmask)))
 
         # (S2): extensions along capped paths
         for gm, mu, dmask in _s2_walk(uni, family):
@@ -570,8 +566,8 @@ def _scan_satiation(gq: KGraph, family: Family, cap: Degree, extend: bool,
 
 
 def _verdict(gq: KGraph, res: _ScanResult, cap: Degree) -> CertifiedBool:
-    """The certificate of a check-mode scan: the least violation, by rule
-    and then by set_sort_key of G and D, is the witness."""
+    """The certificate of a scan: the least violation, by rule and then by
+    set_sort_key of G and D, is the witness."""
     if res.violations:
         key = _set_sort_key(gq, cap)
         rule, G, extra, D = min(res.violations, key=lambda vio: (vio[0], key(vio[1]), key(vio[3])))
@@ -585,7 +581,12 @@ def is_satiated(gq: KGraph, fam, cap: Degree) -> CertifiedBool:
     """Certified closure check of a family under supersets, extensions,
     truncations and substitutions, within the capped universe."""
     cap = degrees.check(cap, gq.k)
-    return _verdict(gq, _scan_satiation(gq, _normalize_family(gq, fam, cap), cap, extend=False), cap)
+    return _verdict(gq, _scan_satiation(gq, _normalize_family(gq, fam, cap), cap), cap)
+
+
+def _verdict_and_overflow(gq: KGraph, res: _ScanResult, cap: Degree) -> Tuple[CertifiedBool, Tuple[Path, ...]]:
+    """(satiated, overflow) of the scanned family, as SatiatedFamily keeps them."""
+    return _verdict(gq, res, cap), tuple(sorted(res.overflow, key=Path.sort_key))
 
 
 def _dirty_summary(res: _ScanResult) -> Tuple[str, ...]:
@@ -595,7 +596,7 @@ def _dirty_summary(res: _ScanResult) -> Tuple[str, ...]:
     if res.overflow:
         bits.append(f"{len(res.overflow)} substitution products exceed the cap")
     if res.s4_missing:
-        bits.append(f"{res.s4_missing} substitution demands unresolved at cap")
+        bits.append(f"{sum(res.s4_missing.values())} substitution demands unresolved at cap")
     if res.budget_hit:
         bits.append("scan budget exceeded: " + ",".join(sorted(set(res.budget_hit))))
     return tuple(bits)
@@ -603,15 +604,16 @@ def _dirty_summary(res: _ScanResult) -> Tuple[str, ...]:
 
 def satiation_closure(gq: KGraph, fam, cap: Degree) -> SatiatedFamily:
     """Least capped superset closed under (S1)-(S4); its verdict and cap
-    escapes come from the check scan of the closed family."""
+    escapes come from the last round, which found nothing missing."""
     cap = degrees.check(cap, gq.k)
     family = _normalize_family(gq, fam, cap)
     while True:
-        res = _scan_satiation(gq, family, cap, extend=True)
-        if not res.additions:
+        res = _scan_satiation(gq, family, cap)
+        missing = {vio[3] for vio in res.violations} | res.s4_missing.keys()
+        if not missing:
             break
         grown: Dict[str, List[int]] = {}
-        for v, mask in res.additions:
+        for v, mask in missing:
             grown.setdefault(v, list(family.get(v, ()))).append(mask)
         for v, masks in grown.items():
             family[v] = dict.fromkeys(sorted(masks, key=_mask_key))
@@ -622,7 +624,7 @@ def satiation_closure(gq: KGraph, fam, cap: Degree) -> SatiatedFamily:
     for v in sorted(family, key=lambda v: key((v, next(iter(family[v]))))):
         uni, table = universe(gq, v, cap), _candidates(gq, v, cap)
         by_vertex[v] = {mask: table[mask] if mask in table else uni.classify(mask) for mask in family[v]}
-    return SatiatedFamily(base=FEFamily(gq, cap, by_vertex), cap=cap)
+    return SatiatedFamily(base=FEFamily(gq, cap, by_vertex), cap=cap, _checked=_verdict_and_overflow(gq, res, cap))
 
 
 def restricted_fe_family(g: KGraph, H: Iterable[str], cap: Degree) -> SatiatedFamily:
@@ -655,7 +657,7 @@ def _stripped_family(g: KGraph, H: FrozenSet[str], cap: Degree) -> SatiatedFamil
     """The stripped family of H (see restricted_fe_family).  Each round
     walks only rule (S2), whose misses drive the refutations; the family's
     (S1)-(S4) verdict and overflow are computed when first read, by one
-    check scan of the final family."""
+    closure scan of the final family."""
     gq = _quotient_by(g, H)
 
     # Parents are SetKeys of g, their strips SetKeys of gq.  Parents keep
@@ -710,10 +712,10 @@ def _stripped_family(g: KGraph, H: FrozenSet[str], cap: Degree) -> SatiatedFamil
     def refute_parents_of(parent_list: List[SetKey], mu: Path) -> bool:
         """Given a verified quotient witness mu against a strip, discard its parents."""
         progress = False
-        fmax = _h_sourced_paths(g, mu.s, H, cap)
+        fmax = _h_sourced(g, mu.s, H, cap)
         lam0 = None
         if fmax:
-            fcert = is_exhaustive(g, fmax, cap)
+            fcert = universe(g, mu.s, cap).classify(fmax)
             if fcert.is_false:
                 lam0 = fcert.witness
         for E in parent_list:

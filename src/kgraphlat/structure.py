@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from . import degrees
-from .align import PathSet, fe_sets, is_exhaustive, vee_closure
+from .align import is_exhaustive, vee_closure
 from .certify import CertifiedBool, false_certified, true_certified, unknown_at_cap
 from .degrees import Degree
 from .ideals import enumerate_ideal_pairs
@@ -245,46 +245,19 @@ def m_closure_iterated(g: KGraph, grading: Grading, E: Iterable[Path]) -> Tuple[
 @dataclass(frozen=True)
 class BoundaryPrefix:
     path: Path
-    status: str  # "extensible" | "terminal" | "unknown"
+    status: str  # "extensible" | "terminal"
     depth: Degree
 
 
-def _definitively_avoids(g: KGraph, lam: Path, pos: Degree, E: PathSet) -> bool:
-    """True iff no extension of lam can ever hit a member of E at pos."""
-    room = degrees.sub(lam.d, pos)
-    for mu in E:
-        if not degrees.leq(mu.d, room):
-            return False
-        if g.segment(lam, pos, degrees.add(pos, mu.d)) == mu:
-            return False
-    return True
-
-
 def boundary_prefixes(g: KGraph, v: str, depth: Degree) -> List[BoundaryPrefix]:
-    """Capped paths from v not refuted as initial segments of boundary
-    paths: no certified exhaustive set at an interior point is avoided
-    beyond repair."""
+    """Every capped path from v, with its status.  No certified exhaustive
+    set E at a point of a path refutes it: were the path's rest sigma there
+    to fit and extend no member mu, a common extension, of degree
+    d(sigma) v d(mu) = d(sigma), would be sigma; so sigma would refute E."""
     g.require_vertex(v)
     depth = degrees.check(depth, g.k)
-    fams: Dict[str, List[PathSet]] = {}
-    for w in g.vertices:
-        fams[w] = [E for E, c in fe_sets(g, w, depth).sets_at(w).items() if c.is_true]
-    out: List[BoundaryPrefix] = []
-    for lam in g.paths_up_to(v, depth):
-        refuted = False
-        for pos in degrees.below(lam.d):
-            w = g.split(lam, pos)[0].s
-            for E in fams.get(w, ()):
-                if _definitively_avoids(g, lam, pos, E):
-                    refuted = True
-                    break
-            if refuted:
-                break
-        if refuted:
-            continue
-        status = "terminal" if not g.edges_at(lam.s) else "extensible"
-        out.append(BoundaryPrefix(path=lam, status=status, depth=depth))
-    return out
+    return [BoundaryPrefix(lam, "extensible" if g.edges_at(lam.s) else "terminal", depth)
+            for lam in g.paths_up_to(v, depth)]
 
 
 # -- cofinality ---------------------------------------------------------------------

@@ -14,7 +14,8 @@ extension past the cap; saturation runs passes over the vertices; the
 satiation closure gathers its verdict from every round.  Hereditary
 sets are the subsets that pass a mask test, a hereditary closure is a
 search toward sources, and the lattice finds its Hasse diagram, meets and
-joins by searches over the order matrix.
+joins by searches over the order matrix.  Boundary prefixes are
+filtered by every certified exhaustive set at each of their points.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from kgraphlat import degrees
-from kgraphlat.align import FEFamily, MinPair, PathSet, common_range, is_exhaustive, mce, universe
+from kgraphlat.align import FEFamily, MinPair, PathSet, common_range, fe_sets, is_exhaustive, mce, universe
 from kgraphlat.certify import CertifiedBool, false_certified, true_certified, unknown_at_cap
 from kgraphlat.degrees import Degree
 from kgraphlat.ideals import (
@@ -35,7 +36,6 @@ from kgraphlat.ideals import (
     Family,
     SetKey,
     _candidates,
-    _h_sourced_paths,
     _mask_key,
     _minimize_exhaustive,
     _normalize_family,
@@ -57,7 +57,7 @@ from kgraphlat.ideals import (
     set_sort_key,
 )
 from kgraphlat.kgraph import KGraph, KGraphError, Path, ValidationReport, sorted_paths
-from kgraphlat.structure import _deterministic_colors, _entrance_for
+from kgraphlat.structure import BoundaryPrefix, _deterministic_colors, _entrance_for
 
 
 def _path_in(g: KGraph, p: Path) -> bool:
@@ -495,6 +495,49 @@ def oracle_locally_convex(g: KGraph) -> bool:
     return True
 
 
+# -- boundary prefixes filtered by the certified exhaustive sets ----------------------
+# structure.boundary_prefixes as it was while it dropped every prefix that
+# some TrueCertified set of fe_sets, at one of its points, could never meet.
+
+
+def _definitively_avoids(g: KGraph, lam: Path, pos: Degree, E: PathSet) -> bool:
+    """True iff no extension of lam can ever hit a member of E at pos."""
+    room = degrees.sub(lam.d, pos)
+    for mu in E:
+        if not degrees.leq(mu.d, room):
+            return False
+        if g.segment(lam, pos, degrees.add(pos, mu.d)) == mu:
+            return False
+    return True
+
+
+def filtered_boundary_prefixes(g: KGraph, v: str, depth: Degree) -> List[BoundaryPrefix]:
+    """Capped paths from v not refuted as initial segments of boundary
+    paths: no certified exhaustive set at an interior point is avoided
+    beyond repair."""
+    g.require_vertex(v)
+    depth = degrees.check(depth, g.k)
+    fams: Dict[str, List[PathSet]] = {}
+    for w in g.vertices:
+        fams[w] = [E for E, c in fe_sets(g, w, depth).sets_at(w).items() if c.is_true]
+    out: List[BoundaryPrefix] = []
+    for lam in g.paths_up_to(v, depth):
+        refuted = False
+        for pos in degrees.below(lam.d):
+            w = g.split(lam, pos)[0].s
+            for E in fams.get(w, ()):
+                if _definitively_avoids(g, lam, pos, E):
+                    refuted = True
+                    break
+            if refuted:
+                break
+        if refuted:
+            continue
+        status = "terminal" if not g.edges_at(lam.s) else "extensible"
+        out.append(BoundaryPrefix(path=lam, status=status, depth=depth))
+    return out
+
+
 # -- reachability, cofinality and loops on vertex sets --------------------------------
 
 
@@ -591,6 +634,12 @@ def oracle_loops(g: KGraph, cap):
 # every refutation it returned.
 
 
+def _h_sourced_paths(g: KGraph, v: str, H: FrozenSet[str], cap: Degree) -> PathSet:
+    """The capped paths at v with source in H, as the path set ideals
+    passed to is_exhaustive before its saturation checks read masks."""
+    return frozenset(p for p in g.paths_up_to(v, cap) if p.s in H and not p.is_vertex)
+
+
 def oracle_saturation_status(g: KGraph, H: FrozenSet[str], cap: Degree) -> CertifiedBool:
     """Saturation of any vertex set, hereditary or not.
 
@@ -660,14 +709,15 @@ def oracle_satiation_closure(gq: KGraph, fam, cap: Degree) -> OracleClosure:
     taints: List[str] = []
     budget: List[str] = []
     while True:
-        res = _scan_satiation(gq, family, cap, extend=True)
+        res = _scan_satiation(gq, family, cap)
         overflow |= res.overflow
         taints.extend(res.taints)
         budget.extend(res.budget_hit)
-        if not res.additions:
+        additions = {vio[3] for vio in res.violations} | res.s4_missing.keys()
+        if not additions:
             break
         grown: Dict[str, List[int]] = {}
-        for v, mask in res.additions:
+        for v, mask in additions:
             grown.setdefault(v, list(family.get(v, ()))).append(mask)
         for v, masks in grown.items():
             family[v] = dict.fromkeys(sorted(masks, key=_mask_key))
@@ -694,6 +744,9 @@ def oracle_satiation_closure(gq: KGraph, fam, cap: Degree) -> OracleClosure:
 class OracleScanResult(_ScanResult):
     # per member G, the (S2) derivatives missing from the family: (mu, D mask)
     s2_misses: Dict[SetKey, List[Tuple[Path, int]]] = field(default_factory=dict)
+    # in extend mode, the missing candidates, which stay out of violations
+    # and s4_missing
+    additions: Set[SetKey] = field(default_factory=set)
 
 
 def oracle_scan_satiation(gq: KGraph, family: Family, cap: Degree, extend: bool,
@@ -704,11 +757,13 @@ def oracle_scan_satiation(gq: KGraph, family: Family, cap: Degree, extend: bool,
     One round of the (S1)-(S4) closure rules over the capped universe.
 
     In check mode a missing (S1)-(S3) demand that is itself a capped
-    candidate is a violation; (S4) misses, everything blocked by the cap,
-    and derived sets covered by a verified refutation (a subset of one of
-    the known_bad sets) only dirty the result.  In extend mode missing
-    candidates are collected as additions instead.  Every missing (S2)
-    derivative is also recorded in s2_misses, whatever became of it.
+    candidate is a violation, and an (S4) one counts once per assignment
+    in s4_missing; everything blocked by the cap, and derived sets covered
+    by a verified refutation (a subset of one of the known_bad sets) only
+    dirty the result.  In extend mode missing candidates are collected as
+    additions instead, as the two-mode scan did before one scan recorded
+    both.  Every missing (S2) derivative is also recorded in s2_misses,
+    whatever became of it.
     """
     res = OracleScanResult()
     bad_at: Dict[str, List[int]] = {}
@@ -729,7 +784,7 @@ def oracle_scan_satiation(gq: KGraph, family: Family, cap: Degree, extend: bool,
         elif extend:
             res.additions.add((dv, dmask))
         elif rule == "S4":
-            res.s4_missing += 1
+            res.s4_missing[(dv, dmask)] = res.s4_missing.get((dv, dmask), 0) + 1
         else:
             res.violations.append((rule, G, extra, (dv, dmask)))
 

@@ -263,6 +263,18 @@ def test_caps_beyond_the_fe_limit_answer_criterion_1_chain(capsys):
             assert result["hasse"] == [[0, 1]] and result["is_lattice"]
 
 
+def test_boundary_beyond_the_fe_limit_answers(capsys):
+    """boundary consults no candidate table, so FX6 at (4,) and FX2 at
+    (4,4), over the fe limit at v, list every capped path from v."""
+    for argv, count in ((("boundary", "FX6", "--vertex", "v", "--cap", "4"), 31),
+                        (("boundary", "FX2", "--vertex", "v", "--cap", "4,4"), 25)):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, (argv, err)
+        prefixes = json.loads(out)["result"]["prefixes"]
+        assert len(prefixes) == count, argv
+        assert all(p["status"] == "extensible" for p in prefixes), argv
+
+
 def test_proper_H_over_the_fe_limit_answers_as_at_cap_2(capsys):
     """FX4 is locally convex, so its lattice is indexed by H alone and
     builds no stripped family: at cap 18, where its universe at v is over

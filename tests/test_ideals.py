@@ -369,12 +369,13 @@ def _closure_inputs():
 
 
 def test_satiation_closure_matches_every_round_oracle():
-    """satiation_closure takes its verdict and overflow from the check scan
-    of the closed family.  Against the closure that gathered the overflow,
-    taints and budget hits of every round, the stripped family of every
-    saturated hereditary H (the satiate command's input) closes to the
-    same sets, certificates, overflow and status; its unknown witness is
-    now the check scan's summary, as is_satiated gives it.  Seeded
+    """satiation_closure takes its verdict and overflow from its last
+    round, which found nothing missing.  Against the closure that gathered
+    the overflow, taints and budget hits of every round, the stripped
+    family of every saturated hereditary H (the satiate command's input)
+    closes to the same sets, certificates, overflow and status; its
+    unknown witness is the last round's summary, as is_satiated gives it
+    for the closed family.  Seeded
     sub-families, which grow over several rounds, close to the same sets
     and status too.  Their overflow matches unless the last round ran out
     of (S4) budget: that round then misses products an earlier round
@@ -406,23 +407,60 @@ def test_satiation_closure_matches_every_round_oracle():
     assert min(seen.values()) > 0, seen
 
 
+def test_closure_hands_its_last_round_to_the_family(monkeypatch):
+    """satiation_closure's last scan is of the closed family and finds
+    nothing missing, and the family it returns keeps that round's verdict
+    and overflow: reading them runs no further scan."""
+    scans = []
+    scan = ideals._scan_satiation
+
+    def recorded(gq, family, cap, known_bad=()):
+        res = scan(gq, family, cap, known_bad)
+        scans.append(({v: list(masks) for v, masks in family.items()}, res))
+        return res
+
+    monkeypatch.setattr(ideals, "_scan_satiation", recorded)
+    seen = collections.Counter()
+    rng = random.Random(0)
+    for label, g, cap in _closure_inputs():
+        for hv in enumerate_sat_hered(g, cap):
+            H = hv.as_frozenset
+            gq = quotient_graph(g, H)
+            sets = sorted(restricted_fe_family(g, H, cap).sets(), key=set_sort_key)
+            scans.clear()
+            got = satiation_closure(gq, rng.sample(sets, rng.randint(0, len(sets))), cap)
+            family, last = scans[-1]
+            assert family == {v: list(masks) for v, masks in got.base.by_vertex.items()}, (label, H)
+            assert not last.violations and not last.s4_missing, (label, H)
+            rounds = len(scans)
+            got.satiated, got.overflow, got.satiated
+            assert len(scans) == rounds, (label, H)
+            seen["rounds > 1"] += rounds > 1
+            seen["unknown"] += got.satiated.is_unknown
+            seen["overflow"] += bool(got.overflow)
+    assert min(seen.values()) > 0, seen
+
+
 def test_scan_matches_assignment_walk_oracle(monkeypatch):
     """Every closure scan run by the stripped families' verdicts (each one
     is read), and by is_satiated and satiation_closure on seeded
-    sub-families of them, equals the scan that walks each (S4) assignment.
-    The taints are compared as a list in extend mode and as a multiset in
-    check mode.  Every (S2) walk, the stripped-family rounds' included,
-    finds at its vertex the (S2) misses of the assignment-walk scan of
-    the family it walks."""
+    sub-families of them, equals the scan that walks each (S4) assignment
+    in both its modes: in check mode field by field, with the (S4) misses
+    counted per derived set, and in extend mode its additions are the
+    derived sets of the violations and (S4) misses.  The taints are
+    compared as a list, and as a multiset when known bad sets can turn an
+    (S4) taint into an (S4)-refuted one.  Every (S2) walk, the
+    stripped-family rounds' included, finds at its vertex the (S2) misses
+    of the assignment-walk scan of the family it walks."""
     scans = []
     walks = []
     scan, walk = ideals._scan_satiation, ideals._s2_walk
 
-    def recorded(gq, family, cap, extend, known_bad=()):
+    def recorded(gq, family, cap, known_bad=()):
         snapshot = {v: dict(masks) for v, masks in family.items()}
         known_bad = list(known_bad)
-        res = scan(gq, family, cap, extend, known_bad)
-        scans.append((gq, snapshot, cap, extend, known_bad, res))
+        res = scan(gq, family, cap, known_bad)
+        scans.append((gq, snapshot, cap, known_bad, res))
         return res
 
     def recorded_walk(uni, family):
@@ -451,19 +489,24 @@ def test_scan_matches_assignment_walk_oracle(monkeypatch):
             satiation_closure(gq, sub, cap)
 
     seen = collections.Counter()
-    for gq, family, cap, extend, known_bad, res in scans:
-        want = oracles.oracle_scan_satiation(gq, family, cap, extend, known_bad)
-        for f in dataclasses.fields(res):
-            got, exp = getattr(res, f.name), getattr(want, f.name)
-            if f.name == "taints" and not extend:
-                got, exp = collections.Counter(got), collections.Counter(exp)
-            assert got == exp, (f.name, gq.vertices, cap, extend)
+    for gq, family, cap, known_bad, res in scans:
+        for extend in (False, True):
+            want = oracles.oracle_scan_satiation(gq, family, cap, extend, known_bad)
+            for f in dataclasses.fields(res):
+                got, exp = getattr(res, f.name), getattr(want, f.name)
+                if extend and f.name in ("violations", "s4_missing"):
+                    continue
+                if f.name == "taints" and known_bad:
+                    got, exp = collections.Counter(got), collections.Counter(exp)
+                assert got == exp, (f.name, gq.vertices, cap, extend)
+            if extend:
+                assert {vio[3] for vio in res.violations} | res.s4_missing.keys() == want.additions
         seen["scans"] += 1
         seen["known_bad"] += bool(known_bad)
-        seen["s4_missing"] += res.s4_missing > 0
+        seen["s4_missing"] += bool(res.s4_missing)
         seen["overflow"] += bool(res.overflow)
         seen["S4 budget"] += any(b.startswith("S4") for b in res.budget_hit)
-        seen["additions"] += extend and bool(res.additions)
+        seen["additions"] += bool(want.additions)
     misses = {}  # the oracle's s2_misses, by walked family
     for uni, family, out in walks:
         fkey = (uni.graph, uni.cap, tuple(sorted(family.items())))

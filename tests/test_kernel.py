@@ -550,12 +550,13 @@ def test_lattice_and_report_check_heredity_once_per_family(monkeypatch):
 @pytest.mark.parametrize("source, cap, compose_max", [("FX4", (2,), 7), (41, (1, 1), 9), (72, (1, 1), 9)])
 def test_lattice_and_report_run_no_verdict_scan(monkeypatch, source, cap, compose_max):
     """The lattice and the structure report read the stripped families'
-    members and refutations, not their (S1)-(S4) verdict, so they run no
-    check scan; the rounds of a stripped family walk rule (S2) alone.
-    Reading a family's verdict twice runs exactly one check scan, of that
-    family.  On FX4 and random_2graph seeds 41 and 72, scanning every
-    round of every family ran 3 / 6 / 6 check scans, and 13 / 37 / 51
-    composes for their (S4) rows."""
+    members and refutations, not their (S1)-(S4) verdict, and build no
+    satiation closure here, so they run no closure scan; the rounds of a
+    stripped family walk rule (S2) alone.  Reading a family's verdict
+    twice runs exactly one closure scan, of that family.  On FX4 and
+    random_2graph seeds 41 and 72, scanning every round of every family
+    ran 3 / 6 / 6 check scans, and 13 / 37 / 51 composes for their (S4)
+    rows."""
     if isinstance(source, int):
         g = random_2graph(source)
     else:
@@ -564,10 +565,9 @@ def test_lattice_and_report_run_no_verdict_scan(monkeypatch, source, cap, compos
     checked = []
     scan = ideals._scan_satiation
 
-    def recorded(gq, family, cap, extend, known_bad=()):
-        if not extend:
-            checked.append(family)
-        return scan(gq, family, cap, extend, known_bad)
+    def recorded(gq, family, cap, known_bad=()):
+        checked.append(family)
+        return scan(gq, family, cap, known_bad)
 
     monkeypatch.setattr(ideals, "_scan_satiation", recorded)
     lat = ideals.ideal_lattice(g, cap)

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from kgraphlat import align, degrees, textio
+from kgraphlat import align, degrees, ideals, textio
 from kgraphlat.align import fe_sets
 from kgraphlat.kgraph import KGraphError, validate_kgraph
 from kgraphlat.randomgraphs import random_1graph, random_2graph
@@ -203,14 +203,54 @@ def test_boundary_prefix_examples(fx):
 
 
 def test_every_capped_path_is_a_boundary_prefix(fx):
-    # A path with room for every member of a genuinely exhaustive set
-    # always extends one of them, so certified sets can never refute a
-    # finite prefix; the filter is a soundness guard that must stay silent.
+    # A path with room for every member of a certified exhaustive set
+    # extends one of them, or it refutes the set, so certified sets never
+    # refute a finite prefix and boundary_prefixes consults none.
     for name, g in sorted(fx.items()):
         cap = (2,) * g.k
         for v in g.vertices:
             got = {b.path for b in boundary_prefixes(g, v, cap)}
             assert got == set(g.paths_up_to(v, cap)), (name, v)
+
+
+def _filter_inputs():
+    """Inputs inside the fe limit at every vertex: the fixtures at caps 1
+    and 2, and random 1- and 2-graphs at cap 1."""
+    for name in sorted(textio.FIXTURE_TEXTS):
+        g = textio.fixture(name)
+        for c in (1, 2):
+            yield name, g, (c,) * g.k
+    for seed in range(150):
+        yield f"random_1graph({seed})", random_1graph(seed), (1,)
+        yield f"random_2graph({seed})", random_2graph(seed), (1, 1)
+
+
+def test_certified_set_filter_stays_silent():
+    """The filter boundary_prefixes once applied, which dropped a prefix
+    that some certified set at one of its points could never meet, keeps
+    every prefix with its status."""
+    cases = certified = 0
+    for label, g, cap in _filter_inputs():
+        for v in g.vertices:
+            assert boundary_prefixes(g, v, cap) == oracles.filtered_boundary_prefixes(g, v, cap), (label, v)
+            cases += 1
+        certified += any(c.is_true for w in g.vertices for c in fe_sets(g, w, cap).by_vertex.get(w, {}).values())
+    assert cases > 700 and certified > 250, (cases, certified)
+
+
+def test_boundary_prefixes_consult_no_exhaustive_set(monkeypatch, fx):
+    """boundary_prefixes runs neither fe_sets nor classify, so FX6 at (4,)
+    and FX2 at (4,4), whose candidate tables are over the fe limit, answer."""
+    calls = []
+    for mod in (align, ideals):
+        monkeypatch.setattr(mod, "fe_sets", lambda *args: calls.append("fe_sets"))
+    monkeypatch.setattr(align.VertexUniverse, "classify", lambda *args: calls.append("classify"))
+    for name, g in sorted(fx.items()):
+        for v in g.vertices:
+            boundary_prefixes(g, v, (2,) * g.k)
+    assert len(boundary_prefixes(fx["FX6"], "v", (4,))) == 31
+    assert len(boundary_prefixes(fx["FX2"], "v", (4, 4))) == 25
+    assert calls == []
 
 
 # -- cofinality -----------------------------------------------------------------------
