@@ -118,6 +118,43 @@ def test_cli_missing_cap_exit_2(capsys):
     assert code == 2 and "usage error" in err
 
 
+_CAP_COMMANDS = ("paths", "fe", "saturation", "sathered", "ehfamily", "satiate", "pairs",
+                 "lattice", "boundary", "cofinal", "loops", "report")
+_VERTEX_FLAG = {"paths": " --vertex v", "fe": " --vertex v", "boundary": " --vertex v"}
+
+
+@pytest.mark.parametrize("argv, line", [
+    *((f"{c} FX4{_VERTEX_FLAG.get(c, '')}", f"command '{c}' needs --cap") for c in _CAP_COMMANDS),
+    # a missing flag is named before a missing cap
+    ("paths FX4", "paths needs --vertex"),
+    ("paths FX4 --cap 2", "paths needs --vertex"),
+    ("fe FX4", "fe needs --vertex"),
+    ("fe FX4 --cap 2", "fe needs --vertex"),
+    ("boundary FX4", "boundary needs --vertex"),
+    ("boundary FX4 --cap 2", "boundary needs --vertex"),
+    # the line names every flag the command needs, also those given
+    ("mce FX2", "mce needs --mu and --nu"),
+    ("mce FX2 --mu b", "mce needs --mu and --nu"),
+    ("mce FX2 --nu r", "mce needs --mu and --nu"),
+    ("ext FX2", "ext needs --mu and --set"),
+    ("ext FX2 --mu b", "ext needs --mu and --set"),
+    ("ext FX2 --set b", "ext needs --mu and --set"),
+    ("mclosure FX1", "mclosure needs --set"),
+])
+def test_cli_usage_error_lines(capsys, argv, line):
+    code, out, err = run_cli(capsys, *argv.split())
+    assert (code, out, err) == (2, "", f"usage error: {line}\n")
+
+
+def test_cli_validation_gate_comes_before_the_usage_checks(tmp_path, capsys):
+    broken = tmp_path / "broken.kg"
+    broken.write_text(textio.FIXTURE_TEXTS["FX2"].replace("square b r ~ r b\n", ""))
+    for argv in (("lattice",), ("paths",), ("mce", "--mu", "b")):
+        code, out, err = run_cli(capsys, argv[0], str(broken), *argv[1:])
+        assert (code, err) == (1, "")
+        assert json.loads(out)["result"]["error"] == "graph does not validate"
+
+
 def test_cli_require_exact_exit_3(capsys):
     # {b} at cap (1,1) is unknown-at-cap on FX2, so fe with --require-exact trips
     code, out, err = run_cli(capsys, "fe", "FX2", "--vertex", "v", "--cap", "1", "--require-exact")

@@ -260,6 +260,13 @@ def test_compose_rejects_mismatch(fx):
         g.compose(e, e)
 
 
+def test_path_of_no_edges_raises(fx):
+    """An identity is named by its vertex through g.identity, not g.path."""
+    for seq in ([], ()):
+        with pytest.raises(KGraphError, match=re.escape("empty path needs a vertex")):
+            fx["FX4"].path(seq)
+
+
 def test_segment_examples(fx):
     g = fx["FX2"]
     br = g.compose(g.path(["b"]), g.path(["r"]))
@@ -531,6 +538,16 @@ def test_finite_alignment_by_construction(fx):
         for v in g.vertices:
             for n in degrees.below((2,) * g.k):
                 assert len(g.paths_of_degree(v, n)) < 50
+
+
+def test_random_1graph_texts_pinned():
+    """The graphs random_1graph draws for seeds 0-399, emitted as text and
+    hashed in seed order, so that a change to the generator's bounds
+    cannot change which graph a seed names."""
+    digest = hashlib.sha256()
+    for seed in range(400):
+        digest.update(f"{seed}\n{textio.emit_kgraph_text(random_1graph(seed))}".encode())
+    assert digest.hexdigest() == "cbf25e5d189dd77eb171c01493bbd4766fbdac3dffd996873f709ed2329ea2b2"
 
 
 def test_random_2graph_texts_pinned():
