@@ -1,6 +1,14 @@
 """Command-line interface: parse k-graph text files, run library
 computations, and emit deterministic JSON, DOT or plain text.
 
+`_HANDLERS` gives each command its handler, the flags it needs and
+whether it needs --cap.  `run_with_status` checks them once, after the
+validation gate, and calls the handler with the graph and the cap
+checked against its rank.  Handlers return library values (paths,
+tuples, `MinPair`s, certificates, vertex tuples), which `_encode`
+renders in one pass.  `_encode` sorts a set by its JSON text, so a set
+kept in `Path.sort_key` order is returned as `sorted_paths(S)`.
+
 Exit codes: 0 success, 1 validation failure, 2 syntax/usage error,
 3 a required certificate came back unknown under --require-exact.
 """
@@ -17,7 +25,7 @@ from . import __version__, align, degrees, ideals, structure, textio
 from .certify import CertifiedBool
 from .degrees import Degree
 from .ideals import IdealLattice, IdealPair
-from .kgraph import KGraph, KGraphError, Path, validate_kgraph
+from .kgraph import KGraph, KGraphError, Path, sorted_paths, validate_kgraph
 from .randomgraphs import random_1graph, random_2graph
 from .textio import KGraphDocument, KGraphSyntaxError, parse_kgraph_text
 
@@ -65,17 +73,8 @@ def _encode(obj: Any) -> Any:
     return repr(obj)
 
 
-class _Certificates:
-    """Collects the certification status of every reported fact."""
-
-    def __init__(self):
-        self.items: List[Dict[str, Any]] = []
-
-    def add(self, fact: str, cert: CertifiedBool):
-        self.items.append({"fact": fact, **_encode(cert)})
-
-    def any_unknown(self) -> bool:
-        return any(item["status"] == "unknown_at_cap" for item in self.items)
+# the (fact, certificate) pair of every reported fact, in report order
+_Certificates = List[Tuple[str, CertifiedBool]]
 
 
 def _render(payload: Dict[str, Any], cfg: RunConfig, certs: _Certificates) -> str:
@@ -83,16 +82,16 @@ def _render(payload: Dict[str, Any], cfg: RunConfig, certs: _Certificates) -> st
         "tool": "kgraphlat",
         "version": __version__,
         "command": cfg.command,
-        "cap": list(cfg.cap) if cfg.cap is not None else None,
+        "cap": _encode(cfg.cap),
         "result": _encode(payload),
-        "certificates": certs.items,
+        "certificates": [{"fact": fact, **_encode(cert)} for fact, cert in certs],
     }
     if cfg.fmt == "json":
         return json.dumps(envelope, sort_keys=True, indent=2) + "\n"
     if cfg.fmt == "text":
         lines = [f"# kgraphlat {__version__} :: {cfg.command}"]
         lines.append(json.dumps(envelope["result"], sort_keys=True, indent=2))
-        for item in certs.items:
+        for item in envelope["certificates"]:
             lines.append(f"cert {item['fact']}: {item['status']}")
         return "\n".join(lines) + "\n"
     raise UsageError(f"format {cfg.fmt!r} not available for this command")
@@ -132,12 +131,6 @@ def emit_dot(obj) -> str:
 # -- argument helpers ------------------------------------------------------------
 
 
-def _need_cap(cfg: RunConfig, g: KGraph) -> Degree:
-    if cfg.cap is None:
-        raise UsageError(f"command {cfg.command!r} needs --cap")
-    return degrees.check(cfg.cap, g.k)
-
-
 def _parse_path(g: KGraph, literal: str) -> Path:
     if g.has_vertex(literal):
         return g.identity(literal)
@@ -149,232 +142,173 @@ def _parse_pathset(g: KGraph, literal: str) -> List[Path]:
 
 
 def _parse_vertexset(g: KGraph, literal: Optional[str]) -> List[str]:
-    if not literal:
-        return []
-    vs = [tok for tok in literal.split(",") if tok]
+    vs = [tok for tok in (literal or "").split(",") if tok]
     for v in vs:
         g.require_vertex(v)
     return vs
 
 
-# -- command handlers --------------------------------------------------------------
+# -- command handlers: (graph, checked cap, config, certificates) -> payload --
 
 
-def _cmd_validate(doc: KGraphDocument, cfg: RunConfig, certs: _Certificates):
-    rep = doc.report
-    return {"ok": rep.ok, "violations": [[k, list(ids)] for k, ids in rep.violations]}
+def _cmd_paths(g, cap, cfg, certs):
+    return {"vertex": cfg.vertex, "paths": g.paths_up_to(cfg.vertex, cap)}
 
 
-def _cmd_paths(doc, cfg, certs):
-    g = doc.graph
-    if not cfg.vertex:
-        raise UsageError("paths needs --vertex")
-    cap = _need_cap(cfg, g)
-    out = g.paths_up_to(cfg.vertex, cap)
-    return {"vertex": cfg.vertex, "paths": [p.literal() for p in out]}
-
-
-def _cmd_mce(doc, cfg, certs):
-    g = doc.graph
-    if not (cfg.mu and cfg.nu):
-        raise UsageError("mce needs --mu and --nu")
+def _cmd_mce(g, cap, cfg, certs):
     mu, nu = _parse_path(g, cfg.mu), _parse_path(g, cfg.nu)
-    return {"mce": [p.literal() for p in align.mce(g, mu, nu)],
-            "lambda_min": [[a.literal(), b.literal()] for a, b in align.lambda_min(g, mu, nu)]}
+    return {"mce": align.mce(g, mu, nu), "lambda_min": align.lambda_min(g, mu, nu)}
 
 
-def _cmd_ext(doc, cfg, certs):
-    g = doc.graph
-    if not (cfg.mu and cfg.setarg):
-        raise UsageError("ext needs --mu and --set")
+def _cmd_ext(g, cap, cfg, certs):
     mu = _parse_path(g, cfg.mu)
     E = _parse_pathset(g, cfg.setarg)
-    return {"ext": [p.literal() for p in align.ext(g, mu, E)]}
+    return {"ext": align.ext(g, mu, E)}
 
 
 def _set_rows(sets: Dict[align.PathSet, CertifiedBool], fact: str, certs: _Certificates):
     """Rows of a set's members and certificate fields, in set_sort_key order."""
     out = []
     for S, cert in sorted(sets.items(), key=lambda kv: ideals.set_sort_key(kv[0])):
-        out.append({"set": [p.literal() for p in sorted(S, key=Path.sort_key)], **_encode(cert)})
-        certs.add(f"{fact} {ideals.fmt_pathset(S)}", cert)
+        out.append({"set": sorted_paths(S), **_encode(cert)})
+        certs.append((f"{fact} {ideals.fmt_pathset(S)}", cert))
     return out
 
 
-def _cmd_fe(doc, cfg, certs):
-    g = doc.graph
-    if not cfg.vertex:
-        raise UsageError("fe needs --vertex")
-    cap = _need_cap(cfg, g)
+def _cmd_fe(g, cap, cfg, certs):
     fam = align.fe_sets(g, cfg.vertex, cap)
     return {"vertex": cfg.vertex, "sets": _set_rows(fam.sets_at(cfg.vertex), "exhaustive", certs)}
 
 
-def _cmd_saturation(doc, cfg, certs):
-    g = doc.graph
-    cap = _need_cap(cfg, g)
+def _cmd_saturation(g, cap, cfg, certs):
     G = _parse_vertexset(g, cfg.setarg)
     vs = ideals.saturation(g, G, cap)
-    certs.add(f"saturated {ideals.fmt_vertexset(vs.members)}", vs.saturated)
-    return {"input": sorted(G), "saturation": list(vs.members),
+    certs.append((f"saturated {ideals.fmt_vertexset(vs.members)}", vs.saturated))
+    return {"input": sorted(G), "saturation": vs.members,
             "hereditary": vs.hereditary, "saturated": vs.saturated}
 
 
-def _cmd_sathered(doc, cfg, certs):
-    g = doc.graph
-    cap = _need_cap(cfg, g)
+def _cmd_sathered(g, cap, cfg, certs):
     out = []
     for hv in ideals.enumerate_sat_hered(g, cap):
-        certs.add(f"saturated {ideals.fmt_vertexset(hv.members)}", hv.saturated)
-        out.append({"H": list(hv.members), "saturated": hv.saturated})
+        certs.append((f"saturated {ideals.fmt_vertexset(hv.members)}", hv.saturated))
+        out.append({"H": hv.members, "saturated": hv.saturated})
     return {"sets": out}
 
 
-def _cmd_quotient(doc, cfg, certs):
-    g = doc.graph
+def _cmd_quotient(g, cap, cfg, certs):
     H = _parse_vertexset(g, cfg.setarg)
     gq = ideals.quotient_graph(g, H)
     return {"H": sorted(H), "kgraph": textio.emit_kgraph_text(gq).splitlines()}
 
 
-def _cmd_ehfamily(doc, cfg, certs):
-    g = doc.graph
-    cap = _need_cap(cfg, g)
+def _cmd_ehfamily(g, cap, cfg, certs):
     H = _parse_vertexset(g, cfg.setarg)
     sf = ideals.restricted_fe_family(g, H, cap)
-    certs.add("family satiated", sf.satiated)
+    certs.append(("family satiated", sf.satiated))
     return {
         "H": sorted(H),
         "sets": _set_rows(sf.certs(), "exhaustive-in-quotient", certs),
         "satiated": sf.satiated,
-        "refuted_parents": [
-            {"parent": [p.literal() for p in sorted(E, key=Path.sort_key)], "witness": tau.literal()}
-            for E, tau in sf.refuted_parents.items()
-        ],
+        "refuted_parents": [{"parent": sorted_paths(E), "witness": tau}
+                            for E, tau in sf.refuted_parents.items()],
     }
 
 
-def _cmd_satiate(doc, cfg, certs):
-    g = doc.graph
-    cap = _need_cap(cfg, g)
+def _cmd_satiate(g, cap, cfg, certs):
     H = _parse_vertexset(g, cfg.setarg)
     gq = ideals.quotient_graph(g, H)
     sf = ideals.restricted_fe_family(g, H, cap)
     closure = ideals.satiation_closure(gq, sf, cap)
     verdict = ideals.is_satiated(gq, sf, cap)
-    certs.add("satiated", verdict)
+    certs.append(("satiated", verdict))
     return {
         "H": sorted(H),
         "is_satiated": verdict,
         "closure_size": closure.base.size(),
         "base_size": sf.base.size(),
-        "overflow": [p.literal() for p in closure.overflow],
+        "overflow": closure.overflow,
     }
 
 
 def _pairs_payload(pairs: List[IdealPair], certs: _Certificates):
     out = []
     for p in pairs:
-        certs.add(f"pair {p.label()}", p.h_saturated)
-        out.append({
-            "H": list(p.H),
-            "B": [[q.literal() for q in sorted(S, key=Path.sort_key)] for S in p.B],
-            "exact": p.exact,
-        })
+        certs.append((f"pair {p.label()}", p.h_saturated))
+        out.append({"H": p.H, "B": [sorted_paths(S) for S in p.B], "exact": p.exact})
     return out
 
 
-def _cmd_pairs(doc, cfg, certs):
-    g = doc.graph
-    cap = _need_cap(cfg, g)
+def _cmd_pairs(g, cap, cfg, certs):
     return {"pairs": _pairs_payload(ideals.enumerate_ideal_pairs(g, cap), certs)}
 
 
-def _cmd_lattice(doc, cfg, certs):
-    g = doc.graph
-    cap = _need_cap(cfg, g)
+def _cmd_lattice(g, cap, cfg, certs):
     lat = ideals.ideal_lattice(g, cap)
     if cfg.fmt == "dot":
         return lat
     return {
         "nodes": _pairs_payload(lat.pairs, certs),
-        "hasse": [list(e) for e in lat.hasse],
+        "hasse": lat.hasse,
         "is_lattice": lat.is_lattice,
-        "failures": list(lat.failures),
+        "failures": lat.failures,
     }
 
 
-def _cmd_skew(doc, cfg, certs):
-    g = doc.graph
+def _cmd_skew(g, cap, cfg, certs):
     r = cfg.radius
     sw = structure.skew_product_window(g, (-r,) * g.k, (r,) * g.k)
     if cfg.fmt == "dot":
         return sw.graph
-    rep = validate_kgraph(sw.graph)
     return {
         "radius": r,
         "vertices": len(sw.graph.vertices),
         "edges": len(sw.graph.edges),
         "squares": len(sw.graph.squares),
-        "valid": rep.ok,
+        "valid": validate_kgraph(sw.graph).ok,
         "kgraph": textio.emit_kgraph_text(sw.graph).splitlines(),
     }
 
 
-def _cmd_grading(doc, cfg, certs):
-    g = doc.graph
+def _cmd_grading(g, cap, cfg, certs):
     grading = structure.grading_exists(g)
     if grading is None:
         return {"exists": False}
-    return {"exists": True, "b": {v: list(n) for v, n in grading.b}}
+    return {"exists": True, "b": dict(grading.b)}
 
 
-def _cmd_mclosure(doc, cfg, certs):
-    g = doc.graph
-    if not cfg.setarg:
-        raise UsageError("mclosure needs --set")
+def _cmd_mclosure(g, cap, cfg, certs):
     grading = structure.grading_exists(g)
     if grading is None:
         raise KGraphError("graph admits no grading; the closure may be infinite")
     E = _parse_pathset(g, cfg.setarg)
     once = structure.m_closure(g, grading, E)
     fix = structure.m_closure_iterated(g, grading, E)
-    return {"closure": [p.literal() for p in once], "fixpoint": [p.literal() for p in fix]}
+    return {"closure": once, "fixpoint": fix}
 
 
-def _cmd_boundary(doc, cfg, certs):
-    g = doc.graph
-    if not cfg.vertex:
-        raise UsageError("boundary needs --vertex")
-    cap = _need_cap(cfg, g)
+def _cmd_boundary(g, cap, cfg, certs):
     out = structure.boundary_prefixes(g, cfg.vertex, cap)
-    return {"vertex": cfg.vertex,
-            "prefixes": [{"path": b.path.literal(), "status": b.status} for b in out]}
+    return {"vertex": cfg.vertex, "prefixes": [{"path": b.path, "status": b.status} for b in out]}
 
 
-def _cmd_cofinal(doc, cfg, certs):
-    g = doc.graph
-    cap = _need_cap(cfg, g)
+def _cmd_cofinal(g, cap, cfg, certs):
     cert = structure.cofinality_check(g, cap)
-    certs.add("cofinal", cert)
+    certs.append(("cofinal", cert))
     return {"cofinal": cert}
 
 
-def _cmd_loops(doc, cfg, certs):
-    g = doc.graph
-    cap = _need_cap(cfg, g)
+def _cmd_loops(g, cap, cfg, certs):
     out = structure.find_loop_with_entrance(g, cap)
     for v, cert in sorted(out.items()):
-        certs.add(f"loop-with-entrance reachable from {v}", cert)
+        certs.append((f"loop-with-entrance reachable from {v}", cert))
     return {"vertices": out}
 
 
-def _cmd_report(doc, cfg, certs):
-    g = doc.graph
-    cap = _need_cap(cfg, g)
+def _cmd_report(g, cap, cfg, certs):
     rep = structure.structure_report(g, cap, cfg.assumed_condition_C)
-    certs.add("cofinal", rep.cofinal)
-    certs.add("all vertices reach a loop with an entrance", rep.all_vertices_reach_loop_with_entrance)
+    certs.append(("cofinal", rep.cofinal))
+    certs.append(("all vertices reach a loop with an entrance", rep.all_vertices_reach_loop_with_entrance))
     return {
         "cofinal": rep.cofinal,
         "loops": rep.loops,
@@ -384,49 +318,61 @@ def _cmd_report(doc, cfg, certs):
     }
 
 
-def _cmd_fuzz(doc, cfg, certs):
-    g = random_1graph(cfg.seed) if cfg.rank == 1 else random_2graph(cfg.seed)
-    rep = validate_kgraph(g)
-    cap = cfg.cap if cfg.cap is not None else (1,) * g.k
-    lat = ideals.ideal_lattice(g, degrees.check(cap, g.k))
+def _cmd_fuzz(g, cap, cfg, certs):
+    valid = validate_kgraph(g).ok
+    lat = ideals.ideal_lattice(g, cap)
     return {
         "seed": cfg.seed,
         "rank": g.k,
         "kgraph": textio.emit_kgraph_text(g).splitlines(),
-        "valid": rep.ok,
+        "valid": valid,
         "lattice_nodes": len(lat.pairs),
-        "hasse": [list(e) for e in lat.hasse],
+        "hasse": lat.hasse,
     }
 
 
+# command -> (handler, the flags it needs, whether it needs --cap); the
+# flags are checked before the cap.  validate is answered before any
+# handler, and fuzz draws its graph from --seed, with cap 1s by default
 _HANDLERS = {
-    "validate": _cmd_validate, "paths": _cmd_paths, "mce": _cmd_mce,
-    "ext": _cmd_ext, "fe": _cmd_fe, "saturation": _cmd_saturation,
-    "sathered": _cmd_sathered, "quotient": _cmd_quotient,
-    "ehfamily": _cmd_ehfamily, "satiate": _cmd_satiate, "pairs": _cmd_pairs,
-    "lattice": _cmd_lattice, "skew": _cmd_skew, "grading": _cmd_grading,
-    "mclosure": _cmd_mclosure, "boundary": _cmd_boundary,
-    "cofinal": _cmd_cofinal, "loops": _cmd_loops, "report": _cmd_report,
-    "fuzz": _cmd_fuzz,
+    "validate": (None, (), False), "paths": (_cmd_paths, ("--vertex",), True),
+    "mce": (_cmd_mce, ("--mu", "--nu"), False), "ext": (_cmd_ext, ("--mu", "--set"), False),
+    "fe": (_cmd_fe, ("--vertex",), True), "saturation": (_cmd_saturation, (), True),
+    "sathered": (_cmd_sathered, (), True), "quotient": (_cmd_quotient, (), False),
+    "ehfamily": (_cmd_ehfamily, (), True), "satiate": (_cmd_satiate, (), True),
+    "pairs": (_cmd_pairs, (), True), "lattice": (_cmd_lattice, (), True),
+    "skew": (_cmd_skew, (), False), "grading": (_cmd_grading, (), False),
+    "mclosure": (_cmd_mclosure, ("--set",), False),
+    "boundary": (_cmd_boundary, ("--vertex",), True), "cofinal": (_cmd_cofinal, (), True),
+    "loops": (_cmd_loops, (), True), "report": (_cmd_report, (), True),
+    "fuzz": (_cmd_fuzz, (), False),
 }
+_FLAG_FIELDS = {"--vertex": "vertex", "--mu": "mu", "--nu": "nu", "--set": "setarg"}
 
 
 def run_with_status(doc: Optional[KGraphDocument], cfg: RunConfig) -> Tuple[str, int]:
     """Dispatch a command; deterministic output plus the exit code."""
     if cfg.command not in _HANDLERS:
         raise UsageError(f"unknown command {cfg.command!r}")
-    certs = _Certificates()
-    if cfg.command == "validate":
-        payload = _cmd_validate(doc, cfg, certs)
-        text = _render(payload, cfg, certs)
-        return text, 0 if doc.report.ok else 1
-    if cfg.command != "fuzz" and not doc.report.ok:
-        payload = {"error": "graph does not validate",
-                   "violations": [[k, list(i)] for k, i in doc.report.violations]}
-        return _render(payload, cfg, certs), 1
-    payload = _HANDLERS[cfg.command](doc, cfg, certs)
+    handler, flags, needs_cap = _HANDLERS[cfg.command]
+    certs: _Certificates = []
+    if cfg.command == "validate" or (cfg.command != "fuzz" and not doc.report.ok):
+        rep = doc.report
+        head = {"ok": rep.ok} if cfg.command == "validate" else {"error": "graph does not validate"}
+        return _render({**head, "violations": rep.violations}, cfg, certs), 0 if rep.ok else 1
+    if not all(getattr(cfg, _FLAG_FIELDS[flag]) for flag in flags):
+        raise UsageError(f"{cfg.command} needs {' and '.join(flags)}")
+    if needs_cap and cfg.cap is None:
+        raise UsageError(f"command {cfg.command!r} needs --cap")
+    if cfg.command == "fuzz":  # no document: the seed names the graph
+        g = random_1graph(cfg.seed) if cfg.rank == 1 else random_2graph(cfg.seed)
+        cap = degrees.check(cfg.cap if cfg.cap is not None else (1,) * g.k, g.k)
+    else:
+        g = doc.graph
+        cap = degrees.check(cfg.cap, g.k) if needs_cap else None
+    payload = handler(g, cap, cfg, certs)
     text = _render(payload, cfg, certs) if isinstance(payload, dict) else emit_dot(payload)
-    code = 3 if cfg.require_exact and certs.any_unknown() else 0
+    code = 3 if cfg.require_exact and any(cert.is_unknown for _, cert in certs) else 0
     return text, code
 
 

@@ -23,7 +23,7 @@ from the range end toward the source end.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Sequence, Tuple
 
 from . import degrees
 from .degrees import Degree
@@ -253,12 +253,10 @@ class KGraph:
                     swapped = True
         return tuple(e)
 
-    def path(self, edge_ids: Sequence[str], at: Optional[str] = None) -> Path:
-        """Build the normal-form path for an edge sequence (or a vertex id)."""
+    def path(self, edge_ids: Sequence[str]) -> Path:
+        """Build the normal-form path for a nonempty edge sequence."""
         if not edge_ids:
-            if at is None:
-                raise KGraphError("empty path needs a vertex")
-            return self.identity(at)
+            raise KGraphError("empty path needs a vertex")
         for eid in edge_ids:
             self.edge(eid)
         if not self._chain_ok(edge_ids):

@@ -9,17 +9,24 @@ completed by a random bijection.  Every generated graph validates.
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Tuple
+from typing import List
 
 from .kgraph import KGraph, Skeleton, SquareRule, validate_kgraph
 
+# A seed names its graph through these bounds; the texts of seeds 0-399
+# are pinned by the tests.  A rank-2 draw is kept once no vertex has more
+# than _MAX_MEMBERS paths up to _UNIVERSE_CAP besides its identity.
+_MAX_VERTICES_1, _MAX_EDGES_1 = 5, 8
+_MAX_VERTICES_2, _MAX_BLUE_2 = 3, 3
+_UNIVERSE_CAP, _MAX_MEMBERS, _ATTEMPTS = (1, 1), 10, 50
 
-def random_1graph(seed: int, max_vertices: int = 5, max_edges: int = 8) -> KGraph:
+
+def random_1graph(seed: int) -> KGraph:
     """A random rank-1 graph; any skeleton is valid at rank 1."""
     rng = random.Random(f"k1:{seed}")
-    nv = rng.randint(1, max_vertices)
+    nv = rng.randint(1, _MAX_VERTICES_1)
     verts = [f"v{i}" for i in range(nv)]
-    ne = rng.randint(0, max_edges)
+    ne = rng.randint(0, _MAX_EDGES_1)
     edges = []
     for i in range(ne):
         edges.append((f"e{i}", 1, rng.choice(verts), rng.choice(verts)))
@@ -28,10 +35,10 @@ def random_1graph(seed: int, max_vertices: int = 5, max_edges: int = 8) -> KGrap
     return g
 
 
-def _random_2graph_once(rng: random.Random, max_vertices: int, max_blue: int) -> KGraph:
-    nv = rng.randint(1, max_vertices)
+def _random_2graph_once(rng: random.Random) -> KGraph:
+    nv = rng.randint(1, _MAX_VERTICES_2)
     verts = [f"v{i}" for i in range(nv)]
-    nblue = rng.randint(1, max_blue)
+    nblue = rng.randint(1, _MAX_BLUE_2)
     blue = [(rng.choice(verts), rng.choice(verts)) for _ in range(nblue)]
     mode = rng.choice(["copy", "loops", "none"])
     if mode == "copy":
@@ -71,21 +78,12 @@ def _random_2graph_once(rng: random.Random, max_vertices: int, max_blue: int) ->
     return g
 
 
-def random_2graph(
-    seed: int,
-    max_vertices: int = 3,
-    max_blue: int = 3,
-    universe_cap: Optional[Tuple[int, int]] = (1, 1),
-    max_members: int = 10,
-    attempts: int = 50,
-) -> KGraph:
+def random_2graph(seed: int) -> KGraph:
     """A random valid rank-2 graph, redrawn (deterministically) until no
-    vertex has more than max_members paths up to universe_cap but its own."""
+    vertex has more than _MAX_MEMBERS paths up to _UNIVERSE_CAP but its own."""
     rng = random.Random(f"k2:{seed}")
-    for _ in range(attempts):
-        g = _random_2graph_once(rng, max_vertices, max_blue)
-        if universe_cap is None:
-            return g
-        if all(len(g.paths_up_to(v, universe_cap)) - 1 <= max_members for v in g.vertices):
+    for _ in range(_ATTEMPTS):
+        g = _random_2graph_once(rng)
+        if all(len(g.paths_up_to(v, _UNIVERSE_CAP)) - 1 <= _MAX_MEMBERS for v in g.vertices):
             return g
     raise RuntimeError(f"no tractable 2-graph found for seed {seed}")

@@ -335,9 +335,10 @@ def test_normalization_idempotent_on_random_graphs():
         g = random_2graph(seed)
         for v in g.vertices:
             for p in g.paths_up_to(v, (2, 2)):
-                assert g.path(p.edges, at=p.r) == p
                 if p.is_vertex:
+                    assert g.identity(p.r) == p
                     continue
+                assert g.path(p.edges) == p
                 seq = list(p.edges)
                 for _ in range(6):
                     spots = [
