@@ -13,9 +13,8 @@ from typing import List
 
 from .kgraph import KGraph, Skeleton, SquareRule, validate_kgraph
 
-# A seed names its graph through these bounds; the texts of seeds 0-399
-# are pinned by the tests.  A rank-2 draw is kept once no vertex has more
-# than _MAX_MEMBERS paths up to _UNIVERSE_CAP besides its identity.
+# A seed names its graph through these bounds; the tests pin the texts
+# of seeds 0-399, which the fuzz command and the benchmark draw from.
 _MAX_VERTICES_1, _MAX_EDGES_1 = 5, 8
 _MAX_VERTICES_2, _MAX_BLUE_2 = 3, 3
 _UNIVERSE_CAP, _MAX_MEMBERS, _ATTEMPTS = (1, 1), 10, 50
