@@ -201,6 +201,45 @@ def test_cli_determinism_across_commands(capsys):
         assert out1, argv
 
 
+# The parser splits on whitespace, so ids may hold a quote, a backslash or
+# a non-ASCII letter; JSON escapes all three, and writes é as \u00e9, which
+# sorts before "a" in JSON-text order but after it as a Python string.
+ESCAPE_TEXT = """kgraph 1
+vertex a
+vertex b\\s
+vertex q"
+vertex é
+vertex z
+edge l"a : 1 a <- a
+edge e\\1 : 1 a <- b\\s
+edge f" : 1 b\\s <- q"
+edge gé : 1 q" <- é
+edge h : 1 é <- z
+edge lz : 1 z <- z
+edge m : 1 é <- é
+"""
+
+
+@pytest.mark.parametrize("argv, pinned", [
+    (("paths", "--cap", "2", "--vertex", 'q"'),
+     "5ff0cecc781c2f7b5a8af85541f2bf1bb54b489db51ec3b239aeb2b574db0db7"),
+    (("lattice", "--cap", "1"),
+     "d6da47e5adda38b98497066470b44f576ad7af1fe31e9854d97c4a274d5ba1e4"),
+    (("report", "--cap", "1", "--assume-condition-c"),
+     "5e2b2b29ab6526c8c5622d517827aec331ced310d8cfc4a00a7991480b291269"),
+    (("fe", "--cap", "1", "--vertex", "a"),
+     "47166538c02fcd46cfadfff4e04c1c7a2dfe509cbe8048ee0d62024767d16b22"),
+    (("lattice", "--cap", "1", "--format", "text"),
+     "bcf434b0eb8fcb200e2a8fbe4f2a1d04428b5d3c05a4f19ddebc11803ed5d88a"),
+])
+def test_cli_escaped_ids_pinned(tmp_path, argv, pinned):
+    import cli_corpus
+
+    path = tmp_path / "escapes.kg"
+    path.write_text(ESCAPE_TEXT, encoding="utf-8")
+    assert cli_corpus.digest((argv[0], str(path), *argv[1:])) == pinned
+
+
 def test_cli_stdin(capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO(textio.FIXTURE_TEXTS["FX5"]))
     code, out, err = run_cli(capsys, "validate", "-")
