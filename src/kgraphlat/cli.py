@@ -5,12 +5,21 @@ computations, and emit deterministic JSON, DOT or plain text.
 whether it needs --cap.  `run_with_status` checks them once, after the
 validation gate, and calls the handler with the graph and the cap
 checked against its rank.  Handlers return library values (paths,
-tuples, `MinPair`s, certificates, vertex tuples), which `_encode`
-renders in one pass.  `_encode` sorts a set by its JSON text, so a set
-kept in `Path.sort_key` order is returned as `sorted_paths(S)`.
+tuples, `MinPair`s, certificates, vertex tuples).
 
-Exit codes: 0 success, 1 validation failure, 2 syntax/usage error,
-3 a required certificate came back unknown under --require-exact.
+`_write` renders them in one pass, appending text to a list.  Its bytes
+are those of `json.dumps(_encode(x), sort_keys=True, indent=2)`: it
+quotes every string with the escaper `json.dumps` uses
+(`encode_basestring_ascii`), sorts and converts dict keys as `json`
+does, and writes the same separators and indent.  That route would copy
+the payload into a second tree and, given an indent, run the stdlib's
+pure-Python encoder.  A set is ordered by the compact JSON text of its
+members, as `_encode` gives them, so a set kept in `Path.sort_key`
+order is returned as `sorted_paths(S)`.
+
+Exit codes: 0 success, 1 validation failure, 2 syntax/usage error or
+an unreadable input file, 3 a required certificate came back unknown
+under --require-exact.
 """
 
 from __future__ import annotations
@@ -19,6 +28,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _quote  # the escaper json.dumps uses
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from . import __version__, align, degrees, ideals, structure, textio
@@ -49,22 +59,29 @@ class RunConfig:
     rank: int = 1
 
 
-# -- JSON encoding -------------------------------------------------------------
+# -- JSON rendering ------------------------------------------------------------
+
+
+def _cert_fields(cert: CertifiedBool) -> Dict[str, Any]:
+    """A certificate's status, and its witness and cap where it has them."""
+    out: Dict[str, Any] = {"status": cert.value.value}
+    if cert.witness is not None:
+        out["witness"] = cert.witness
+    if cert.cap is not None:
+        out["cap"] = cert.cap
+    return out
 
 
 def _encode(obj: Any) -> Any:
+    """The JSON value of obj: a path's literal, a certificate's fields, a
+    set as the list of its members ordered by their compact JSON text."""
     if isinstance(obj, Path):
         return obj.literal()
     if isinstance(obj, CertifiedBool):
-        out = {"status": obj.value.value}
-        if obj.witness is not None:
-            out["witness"] = _encode(obj.witness)
-        if obj.cap is not None:
-            out["cap"] = list(obj.cap)
-        return out
+        return _encode(_cert_fields(obj))
     if isinstance(obj, (frozenset, set)):
         return sorted((_encode(x) for x in obj), key=json.dumps)
-    if isinstance(obj, dict):  # keys are str; the renderers sort them
+    if isinstance(obj, dict):
         return {k: _encode(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_encode(x) for x in obj]
@@ -73,26 +90,92 @@ def _encode(obj: Any) -> Any:
     return repr(obj)
 
 
+def _key(k: Any) -> str:
+    """A dict key that is not a str, as json writes it: the quoted text
+    of a number, a bool or None."""
+    if isinstance(k, (int, float)) or k is None:
+        return _quote(json.dumps(k))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
+
+
+def _write(obj: Any, write, nl: str) -> None:
+    """Write the text json.dumps(_encode(obj), sort_keys=True, indent=2)
+    gives, on a line that the newline and indent nl began."""
+    if isinstance(obj, str):
+        write(_quote(obj))
+    elif isinstance(obj, Path):
+        write(_quote(obj.literal()))
+    elif isinstance(obj, (list, tuple)):
+        _write_items(obj, write, nl)
+    elif isinstance(obj, dict):
+        _write_pairs(sorted(obj.items()), write, nl)
+    elif obj is True:
+        write("true")
+    elif obj is False:
+        write("false")
+    elif obj is None:
+        write("null")
+    elif isinstance(obj, int):
+        write(int.__repr__(obj))
+    elif isinstance(obj, CertifiedBool):
+        _write_pairs(sorted(_cert_fields(obj).items()), write, nl)
+    elif isinstance(obj, (frozenset, set)):
+        _write_items(_encode(obj), write, nl)
+    elif isinstance(obj, float):
+        write(json.dumps(obj))
+    else:
+        write(_quote(repr(obj)))
+
+
+def _write_items(items, write, nl: str) -> None:
+    if not items:
+        write("[]")
+        return
+    inner = nl + "  "
+    sep = "[" + inner
+    for x in items:
+        write(sep)
+        _write(x, write, inner)
+        sep = "," + inner
+    write(nl + "]")
+
+
+def _write_pairs(pairs, write, nl: str) -> None:
+    if not pairs:
+        write("{}")
+        return
+    inner = nl + "  "
+    sep = "{" + inner
+    for k, v in pairs:
+        write(sep + (_quote(k) if isinstance(k, str) else _key(k)) + ": ")
+        _write(v, write, inner)
+        sep = "," + inner
+    write(nl + "}")
+
+
+def _dumps(obj: Any) -> str:
+    out: List[str] = []
+    _write(obj, out.append, "\n")
+    return "".join(out)
+
+
 # the (fact, certificate) pair of every reported fact, in report order
 _Certificates = List[Tuple[str, CertifiedBool]]
 
 
 def _render(payload: Dict[str, Any], cfg: RunConfig, certs: _Certificates) -> str:
-    envelope = {
-        "tool": "kgraphlat",
-        "version": __version__,
-        "command": cfg.command,
-        "cap": _encode(cfg.cap),
-        "result": _encode(payload),
-        "certificates": [{"fact": fact, **_encode(cert)} for fact, cert in certs],
-    }
     if cfg.fmt == "json":
-        return json.dumps(envelope, sort_keys=True, indent=2) + "\n"
+        return _dumps({
+            "tool": "kgraphlat",
+            "version": __version__,
+            "command": cfg.command,
+            "cap": cfg.cap,
+            "result": payload,
+            "certificates": [{"fact": fact, **_cert_fields(cert)} for fact, cert in certs],
+        }) + "\n"
     if cfg.fmt == "text":
-        lines = [f"# kgraphlat {__version__} :: {cfg.command}"]
-        lines.append(json.dumps(envelope["result"], sort_keys=True, indent=2))
-        for item in envelope["certificates"]:
-            lines.append(f"cert {item['fact']}: {item['status']}")
+        lines = [f"# kgraphlat {__version__} :: {cfg.command}", _dumps(payload)]
+        lines += [f"cert {fact}: {cert.value.value}" for fact, cert in certs]
         return "\n".join(lines) + "\n"
     raise UsageError(f"format {cfg.fmt!r} not available for this command")
 
@@ -170,7 +253,7 @@ def _set_rows(sets: Dict[align.PathSet, CertifiedBool], fact: str, certs: _Certi
     """Rows of a set's members and certificate fields, in set_sort_key order."""
     out = []
     for S, cert in sorted(sets.items(), key=lambda kv: ideals.set_sort_key(kv[0])):
-        out.append({"set": sorted_paths(S), **_encode(cert)})
+        out.append({"set": sorted_paths(S), **_cert_fields(cert)})
         certs.append((f"{fact} {ideals.fmt_pathset(S)}", cert))
     return out
 
@@ -437,7 +520,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (KGraphError, ValueError, RuntimeError) as exc:
+    except (KGraphError, ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     sys.stdout.write(text)

@@ -16,15 +16,18 @@ sets are the subsets that pass a mask test, a hereditary closure is a
 search toward sources, and the lattice finds its Hasse diagram, meets and
 joins by searches over the order matrix.  Boundary prefixes are
 filtered by every certified exhaustive set at each of their points.
+The CLI's text is rendered by copying the payload into a tree of JSON
+values and handing that to the stdlib's indent encoder.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from kgraphlat import degrees
+from kgraphlat import __version__, degrees
 from kgraphlat.align import FEFamily, MinPair, PathSet, common_range, fe_sets, is_exhaustive, mce, universe
 from kgraphlat.certify import CertifiedBool, false_certified, true_certified, unknown_at_cap
 from kgraphlat.degrees import Degree
@@ -1298,3 +1301,47 @@ def oracle_order_tables(leq: List[List[bool]]):
             if jn is None:
                 failures.append(f"no join for nodes {i},{j}")
     return tuple(sorted(hasse)), meets, joins, tuple(failures)
+
+
+def oracle_encode(obj):
+    """The JSON value of a CLI payload value: a path is its literal, a
+    certificate its fields, a set its members ordered by compact JSON text."""
+    if isinstance(obj, Path):
+        return obj.literal()
+    if isinstance(obj, CertifiedBool):
+        out = {"status": obj.value.value}
+        if obj.witness is not None:
+            out["witness"] = oracle_encode(obj.witness)
+        if obj.cap is not None:
+            out["cap"] = list(obj.cap)
+        return out
+    if isinstance(obj, (frozenset, set)):
+        return sorted((oracle_encode(x) for x in obj), key=json.dumps)
+    if isinstance(obj, dict):
+        return {k: oracle_encode(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [oracle_encode(x) for x in obj]
+    if isinstance(obj, (str, int, float, bool)) or obj is None:
+        return obj
+    return repr(obj)
+
+
+def oracle_render(payload, cfg, certs) -> str:
+    """cli._render by encoding the envelope first and then running
+    json.dumps(sort_keys=True, indent=2), for the json and text formats."""
+    envelope = {
+        "tool": "kgraphlat",
+        "version": __version__,
+        "command": cfg.command,
+        "cap": oracle_encode(cfg.cap),
+        "result": oracle_encode(payload),
+        "certificates": [{"fact": fact, **oracle_encode(cert)} for fact, cert in certs],
+    }
+    if cfg.fmt == "json":
+        return json.dumps(envelope, sort_keys=True, indent=2) + "\n"
+    assert cfg.fmt == "text", cfg.fmt
+    lines = [f"# kgraphlat {__version__} :: {cfg.command}"]
+    lines.append(json.dumps(envelope["result"], sort_keys=True, indent=2))
+    for item in envelope["certificates"]:
+        lines.append(f"cert {item['fact']}: {item['status']}")
+    return "\n".join(lines) + "\n"

@@ -1,10 +1,14 @@
+import gc
 import io
 import json
 import sys
 
 import pytest
 
-from kgraphlat import textio
+import oracles
+from kgraphlat import cli, textio
+from kgraphlat.align import MinPair
+from kgraphlat.certify import Certainty, false_certified, true_certified, unknown_at_cap
 from kgraphlat.cli import RunConfig, emit_dot, main, run_with_status
 from kgraphlat.ideals import ideal_lattice
 from kgraphlat.textio import KGraphSyntaxError, emit_kgraph_text, parse_kgraph_text
@@ -111,6 +115,13 @@ def test_cli_syntax_error_exit_2(tmp_path, capsys):
     bad.write_text("kgraph 1\nvortex v\n")
     code, out, err = run_cli(capsys, "validate", str(bad))
     assert code == 2 and "syntax error" in err
+
+
+def test_cli_unreadable_input_exit_2(tmp_path, capsys):
+    for path in (tmp_path / "nofile.kg", tmp_path):
+        code, out, err = run_cli(capsys, "paths", str(path), "--cap", "1", "--vertex", "v")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and f"'{path}'" in err
 
 
 def test_cli_missing_cap_exit_2(capsys):
@@ -238,6 +249,81 @@ def test_cli_escaped_ids_pinned(tmp_path, argv, pinned):
     path = tmp_path / "escapes.kg"
     path.write_text(ESCAPE_TEXT, encoding="utf-8")
     assert cli_corpus.digest((argv[0], str(path), *argv[1:])) == pinned
+
+
+def test_render_matches_indent_encoder_oracle_on_the_corpus(monkeypatch):
+    """The writer gives the bytes of the encode-then-json.dumps route on
+    every payload of the digest corpus, json and text formats."""
+    import cli_corpus
+
+    render, seen = cli._render, []
+
+    def both(payload, cfg, certs):
+        text = render(payload, cfg, certs)
+        assert text == oracles.oracle_render(payload, cfg, certs), (cfg, payload)
+        seen.append(cfg.fmt)
+        return text
+
+    monkeypatch.setattr(cli, "_render", both)
+    cli_corpus.digests()
+    # 221 runs, less 12 in DOT and 6 that end in an error
+    assert (len(seen), seen.count("text")) == (203, 36)
+
+
+def test_render_matches_indent_encoder_oracle_on_edge_values(fx):
+    g = fx["FX2"]
+    b, r, v = g.path(["b"]), g.path(["r"]), g.identity("v")
+    payload = {
+        "empty": [[], {}, (), set(), frozenset(), [[]], [{}], {"x": {}}, {"x": []}, [set()], ((),)],
+        "bools": [True, False, 1, 0, False, 0, True],
+        "none": None,
+        "ints": [-1, 0, 7, 2 ** 70, -(2 ** 70)],
+        "floats": [1.5, -0.0, 1e300, float("nan"), float("inf"), float("-inf")],
+        "tuples": ((1, "a"), (b, (r, v))),
+        "minpairs": [MinPair(b, r), MinPair(v, r)],
+        "certs": [
+            true_certified(), true_certified((b, r)), false_certified(b),
+            false_certified(("S2", frozenset({b, r}), (), frozenset({v}))),
+            unknown_at_cap((1, 2)), unknown_at_cap((3,), witness=("budget", 4)),
+            true_certified({"v": (b, r), "w": None}),
+        ],
+        "tuple_set": {(1, "a"), (0, "b"), ("a",), ("a", "b"), ()},
+        "str_set": frozenset({"a", "é", 'q"', "b\\s", "\x00", "\n", "", "Z"}),
+        "path_set": frozenset({b, r, v}),
+        "cert_set": frozenset({true_certified(), unknown_at_cap((1,)), false_certified("w")}),
+        "int_set": {9, 10, -1},
+        "int_keys": {3: "a", 10: "b", -1: "c", 2.5: "d"},
+        "bool_keys": {True: "t", False: "f"},
+        "none_key": {None: "n"},
+        "float_keys": {float("inf"): 1, -0.5: 2},
+        "control": "tab\tnl\ncr\r\x00\x1f\x7f\u2028 é \U0001f600 \ud800 \\ \"",
+        "other": Certainty.TRUE_CERTIFIED,
+        "é": 1, "a": 2, 'q"': 3,
+    }
+    certs = [("first", true_certified()), ("é \"q\"", false_certified((b, frozenset({r})))),
+             ("third", unknown_at_cap((2,), witness=("x",)))]
+    for cfg in (RunConfig(command="x", cap=(2,)), RunConfig(command="y", fmt="text"),
+                RunConfig(command="z", cap=(1, 0))):
+        for p, c in ((payload, certs), ({}, []), ({"only": []}, certs[:1])):
+            assert cli._render(p, cfg, c) == oracles.oracle_render(p, cfg, c)
+    for bad in ({(1, 2): "tuple key"}, {1: "a", "b": 2}, {b: "path key"}):
+        for render in (cli._render, oracles.oracle_render):
+            with pytest.raises(TypeError):
+                render({"bad": bad}, RunConfig(command="x"), [])
+
+
+def test_render_leaves_no_cyclic_garbage():
+    doc = parse_kgraph_text(textio.FIXTURE_TEXTS["FX4"])
+    for fmt in ("json", "text"):
+        cfg, certs = RunConfig(command="lattice", cap=(2,), fmt=fmt), []
+        payload = cli._cmd_lattice(doc.graph, (2,), cfg, certs)
+        gc.collect()
+        gc.disable()
+        try:
+            cli._render(payload, cfg, certs)
+            assert gc.collect() == 0, fmt
+        finally:
+            gc.enable()
 
 
 def test_cli_stdin(capsys, monkeypatch):
