@@ -7,15 +7,16 @@ validation gate, and calls the handler with the graph and the cap
 checked against its rank.  Handlers return library values (paths,
 tuples, `MinPair`s, certificates, vertex tuples).
 
-`_write` renders them in one pass, appending text to a list.  Its bytes
-are those of `json.dumps(_encode(x), sort_keys=True, indent=2)`: it
+`_write`, the only JSON route, renders them in one pass, appending
+text to a list.  It takes str, `Path`, list, tuple, dict with str keys,
+bool, None, int, `CertifiedBool` and a set of paths or strings, and
+raises `TypeError` on anything else.  Its bytes are those of
+`json.dumps(..., sort_keys=True, indent=2)` on the JSON values: it
 quotes every string with the escaper `json.dumps` uses
-(`encode_basestring_ascii`), sorts and converts dict keys as `json`
-does, and writes the same separators and indent.  That route would copy
-the payload into a second tree and, given an indent, run the stdlib's
-pure-Python encoder.  A set is ordered by the compact JSON text of its
-members, as `_encode` gives them, so a set kept in `Path.sort_key`
-order is returned as `sorted_paths(S)`.
+(`encode_basestring_ascii`) and writes the same key order, separators
+and indent.  A set is ordered by its members' quoted literals, so a set
+kept in `Path.sort_key` order is returned as `sorted_paths(S)`.
+`lattice` and `skew` return DOT text, every id escaped, for --format dot.
 
 Exit codes: 0 success, 1 validation failure, 2 syntax/usage error or
 an unreadable input file, 3 a required certificate came back unknown
@@ -25,7 +26,6 @@ under --require-exact.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote  # the escaper json.dumps uses
@@ -72,35 +72,9 @@ def _cert_fields(cert: CertifiedBool) -> Dict[str, Any]:
     return out
 
 
-def _encode(obj: Any) -> Any:
-    """The JSON value of obj: a path's literal, a certificate's fields, a
-    set as the list of its members ordered by their compact JSON text."""
-    if isinstance(obj, Path):
-        return obj.literal()
-    if isinstance(obj, CertifiedBool):
-        return _encode(_cert_fields(obj))
-    if isinstance(obj, (frozenset, set)):
-        return sorted((_encode(x) for x in obj), key=json.dumps)
-    if isinstance(obj, dict):
-        return {k: _encode(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_encode(x) for x in obj]
-    if isinstance(obj, (str, int, float, bool)) or obj is None:
-        return obj
-    return repr(obj)
-
-
-def _key(k: Any) -> str:
-    """A dict key that is not a str, as json writes it: the quoted text
-    of a number, a bool or None."""
-    if isinstance(k, (int, float)) or k is None:
-        return _quote(json.dumps(k))
-    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
-
-
 def _write(obj: Any, write, nl: str) -> None:
-    """Write the text json.dumps(_encode(obj), sort_keys=True, indent=2)
-    gives, on a line that the newline and indent nl began."""
+    """Write the text json.dumps(sort_keys=True, indent=2) gives for the
+    JSON value of obj, on a line that the newline and indent nl began."""
     if isinstance(obj, str):
         write(_quote(obj))
     elif isinstance(obj, Path):
@@ -120,11 +94,11 @@ def _write(obj: Any, write, nl: str) -> None:
     elif isinstance(obj, CertifiedBool):
         _write_pairs(sorted(_cert_fields(obj).items()), write, nl)
     elif isinstance(obj, (frozenset, set)):
-        _write_items(_encode(obj), write, nl)
-    elif isinstance(obj, float):
-        write(json.dumps(obj))
+        # _quote raises TypeError on a member that is neither path nor str
+        _write_items(sorted(obj, key=lambda x: _quote(x.literal() if isinstance(x, Path) else x)),
+                     write, nl)
     else:
-        write(_quote(repr(obj)))
+        raise TypeError(f"cannot render a value of type {obj.__class__.__name__}")
 
 
 def _write_items(items, write, nl: str) -> None:
@@ -147,7 +121,7 @@ def _write_pairs(pairs, write, nl: str) -> None:
     inner = nl + "  "
     sep = "{" + inner
     for k, v in pairs:
-        write(sep + (_quote(k) if isinstance(k, str) else _key(k)) + ": ")
+        write(sep + _quote(k) + ": ")
         _write(v, write, inner)
         sep = "," + inner
     write(nl + "}")
@@ -183,12 +157,18 @@ def _render(payload: Dict[str, Any], cfg: RunConfig, certs: _Certificates) -> st
 # -- DOT emission -------------------------------------------------------------
 
 
+def _dot_id(text: str) -> str:
+    """text as a quoted DOT id: backslashes, then quotes, escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def emit_dot_graph(g: KGraph) -> str:
     lines = ["digraph skeleton {"]
     for v in g.vertices:
-        lines.append(f'  "{v}";')
+        lines.append(f"  {_dot_id(v)};")
     for e in g.edges:
-        lines.append(f'  "{e.s}" -> "{e.r}" [label="{e.eid} (c{e.color})"];')
+        label = _dot_id(f"{e.eid} (c{e.color})")
+        lines.append(f"  {_dot_id(e.s)} -> {_dot_id(e.r)} [label={label}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -196,19 +176,11 @@ def emit_dot_graph(g: KGraph) -> str:
 def emit_dot_lattice(lat: IdealLattice) -> str:
     lines = ["digraph ideal_lattice {", "  rankdir=BT;"]
     for i, p in enumerate(lat.pairs):
-        lines.append(f'  n{i} [label="{p.label()}"];')
+        lines.append(f"  n{i} [label={_dot_id(p.label())}];")
     for i, j in lat.hasse:
         lines.append(f"  n{i} -> n{j};")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def emit_dot(obj) -> str:
-    if isinstance(obj, IdealLattice):
-        return emit_dot_lattice(obj)
-    if isinstance(obj, KGraph):
-        return emit_dot_graph(obj)
-    raise UsageError(f"no DOT form for {type(obj).__name__}")
 
 
 # -- argument helpers ------------------------------------------------------------
@@ -329,7 +301,7 @@ def _cmd_pairs(g, cap, cfg, certs):
 def _cmd_lattice(g, cap, cfg, certs):
     lat = ideals.ideal_lattice(g, cap)
     if cfg.fmt == "dot":
-        return lat
+        return emit_dot_lattice(lat)
     return {
         "nodes": _pairs_payload(lat.pairs, certs),
         "hasse": lat.hasse,
@@ -342,7 +314,7 @@ def _cmd_skew(g, cap, cfg, certs):
     r = cfg.radius
     sw = structure.skew_product_window(g, (-r,) * g.k, (r,) * g.k)
     if cfg.fmt == "dot":
-        return sw.graph
+        return emit_dot_graph(sw.graph)
     return {
         "radius": r,
         "vertices": len(sw.graph.vertices),
@@ -454,7 +426,7 @@ def run_with_status(doc: Optional[KGraphDocument], cfg: RunConfig) -> Tuple[str,
         g = doc.graph
         cap = degrees.check(cfg.cap, g.k) if needs_cap else None
     payload = handler(g, cap, cfg, certs)
-    text = _render(payload, cfg, certs) if isinstance(payload, dict) else emit_dot(payload)
+    text = payload if isinstance(payload, str) else _render(payload, cfg, certs)
     code = 3 if cfg.require_exact and any(cert.is_unknown for _, cert in certs) else 0
     return text, code
 
@@ -494,8 +466,12 @@ def _load(args) -> Optional[KGraphDocument]:
         return parse_kgraph_text(textio.FIXTURE_TEXTS[args.input])
     if args.input == "-":
         return parse_kgraph_text(sys.stdin.read())
-    with open(args.input, "r", encoding="utf-8") as fh:
-        return parse_kgraph_text(fh.read())
+    try:
+        with open(args.input, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"cannot read {args.input!r}: {exc}") from None
+    return parse_kgraph_text(text)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -9,7 +9,7 @@ import oracles
 from kgraphlat import cli, textio
 from kgraphlat.align import MinPair
 from kgraphlat.certify import Certainty, false_certified, true_certified, unknown_at_cap
-from kgraphlat.cli import RunConfig, emit_dot, main, run_with_status
+from kgraphlat.cli import RunConfig, emit_dot_graph, emit_dot_lattice, main, run_with_status
 from kgraphlat.ideals import ideal_lattice
 from kgraphlat.textio import KGraphSyntaxError, emit_kgraph_text, parse_kgraph_text
 
@@ -118,7 +118,9 @@ def test_cli_syntax_error_exit_2(tmp_path, capsys):
 
 
 def test_cli_unreadable_input_exit_2(tmp_path, capsys):
-    for path in (tmp_path / "nofile.kg", tmp_path):
+    not_utf8 = tmp_path / "bom.kg"
+    not_utf8.write_bytes(b"\xff\xfe")
+    for path in (tmp_path / "nofile.kg", tmp_path, not_utf8):
         code, out, err = run_cli(capsys, "paths", str(path), "--cap", "1", "--vertex", "v")
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1 and f"'{path}'" in err
@@ -230,6 +232,14 @@ edge lz : 1 z <- z
 edge m : 1 é <- é
 """
 
+# DOT ids escape a backslash as \\ and a quote as \"
+DOT_ESCAPED_LINES = {
+    "lattice": [r'  n2 [label="H={b\\s,q\",z,é} B={} [exact]"];'],
+    "skew": [r'  "b\\s@-1";', r'  "q\"@-1";',
+             r'  "q\"@0" -> "b\\s@-1" [label="f\"@0 (c1)"];',
+             r'  "b\\s@0" -> "a@-1" [label="e\\1@0 (c1)"];'],
+}
+
 
 @pytest.mark.parametrize("argv, pinned", [
     (("paths", "--cap", "2", "--vertex", 'q"'),
@@ -242,13 +252,20 @@ edge m : 1 é <- é
      "47166538c02fcd46cfadfff4e04c1c7a2dfe509cbe8048ee0d62024767d16b22"),
     (("lattice", "--cap", "1", "--format", "text"),
      "bcf434b0eb8fcb200e2a8fbe4f2a1d04428b5d3c05a4f19ddebc11803ed5d88a"),
+    (("lattice", "--cap", "1", "--format", "dot"),
+     "1c73998864c66640f32f6b3ed67242c2ae3514d6c84f8b693a90f1467c16a120"),
+    (("skew", "--format", "dot"),
+     "10b85ebe5935433b6bb75a9fd18083444334c07cba5617210c5c7f3ea56be79a"),
 ])
-def test_cli_escaped_ids_pinned(tmp_path, argv, pinned):
+def test_cli_escaped_ids_pinned(tmp_path, capsys, argv, pinned):
     import cli_corpus
 
     path = tmp_path / "escapes.kg"
     path.write_text(ESCAPE_TEXT, encoding="utf-8")
     assert cli_corpus.digest((argv[0], str(path), *argv[1:])) == pinned
+    if "dot" in argv:
+        code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
+        assert code == 0 and set(DOT_ESCAPED_LINES[argv[0]]) <= set(out.splitlines())
 
 
 def test_render_matches_indent_encoder_oracle_on_the_corpus(monkeypatch):
@@ -278,7 +295,6 @@ def test_render_matches_indent_encoder_oracle_on_edge_values(fx):
         "bools": [True, False, 1, 0, False, 0, True],
         "none": None,
         "ints": [-1, 0, 7, 2 ** 70, -(2 ** 70)],
-        "floats": [1.5, -0.0, 1e300, float("nan"), float("inf"), float("-inf")],
         "tuples": ((1, "a"), (b, (r, v))),
         "minpairs": [MinPair(b, r), MinPair(v, r)],
         "certs": [
@@ -287,17 +303,9 @@ def test_render_matches_indent_encoder_oracle_on_edge_values(fx):
             unknown_at_cap((1, 2)), unknown_at_cap((3,), witness=("budget", 4)),
             true_certified({"v": (b, r), "w": None}),
         ],
-        "tuple_set": {(1, "a"), (0, "b"), ("a",), ("a", "b"), ()},
         "str_set": frozenset({"a", "é", 'q"', "b\\s", "\x00", "\n", "", "Z"}),
         "path_set": frozenset({b, r, v}),
-        "cert_set": frozenset({true_certified(), unknown_at_cap((1,)), false_certified("w")}),
-        "int_set": {9, 10, -1},
-        "int_keys": {3: "a", 10: "b", -1: "c", 2.5: "d"},
-        "bool_keys": {True: "t", False: "f"},
-        "none_key": {None: "n"},
-        "float_keys": {float("inf"): 1, -0.5: 2},
         "control": "tab\tnl\ncr\r\x00\x1f\x7f\u2028 é \U0001f600 \ud800 \\ \"",
-        "other": Certainty.TRUE_CERTIFIED,
         "é": 1, "a": 2, 'q"': 3,
     }
     certs = [("first", true_certified()), ("é \"q\"", false_certified((b, frozenset({r})))),
@@ -310,6 +318,29 @@ def test_render_matches_indent_encoder_oracle_on_edge_values(fx):
         for render in (cli._render, oracles.oracle_render):
             with pytest.raises(TypeError):
                 render({"bad": bad}, RunConfig(command="x"), [])
+
+
+def test_render_refuses_values_no_command_emits(fx):
+    """The writer renders only what handlers return; floats, sets of
+    anything but paths and strings, keys that are not str and other
+    objects raise TypeError."""
+    g = fx["FX2"]
+    b = g.path(["b"])
+    refused = [
+        1.5, -0.0, 1e300, float("nan"), float("inf"), float("-inf"), [0, 2.5],
+        {(1, "a"), (0, "b"), ("a",), ("a", "b"), ()},
+        {9, 10, -1},
+        frozenset({true_certified(), unknown_at_cap((1,)), false_certified("w")}),
+        frozenset({b, 1}),
+        {3: "a", 10: "b", -1: "c"}, {2.5: "d"}, {True: "t", False: "f"}, {None: "n"},
+        {float("inf"): 1, -0.5: 2},
+        Certainty.TRUE_CERTIFIED,
+        true_certified(1.5),
+    ]
+    for value in refused:
+        for cfg in (RunConfig(command="x"), RunConfig(command="y", fmt="text")):
+            with pytest.raises(TypeError):
+                cli._render({"bad": value}, cfg, [])
 
 
 def test_render_leaves_no_cyclic_garbage():
@@ -337,19 +368,19 @@ def test_cli_stdin(capsys, monkeypatch):
 
 def test_dot_lattice_diamond(fx):
     lat = ideal_lattice(fx["FX4"], (2,))
-    dot = emit_dot(lat)
+    dot = emit_dot_lattice(lat)
     assert dot.count("->") == 4 and dot.startswith("digraph ideal_lattice")
 
 
 def test_dot_skeleton(fx):
-    dot = emit_dot(fx["FX1"])
+    dot = emit_dot_graph(fx["FX1"])
     assert '"v" -> "v"' in dot  # the loop
     assert '"v" -> "u"' in dot
 
 
 def test_dot_empty_graph():
     doc = parse_kgraph_text("kgraph 1\n")
-    dot = emit_dot(doc.graph)
+    dot = emit_dot_graph(doc.graph)
     assert dot == "digraph skeleton {\n}\n"
 
 
