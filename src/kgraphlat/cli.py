@@ -16,7 +16,8 @@ quotes every string with the escaper `json.dumps` uses
 (`encode_basestring_ascii`) and writes the same key order, separators
 and indent.  A set is ordered by its members' quoted literals, so a set
 kept in `Path.sort_key` order is returned as `sorted_paths(S)`.
-`lattice` and `skew` return DOT text, every id escaped, for --format dot.
+`lattice` and `skew` return DOT text, every id escaped, for --format dot;
+on a graph that does not validate they report the violations as JSON.
 
 Exit codes: 0 success, 1 validation failure, 2 syntax/usage error or
 an unreadable input file, 3 a required certificate came back unknown
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from json.encoder import encode_basestring_ascii as _quote  # the escaper json.dumps uses
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -414,6 +415,8 @@ def run_with_status(doc: Optional[KGraphDocument], cfg: RunConfig) -> Tuple[str,
     if cfg.command == "validate" or (cfg.command != "fuzz" and not doc.report.ok):
         rep = doc.report
         head = {"ok": rep.ok} if cfg.command == "validate" else {"error": "graph does not validate"}
+        if cfg.fmt == "dot" and cfg.command in ("lattice", "skew"):
+            cfg = replace(cfg, fmt="json")  # DOT has no form for the report
         return _render({**head, "violations": rep.violations}, cfg, certs), 0 if rep.ok else 1
     if not all(getattr(cfg, _FLAG_FIELDS[flag]) for flag in flags):
         raise UsageError(f"{cfg.command} needs {' and '.join(flags)}")

@@ -96,9 +96,14 @@ def hereditary_closure(g: KGraph, G: Iterable[str]) -> FrozenSet[str]:
 # -- saturation ----------------------------------------------------------------
 
 
-def _h_sourced(g: KGraph, v: str, H: FrozenSet[str], cap: Degree) -> int:
+def _h_sourced(g: KGraph, v: str, H: FrozenSet[str], hmask: int, cap: Degree) -> int:
     """Member mask at v of the capped paths with source in H, without the
-    universe: bit j is paths_up_to(v, cap)[j + 1]."""
+    universe: bit j is paths_up_to(v, cap)[j + 1].  hmask is the vertex
+    mask of H.  No path is listed when v reaches no vertex of H, since a
+    path from v with source in H makes v reach its source: every edge of
+    such a path joins two vertices, and reach_masks reads every such edge."""
+    if not g.reach_masks()[v] & hmask:
+        return 0
     return sum(1 << i for i, p in enumerate(g.paths_up_to(v, cap)) if p.s in H) >> 1
 
 
@@ -137,13 +142,16 @@ def _saturation_status(g: KGraph, H: FrozenSet[str], cap: Degree) -> CertifiedBo
     witness, every subset fails with the same witness.  The first vertex
     whose maximal candidate is certified exhaustive refutes saturation,
     with (vertex, candidate) as witness; otherwise any unknown check
-    makes the answer unknown.
+    makes the answer unknown.  A vertex that reaches no vertex of H has
+    an empty maximal candidate, since a path's source is reached from its
+    range, so _h_sourced lists no path there.
     """
     unknown = False
+    hmask = _vertex_mask(g.vertex_bits(), H)
     for v in g.vertices:
         if v in H:
             continue
-        fmax = _h_sourced(g, v, H, cap)
+        fmax = _h_sourced(g, v, H, hmask, cap)
         if not fmax:
             continue
         cert = universe(g, v, cap).classify(fmax)
@@ -659,6 +667,7 @@ def _stripped_family(g: KGraph, H: FrozenSet[str], cap: Degree) -> SatiatedFamil
     (S1)-(S4) verdict and overflow are computed when first read, by one
     closure scan of the final family."""
     gq = _quotient_by(g, H)
+    hmask = _vertex_mask(g.vertex_bits(), H)
 
     # Parents are SetKeys of g, their strips SetKeys of gq.  Parents keep
     # the fe_sets order, since the order of refutations decides which
@@ -712,7 +721,7 @@ def _stripped_family(g: KGraph, H: FrozenSet[str], cap: Degree) -> SatiatedFamil
     def refute_parents_of(parent_list: List[SetKey], mu: Path) -> bool:
         """Given a verified quotient witness mu against a strip, discard its parents."""
         progress = False
-        fmax = _h_sourced(g, mu.s, H, cap)
+        fmax = _h_sourced(g, mu.s, H, hmask, cap)
         lam0 = None
         if fmax:
             fcert = universe(g, mu.s, cap).classify(fmax)

@@ -10,7 +10,8 @@ round and computes its verdict with the family.  The pair enumeration
 builds the stripped family and the B search for every H, the empty one
 included.  Exhaustiveness with members beyond the cap walks the capped
 paths one by one, and the capped universe composes every one-edge
-extension past the cap; saturation runs passes over the vertices; the
+extension past the cap; saturation runs passes over the vertices and
+lists the capped paths at every vertex outside H; the
 satiation closure gathers its verdict from every round.  Hereditary
 sets are the subsets that pass a mask test, a hereditary closure is a
 search toward sources, and the lattice finds its Hasse diagram, meets and
@@ -633,8 +634,9 @@ def oracle_loops(g: KGraph, cap):
 
 # -- saturation by passes ---------------------------------------------------------
 # ideals.saturation as it was while it ran its own passes over the
-# vertices, and ideals._saturation_status while it shrank the witness of
-# every refutation it returned.
+# vertices, ideals._saturation_status while it shrank the witness of
+# every refutation it returned, and ideals._saturation_status while it
+# listed the capped paths at every vertex outside H.
 
 
 def _h_sourced_paths(g: KGraph, v: str, H: FrozenSet[str], cap: Degree) -> PathSet:
@@ -643,7 +645,7 @@ def _h_sourced_paths(g: KGraph, v: str, H: FrozenSet[str], cap: Degree) -> PathS
     return frozenset(p for p in g.paths_up_to(v, cap) if p.s in H and not p.is_vertex)
 
 
-def oracle_saturation_status(g: KGraph, H: FrozenSet[str], cap: Degree) -> CertifiedBool:
+def oracle_shrinking_saturation_status(g: KGraph, H: FrozenSet[str], cap: Degree) -> CertifiedBool:
     """Saturation of any vertex set, hereditary or not.
 
     The capped candidates at a vertex are monotone in the member set, so
@@ -687,7 +689,40 @@ def oracle_saturation(g: KGraph, G: Iterable[str], cap: Degree) -> VertexSet:
                 cur.add(v)
                 changed = True
     members = tuple(sorted(cur))
-    return VertexSet(members, is_hereditary(g, members), oracle_saturation_status(g, frozenset(members), cap))
+    return VertexSet(members, is_hereditary(g, members), oracle_shrinking_saturation_status(g, frozenset(members), cap))
+
+
+def _ungated_h_sourced(g: KGraph, v: str, H: FrozenSet[str], cap: Degree) -> int:
+    """Member mask at v of the capped paths with source in H, without the
+    universe: bit j is paths_up_to(v, cap)[j + 1]."""
+    return sum(1 << i for i, p in enumerate(g.paths_up_to(v, cap)) if p.s in H) >> 1
+
+
+def oracle_saturation_status(g: KGraph, H: FrozenSet[str], cap: Degree) -> CertifiedBool:
+    """Saturation of any vertex set, hereditary or not.
+
+    The capped candidates at a vertex are monotone in the member set, so
+    only the maximal candidate needs certifying: if it fails with a
+    witness, every subset fails with the same witness.  The first vertex
+    whose maximal candidate is certified exhaustive refutes saturation,
+    with (vertex, candidate) as witness; otherwise any unknown check
+    makes the answer unknown.
+    """
+    unknown = False
+    for v in g.vertices:
+        if v in H:
+            continue
+        fmax = _ungated_h_sourced(g, v, H, cap)
+        if not fmax:
+            continue
+        cert = universe(g, v, cap).classify(fmax)
+        if cert.is_true:
+            return false_certified((v, _set(g, (v, fmax), cap)))
+        if cert.is_unknown:
+            unknown = True
+    if unknown:
+        return unknown_at_cap(cap)
+    return true_certified()
 
 
 # -- the satiation closure with its verdict from every round -----------------------

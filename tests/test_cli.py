@@ -168,6 +168,28 @@ def test_cli_validation_gate_comes_before_the_usage_checks(tmp_path, capsys):
         assert json.loads(out)["result"]["error"] == "graph does not validate"
 
 
+@pytest.mark.parametrize("argv, pinned", [
+    (("lattice", "--cap", "1", "--format", "dot"),
+     "cae3501b0e08e437c5e18833dd57c8c2b4464982229f3b7ea891d4e4a9961776"),
+    (("skew", "--format", "dot"),
+     "7bc01ef2674a26559a0ad61e956d2710b447ee4fb9530772ef338cad2f819ab7"),
+])
+def test_cli_validation_gate_reports_dot_commands_as_json(tmp_path, capsys, argv, pinned):
+    """DOT has no form for the violation report, so a command with a DOT
+    form answers a graph that does not validate with the JSON report and
+    exit 1, as under --format json; validate itself has no DOT form."""
+    import cli_corpus
+
+    broken = tmp_path / "broken.kg"
+    broken.write_text(textio.FIXTURE_TEXTS["FX2"].replace("square b r ~ r b\n", ""))
+    assert cli_corpus.digest((argv[0], str(broken), *argv[1:])) == pinned
+    code, out, err = run_cli(capsys, argv[0], str(broken), *argv[1:])
+    assert (code, err) == (1, "")
+    assert json.loads(out)["result"]["error"] == "graph does not validate"
+    code, out, err = run_cli(capsys, "validate", str(broken), "--format", "dot")
+    assert (code, out, err) == (2, "", "usage error: format 'dot' not available for this command\n")
+
+
 def test_cli_require_exact_exit_3(capsys):
     # {b} at cap (1,1) is unknown-at-cap on FX2, so fe with --require-exact trips
     code, out, err = run_cli(capsys, "fe", "FX2", "--vertex", "v", "--cap", "1", "--require-exact")

@@ -237,10 +237,62 @@ def test_saturation_matches_pass_oracle():
                     seen["unknown"] += got.saturated.is_unknown
                     if is_hereditary(g, G):
                         got = is_saturated(g, G, cap)
-                        want = oracles.oracle_saturation_status(g, frozenset(G), cap)
+                        want = oracles.oracle_shrinking_saturation_status(g, frozenset(G), cap)
                         assert got == want and repr(got) == repr(want), (make.__name__, seed, G)
                         seen["false"] += got.is_false
     assert min(seen.values()) > 0, seen
+
+
+def _gate_caps(g):
+    """Caps 1-3 and, at rank 2, (2,1), (1,2) and (0,1)."""
+    return [(c,) * g.k for c in (1, 2, 3)] + ([(2, 1), (1, 2), (0, 1)] if g.k == 2 else [])
+
+
+def _gate_sets(g):
+    """Every vertex subset of a graph with at most 5 vertices, hereditary
+    or not; the hereditary ones of a larger graph."""
+    if len(g.vertices) > 5:
+        return ideals._hereditary_sets(g)
+    return [c for n in range(len(g.vertices) + 1) for c in itertools.combinations(g.vertices, n)]
+
+
+def test_saturation_status_matches_ungated_oracle(monkeypatch):
+    """_saturation_status lists the capped paths only at vertices that
+    reach a vertex of H, and its value, witness and cap equal those of the
+    route that listed them at every vertex outside H, on non-hereditary
+    sets and on a graph that does not validate too: every set of
+    _gate_sets at every cap of _gate_caps, on the fixtures, random 1- and
+    2-graphs of seeds 0-149 and the dangling graph."""
+    listed = []
+    paths_up_to = KGraph.paths_up_to
+
+    def recorded(g, v, cap):
+        listed.append(v)
+        return paths_up_to(g, v, cap)
+
+    def compare(g, cap, H):
+        want = oracles.oracle_saturation_status(g, frozenset(H), cap)
+        listed.clear()
+        with monkeypatch.context() as m:
+            m.setattr(KGraph, "paths_up_to", recorded)
+            got = ideals._saturation_status(g, frozenset(H), cap)
+        assert got == want and repr(got) == repr(want), (g.vertices, cap, H)
+        hmask = ideals._vertex_mask(g.vertex_bits(), H)
+        assert all(g.reach_masks()[v] & hmask for v in listed), (g.vertices, cap, H, listed)
+        return got.value.value, len(listed)
+
+    seen = collections.Counter()
+    for g in [*map(textio.fixture, sorted(textio.FIXTURE_TEXTS)), *_random_graphs()]:
+        for cap in _gate_caps(g):
+            for H in _gate_sets(g):
+                value, n = compare(g, cap, H)
+                seen[value] += 1
+                seen["listed"] += n > 0
+    assert seen["listed"] > 0, seen
+    del seen["listed"]
+    assert seen == {"true_certified": 7735, "false_certified": 1956, "unknown_at_cap": 209}, seen
+    g = _dangling_graph()
+    assert len([compare(g, cap, H) for cap in _gate_caps(g) for H in _gate_sets(g)]) == 24
 
 
 def test_enumerate_sat_hered_examples(fx):

@@ -421,6 +421,50 @@ def test_quotients_run_no_path_arithmetic(monkeypatch, cap, builds, split_was, c
     assert calls["compose", "g"] <= compose_max < compose_was
 
 
+@pytest.mark.parametrize("name, cap, listed_was, degrees_was", [
+    ("FX6", (1,), 1, 2),
+    ("FX6", (2,), 1, 3),
+    ("FX6", (3,), 1, 4),
+    ("FX2", (1, 1), 1, 4),
+    ("FX2", (2, 2), 1, 9),
+])
+def test_lattice_lists_no_paths_out_of_reach_of_H(monkeypatch, name, cap, listed_was, degrees_was):
+    """Saturation lists the capped paths at a vertex outside H only when
+    the vertex reaches H.  On FX6 and FX2, whose one vertex is in H or H
+    is empty, the lattice lists no path and enumerates no degree; listing
+    them at every vertex outside H made 1 paths_up_to and 2 / 3 / 4 / 4 / 9
+    _enumerate_degree calls."""
+    g = textio.parse_kgraph_text(textio.FIXTURE_TEXTS[name]).graph  # fresh memo
+    calls = _counting(monkeypatch, KGraph, ("paths_up_to", "_enumerate_degree"))
+    ideals.ideal_lattice(g, cap)
+    assert calls["paths_up_to"] == 0 < listed_was
+    assert calls["_enumerate_degree"] == 0 < degrees_was
+
+
+@pytest.mark.parametrize("name, listed_max, degrees_max, splits", [("FX4", 4, 4, 4), ("FX1", 2, 4, 3)])
+def test_lattice_keeps_its_universe_where_H_is_in_reach(monkeypatch, name, listed_max, degrees_max, splits):
+    """FX4 and FX1 at (3,) still build one universe each, with 4 and 3
+    split calls: these are lattice-deep's only splits, and its traced
+    kgraph.split_calls must stay above 0.  Listing the capped paths at
+    every vertex outside H made 9 / 4 paths_up_to and 12 / 8
+    _enumerate_degree calls."""
+    g = textio.parse_kgraph_text(textio.FIXTURE_TEXTS[name]).graph  # fresh memo
+    built = []
+    build = align._build_universe
+
+    def recorded(gx, v, cap):
+        built.append(gx)
+        return build(gx, v, cap)
+
+    monkeypatch.setattr(align, "_build_universe", recorded)
+    calls = _counting(monkeypatch, KGraph, ("paths_up_to", "_enumerate_degree", "split"))
+    ideals.ideal_lattice(g, (3,))
+    assert built == [g]
+    assert calls["split"] == splits
+    assert calls["paths_up_to"] <= listed_max
+    assert calls["_enumerate_degree"] <= degrees_max
+
+
 @pytest.mark.parametrize("name, cap, ext_max, universe_max", [
     ("FX6", (2,), 35, 4),
     ("FX2", (2, 2), 680, 4),
