@@ -468,6 +468,29 @@ def validate_kgraph(g: KGraph) -> ValidationReport:
     """Check completeness, unambiguity and (k >= 3) cube consistency.
 
     Violations are data, deterministically sorted; nothing raises here.
+
+    A composable triple of three distinct colours is cube-inconsistent
+    when its left reversal (swaps at positions 0, 1, 0) and its right
+    reversal (at 1, 0, 1) both exist and differ.  The check routes only
+    the colour-ascending triples, and runs the scan over every colour
+    order only when one of them fails to close (a missing square, or two
+    reversals that differ); that scan lists the violations.
+
+    Hexagon lemma: if every colour-ascending triple closes, no triple is
+    cube-inconsistent.  The cube check runs only when no square is
+    duplicated, so each pair maps to one swap, and the rule that enters a
+    swap enters its reverse: swapping is an involution on pairs, and so
+    are s0 and s1, the swaps of a triple at positions 0 and 1.  Let t be
+    a triple whose routes t, s0 t, s1 s0 t, s0 s1 s0 t and t, s1 t,
+    s0 s1 t, s1 s0 s1 t both exist.  Their colour orders are t's order
+    composed with e, (01), (01)(12), (02), (12) and (12)(01), all six
+    orders of three colours, so one triple u on the routes is
+    colour-ascending.  As u closes, its routes trace a hexagon of six
+    triples, distinct because their colour orders are, on which s0 and s1
+    take each triple to its two neighbours.  The swaps that lead t to u,
+    each undone by itself, lead u back to t along the hexagon, so t lies
+    on it; t's two routes then walk the hexagon three steps each way and
+    meet at the triple opposite t, so they agree.
     """
     violations: List[Tuple[str, Tuple[str, ...]]] = []
     sk = g.skeleton
@@ -526,30 +549,51 @@ def validate_kgraph(g: KGraph) -> ValidationReport:
         violations.append(("duplicate-square", pair))
 
     if sk.k >= 3 and not dup:
-        def route(seq, positions):
-            e = list(seq)
-            for i in positions:
-                key = (e[i], e[i + 1])
-                if key not in swap:
-                    return None
-                e[i], e[i + 1] = swap[key]
-            return tuple(e)
+        edges = good_edges.values()
 
-        for a in good_edges.values():
-            for b in by_range.get(a.s, ()):
-                if b.color == a.color:
-                    continue
-                for c in by_range.get(b.s, ()):
-                    if c.color in (a.color, b.color):
-                        continue
-                    triple = (a.eid, b.eid, c.eid)
-                    left = route(triple, (0, 1, 0))
-                    right = route(triple, (1, 0, 1))
-                    if left is not None and right is not None and left != right:
-                        violations.append(("cube-inconsistent", triple))
+        def closes(triple):
+            left, right = _reversals(swap, triple)
+            return left is not None and left == right
+
+        # one triple per hexagon; the all-orders scan lists the violations
+        if not all(closes(t) for t in _cube_triples(edges, by_range, True)):
+            for triple in _cube_triples(edges, by_range, False):
+                left, right = _reversals(swap, triple)
+                if left is not None and right is not None and left != right:
+                    violations.append(("cube-inconsistent", triple))
 
     violations = sorted(set(violations))
     return ValidationReport(ok=not violations, violations=tuple(violations))
+
+
+def _cube_triples(edges: Iterable[Edge], by_range: Dict[str, List[Edge]], ascending: bool):
+    """The composable edge-id triples of three distinct colours, in every
+    colour order, or only the colour-ascending ones."""
+    for a in edges:
+        for b in by_range.get(a.s, ()):
+            if b.color == a.color or ascending and b.color < a.color:
+                continue
+            for c in by_range.get(b.s, ()):
+                if c.color in (a.color, b.color) or ascending and c.color < b.color:
+                    continue
+                yield a.eid, b.eid, c.eid
+
+
+def _reversals(swap: Dict[Tuple[str, str], Tuple[str, str]], triple: Tuple[str, str, str]):
+    """The two full reversals of a triple: the left route swaps at
+    positions 0, 1, 0 and the right route at 1, 0, 1; a route that meets
+    a pair with no square is None."""
+
+    def route(positions):
+        e = list(triple)
+        for i in positions:
+            key = (e[i], e[i + 1])
+            if key not in swap:
+                return None
+            e[i], e[i + 1] = swap[key]
+        return tuple(e)
+
+    return route((0, 1, 0)), route((1, 0, 1))
 
 
 def is_locally_convex(g: KGraph) -> bool:

@@ -40,6 +40,8 @@ def grading_check(g: KGraph, grading: Grading) -> bool:
     if set(bmap) != set(g.vertices):
         return False
     for e in g.edges:
+        if e.r not in bmap or e.s not in bmap or not 1 <= e.color <= g.k:
+            return False
         want = degrees.unit(g.k, e.color)
         if tuple(x - y for x, y in zip(bmap[e.s], bmap[e.r])) != want:
             return False
@@ -49,20 +51,23 @@ def grading_check(g: KGraph, grading: Grading) -> bool:
 def grading_exists(g: KGraph) -> Optional[Grading]:
     """Potential assignment by breadth-first search, zero at the least
     vertex of each undirected component; None iff some cycle has a
-    nonzero signed degree sum."""
+    nonzero signed degree sum.  An edge with an end off the vertex set,
+    or a colour out of range, raises KGraphError."""
     b: Dict[str, Tuple[int, ...]] = {}
     nbrs: Dict[str, List[Tuple[str, Tuple[int, ...]]]] = {v: [] for v in g.vertices}
+    step = {c: degrees.unit(g.k, c) for c in range(1, g.k + 1)}
+    back = {c: tuple(-x for x in d) for c, d in step.items()}
     for e in g.edges:
-        d = degrees.unit(g.k, e.color)
-        nbrs[e.r].append((e.s, d))
-        nbrs[e.s].append((e.r, tuple(-x for x in d)))
+        if e.r not in nbrs or e.s not in nbrs or e.color not in step:
+            raise KGraphError(f"edge {e.eid!r} is dangling: an end off the vertex set or a colour out of range")
+        nbrs[e.r].append((e.s, step[e.color]))
+        nbrs[e.s].append((e.r, back[e.color]))
     for root in g.vertices:
         if root in b:
             continue
         b[root] = (0,) * g.k
         queue = [root]
-        while queue:
-            v = queue.pop(0)
+        for v in queue:  # a FIFO queue: the loop reads each vertex appended below
             for w, delta in nbrs[v]:
                 want = tuple(x + y for x, y in zip(b[v], delta))
                 if w not in b:
@@ -285,6 +290,17 @@ def _position_vertices(g: KGraph, x: Path) -> int:
     return out
 
 
+def _disjoint_cones(g: KGraph, reach: Dict[str, int]) -> Optional[Tuple[str, str]]:
+    """The first pair (v, w), in vertex order, whose forward cones are
+    disjoint, or None."""
+    for v in g.vertices:
+        cone = reach[v]
+        for w in g.vertices:
+            if not cone & reach[w]:
+                return v, w
+    return None
+
+
 def cofinality_check(g: KGraph, cap: Degree) -> CertifiedBool:
     """Certified cofinality: does every vertex reach a point of every
     boundary path?
@@ -295,18 +311,25 @@ def cofinality_check(g: KGraph, cap: Degree) -> CertifiedBool:
     forward-reachable set is disjoint from that of some start vertex.
     Both replay by exact skeleton reachability.
 
+    Intersection rule: if one vertex lies in every forward cone, every two
+    cones meet, so no start vertex has a disjoint partner and the pairwise
+    cone scan is skipped.  Otherwise the scan runs in vertex order and
+    its witness is the first disjoint pair.
+
     True certificate: every vertex reaches every edge-free vertex and
     every cycle vertex; a finite boundary path ends edge-free and an
     infinite one revisits a cycle vertex, so every boundary path is met.
     """
     cap = degrees.check(cap, g.k)
     reach, bit = g.reach_masks(), g.vertex_bits()
+    # a source off the vertex set (an unvalidated graph) receives no edge
+    receiving = {v for v in g.vertices if g.edges_at(v)}
 
     # terminal finite boundary paths, smallest first
     candidates: List[Path] = []
     for v in g.vertices:
         for x in g.paths_up_to(v, cap):
-            if not g.edges_at(x.s):
+            if x.s not in receiving:
                 candidates.append(x)
     candidates.sort(key=Path.sort_key)
     for x in candidates:
@@ -315,13 +338,15 @@ def cofinality_check(g: KGraph, cap: Degree) -> CertifiedBool:
             if not pts & reach[w]:
                 return false_certified((x, w))
     # start-vertex obstruction: disjoint forward cones
-    for v in g.vertices:
-        cone = reach[v]
-        for w in g.vertices:
-            if not cone & reach[w]:
-                return false_certified((g.identity(v), w))
+    meet = -1
+    for cone in reach.values():
+        meet &= cone
+    if not meet:
+        pair = _disjoint_cones(g, reach)
+        if pair is not None:
+            return false_certified((g.identity(pair[0]), pair[1]))
 
-    targets = _loop_vertices(g) | sum(bit[t] for t in g.vertices if not g.edges_at(t))
+    targets = _loop_vertices(g) | sum(bit[t] for t in g.vertices if t not in receiving)
     if all(reach[w] & targets == targets for w in g.vertices):
         return true_certified()
     return unknown_at_cap(cap)

@@ -10,7 +10,7 @@ from kgraphlat.kgraph import KGraph, KGraphError, MissingSquareError, Path, Skel
 from kgraphlat.randomgraphs import random_1graph, random_2graph
 
 import oracles
-from test_kgraph import _product3
+from test_kgraph import _product
 
 
 # -- mce / lambda_min / ext examples ---------------------------------------------
@@ -119,7 +119,7 @@ def _route_inputs():
         yield f"random_1graph({seed})", random_1graph(seed), (2,)
         yield f"random_2graph({seed})", random_2graph(seed), (1, 1)
     yield "random_2graph(126)", random_2graph(126), (1, 2)
-    base = _product3([textio.fixture("FX6")] * 3)
+    base = _product([textio.fixture("FX6")] * 3)
     yield "FX6^3 window", structure.skew_product_window(base, (-1,) * 3, (1,) * 3).graph, (1, 1, 1)
 
 

@@ -12,13 +12,13 @@ from collections import Counter
 
 import pytest
 
-from kgraphlat import align, degrees, ideals, structure, textio
-from kgraphlat.kgraph import KGraph, is_locally_convex
+from kgraphlat import align, degrees, ideals, kgraph, structure, textio
+from kgraphlat.kgraph import KGraph, is_locally_convex, validate_kgraph
 from kgraphlat.randomgraphs import random_1graph, random_2graph
 
 import oracles
 from test_ideals import _pair_inputs
-from test_kgraph import _product3
+from test_kgraph import _product
 
 
 def _graphs():
@@ -270,7 +270,7 @@ def test_lattice_path_arithmetic_calls_pinned(monkeypatch, name, cap, split_was,
 
 
 def _window(name, radius):
-    base = _product3([textio.fixture("FX6")] * 3) if name == "FX6^3" else textio.fixture(name)
+    base = _product([textio.fixture("FX6")] * 3) if name == "FX6^3" else textio.fixture(name)
     return structure.skew_product_window(base, (-radius,) * base.k, (radius,) * base.k).graph
 
 
@@ -330,6 +330,37 @@ def test_common_extension_kernel_calls_pinned(monkeypatch):
         if wanted:
             assert tables == calls["_cut"] == 1156 and calls["_normalize"] == 0, (tables, calls)
     assert tables == calls["_cut"] == 1412 and calls["_normalize"] == 256, (tables, calls)
+
+
+def test_validation_routes_one_triple_per_hexagon(monkeypatch):
+    """Validating FX6^3's radius-3 skew-product window, the rank-3 window
+    of the path-algebra benchmark, routes each colour-ascending triple
+    once: 1,728 routes, one sixth of the 10,368 composable triples of
+    three colours, which the cube check routed in every colour order
+    before."""
+    g = _window("FX6^3", 3)
+    at = {}
+    for e in g.edges:
+        at.setdefault(e.r, []).append(e)
+    triples = sum(len({a.color, b.color, c.color}) == 3
+                  for a in g.edges for b in at.get(a.s, ()) for c in at.get(b.s, ()))
+    calls = _counting(monkeypatch, kgraph, ("_reversals",))
+    assert validate_kgraph(g).ok
+    assert triples == 10368 and calls["_reversals"] == triples // 6 == 1728
+
+
+@pytest.mark.parametrize("name, radius, cap, splits", [("FX2", 2, (2, 2), 36), ("FX6^3", 1, (1, 1, 1), 125)])
+def test_cofinal_window_runs_no_pairwise_cone_scan(monkeypatch, name, radius, cap, splits):
+    """Every cone of a skew-product window holds its top corner, so
+    cofinality_check skips the pairwise cone scan.  Its terminal-path
+    scan still splits each terminal path at every degree below its own,
+    as many times as before: these are the path-algebra benchmark's only
+    split calls, which its cross-process tracing test requires."""
+    g = _window(name, radius)
+    calls = _counting(monkeypatch, KGraph, ("split",))
+    cones = _counting(monkeypatch, structure, ("_disjoint_cones",))
+    assert structure.cofinality_check(g, cap).is_true
+    assert calls["split"] == splits and not cones
 
 
 @pytest.mark.parametrize("name, radius, cap", WINDOW_SESSIONS)

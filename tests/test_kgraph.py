@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from kgraphlat import align, degrees, ideals, structure, textio
+from kgraphlat import align, degrees, ideals, kgraph, structure, textio
 from kgraphlat.kgraph import (
     KGraph,
     KGraphError,
@@ -118,9 +118,9 @@ def test_single_square_mutations_rejected():
             assert not validate_kgraph(mutated).ok
 
 
-def _product3(factors):
-    """The product of three rank-1 graphs: color c moves coordinate c along
-    an edge of factors[c - 1], and each square swaps the moves of two
+def _product(factors):
+    """The product of rank-1 graphs: color c moves coordinate c along an
+    edge of factors[c - 1], and each square swaps the moves of two
     coordinates."""
 
     def edge_id(c, e, at):
@@ -142,13 +142,13 @@ def _product3(factors):
             (edge_id(i, e, at), edge_id(j, f, moved(at, i, e.s))),
             (edge_id(j, f, at), edge_id(i, e, moved(at, j, f.s))),
         )
-        for i, j in ((1, 2), (1, 3), (2, 3))
+        for i, j in itertools.combinations(range(1, len(factors) + 1), 2)
         for e in factors[i - 1].edges
         for f in factors[j - 1].edges
         for at in verts
         if at[i - 1] == e.r and at[j - 1] == f.r
     ]
-    return KGraph(Skeleton.build(3, ["|".join(v) for v in verts], edges), squares)
+    return KGraph(Skeleton.build(len(factors), ["|".join(v) for v in verts], edges), squares)
 
 
 def _cube_mutation(g):
@@ -172,7 +172,7 @@ def _cube_mutation(g):
 
 def _rank3_inputs():
     for seeds in ((0, 1, 2), (5, 2, 0), (3, 1, 2)):
-        g = _product3([random_1graph(s) for s in seeds])
+        g = _product([random_1graph(s) for s in seeds])
         v = g.vertices[0]
         a, b = g.edges[0].eid, g.edges[1].eid
         loose = [("loose", 2, v, "nowhere"), ("hue", 4, v, v)]
@@ -202,6 +202,52 @@ def test_validation_matches_all_pairs_oracle(fx):
     }
 
 
+def _cube_inputs():
+    """Rank-3 products of random 1-graphs and their cube mutations, each
+    with every single-square mutation, so that a missing square meets a
+    cube violation; a rank-4 product, so that triples of three colours
+    drawn from four occur, with its cube mutation; and FX6^3's radius-1
+    skew-product window."""
+    for seeds in ((1, 6, 6), (1, 1, 6)):
+        g = _product([random_1graph(s) for s in seeds])
+        cube = _cube_mutation(g)
+        yield g
+        yield cube
+        yield from _square_mutations(g)
+        yield from _square_mutations(cube)
+    four = _product([random_1graph(s) for s in (1, 6, 6, 6)])
+    yield four
+    yield _cube_mutation(four)
+    yield skew_product_window(_product([textio.fixture("FX6")] * 3), (-1,) * 3, (1,) * 3).graph
+
+
+def test_cube_shortcut_matches_all_pairs_oracle(monkeypatch):
+    """validate_kgraph routes the colour-ascending triples and scans every
+    colour order only when one of them fails to close.  Its report equals
+    the all-pairs oracle's on every input, and the inputs take each way
+    out: the shortcut alone, the scan finding cube violations, the scan
+    finding none (after a missing square), and no cube check at all (a
+    duplicated square)."""
+    scans = []
+    real = kgraph._cube_triples
+
+    def recorded(edges, by_range, ascending):
+        scans.append(ascending)
+        return real(edges, by_range, ascending)
+
+    monkeypatch.setattr(kgraph, "_cube_triples", recorded)
+    outcomes = set()
+    for g in _cube_inputs():
+        scans.clear()
+        rep = validate_kgraph(g)
+        assert rep == oracles.oracle_validate(g)
+        kinds = {kind for kind, _ in rep.violations}
+        # a duplicated square skips the cube check
+        assert scans == ([] if "duplicate-square" in kinds else [True]) or scans == [True, False]
+        outcomes.add((tuple(scans), "cube-inconsistent" in kinds))
+    assert outcomes == {((), False), ((True,), False), ((True, False), True), ((True, False), False)}
+
+
 # -- local convexity ------------------------------------------------------------------
 
 
@@ -228,7 +274,7 @@ def test_local_convexity_matches_paths_oracle(fx):
     assert verdicts([fx[name] for name in sorted(fx)]) == [True, True, False, True, True, True]
     assert sum(verdicts([random_1graph(s) for s in range(150)])) == 150
     assert sum(verdicts([random_2graph(s) for s in range(150)])) == 131
-    product = _product3([random_1graph(s) for s in (0, 1, 2)])
+    product = _product([random_1graph(s) for s in (0, 1, 2)])
     window = skew_product_window(_tricolor_graph({1: 1, 2: 2, 3: 3}, {1: 1, 2: 2, 3: 3}), (0,) * 3, (1,) * 3).graph
     spread = KGraph(Skeleton.build(3, ["v", "a", "b", "c"], [("x", 1, "v", "a"), ("y", 2, "v", "b"), ("z", 3, "v", "c")]), [])
     assert verdicts([product, window, spread]) == [True, True, False]
@@ -461,7 +507,7 @@ def _enumeration_inputs():
     fx2 = textio.fixture("FX2")
     yield "FX2 without its square", KGraph(fx2.skeleton, ()), (2, 2)
     yield "FX2 window", skew_product_window(fx2, (-1, -1), (1, 1)).graph, (2, 2)
-    fx6_cubed = _product3([textio.fixture("FX6")] * 3)
+    fx6_cubed = _product([textio.fixture("FX6")] * 3)
     yield "FX6^3 window", skew_product_window(fx6_cubed, (-1,) * 3, (1,) * 3).graph, (1, 1, 1)
 
 

@@ -2,9 +2,9 @@ import itertools
 
 import pytest
 
-from kgraphlat import align, degrees, ideals, textio
+from kgraphlat import align, degrees, ideals, structure, textio
 from kgraphlat.align import fe_sets
-from kgraphlat.kgraph import KGraphError, validate_kgraph
+from kgraphlat.kgraph import KGraph, KGraphError, Skeleton, validate_kgraph
 from kgraphlat.randomgraphs import random_1graph, random_2graph
 from kgraphlat.structure import (
     Grading,
@@ -23,6 +23,7 @@ from kgraphlat.structure import (
 )
 
 import oracles
+from test_kgraph import _product
 
 
 # -- gradings -----------------------------------------------------------------
@@ -34,6 +35,17 @@ def test_grading_examples(fx):
     assert grading_exists(fx["FX1"]) is None
     assert grading_exists(fx["FX2"]) is None
     assert grading_exists(fx["FX4"]) is None  # loop g obstructs
+
+
+@pytest.mark.parametrize("edge", [("e", 1, "v", "nowhere"), ("e", 2, "v", "v")])
+def test_grading_of_a_dangling_edge(edge):
+    """An edge whose source is no vertex, or whose colour is out of range:
+    grading_exists names it in a KGraphError and grading_check answers
+    False."""
+    g = KGraph(Skeleton.build(1, ["v"], [edge]), [])
+    with pytest.raises(KGraphError, match="'e'"):
+        grading_exists(g)
+    assert grading_check(g, Grading((("v", (0,)),))) is False
 
 
 def test_grading_satisfies_edge_identity(fx):
@@ -318,14 +330,28 @@ def _reach_inputs():
             sw = skew_product_window(textio.fixture(name), (-r,), (r,))
             for c in (1, 2):
                 yield sw.graph, (c,)
+    yield skew_product_window(textio.fixture("FX2"), (-2, -2), (2, 2)).graph, (2, 2)
+    yield skew_product_window(_product([textio.fixture("FX6")] * 3), (-1,) * 3, (1,) * 3).graph, (1, 1, 1)
 
 
-def test_reachability_matches_vertex_set_oracles():
+def test_reachability_matches_vertex_set_oracles(monkeypatch):
     """reaches, _loop_vertices, cofinality_check and find_loop_with_entrance
     against fixpoint reachability on vertex sets; cofinality witnesses of
-    both kinds occur at both ranks."""
+    both kinds occur at both ranks.  Of the checks that reach the cone
+    step, some skip the pairwise cone scan, as every cone meets, and some
+    run it; the skew-product windows always skip it."""
+    scans = []
+    real = structure._disjoint_cones
+
+    def recorded(g, reach):
+        scans.append(g)
+        return real(g, reach)
+
+    monkeypatch.setattr(structure, "_disjoint_cones", recorded)
     branches = set()
+    cone_steps = set()
     for g, cap in _reach_inputs():
+        scans.clear()
         reach = oracles.oracle_reach(g)
         for v in g.vertices:
             assert {w for w in g.vertices if g.reaches(v, w)} == reach[v]
@@ -333,11 +359,16 @@ def test_reachability_matches_vertex_set_oracles():
         assert {v for v in g.vertices if loops & g.vertex_bits()[v]} == oracles.oracle_loop_vertices(g)
         got = cofinality_check(g, cap)
         assert got == oracles.oracle_cofinality(g, cap)
+        kind = None
         if got.is_false:
             x, _ = got.witness
-            branches.add((g.k, "cone" if g.edges_at(x.s) else "terminal"))
+            kind = "cone" if g.edges_at(x.s) else "terminal"
+            branches.add((g.k, kind))
+        if kind != "terminal":
+            cone_steps.add((len(scans), "@" in g.vertices[0]))  # window ids read v@level
         assert find_loop_with_entrance(g, cap) == oracles.oracle_loops(g, cap)
     assert branches == {(k, kind) for k in (1, 2) for kind in ("cone", "terminal")}
+    assert cone_steps == {(0, False), (1, False), (0, True)}
 
 
 # -- assembled report ---------------------------------------------------------------
