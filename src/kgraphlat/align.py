@@ -70,35 +70,99 @@ def _min_triples(g: KGraph, mu: Path, nu: Path) -> Tuple[Tuple[Path, ...], ...]:
 _NO_TRIPLES: Tuple[Tuple[Path, ...], ...] = ((),) * 5
 
 
+def _slice_length(d: Degree, m: Degree) -> int:
+    """|m| when a normal form of degree d cuts at m by slicing its edge
+    tuple, else -1: m agrees with d below some colour j and is 0 above j."""
+    j = 0
+    while j < len(m) and m[j] == d[j]:
+        j += 1
+    return -1 if any(m[j + 1:]) else sum(m)
+
+
+def _ascends(a: Degree, b: Degree) -> bool:
+    """Whether a normal form of degree a followed by one of degree b is
+    colour-ascending: no colour of b lies below a colour of a."""
+    top = max((c for c, x in enumerate(a) if x), default=0)
+    return not any(b[:top])
+
+
+def _degree_plan(a: Degree, b: Degree) -> tuple:
+    """The degree arithmetic of a pair table for d(mu) = a, d(nu) = b.
+
+    Comparable: (a >= b, the smaller side's continuation degree, the
+    slice length of the cut of the larger side at the smaller degree,
+    the zero degree).  Incomparable: (None, n = a ∨ b, then per side the
+    continuation degree, whether the side's edges followed by a
+    continuation's ascend, and the slice length of the cut of their
+    product at the other side's degree), mu's side first.  A slice
+    length of -1 marks a cut that needs swaps."""
+    n = degrees.join(a, b)
+    if n == a or n == b:
+        small = b if n == a else a
+        return n == a, tuple(map(int.__sub__, n, small)), _slice_length(n, small), degrees.zero(len(n))
+    alpha_d = tuple(map(int.__sub__, n, a))
+    beta_d = tuple(map(int.__sub__, n, b))
+    return (None, n, (alpha_d, _ascends(a, alpha_d), _slice_length(n, b)),
+            (beta_d, _ascends(b, beta_d), _slice_length(n, a)))
+
+
 def _build_min_triples(g: KGraph, mu: Path, nu: Path) -> Tuple[Tuple[Path, ...], ...]:
-    # each tau factors as mu·alpha with a unique alpha of degree n - d(mu),
-    # and as nu·beta.  When the degrees are comparable, tau can only be
-    # the larger side itself: one cut of it at the smaller side's degree
-    # decides the pair, and the smaller side's continuation is its suffix
-    n = degrees.join(mu.d, nu.d)
-    if n == mu.d or n == nu.d:
-        big, small = (mu, nu) if n == mu.d else (nu, mu)
-        # the memoized identity, read before the cut as the walk read it,
-        # so that a source which is no vertex raises first
-        vertex = g._paths_of_degree(big.s, degrees.zero(g.k))[0]
-        head, rest = g._cut(big.edges, small.d)
+    """The pair table of (mu, nu), its degree arithmetic read off the
+    graph's plan for (d(mu), d(nu)).
+
+    Slice lemma: let lam be a normal form of degree d and m <= d with
+    m_i = d_i for i < j and m_i = 0 for i > j.  Then lam(0, m) is the
+    first |m| edges of lam and lam(m, d) the rest.  Proof: lam is
+    colour-ascending, so its first |m| edges are d_1 edges of colour 1,
+    ..., d_{j-1} of colour j-1 and m_j of colour j, a colour-ascending
+    sequence of degree m, so a normal form; the rest is colour-ascending
+    of degree d - m.  Their product is lam, and by unique factorization
+    they are its m-prefix and its suffix.  _cut agrees and reads no
+    square there: each edge it takes is the first of its colour at or
+    after the cut point, and that edge already sits at the cut point.
+    At any other m some i < j has m_i < d_i and m_j > 0, so a colour-i
+    edge lies before the first colour-j edge _cut takes, which it swaps
+    down.  A cut at a slice is therefore a tuple slice and raises
+    nothing, on a graph that does not validate too.
+
+    Each tau factors as mu·alpha with a unique alpha of degree
+    n - d(mu), and as nu·beta.  When the degrees are comparable, tau can
+    only be the larger side itself: one cut of it at the smaller side's
+    degree decides the pair, and the smaller side's continuation is its
+    suffix.  Otherwise the side with fewer continuations is walked, each
+    candidate normalized unless the plan says it ascends already, and
+    cut at the other side's degree; Paths are built only for the rows
+    kept."""
+    plan = g.memo(("plan", mu.d, nu.d), _degree_plan, mu.d, nu.d)
+    if plan[0] is not None:
+        mu_big, tail_d, cut, zero = plan
+        big, small = (mu, nu) if mu_big else (nu, mu)
+        # before the cut, so that a source which is no vertex raises first
+        g.require_vertex(big.s)
+        if cut < 0:
+            head, rest = g._cut(big.edges, small.d)
+        else:
+            head, rest = big.edges[:cut], big.edges[cut:]
         if head != small.edges:
             return _NO_TRIPLES
-        tail = Path(small.s, big.s, tuple(map(int.__sub__, n, small.d)), rest)
-        columns = ((big,), (vertex,), (tail,)) if big is mu else ((big,), (tail,), (vertex,))
+        vertex, tail = Path(big.s, big.s, zero, ()), Path(small.s, big.s, tail_d, rest)
+        columns = ((big,), (vertex,), (tail,)) if mu_big else ((big,), (tail,), (vertex,))
         return columns + columns[1:]
-    # otherwise walk the side with fewer continuations, normalizing each
-    # candidate's edges once and cutting them at the other side's degree;
-    # Paths are built only for the rows kept
-    alpha_d = tuple(map(int.__sub__, n, mu.d))
-    beta_d = tuple(map(int.__sub__, n, nu.d))
+    _, n, mu_side, nu_side = plan
+    alpha_d, beta_d = mu_side[0], nu_side[0]
     swap = len(g._paths_of_degree(nu.s, beta_d)) < len(g._paths_of_degree(mu.s, alpha_d))
     if swap:
-        mu, nu, alpha_d, beta_d = nu, mu, beta_d, alpha_d
+        mu, nu, alpha_d, beta_d, mu_side = nu, mu, beta_d, alpha_d, nu_side
+    ascends, cut = mu_side[1:]
     rows = []
     for alpha in g._paths_of_degree(mu.s, alpha_d):
-        edges = g._normalize(mu.edges + alpha.edges)
-        head, rest = g._cut(edges, nu.d)
+        edges = mu.edges + alpha.edges
+        if not ascends:
+            edges = g._normalize(edges)
+        if cut < 0:
+            head, rest = g._cut(edges, nu.d)
+        else:
+            head, rest = edges[:cut], edges[cut:]
         if head == nu.edges:
             tau = Path(mu.r, alpha.s, n, edges)
             beta = Path(nu.s, alpha.s, beta_d, rest)

@@ -399,8 +399,10 @@ class KGraph:
     def _paths_up_to(self, v: str, cap: Degree) -> Tuple[Path, ...]:
         # degrees.below lists the degrees by (total, degree), the order in
         # which sort_key ranks paths of distinct degrees at one range, and
-        # each degree's paths are in sort_key order already
-        return tuple(p for n in degrees.below(cap) for p in self._paths_of_degree(v, n))
+        # each degree's paths are in sort_key order already; the list of
+        # degrees is memoized per cap, as every vertex reads the same one
+        below = self.memo(("below", cap), lambda: tuple(degrees.below(cap)))
+        return tuple(p for n in below for p in self._paths_of_degree(v, n))
 
     # -- vertex reachability (v <= w iff vΛw nonempty) ---------------------------
 

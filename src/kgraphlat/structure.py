@@ -112,7 +112,8 @@ class SkewWindow:
 
 def skew_product_window(g: KGraph, lo: Sequence[int], hi: Sequence[int]) -> SkewWindow:
     """Materialize the levels lo..hi (a box, so inherited squares stay
-    complete) of the degree-shifted product graph."""
+    complete) of the degree-shifted product graph.  An edge whose colour
+    is out of range raises KGraphError."""
     lo = tuple(int(x) for x in lo)
     hi = tuple(int(x) for x in hi)
     if len(lo) != g.k or len(hi) != g.k or any(l > h for l, h in zip(lo, hi)):
@@ -126,6 +127,8 @@ def skew_product_window(g: KGraph, lo: Sequence[int], hi: Sequence[int]) -> Skew
             bmap[_level_id(v, n)] = n
     in_window = lambda n: all(l <= x <= h for x, l, h in zip(n, lo, hi))
     for e in g.edges:
+        if not 1 <= e.color <= g.k:
+            raise KGraphError(f"edge {e.eid!r} has colour {e.color}, out of range 1..{g.k}")
         d = degrees.unit(g.k, e.color)
         for n in levels:
             m = tuple(x - y for x, y in zip(n, d))

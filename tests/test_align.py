@@ -173,6 +173,51 @@ def test_cut_matches_kept_cut():
     assert cuts > 4000, cuts
 
 
+def test_slice_rule_marks_the_cuts_without_swaps(monkeypatch):
+    """The degree plan's slice rule, over every capped path p of the route
+    inputs and every m <= d(p): align._slice_length(p.d, m) is a length
+    exactly when the kept cut swaps nothing, and there the tuple slice at
+    that length is both _cut's answer and the kept cut's.  Every cut of
+    rank 1 is a slice; at ranks 2 and 3 both kinds occur."""
+    swaps = Counter()
+
+    def counted(self, seq, i, _orig=KGraph._swap_at):
+        swaps["swaps"] += 1
+        return _orig(self, seq, i)
+
+    monkeypatch.setattr(KGraph, "_swap_at", counted)
+    seen = Counter()
+    for label, g, cap in _route_inputs():
+        for v in g.vertices:
+            for p in g.paths_up_to(v, cap):
+                for m in degrees.below(p.d):
+                    swaps.clear()
+                    kept = oracles.walk_cut(g, p.edges, m)
+                    cut = align._slice_length(p.d, m)
+                    assert (cut >= 0) == (not swaps), (label, p, m)
+                    if cut >= 0:
+                        assert (p.edges[:cut], p.edges[cut:]) == g._cut(p.edges, m) == kept, (label, p, m)
+                    seen[g.k, cut >= 0] += 1
+    assert all(seen[k, sliced] for k in (2, 3) for sliced in (True, False)), seen
+    assert not seen[1, False], seen
+
+
+def test_source_off_the_vertex_set_raises_before_any_cut():
+    """An edge e : 1 v <- nowhere: mce, lambda_min and ext of (e, v) and of
+    (v, e) raise KGraphError for the unknown vertex 'nowhere', the source
+    of the larger side, checked before its cut.  So does the pair of b·r
+    and r2 below, whose cut at d(r2) needs the square for (b, r) that the
+    presentation lacks: the unknown source raises first."""
+    g = KGraph(Skeleton.build(1, ["v"], [("e", 1, "v", "nowhere")]), ())
+    sk = Skeleton.build(2, ["v", "w", "x"], [("b", 1, "v", "w"), ("r", 2, "w", "nowhere"), ("r2", 2, "v", "x")])
+    h = KGraph(sk, ())
+    for graph, big, small in ((g, g.path(["e"]), g.identity("v")), (h, h.path(["b", "r"]), h.path(["r2"]))):
+        for mu, nu in ((big, small), (small, big)):
+            for call in (mce, lambda_min, lambda g, mu, nu: ext(g, mu, [nu])):
+                with pytest.raises(KGraphError, match="^unknown vertex 'nowhere'$"):
+                    call(graph, mu, nu)
+
+
 def test_unvalidated_graph_raises_missing_square():
     """FX2 without its square does not validate, and the common extension
     of b and r needs that square: mce, lambda_min and ext raise

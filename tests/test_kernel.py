@@ -308,10 +308,14 @@ def test_common_extension_kernel_calls_pinned(monkeypatch):
     """The memo census window: FX2's radius-3 skew-product window, every
     ordered pair of paths up to (2,2) at each vertex.  Enumerating the
     paths extends normal forms, so it cuts and normalizes nothing.  A pair
-    of comparable degrees is decided by one _cut of the larger side and no
+    of comparable degrees is decided by one cut of the larger side and no
     _normalize: 1,156 pair tables, one per unordered pair, as both argument
-    orders share one.  The 256 incomparable pairs walk one continuation
-    each, with one _normalize and one _cut; 1,412 cuts in all."""
+    orders share one.  900 of them cut at a slice of the degree plan, a
+    tuple slice, and 256 call _cut.  The 256 incomparable pairs walk one
+    continuation each, whose product with the walked side ascends, so
+    they call _cut once and _normalize never; 512 _cut calls in all.
+    Before the plan every table called _cut, 1,412 in all, and each
+    incomparable pair _normalize once, 256 in all."""
     g = _window("FX2", 3)
     calls = _counting(monkeypatch, KGraph, ("_cut", "_normalize"))
     paths = {v: g.paths_up_to(v, (2, 2)) for v in g.vertices}
@@ -328,8 +332,8 @@ def test_common_extension_kernel_calls_pinned(monkeypatch):
                 align.ext(g, mu, (nu,))
         tables = sum(key[0] == "mce" for key in g._cache if isinstance(key, tuple))
         if wanted:
-            assert tables == calls["_cut"] == 1156 and calls["_normalize"] == 0, (tables, calls)
-    assert tables == calls["_cut"] == 1412 and calls["_normalize"] == 256, (tables, calls)
+            assert tables == 1156 and calls["_cut"] == 256 and calls["_normalize"] == 0, (tables, calls)
+    assert tables == 1412 and calls["_cut"] == 512 and calls["_normalize"] == 0, (tables, calls)
 
 
 def test_validation_routes_one_triple_per_hexagon(monkeypatch):

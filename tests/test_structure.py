@@ -48,6 +48,14 @@ def test_grading_of_a_dangling_edge(edge):
     assert grading_check(g, Grading((("v", (0,)),))) is False
 
 
+def test_skew_window_of_an_edge_with_a_colour_out_of_range():
+    """skew_product_window names an edge whose colour is out of range in a
+    KGraphError, as grading_exists does."""
+    g = KGraph(Skeleton.build(1, ["v"], [("e", 2, "v", "v")]), [])
+    with pytest.raises(KGraphError, match=r"^edge 'e' has colour 2, out of range 1\.\.1$"):
+        skew_product_window(g, (0,), (1,))
+
+
 def test_grading_satisfies_edge_identity(fx):
     # FX3 is not gradable: its two colors force conflicting potentials on w
     assert grading_exists(fx["FX3"]) is None
