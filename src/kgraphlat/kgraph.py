@@ -67,18 +67,18 @@ class Skeleton:
     def build(k: int, vertices: Iterable[str], edges: Iterable[Tuple[str, int, str, str]]) -> "Skeleton":
         if k < 1:
             raise KGraphError(f"rank must be >= 1, got {k}")
-        vs = tuple(sorted(set(vertices)))
+        vset = set(vertices)
         es = []
         seen = set()
         for eid, color, r, s in edges:
             if eid in seen:
                 raise KGraphError(f"duplicate edge id {eid!r}")
-            if eid in vs:
+            if eid in vset:
                 raise KGraphError(f"edge id {eid!r} collides with a vertex id")
             seen.add(eid)
             es.append(Edge(eid, int(color), r, s))
         es.sort(key=lambda e: e.eid)
-        return Skeleton(k, vs, tuple(es))
+        return Skeleton(k, tuple(sorted(vset)), tuple(es))
 
 
 @dataclass(frozen=True)
@@ -162,9 +162,10 @@ class KGraph:
         for rule in self.squares:
             f, g = rule.lhs
             g2, f2 = rule.rhs
-            if all(x in color for x in (f, g, g2, f2)) and color[f] == color[f2] != color[g] == color[g2]:
-                self._swap[(f, g)] = (g2, f2)
-                self._swap[(g2, f2)] = (f, g)
+            cf, cg = color.get(f), color.get(g)
+            if cf is not None and cg is not None and cf == color.get(f2) != cg == color.get(g2):
+                self._swap[f, g] = rule.rhs
+                self._swap[g2, f2] = rule.lhs
         self._cache: Dict = {}
 
     # -- identity & hashing ------------------------------------------------
@@ -476,7 +477,13 @@ def validate_kgraph(g: KGraph) -> ValidationReport:
     reversal (at 1, 0, 1) both exist and differ.  The check routes only
     the colour-ascending triples, and runs the scan over every colour
     order only when one of them fails to close (a missing square, or two
-    reversals that differ); that scan lists the violations.
+    reversals that differ); that scan lists the violations.  The triples
+    are read off buckets of the good edges by range and colour: from an
+    edge a, the buckets at a's source, then at b's, so the ascending scan
+    takes only the buckets of higher colours and never meets a pair of
+    the wrong colours.  The pair scan reads the same buckets, so the
+    whole check is linear in edges, squares, composable pairs and
+    ascending triples.
 
     Hexagon lemma: if every colour-ascending triple closes, no triple is
     cube-inconsistent.  The cube check runs only when no square is
@@ -499,55 +506,50 @@ def validate_kgraph(g: KGraph) -> ValidationReport:
     vset = set(sk.vertices)
     good_edges = {}
     for e in sk.edges:
-        bad = [x for x in (e.r, e.s) if x not in vset]
-        if bad or not 1 <= e.color <= sk.k:
-            violations.append(("dangling-edge", (e.eid,) + tuple(bad)))
-        else:
+        if e.r in vset and e.s in vset and 1 <= e.color <= sk.k:
             good_edges[e.eid] = e
+        else:
+            violations.append(("dangling-edge", (e.eid,) + tuple(x for x in (e.r, e.s) if x not in vset)))
 
     well_formed = []
+    get = good_edges.get
     for rule in g.squares:
-        f, gg, g2, f2 = rule.lhs[0], rule.lhs[1], rule.rhs[0], rule.rhs[1]
-        ids = (f, gg, g2, f2)
-        if not all(x in good_edges for x in ids):
-            violations.append(("malformed-square", ids))
-            continue
-        ef, eg, eg2, ef2 = (good_edges[x] for x in ids)
-        shape_ok = (
-            ef.color != eg.color
+        (f, gg), (g2, f2) = rule.lhs, rule.rhs
+        ef, eg, eg2, ef2 = get(f), get(gg), get(g2), get(f2)
+        if (
+            ef is not None and eg is not None and eg2 is not None and ef2 is not None
+            and ef.color != eg.color
             and ef.s == eg.r
             and eg2.s == ef2.r
             and ef.color == ef2.color
             and eg.color == eg2.color
             and ef.r == eg2.r
             and eg.s == ef2.s
-        )
-        if not shape_ok:
-            violations.append(("malformed-square", ids))
-        else:
+        ):
             well_formed.append(rule)
+        else:
+            violations.append(("malformed-square", (f, gg, g2, f2)))
 
     # completeness / unambiguity over well-formed rules
     swap: Dict[Tuple[str, str], Tuple[str, str]] = {}
     dup: set = set()
     for rule in well_formed:
-        f, gg = rule.lhs
-        g2, f2 = rule.rhs
-        for key, val in (((f, gg), (g2, f2)), ((g2, f2), (f, gg))):
-            if key in swap and swap[key] != val:
+        for key, val in ((rule.lhs, rule.rhs), (rule.rhs, rule.lhs)):
+            if swap.setdefault(key, val) != val:
                 dup.add(key)
-            swap[key] = val
-    # range buckets: the pair and triple scans meet only composable edges
-    by_range: Dict[str, List[Edge]] = {}
+                swap[key] = val
+    # range and colour buckets: the pair and triple scans meet only
+    # composable edges, and the ascending scan only higher colours
+    by_range: Dict[str, Dict[int, List[Edge]]] = {}
     for e in good_edges.values():
-        by_range.setdefault(e.r, []).append(e)
-    bicolored = [
-        (a.eid, b.eid) for a in good_edges.values() for b in by_range.get(a.s, ()) if a.color != b.color
-    ]
-    for pair in sorted(bicolored):
-        if pair not in swap:
-            violations.append(("incomplete-square", pair))
-    for pair in sorted(dup):
+        by_range.setdefault(e.r, {}).setdefault(e.color, []).append(e)
+    for a in good_edges.values():
+        for c, bs in by_range.get(a.s, {}).items():
+            if c != a.color:
+                for b in bs:
+                    if (a.eid, b.eid) not in swap:
+                        violations.append(("incomplete-square", (a.eid, b.eid)))
+    for pair in dup:
         violations.append(("duplicate-square", pair))
 
     if sk.k >= 3 and not dup:
@@ -568,34 +570,44 @@ def validate_kgraph(g: KGraph) -> ValidationReport:
     return ValidationReport(ok=not violations, violations=tuple(violations))
 
 
-def _cube_triples(edges: Iterable[Edge], by_range: Dict[str, List[Edge]], ascending: bool):
+def _cube_triples(edges: Iterable[Edge], by_range: Dict[str, Dict[int, List[Edge]]], ascending: bool):
     """The composable edge-id triples of three distinct colours, in every
-    colour order, or only the colour-ascending ones."""
+    colour order, or only the colour-ascending ones.  by_range[v][c] lists
+    the edges of colour c with range v, so each step reads whole colour
+    buckets and skips the colours it may not take."""
     for a in edges:
-        for b in by_range.get(a.s, ()):
-            if b.color == a.color or ascending and b.color < a.color:
+        for cb, bs in by_range.get(a.s, {}).items():
+            if cb == a.color or ascending and cb < a.color:
                 continue
-            for c in by_range.get(b.s, ()):
-                if c.color in (a.color, b.color) or ascending and c.color < b.color:
-                    continue
-                yield a.eid, b.eid, c.eid
+            for b in bs:
+                for cc, cs in by_range.get(b.s, {}).items():
+                    if cc == a.color or cc == cb or ascending and cc < cb:
+                        continue
+                    for c in cs:
+                        yield a.eid, b.eid, c.eid
 
 
 def _reversals(swap: Dict[Tuple[str, str], Tuple[str, str]], triple: Tuple[str, str, str]):
     """The two full reversals of a triple: the left route swaps at
     positions 0, 1, 0 and the right route at 1, 0, 1; a route that meets
     a pair with no square is None."""
-
-    def route(positions):
-        e = list(triple)
-        for i in positions:
-            key = (e[i], e[i + 1])
-            if key not in swap:
-                return None
-            e[i], e[i + 1] = swap[key]
-        return tuple(e)
-
-    return route((0, 1, 0)), route((1, 0, 1))
+    x, y, z = triple
+    left = right = None
+    xy = swap.get((x, y))
+    if xy is not None:  # left: (x, y, z) -> (y', x', z) -> (y', z', x'') -> (z'', y'', x'')
+        xz = swap.get((xy[1], z))
+        if xz is not None:
+            yz = swap.get((xy[0], xz[0]))
+            if yz is not None:
+                left = yz + xz[1:]
+    yz = swap.get((y, z))
+    if yz is not None:  # right: (x, y, z) -> (x, z', y') -> (z'', x', y') -> (z'', y'', x'')
+        xz = swap.get((x, yz[0]))
+        if xz is not None:
+            xy = swap.get((xz[1], yz[1]))
+            if xy is not None:
+                right = xz[:1] + xy
+    return left, right
 
 
 def is_locally_convex(g: KGraph) -> bool:

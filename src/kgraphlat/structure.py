@@ -119,40 +119,31 @@ def skew_product_window(g: KGraph, lo: Sequence[int], hi: Sequence[int]) -> Skew
     if len(lo) != g.k or len(hi) != g.k or any(l > h for l, h in zip(lo, hi)):
         raise KGraphError(f"bad window bounds lo={lo} hi={hi}")
     levels = list(itertools.product(*(range(l, h + 1) for l, h in zip(lo, hi))))
-    verts = [_level_id(v, n) for v in g.vertices for n in levels]
+    # at[n]: the suffix that _level_id gives level n, built once per level;
+    # down[c][n] = n - e_c for the levels whose step down stays in the box
+    at = {n: _level_id("", n) for n in levels}
+    down = {
+        c: {n: n[:c - 1] + (n[c - 1] - 1,) + n[c:] for n in levels if n[c - 1] > lo[c - 1]}
+        for c in range(1, g.k + 1)
+    }
+    bmap: Dict[str, Tuple[int, ...]] = {v + at[n]: n for v in g.vertices for n in levels}
+    verts = list(bmap)
     edges = []
-    bmap: Dict[str, Tuple[int, ...]] = {}
-    for v in g.vertices:
-        for n in levels:
-            bmap[_level_id(v, n)] = n
-    in_window = lambda n: all(l <= x <= h for x, l, h in zip(n, lo, hi))
     for e in g.edges:
         if not 1 <= e.color <= g.k:
             raise KGraphError(f"edge {e.eid!r} has colour {e.color}, out of range 1..{g.k}")
-        d = degrees.unit(g.k, e.color)
-        for n in levels:
-            m = tuple(x - y for x, y in zip(n, d))
-            if in_window(m):
-                edges.append((_level_id(e.eid, n), e.color, _level_id(e.r, m), _level_id(e.s, n)))
+        for n, m in down[e.color].items():
+            edges.append((e.eid + at[n], e.color, e.r + at[m], e.s + at[n]))
     squares = []
     for sq in g.squares:
         f, gg = sq.lhs
         g2, f2 = sq.rhs
-        df = degrees.unit(g.k, g.edge(f).color)
-        dg = degrees.unit(g.k, g.edge(gg).color)
-        for n in levels:
-            n_g = n
-            n_f = tuple(x - y for x, y in zip(n, dg))
-            n_f2 = n
-            n_g2 = tuple(x - y for x, y in zip(n, df))
-            corner = tuple(x - y - z for x, y, z in zip(n, df, dg))
-            if all(in_window(p) for p in (n_f, n_g2, corner)):
-                squares.append(
-                    SquareRule(
-                        (_level_id(f, n_f), _level_id(gg, n_g)),
-                        (_level_id(g2, n_g2), _level_id(f2, n_f2)),
-                    )
-                )
+        df = down[g.edge(f).color]
+        dg = down[g.edge(gg).color]
+        for n, n_f in dg.items():  # n_g = n_f2 = n, n_g2 = n - d(f), corner n_f - d(f)
+            n_g2 = df.get(n)
+            if n_g2 is not None and n_f in df:
+                squares.append(SquareRule((f + at[n_f], gg + at[n]), (g2 + at[n_g2], f2 + at[n])))
     graph = KGraph(Skeleton.build(g.k, verts, edges), squares)
     grading = Grading(tuple(sorted(bmap.items())))
     return SkewWindow(base=g, lo=lo, hi=hi, graph=graph, grading=grading)

@@ -49,16 +49,17 @@ def parse_kgraph_text(text: str) -> KGraphDocument:
     def err(msg, lineno, col=1):
         raise KGraphSyntaxError(msg, lineno, col)
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if "#" in line:
+            line = line.split("#", 1)[0]
         tokens = line.split()
+        if not tokens:
+            continue
         head = tokens[0]
         if head == "kgraph":
             if k is not None:
                 err("duplicate 'kgraph' header", lineno)
-            if len(tokens) != 2 or not tokens[1].isdigit() or int(tokens[1]) < 1:
+            if len(tokens) != 2 or not tokens[1].isdecimal() or int(tokens[1]) < 1:
                 err("expected 'kgraph <k>' with k >= 1", lineno)
             k = int(tokens[1])
             continue
@@ -78,7 +79,7 @@ def parse_kgraph_text(text: str) -> KGraphDocument:
             if len(tokens) != 7 or tokens[2] != ":" or tokens[5] != "<-":
                 err("expected 'edge <id> : <color> <range> <- <source>'", lineno)
             eid, color_tok, rng, src = tokens[1], tokens[3], tokens[4], tokens[6]
-            if not color_tok.isdigit() or int(color_tok) < 1:
+            if not color_tok.isdecimal() or int(color_tok) < 1:
                 err(f"edge color must be a positive integer, got {color_tok!r}", lineno)
             if eid in seen_ids:
                 err(f"duplicate id {eid!r} (first used on line {seen_ids[eid]})", lineno)

@@ -64,6 +64,18 @@ def test_parse_unknown_square_edge():
     assert "'q'" in str(exc.value)
 
 
+# a superscript digit passes str.isdigit() but not int(); the parser takes
+# decimal digits only, so it is a syntax error on its own line
+NON_DECIMAL_DIGITS = [("kgraph \u00b2\nvertex v\n", 1), ("kgraph 1\nvertex v\nedge e : \u00b2 v <- v\n", 3)]
+
+
+@pytest.mark.parametrize("text, line", NON_DECIMAL_DIGITS)
+def test_parse_rejects_non_decimal_digit(text, line):
+    with pytest.raises(KGraphSyntaxError) as exc:
+        parse_kgraph_text(text)
+    assert exc.value.line == line
+
+
 # -- command dispatch ----------------------------------------------------------------
 
 
@@ -115,6 +127,14 @@ def test_cli_syntax_error_exit_2(tmp_path, capsys):
     bad.write_text("kgraph 1\nvortex v\n")
     code, out, err = run_cli(capsys, "validate", str(bad))
     assert code == 2 and "syntax error" in err
+
+
+@pytest.mark.parametrize("text, line", NON_DECIMAL_DIGITS)
+def test_cli_non_decimal_digit_exit_2(tmp_path, capsys, text, line):
+    bad = tmp_path / "digit.kg"
+    bad.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, "validate", str(bad))
+    assert (code, out) == (2, "") and err.startswith(f"syntax error: line {line}, column 1: ")
 
 
 def test_cli_unreadable_input_exit_2(tmp_path, capsys):

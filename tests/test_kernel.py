@@ -353,6 +353,18 @@ def test_validation_routes_one_triple_per_hexagon(monkeypatch):
     assert triples == 10368 and calls["_reversals"] == triples // 6 == 1728
 
 
+@pytest.mark.parametrize("name, radius", [("FX2", 10), ("FX6^3", 3)])
+def test_window_text_round_trip(name, radius):
+    """Parsing a window's emitted text gives the window back: the same
+    graph, squares tuple and swap table, in the same order, and an ok
+    report."""
+    g = _window(name, radius)
+    doc = textio.parse_kgraph_text(textio.emit_kgraph_text(g))
+    assert doc.graph == g and doc.graph.squares == g.squares
+    assert list(doc.graph._swap.items()) == list(g._swap.items())
+    assert doc.report.ok
+
+
 @pytest.mark.parametrize("name, radius, cap, splits", [("FX2", 2, (2, 2), 36), ("FX6^3", 1, (1, 1, 1), 125)])
 def test_cofinal_window_runs_no_pairwise_cone_scan(monkeypatch, name, radius, cap, splits):
     """Every cone of a skew-product window holds its top corner, so

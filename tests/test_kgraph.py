@@ -53,6 +53,15 @@ def test_dangling_edge_reported():
     assert not rep.ok and rep.violations[0][0] == "dangling-edge"
 
 
+def test_skeleton_build_rejects_duplicate_and_colliding_edge_ids():
+    """The parser's own id check fires before these, so they are pinned
+    on Skeleton.build directly."""
+    with pytest.raises(KGraphError, match="^duplicate edge id 'e'$"):
+        Skeleton.build(1, ["v"], [("e", 1, "v", "v"), ("e", 1, "v", "v")])
+    with pytest.raises(KGraphError, match="^edge id 'v' collides with a vertex id$"):
+        Skeleton.build(1, ["v"], [("v", 1, "v", "v")])
+
+
 def test_malformed_square_reported(fx):
     g = fx["FX2"]
     bad = KGraph(g.skeleton, [SquareRule(("b", "b"), ("r", "r"))])
