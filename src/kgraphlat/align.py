@@ -15,13 +15,13 @@ which form a prefix-closed tree:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Tuple
 
 from . import degrees
 from .certify import CertifiedBool, false_certified, true_certified, unknown_at_cap
 from .degrees import Degree
 from .kgraph import KGraph, KGraphError, Path, sorted_paths
+from .record import Record
 
 PathSet = FrozenSet[Path]
 
@@ -217,8 +217,7 @@ def vee_closure(g: KGraph, E: Iterable[Path]) -> Tuple[Path, ...]:
 # -- cap-bounded exhaustiveness ------------------------------------------------
 
 
-@dataclass
-class VertexUniverse:
+class VertexUniverse(Record, hidden=("graph", "parent", "_kept_bits", "_cont", "_comp")):
     """The capped paths at one vertex, numbered, with the tables that let
     path sets at the vertex be carried as bitmasks.
 
@@ -247,26 +246,36 @@ class VertexUniverse:
     of the parent's universe across.
     """
 
-    graph: KGraph = field(repr=False, compare=False)
-    vertex: str
-    cap: Degree
-    paths: Tuple[Path, ...]
-    members: Tuple[Path, ...]
-    index: Dict[Path, int]
-    member_index: Dict[Path, int]
-    captured: List[int]
-    compat: List[int]
-    escapes: List[List[str]]
-    prefix: List[Dict[Degree, int]]
-    suffix: List[Dict[Degree, Path]]
-    parent: Optional["VertexUniverse"] = field(default=None, repr=False, compare=False)
-    # parent member j -> its member bit here, 0 when dropped; None when
-    # the restriction drops no member
-    _kept_bits: Optional[List[int]] = field(default=None, repr=False, compare=False)
-    _cont: Dict[int, List[int]] = field(default_factory=dict, repr=False, compare=False)
-    _comp: Dict[int, Tuple[List[int], Dict[int, Path]]] = field(
-        default_factory=dict, repr=False, compare=False
-    )
+    _fields = ("graph", "vertex", "cap", "paths", "members", "index", "member_index", "captured",
+               "compat", "escapes", "prefix", "suffix", "parent", "_kept_bits", "_cont", "_comp")
+    # weakly referable: perfbench/run.py counts each universe once by a WeakValueDictionary
+    __slots__ = _fields + ("__weakref__",)
+
+    def __init__(self, graph: KGraph, vertex: str, cap: Degree, paths: Tuple[Path, ...],
+                 members: Tuple[Path, ...], index: Dict[Path, int], member_index: Dict[Path, int],
+                 captured: List[int], compat: List[int], escapes: List[List[str]],
+                 prefix: List[Dict[Degree, int]], suffix: List[Dict[Degree, Path]],
+                 parent: Optional[VertexUniverse] = None, _kept_bits: Optional[List[int]] = None,
+                 _cont: Optional[Dict[int, List[int]]] = None,
+                 _comp: Optional[Dict[int, Tuple[List[int], Dict[int, Path]]]] = None):
+        self.graph = graph
+        self.vertex = vertex
+        self.cap = cap
+        self.paths = paths
+        self.members = members
+        self.index = index
+        self.member_index = member_index
+        self.captured = captured
+        self.compat = compat
+        self.escapes = escapes
+        self.prefix = prefix
+        self.suffix = suffix
+        self.parent = parent
+        # parent member j -> its member bit here, 0 when dropped; None when
+        # the restriction drops no member
+        self._kept_bits = _kept_bits
+        self._cont = {} if _cont is None else _cont
+        self._comp = {} if _comp is None else _comp
 
     def mask_of(self, E: Iterable[Path]) -> int:
         m = 0
@@ -496,17 +505,19 @@ def is_exhaustive(g: KGraph, E: Iterable[Path], cap: Degree) -> CertifiedBool:
         raise KGraphError(f"{err.args[0].literal()} is not a path of the graph") from None
 
 
-@dataclass
-class FEFamily:
+class FEFamily(Record, hidden=("graph",)):
     """Capped finite-exhaustive candidates, per vertex, with certifications.
 
     A set is kept as its member mask in the universe of ``graph`` at its
     vertex and ``cap``; ``sets_at`` and ``all_sets`` build the path sets.
     """
 
-    graph: KGraph = field(repr=False, compare=False)
-    cap: Degree
-    by_vertex: Dict[str, Dict[int, CertifiedBool]] = field(default_factory=dict)
+    __slots__ = ("graph", "cap", "by_vertex")
+
+    def __init__(self, graph: KGraph, cap: Degree, by_vertex: Optional[Dict[str, Dict[int, CertifiedBool]]] = None):
+        self.graph = graph
+        self.cap = cap
+        self.by_vertex = {} if by_vertex is None else by_vertex
 
     def sets_at(self, v: str) -> Dict[PathSet, CertifiedBool]:
         masks = self.by_vertex.get(v)

@@ -9,8 +9,9 @@ upgrade an unknown to a definite answer.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Any, Optional, Tuple
+
+from .record import Record
 
 
 class Certainty(enum.Enum):
@@ -19,17 +20,17 @@ class Certainty(enum.Enum):
     UNKNOWN_AT_CAP = "unknown_at_cap"
 
 
-@dataclass(frozen=True)
-class CertifiedBool:
-    value: Certainty
-    witness: Any = None
-    cap: Optional[Tuple[int, ...]] = None
+class CertifiedBool(Record, frozen=True):
+    __slots__ = ("value", "witness", "cap")
 
-    def __post_init__(self):
-        if self.value is Certainty.FALSE_CERTIFIED and self.witness is None:
+    def __init__(self, value: Certainty, witness: Any = None, cap: Optional[Tuple[int, ...]] = None):
+        if value is Certainty.FALSE_CERTIFIED and witness is None:
             raise ValueError("FalseCertified requires a witness")
-        if self.value is Certainty.UNKNOWN_AT_CAP and self.cap is None:
+        if value is Certainty.UNKNOWN_AT_CAP and cap is None:
             raise ValueError("UnknownAtCap requires the cap used")
+        self.value = value
+        self.witness = witness
+        self.cap = cap
 
     @property
     def is_true(self) -> bool:

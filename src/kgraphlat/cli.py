@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, replace
 from json.encoder import encode_basestring_ascii as _quote  # the escaper json.dumps uses
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -38,26 +37,33 @@ from .degrees import Degree
 from .ideals import IdealLattice, IdealPair
 from .kgraph import KGraph, KGraphError, Path, sorted_paths, validate_kgraph
 from .randomgraphs import random_1graph, random_2graph
+from .record import Record
 from .textio import KGraphDocument, KGraphSyntaxError, parse_kgraph_text
 
 class UsageError(ValueError):
     pass
 
 
-@dataclass
-class RunConfig:
-    command: str
-    cap: Optional[Degree] = None
-    fmt: str = "json"
-    require_exact: bool = False
-    assumed_condition_C: bool = False
-    seed: int = 0
-    vertex: Optional[str] = None
-    mu: Optional[str] = None
-    nu: Optional[str] = None
-    setarg: Optional[str] = None
-    radius: int = 1
-    rank: int = 1
+class RunConfig(Record):
+    __slots__ = ("command", "cap", "fmt", "require_exact", "assumed_condition_C", "seed",
+                 "vertex", "mu", "nu", "setarg", "radius", "rank")
+
+    def __init__(self, command: str, cap: Optional[Degree] = None, fmt: str = "json",
+                 require_exact: bool = False, assumed_condition_C: bool = False, seed: int = 0,
+                 vertex: Optional[str] = None, mu: Optional[str] = None, nu: Optional[str] = None,
+                 setarg: Optional[str] = None, radius: int = 1, rank: int = 1):
+        self.command = command
+        self.cap = cap
+        self.fmt = fmt
+        self.require_exact = require_exact
+        self.assumed_condition_C = assumed_condition_C
+        self.seed = seed
+        self.vertex = vertex
+        self.mu = mu
+        self.nu = nu
+        self.setarg = setarg
+        self.radius = radius
+        self.rank = rank
 
 
 # -- JSON rendering ------------------------------------------------------------
@@ -416,7 +422,7 @@ def run_with_status(doc: Optional[KGraphDocument], cfg: RunConfig) -> Tuple[str,
         rep = doc.report
         head = {"ok": rep.ok} if cfg.command == "validate" else {"error": "graph does not validate"}
         if cfg.fmt == "dot" and cfg.command in ("lattice", "skew"):
-            cfg = replace(cfg, fmt="json")  # DOT has no form for the report
+            cfg = cfg._replace(fmt="json")  # DOT has no form for the report
         return _render({**head, "violations": rep.violations}, cfg, certs), 0 if rep.ok else 1
     if not all(getattr(cfg, _FLAG_FIELDS[flag]) for flag in flags):
         raise UsageError(f"{cfg.command} needs {' and '.join(flags)}")

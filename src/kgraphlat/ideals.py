@@ -9,9 +9,7 @@ propagated instead of guessed.
 
 from __future__ import annotations
 
-import functools
 import itertools
-from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 from . import degrees
@@ -29,6 +27,7 @@ from .align import (
 from .certify import CertifiedBool, false_certified, true_certified, unknown_at_cap
 from .degrees import Degree
 from .kgraph import KGraph, KGraphError, Path, Skeleton, is_locally_convex
+from .record import Record
 
 # Work limits for the combinatorial (S3)/(S4) scans; exceeding one only
 # downgrades a certificate to UnknownAtCap, never changes a decided answer.
@@ -48,11 +47,13 @@ def fmt_pathset(S: Iterable[Path]) -> str:
     return "{" + ",".join(p.literal() for p in sorted(S, key=Path.sort_key)) + "}"
 
 
-@dataclass(frozen=True)
-class VertexSet:
-    members: Tuple[str, ...]
-    hereditary: bool
-    saturated: CertifiedBool
+class VertexSet(Record, frozen=True):
+    __slots__ = ("members", "hereditary", "saturated")
+
+    def __init__(self, members: Tuple[str, ...], hereditary: bool, saturated: CertifiedBool):
+        self.members = members
+        self.hereditary = hereditary
+        self.saturated = saturated
 
     @property
     def as_frozenset(self) -> FrozenSet[str]:
@@ -314,8 +315,7 @@ def _verify_refutation(g: KGraph, E: PathSet, tau: Path) -> bool:
     return all(alpha.s in H for alpha in ext(g, tau, E))
 
 
-@dataclass
-class SatiatedFamily:
+class SatiatedFamily(Record, hidden=("_checked", "_known_bad")):
     """A capped family of exhaustive-set candidates with closure status.
 
     ``refuted_parents`` and ``quotient_refuted`` carry verified witnesses
@@ -330,14 +330,20 @@ class SatiatedFamily:
     its loop ended with as known bad.
     """
 
-    base: FEFamily
-    cap: Degree
-    refuted_parents: Dict[PathSet, Path] = field(default_factory=dict)
-    quotient_refuted: Dict[PathSet, Path] = field(default_factory=dict)
-    tainted: Dict[PathSet, CertifiedBool] = field(default_factory=dict)
-    # (satiated, overflow), None until a scan of base has run
-    _checked: Optional[Tuple[CertifiedBool, Tuple[Path, ...]]] = field(default=None, repr=False, compare=False)
-    _known_bad: Tuple[SetKey, ...] = field(default=(), repr=False, compare=False)
+    __slots__ = ("base", "cap", "refuted_parents", "quotient_refuted", "tainted", "_checked", "_known_bad")
+
+    def __init__(self, base: FEFamily, cap: Degree, refuted_parents: Optional[Dict[PathSet, Path]] = None,
+                 quotient_refuted: Optional[Dict[PathSet, Path]] = None,
+                 tainted: Optional[Dict[PathSet, CertifiedBool]] = None,
+                 _checked: Optional[Tuple[CertifiedBool, Tuple[Path, ...]]] = None,
+                 _known_bad: Tuple[SetKey, ...] = ()):
+        self.base = base
+        self.cap = cap
+        self.refuted_parents = {} if refuted_parents is None else refuted_parents
+        self.quotient_refuted = {} if quotient_refuted is None else quotient_refuted
+        self.tainted = {} if tainted is None else tainted
+        self._checked = _checked  # (satiated, overflow), None until a scan of base has run
+        self._known_bad = _known_bad
 
     def _check(self) -> Tuple[CertifiedBool, Tuple[Path, ...]]:
         if self._checked is None:
@@ -392,14 +398,18 @@ def _normalize_family(gq: KGraph, fam, cap: Degree) -> Family:
     return {v: dict.fromkeys(sorted(ms, key=_mask_key)) for v, ms in masks.items() if ms}
 
 
-@dataclass
-class _ScanResult:
-    violations: List[Tuple] = field(default_factory=list)  # (rule, G, extra, D), G and D SetKeys
-    taints: List[str] = field(default_factory=list)  # the rule of each derived set left out
-    overflow: Set[Path] = field(default_factory=set)
-    budget_hit: List[str] = field(default_factory=list)
-    # each missing (S4) derived set, with the number of assignments giving it
-    s4_missing: Dict[SetKey, int] = field(default_factory=dict)
+class _ScanResult(Record):
+    __slots__ = ("violations", "taints", "overflow", "budget_hit", "s4_missing")
+
+    def __init__(self, violations: Optional[List[Tuple]] = None, taints: Optional[List[str]] = None,
+                 overflow: Optional[Set[Path]] = None, budget_hit: Optional[List[str]] = None,
+                 s4_missing: Optional[Dict[SetKey, int]] = None):
+        self.violations = [] if violations is None else violations  # (rule, G, extra, D), G and D SetKeys
+        self.taints = [] if taints is None else taints  # the rule of each derived set left out
+        self.overflow = set() if overflow is None else overflow
+        self.budget_hit = [] if budget_hit is None else budget_hit
+        # each missing (S4) derived set, with the number of assignments giving it
+        self.s4_missing = {} if s4_missing is None else s4_missing
 
     @property
     def dirty(self) -> bool:
@@ -829,24 +839,31 @@ def _stripped_family(g: KGraph, H: FrozenSet[str], cap: Degree) -> SatiatedFamil
 # -- ideal pairs and the lattice --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IdealPair:
-    graph_key: object
-    cap: Degree
-    H: Tuple[str, ...]
-    B: Tuple[PathSet, ...]
-    h_saturated: CertifiedBool
-    # the graph whose stripped family of H the pair reads on demand
-    graph: KGraph = field(repr=False, compare=False)
-    # the closed family the pair indexes: the stripped family, or for a
-    # nonempty B its satiation closure; None reads the stripped family
-    closure: Optional[SatiatedFamily] = field(default=None, repr=False, compare=False)
+class IdealPair(Record, frozen=True, hidden=("graph", "closure")):
+    _fields = ("graph_key", "cap", "H", "B", "h_saturated", "graph", "closure")
+    __slots__ = _fields + ("_stripped",)
 
-    @functools.cached_property
+    def __init__(self, graph_key: object, cap: Degree, H: Tuple[str, ...], B: Tuple[PathSet, ...],
+                 h_saturated: CertifiedBool, graph: KGraph, closure: Optional[SatiatedFamily] = None):
+        self.graph_key = graph_key
+        self.cap = cap
+        self.H = H
+        self.B = B
+        self.h_saturated = h_saturated
+        # the graph whose stripped family of H the pair reads on demand
+        self.graph = graph
+        # the closed family the pair indexes: the stripped family, or for a
+        # nonempty B its satiation closure; None reads the stripped family
+        self.closure = closure
+        self._stripped = None
+
+    @property
     def stripped(self) -> SatiatedFamily:
         """The stripped family of H, built on first read.  It is memoized
         on the graph, so a replaced copy of the pair reads the same one."""
-        return restricted_fe_family(self.graph, self.H, self.cap)
+        if self._stripped is None:
+            self._stripped = restricted_fe_family(self.graph, self.H, self.cap)
+        return self._stripped
 
     @property
     def eh_sets(self) -> FrozenSet[PathSet]:
@@ -1024,16 +1041,20 @@ def _pair_leq(p1: IdealPair, p2: IdealPair, h1: int, h2: int) -> bool:
     return True
 
 
-@dataclass
-class IdealLattice:
-    pairs: List[IdealPair]
-    leq: List[List[bool]]
-    hasse: Tuple[Tuple[int, int], ...]
-    meets: Dict[Tuple[int, int], Optional[int]]
-    joins: Dict[Tuple[int, int], Optional[int]]
-    is_lattice: bool
-    failures: Tuple[str, ...]
-    cap: Degree
+class IdealLattice(Record):
+    __slots__ = ("pairs", "leq", "hasse", "meets", "joins", "is_lattice", "failures", "cap")
+
+    def __init__(self, pairs: List[IdealPair], leq: List[List[bool]], hasse: Tuple[Tuple[int, int], ...],
+                 meets: Dict[Tuple[int, int], Optional[int]], joins: Dict[Tuple[int, int], Optional[int]],
+                 is_lattice: bool, failures: Tuple[str, ...], cap: Degree):
+        self.pairs = pairs
+        self.leq = leq
+        self.hasse = hasse
+        self.meets = meets
+        self.joins = joins
+        self.is_lattice = is_lattice
+        self.failures = failures
+        self.cap = cap
 
 
 def ideal_lattice(g: KGraph, cap: Degree) -> IdealLattice:

@@ -22,11 +22,11 @@ from the range end toward the source end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Sequence, Tuple
 
 from . import degrees
 from .degrees import Degree
+from .record import Record
 
 
 class KGraphError(ValueError):
@@ -49,19 +49,23 @@ def _no_square(a: str, b: str) -> MissingSquareError:
     return MissingSquareError(f"no square for composable pair {a}∘{b}")
 
 
-@dataclass(frozen=True)
-class Edge:
-    eid: str
-    color: int
-    r: str
-    s: str
+class Edge(Record, frozen=True):
+    __slots__ = ("eid", "color", "r", "s")
+
+    def __init__(self, eid: str, color: int, r: str, s: str):
+        self.eid = eid
+        self.color = color
+        self.r = r
+        self.s = s
 
 
-@dataclass(frozen=True)
-class Skeleton:
-    k: int
-    vertices: Tuple[str, ...]
-    edges: Tuple[Edge, ...]
+class Skeleton(Record, frozen=True):
+    __slots__ = ("k", "vertices", "edges")
+
+    def __init__(self, k: int, vertices: Tuple[str, ...], edges: Tuple[Edge, ...]):
+        self.k = k
+        self.vertices = vertices
+        self.edges = edges
 
     @staticmethod
     def build(k: int, vertices: Iterable[str], edges: Iterable[Tuple[str, int, str, str]]) -> "Skeleton":
@@ -81,12 +85,14 @@ class Skeleton:
         return Skeleton(k, tuple(sorted(vset)), tuple(es))
 
 
-@dataclass(frozen=True)
-class SquareRule:
+class SquareRule(Record, frozen=True):
     """Asserts f∘g = g2∘f2 for bicolored composable edge pairs."""
 
-    lhs: Tuple[str, str]
-    rhs: Tuple[str, str]
+    __slots__ = ("lhs", "rhs")
+
+    def __init__(self, lhs: Tuple[str, str], rhs: Tuple[str, str]):
+        self.lhs = lhs
+        self.rhs = rhs
 
     def key(self):
         return (self.lhs, self.rhs)
@@ -123,10 +129,12 @@ class Path(NamedTuple):
         return f"<{self.literal()}:{self.r}<-{self.s}|{degrees.fmt(self.d)}>"
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    violations: Tuple[Tuple[str, Tuple[str, ...]], ...]
+class ValidationReport(Record, frozen=True):
+    __slots__ = ("ok", "violations")
+
+    def __init__(self, ok: bool, violations: Tuple[Tuple[str, Tuple[str, ...]], ...]):
+        self.ok = ok
+        self.violations = violations
 
 
 def sorted_paths(paths: Iterable[Path]) -> Tuple[Path, ...]:

@@ -11,7 +11,6 @@ concrete (loop, entrance) pair checked against the path arithmetic.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from . import degrees
@@ -20,13 +19,16 @@ from .certify import CertifiedBool, false_certified, true_certified, unknown_at_
 from .degrees import Degree
 from .ideals import enumerate_ideal_pairs
 from .kgraph import KGraph, KGraphError, Path, Skeleton, SquareRule, sorted_paths
+from .record import Record
 
 
-@dataclass(frozen=True)
-class Grading:
+class Grading(Record, frozen=True):
     """An integer potential on vertices with d(e) = b(source) - b(range)."""
 
-    b: Tuple[Tuple[str, Tuple[int, ...]], ...]
+    __slots__ = ("b",)
+
+    def __init__(self, b: Tuple[Tuple[str, Tuple[int, ...]], ...]):
+        self.b = b
 
     def value(self, v: str) -> Tuple[int, ...]:
         return dict(self.b)[v]
@@ -85,8 +87,7 @@ def _level_id(base: str, n: Tuple[int, ...]) -> str:
     return f"{base}@{','.join(str(x) for x in n)}"
 
 
-@dataclass
-class SkewWindow:
+class SkewWindow(Record):
     """A finite box window of the degree-shifted product graph.
 
     Vertices are (v, n) for n in the box; the edge (e, n) runs from level
@@ -94,11 +95,14 @@ class SkewWindow:
     grading is b(v, n) = n.
     """
 
-    base: KGraph
-    lo: Tuple[int, ...]
-    hi: Tuple[int, ...]
-    graph: KGraph
-    grading: Grading
+    __slots__ = ("base", "lo", "hi", "graph", "grading")
+
+    def __init__(self, base: KGraph, lo: Tuple[int, ...], hi: Tuple[int, ...], graph: KGraph, grading: Grading):
+        self.base = base
+        self.lo = lo
+        self.hi = hi
+        self.graph = graph
+        self.grading = grading
 
     def vertex(self, v: str, n: Sequence[int]) -> str:
         return _level_id(v, tuple(n))
@@ -170,11 +174,13 @@ def lift_path(sw: SkewWindow, p: Path, source_level: Sequence[int]) -> Path:
     return sw.graph.path(lifted)
 
 
-@dataclass
-class LiftedSet:
-    paths: Tuple[Path, ...]
-    range_vertex: str
-    exhaustive: CertifiedBool
+class LiftedSet(Record):
+    __slots__ = ("paths", "range_vertex", "exhaustive")
+
+    def __init__(self, paths: Tuple[Path, ...], range_vertex: str, exhaustive: CertifiedBool):
+        self.paths = paths
+        self.range_vertex = range_vertex
+        self.exhaustive = exhaustive
 
 
 def skew_fe_lift(sw: SkewWindow, E: Iterable[Path], n: Sequence[int], cap: Degree) -> LiftedSet:
@@ -241,11 +247,13 @@ def m_closure_iterated(g: KGraph, grading: Grading, E: Iterable[Path]) -> Tuple[
 # -- boundary prefixes ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoundaryPrefix:
-    path: Path
-    status: str  # "extensible" | "terminal"
-    depth: Degree
+class BoundaryPrefix(Record, frozen=True):
+    __slots__ = ("path", "status", "depth")
+
+    def __init__(self, path: Path, status: str, depth: Degree):
+        self.path = path
+        self.status = status  # "extensible" | "terminal"
+        self.depth = depth
 
 
 def boundary_prefixes(g: KGraph, v: str, depth: Degree) -> List[BoundaryPrefix]:
@@ -434,14 +442,19 @@ def find_loop_with_entrance(g: KGraph, cap: Degree) -> Dict[str, CertifiedBool]:
 # -- assembled report -----------------------------------------------------------------
 
 
-@dataclass
-class StructureReport:
-    cofinal: CertifiedBool
-    loops: Dict[str, CertifiedBool]
-    all_vertices_reach_loop_with_entrance: CertifiedBool
-    lattice_size: int
-    assumed_condition_C: bool
-    verdicts: Dict[str, str]
+class StructureReport(Record):
+    __slots__ = ("cofinal", "loops", "all_vertices_reach_loop_with_entrance", "lattice_size",
+                 "assumed_condition_C", "verdicts")
+
+    def __init__(self, cofinal: CertifiedBool, loops: Dict[str, CertifiedBool],
+                 all_vertices_reach_loop_with_entrance: CertifiedBool, lattice_size: int,
+                 assumed_condition_C: bool, verdicts: Dict[str, str]):
+        self.cofinal = cofinal
+        self.loops = loops
+        self.all_vertices_reach_loop_with_entrance = all_vertices_reach_loop_with_entrance
+        self.lattice_size = lattice_size
+        self.assumed_condition_C = assumed_condition_C
+        self.verdicts = verdicts
 
 
 def structure_report(g: KGraph, cap: Degree, assumed_condition_C: bool) -> StructureReport:

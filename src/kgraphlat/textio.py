@@ -14,10 +14,10 @@ graphs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from .kgraph import KGraph, Skeleton, SquareRule, ValidationReport, validate_kgraph
+from .record import Record
 
 
 class KGraphSyntaxError(ValueError):
@@ -28,12 +28,15 @@ class KGraphSyntaxError(ValueError):
         self.message = message
 
 
-@dataclass
-class KGraphDocument:
-    text: str
-    graph: KGraph
-    report: ValidationReport
-    locations: Dict[str, int] = field(default_factory=dict)
+class KGraphDocument(Record):
+    __slots__ = ("text", "graph", "report", "locations")
+
+    def __init__(self, text: str, graph: KGraph, report: ValidationReport,
+                 locations: Optional[Dict[str, int]] = None):
+        self.text = text
+        self.graph = graph
+        self.report = report
+        self.locations = {} if locations is None else locations
 
 
 def parse_kgraph_text(text: str) -> KGraphDocument:

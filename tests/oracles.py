@@ -778,13 +778,16 @@ def oracle_satiation_closure(gq: KGraph, fam, cap: Degree) -> OracleClosure:
 # -- the closure scan, one (S4) assignment at a time -------------------------------
 
 
-@dataclass
 class OracleScanResult(_ScanResult):
-    # per member G, the (S2) derivatives missing from the family: (mu, D mask)
-    s2_misses: Dict[SetKey, List[Tuple[Path, int]]] = field(default_factory=dict)
-    # in extend mode, the missing candidates, which stay out of violations
-    # and s4_missing
-    additions: Set[SetKey] = field(default_factory=set)
+    """A _ScanResult, with the same fields, that also keeps two tables."""
+
+    def __init__(self):
+        super().__init__()
+        # per member G, the (S2) derivatives missing from the family: (mu, D mask)
+        self.s2_misses: Dict[SetKey, List[Tuple[Path, int]]] = {}
+        # in extend mode, the missing candidates, which stay out of violations
+        # and s4_missing
+        self.additions: Set[SetKey] = set()
 
 
 def oracle_scan_satiation(gq: KGraph, family: Family, cap: Degree, extend: bool,

@@ -1,5 +1,4 @@
 import collections
-import dataclasses
 import itertools
 import random
 
@@ -544,13 +543,13 @@ def test_scan_matches_assignment_walk_oracle(monkeypatch):
     for gq, family, cap, known_bad, res in scans:
         for extend in (False, True):
             want = oracles.oracle_scan_satiation(gq, family, cap, extend, known_bad)
-            for f in dataclasses.fields(res):
-                got, exp = getattr(res, f.name), getattr(want, f.name)
-                if extend and f.name in ("violations", "s4_missing"):
+            for name in res._fields:
+                got, exp = getattr(res, name), getattr(want, name)
+                if extend and name in ("violations", "s4_missing"):
                     continue
-                if f.name == "taints" and known_bad:
+                if name == "taints" and known_bad:
                     got, exp = collections.Counter(got), collections.Counter(exp)
-                assert got == exp, (f.name, gq.vertices, cap, extend)
+                assert got == exp, (name, gq.vertices, cap, extend)
             if extend:
                 assert {vio[3] for vio in res.violations} | res.s4_missing.keys() == want.additions
         seen["scans"] += 1
@@ -803,10 +802,10 @@ def test_pair_leq_with_nonempty_B_matches_definition(fx):
             members = align.universe(gq, v, cap).members
             for n in (1, 2):
                 for E in map(frozenset, itertools.combinations(members, n)):
-                    q1 = dataclasses.replace(p1, B=(E,))
+                    q1 = p1._replace(B=(E,))
                     strip2 = stripped(E, p2.H)
                     for B2 in {(), (strip2,) if strip2 else ()}:
-                        q2 = dataclasses.replace(p2, B=B2)
+                        q2 = p2._replace(B=B2)
                         want = by_definition(q1, q2)
                         assert pair_leq(g, q1, q2) == want, (q1.label(), q2.label())
                         if set(p1.H) <= set(p2.H):
@@ -888,8 +887,8 @@ def test_ideal_lattice_matches_search_oracle():
             seen["refused"] += 1
             continue
         want = oracles.oracle_ideal_lattice(g, cap)
-        for f in dataclasses.fields(got):
-            assert getattr(got, f.name) == getattr(want, f.name), (g.vertices, cap, f.name)
+        for name in got._fields:
+            assert getattr(got, name) == getattr(want, name), (g.vertices, cap, name)
         seen["lattices"] += 1
         seen["max pairs"] = max(seen["max pairs"], len(got.pairs))
     assert seen["lattices"] > 300 and seen["max pairs"] == 128, seen
