@@ -217,7 +217,7 @@ def vee_closure(g: KGraph, E: Iterable[Path]) -> Tuple[Path, ...]:
 # -- cap-bounded exhaustiveness ------------------------------------------------
 
 
-class VertexUniverse(Record, hidden=("graph", "parent", "_kept_bits", "_cont", "_comp")):
+class VertexUniverse(Record, hidden=("_kept_bits", "_cont", "_comp")):
     """The capped paths at one vertex, numbered, with the tables that let
     path sets at the vertex be carried as bitmasks.
 
@@ -229,7 +229,8 @@ class VertexUniverse(Record, hidden=("graph", "parent", "_kept_bits", "_cont", "
     in edges_at order, of the edges e at its source along which it leaves
     the cap box (escapes), and, per degree below its own, the id of its
     prefix and the matching suffix path (prefix, suffix).  The
-    continuation and composition rows are filled on first use.
+    continuation and composition rows are filled on first use, by methods
+    that take the graph whose universe this is: a universe holds no graph.
 
     An escape row is all that exhaustiveness needs of the paths past the
     cap.  If lam·e leaves the cap, e has a colour c with d(lam)_c = cap_c,
@@ -240,25 +241,21 @@ class VertexUniverse(Record, hidden=("graph", "parent", "_kept_bits", "_cont", "
     member, the answer is unknown exactly when some uncaptured path has a
     nonempty escape row.
 
-    The universe of a quotient graph is the restriction of its parent's
-    universe at the vertex (``parent``) to the paths with source outside
-    H, renumbered in the same order; ``strip_mask`` carries a member mask
-    of the parent's universe across.
+    The universe of a quotient graph by H restricts its parent's at the
+    vertex to the paths with source outside H, renumbered in the same
+    order; ``strip_mask`` carries a member mask of the parent's across.
     """
 
-    _fields = ("graph", "vertex", "cap", "paths", "members", "index", "member_index", "captured",
-               "compat", "escapes", "prefix", "suffix", "parent", "_kept_bits", "_cont", "_comp")
+    _fields = ("vertex", "cap", "paths", "members", "index", "member_index", "captured",
+               "compat", "escapes", "prefix", "suffix", "_kept_bits", "_cont", "_comp")
     # weakly referable: perfbench/run.py counts each universe once by a WeakValueDictionary
     __slots__ = _fields + ("__weakref__",)
 
-    def __init__(self, graph: KGraph, vertex: str, cap: Degree, paths: Tuple[Path, ...],
-                 members: Tuple[Path, ...], index: Dict[Path, int], member_index: Dict[Path, int],
-                 captured: List[int], compat: List[int], escapes: List[List[str]],
-                 prefix: List[Dict[Degree, int]], suffix: List[Dict[Degree, Path]],
-                 parent: Optional[VertexUniverse] = None, _kept_bits: Optional[List[int]] = None,
-                 _cont: Optional[Dict[int, List[int]]] = None,
+    def __init__(self, vertex: str, cap: Degree, paths: Tuple[Path, ...], members: Tuple[Path, ...],
+                 index: Dict[Path, int], member_index: Dict[Path, int], captured: List[int], compat: List[int],
+                 escapes: List[List[str]], prefix: List[Dict[Degree, int]], suffix: List[Dict[Degree, Path]],
+                 _kept_bits: Optional[List[int]] = None, _cont: Optional[Dict[int, List[int]]] = None,
                  _comp: Optional[Dict[int, Tuple[List[int], Dict[int, Path]]]] = None):
-        self.graph = graph
         self.vertex = vertex
         self.cap = cap
         self.paths = paths
@@ -270,7 +267,6 @@ class VertexUniverse(Record, hidden=("graph", "parent", "_kept_bits", "_cont", "
         self.escapes = escapes
         self.prefix = prefix
         self.suffix = suffix
-        self.parent = parent
         # parent member j -> its member bit here, 0 when dropped; None when
         # the restriction drops no member
         self._kept_bits = _kept_bits
@@ -305,13 +301,13 @@ class VertexUniverse(Record, hidden=("graph", "parent", "_kept_bits", "_cont", "
             return unknown_at_cap(self.cap)
         return true_certified()
 
-    def continuations(self, i: int) -> List[int]:
+    def continuations(self, g: KGraph, i: int) -> List[int]:
         """Row i of the continuation table: entry j is the path mask, in the
-        universe at paths[i].s, of ext(paths[i], {members[j]})."""
+        universe of g at paths[i].s, of ext(paths[i], {members[j]})."""
         row = self._cont.get(i)
         if row is None:
             mu = self.paths[i]
-            at = universe(self.graph, mu.s, self.cap).index
+            at = universe(g, mu.s, self.cap).index
             row = [0] * len(self.members)
             for t, pre in enumerate(self.prefix):
                 if pre.get(mu.d) != i:
@@ -326,11 +322,11 @@ class VertexUniverse(Record, hidden=("graph", "parent", "_kept_bits", "_cont", "
             self._cont[i] = row
         return row
 
-    def ext_mask(self, i: int, emask: int) -> int:
-        """Path mask, in the universe at paths[i].s, of ext(paths[i], E) for
-        the member set E given by emask.  Bit 0 (the identity) is set only
-        when paths[i] extends a member of E."""
-        return _union_of_bits(self.continuations(i), emask)
+    def ext_mask(self, g: KGraph, i: int, emask: int) -> int:
+        """Path mask, in the universe of g at paths[i].s, of ext(paths[i], E)
+        for the member set E given by emask.  Bit 0 (the identity) is set
+        only when paths[i] extends a member of E."""
+        return _union_of_bits(self.continuations(g, i), emask)
 
     def strip_mask(self, pmask: int) -> int:
         """Member mask here of the members of the parent's universe in
@@ -340,24 +336,27 @@ class VertexUniverse(Record, hidden=("graph", "parent", "_kept_bits", "_cont", "
             return pmask
         return _union_of_bits(self._kept_bits, pmask)
 
-    def compositions(self, i: int) -> Tuple[List[int], Dict[int, Path]]:
-        """Row i of the composition table, over the members at paths[i].s:
-        entry j is the member bit here of paths[i]·members[j] there, or 0
-        when the product leaves the cap; the second value maps each such j
-        to the product itself."""
+    def compositions(self, g: KGraph, i: int) -> Tuple[List[int], Dict[int, Path]]:
+        """Row i of the composition table, over the members of g's universe
+        at paths[i].s: entry j is the member bit here of paths[i]·members[j]
+        there, or 0 when the product leaves the cap; the second value maps
+        each such j to the product, composed on g.
+
+        On a quotient by a hereditary H, that is the parent's product.  Its
+        source, that of members[j], is outside H, and an edge with range in
+        H has its source in H, so each path with that source, and each
+        square swapping two of its edges for two with the same ends, has
+        every vertex outside H.  The quotient keeps those edges and squares."""
         hit = self._comp.get(i)
         if hit is None:
             lam = self.paths[i]
-            uni = universe(self.graph, lam.s, self.cap)
+            uni = universe(g, lam.s, self.cap)
             there, at = uni.members, uni.member_index
             row = [0] * len(there)
             for t, pre in enumerate(self.prefix):
                 if t != i and pre.get(lam.d) == i:
                     row[at[self.suffix[t][lam.d]]] = 1 << (t - 1)
-            base = self
-            while base.parent is not None:  # a quotient's paths compose as in its parent
-                base = base.parent
-            out = {j: base.graph.compose(lam, q) for j, q in enumerate(there) if not row[j]}
+            out = {j: g.compose(lam, q) for j, q in enumerate(there) if not row[j]}
             hit = self._comp[i] = (row, out)
         return hit
 
@@ -429,7 +428,7 @@ def _build_universe(g: KGraph, v: str, cap: Degree) -> VertexUniverse:
         suffix.append(suf)
     escapes = [[e.s for e in g.edges_at(lam.s) if lam.d[e.color - 1] == cap[e.color - 1]] for lam in paths]
     return VertexUniverse(
-        g, v, cap, paths, paths[1:], index, {p: i - 1 for p, i in index.items() if i},
+        v, cap, paths, paths[1:], index, {p: i - 1 for p, i in index.items() if i},
         _captured(prefix), _compat(paths, prefix), escapes, prefix, suffix,
     )
 
@@ -462,8 +461,7 @@ def _restrict_universe(gq: KGraph, v: str, cap: Degree, g: KGraph, H: FrozenSet[
             kept_bits[t - 1] = 1 << i
     escapes = [[s for s in up.escapes[t] if s not in H] for t in kept]
     return VertexUniverse(
-        gq, v, cap, paths, members, index, member_index,
-        captured, compat, escapes, prefix, suffix, up, kept_bits,
+        v, cap, paths, members, index, member_index, captured, compat, escapes, prefix, suffix, kept_bits,
     )
 
 

@@ -258,8 +258,8 @@ SetKey = Tuple[str, int]
 
 def _candidates(g: KGraph, v: str, cap: Degree) -> Dict[int, CertifiedBool]:
     """The capped candidates at v by member mask, in fe_sets order: the
-    one candidate table of the closures."""
-    return g.memo(("fe", v, cap), fe_sets, g, v, cap).by_vertex.get(v, {})
+    one candidate table of the closures, memoized as a plain table."""
+    return g.memo(("fe", v, cap), lambda: fe_sets(g, v, cap).by_vertex.get(v, {}))
 
 
 def _mask_key(mask: int) -> Tuple[int, ...]:
@@ -416,10 +416,11 @@ class _ScanResult(Record):
         return bool(self.taints or self.overflow or self.budget_hit or self.s4_missing)
 
 
-def _s2_walk(uni: VertexUniverse, family: Family) -> Iterator[Tuple[int, Path, int]]:
-    """The (S2) derivatives of the family's sets at uni's vertex that the
-    family lacks, as (member mask G, mu, derivative mask D), set by set in
-    family order and then by path id; D is 0 when the derivative is empty.
+def _s2_walk(g: KGraph, uni: VertexUniverse, family: Family) -> Iterator[Tuple[int, Path, int]]:
+    """The (S2) derivatives of the family's sets at the vertex of uni, g's
+    universe there, that the family lacks, as (member mask G, mu,
+    derivative mask D), set by set in family order and then by path id;
+    D is 0 when the derivative is empty.
 
     A path already extending G is skipped: its continuations include the
     identity.  No other path's continuations do."""
@@ -427,7 +428,7 @@ def _s2_walk(uni: VertexUniverse, family: Family) -> Iterator[Tuple[int, Path, i
         for i, mu in enumerate(uni.paths):
             if uni.captured[i] & gm:
                 continue
-            dmask = uni.ext_mask(i, gm) >> 1
+            dmask = uni.ext_mask(g, i, gm) >> 1
             if not dmask or dmask not in family.get(mu.s, ()):
                 yield gm, mu, dmask
 
@@ -484,7 +485,7 @@ def _scan_satiation(gq: KGraph, family: Family, cap: Degree, known_bad: Iterable
                 res.violations.append(("S1", (v, gm), None, (v, fmask)))
 
         # (S2): extensions along capped paths
-        for gm, mu, dmask in _s2_walk(uni, family):
+        for gm, mu, dmask in _s2_walk(gq, uni, family):
             if dmask:
                 demand("S2", (v, gm), mu, dmask, mu.s)
             else:
@@ -521,7 +522,7 @@ def _scan_satiation(gq: KGraph, family: Family, cap: Degree, known_bad: Iterable
             slmask at its source; None when capped out."""
             key = (i, slmask)
             if key not in prod_cache:
-                row, beyond = uni.compositions(i)
+                row, beyond = uni.compositions(gq, i)
                 part = 0
                 blocked = False
                 while slmask:
@@ -781,7 +782,7 @@ def _stripped_family(g: KGraph, H: FrozenSet[str], cap: Degree) -> SatiatedFamil
                 family.setdefault(key[0], {})[key[1]] = qcert(key)
         s2_misses: Dict[SetKey, List[Tuple[Path, int]]] = {}
         for v in family:
-            for gm, mu, dmask in _s2_walk(universe(gq, v, cap), family):
+            for gm, mu, dmask in _s2_walk(gq, universe(gq, v, cap), family):
                 if dmask:
                     s2_misses.setdefault((v, gm), []).append((mu, dmask))
         nbad = len(bad_quotient)
@@ -805,7 +806,7 @@ def _stripped_family(g: KGraph, H: FrozenSet[str], cap: Degree) -> SatiatedFamil
                 for E in strips[key]:
                     if E in bad_parent:
                         continue
-                    pmask = ug.ext_mask(iu, E[1]) >> 1
+                    pmask = ug.ext_mask(g, iu, E[1]) >> 1
                     if not pmask:
                         if refute(bad_parent, g, E, mu):
                             progress = True

@@ -860,7 +860,7 @@ def oracle_scan_satiation(gq: KGraph, family: Family, cap: Degree, extend: bool,
             for i, mu in enumerate(uni.paths):
                 if uni.captured[i] & gm:
                     continue
-                dmask = uni.ext_mask(i, gm) >> 1
+                dmask = uni.ext_mask(gq, i, gm) >> 1
                 if not dmask:
                     res.taints.append("S2-empty")
                 elif dmask not in family.get(mu.s, ()):
@@ -898,7 +898,7 @@ def oracle_scan_satiation(gq: KGraph, family: Family, cap: Degree, extend: bool,
             slmask at its source; None when capped out."""
             key = (i, slmask)
             if key not in prod_cache:
-                row, beyond = uni.compositions(i)
+                row, beyond = uni.compositions(gq, i)
                 part = 0
                 blocked = False
                 while slmask:
@@ -1092,7 +1092,7 @@ def oracle_stripped_family(g: KGraph, H: FrozenSet[str], cap: Degree) -> OracleS
                 for E in strips[key]:
                     if E in bad_parent:
                         continue
-                    pmask = ug.ext_mask(iu, E[1]) >> 1
+                    pmask = ug.ext_mask(g, iu, E[1]) >> 1
                     if not pmask:
                         if refute(bad_parent, g, E, mu):
                             progress = True

@@ -338,6 +338,8 @@ def test_is_exhaustive_rejects_identity_and_mixed_ranges(fx):
         is_exhaustive(g, [g.path(["b"]), g.identity("w")], (1, 1))
     with pytest.raises(KGraphError):  # a path of FX3 is no path of FX2
         is_exhaustive(fx["FX2"], [g.path(["c"])], (1, 1))
+    with pytest.raises(KGraphError, match="exhaustiveness needs a nonempty candidate set"):
+        is_exhaustive(g, [], (1, 1))
 
 
 def test_false_witness_avoidance_persists(fx):

@@ -1,6 +1,7 @@
 import gc
 import io
 import json
+import re
 import sys
 
 import pytest
@@ -11,6 +12,8 @@ from kgraphlat.align import MinPair
 from kgraphlat.certify import Certainty, false_certified, true_certified, unknown_at_cap
 from kgraphlat.cli import RunConfig, emit_dot_graph, emit_dot_lattice, main, run_with_status
 from kgraphlat.ideals import ideal_lattice
+from kgraphlat.kgraph import is_locally_convex
+from kgraphlat.randomgraphs import random_1graph, random_2graph
 from kgraphlat.textio import KGraphSyntaxError, emit_kgraph_text, parse_kgraph_text
 
 
@@ -51,10 +54,39 @@ def test_parse_square_deleted_fails_validation():
     assert doc.report.violations[0][0] == "incomplete-square"
 
 
+# each text has one syntax error, on the given line
+SYNTAX_ERRORS = [
+    ("kgraph 1\nkgraph 1\n", 2, "duplicate 'kgraph' header"),
+    ("vertex v\nkgraph 1\n", 1, "expected 'kgraph <k>' header first"),
+    ("kgraph 1\nvertex v w\n", 2, "expected 'vertex <id>'"),
+    ("kgraph 1\nvertex v\nvertex v\n", 3, "duplicate id 'v' (first used on line 2)"),
+    ("kgraph 1\nvertex v\nedge e : 1 v <-\n", 3, "expected 'edge <id> : <color> <range> <- <source>'"),
+    ("kgraph 2\nvertex v\nedge b : 1 v <- v\nedge r : 2 v <- v\nsquare b r r b\n", 5,
+     "expected 'square <f> <g> ~ <g2> <f2>'"),
+    ("# no header\n\nvertex v\n", 3, "expected 'kgraph <k>' header first"),
+    ("# a comment only\n\n", 1, "missing 'kgraph <k>' header"),
+]
+
+
 def test_parse_reports_position():
     with pytest.raises(KGraphSyntaxError) as exc:
         parse_kgraph_text("kgraph 1\nvortex v\n")
     assert exc.value.line == 2
+    for text, line, message in SYNTAX_ERRORS:
+        with pytest.raises(KGraphSyntaxError, match=re.escape(message)) as exc:
+            parse_kgraph_text(text)
+        assert exc.value.line == line, text
+    # comments and blank lines are skipped
+    clean = textio.FIXTURE_TEXTS["FX2"]
+    noted = "# the commuting square\n\n" + clean.replace("square b r ~ r b", "square b r ~ r b  # b.r = r.b") + "# end\n"
+    doc = parse_kgraph_text(noted)
+    assert doc.graph == parse_kgraph_text(clean).graph and doc.report.ok
+    with pytest.raises(KeyError, match="unknown fixture 'FX9'"):
+        textio.fixture("FX9")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(textio.FIXTURE_TEXTS, "FX9", clean.replace("square b r ~ r b\n", ""))
+        with pytest.raises(AssertionError, match="fixture FX9 does not validate"):
+            textio.fixture("FX9")
 
 
 def test_parse_unknown_square_edge():
@@ -149,6 +181,9 @@ def test_cli_unreadable_input_exit_2(tmp_path, capsys):
 def test_cli_missing_cap_exit_2(capsys):
     code, out, err = run_cli(capsys, "lattice", "FX4")
     assert code == 2 and "usage error" in err
+    # no input at all
+    code, out, err = run_cli(capsys, "lattice")
+    assert (code, out, err) == (2, "", "usage error: an input file (or FX1..FX6, or '-') is required\n")
 
 
 _CAP_COMMANDS = ("paths", "fe", "saturation", "sathered", "ehfamily", "satiate", "pairs",
@@ -397,6 +432,46 @@ def test_render_leaves_no_cyclic_garbage():
             assert gc.collect() == 0, fmt
         finally:
             gc.enable()
+
+
+def _locally_convex_queries():
+    """(label, text, cap) of the locally convex fixtures at caps 1-3 and
+    random 1- and 2-graphs of seeds 0-59 at cap 1."""
+    for name, text in sorted(textio.FIXTURE_TEXTS.items()):
+        g = parse_kgraph_text(text).graph
+        if is_locally_convex(g):
+            yield from ((f"{name} {c}", text, (c,) * g.k) for c in (1, 2, 3))
+    for make in (random_1graph, random_2graph):
+        for seed in range(60):
+            g = make(seed)
+            if is_locally_convex(g):
+                yield f"{make.__name__}({seed})", emit_kgraph_text(g), (1,) * g.k
+
+
+def test_query_leaves_no_cyclic_garbage():
+    """A lattice or report query on a locally convex graph builds no
+    quotient, and no memo entry of its graph holds the graph, so the
+    query's tables are freed by reference counting alone: after a run on
+    a freshly parsed graph, with the cyclic collector off, a collection
+    finds nothing.  The objects made before the queries are frozen, so
+    that each collection scans only what the queries made."""
+    seen = 0
+    gc.collect()
+    gc.freeze()
+    try:
+        for label, text, cap in _locally_convex_queries():
+            for command in ("lattice", "report"):
+                cfg = RunConfig(command=command, cap=cap, assumed_condition_C=command == "report")
+                gc.disable()
+                try:
+                    run_with_status(parse_kgraph_text(text), cfg)
+                    assert gc.collect() == 0, (label, command)
+                finally:
+                    gc.enable()
+                seen += 1
+    finally:
+        gc.unfreeze()
+    assert seen > 250
 
 
 def test_cli_stdin(capsys, monkeypatch):

@@ -32,6 +32,8 @@ def test_below_enumerates_box_in_canonical_order():
 def test_sub_leaves_monoid():
     with pytest.raises(ValueError):
         degrees.sub((1, 0), (0, 1))
+    with pytest.raises(ValueError, match=r"color 2 out of range 1\.\.1"):
+        degrees.unit(1, 2)
 
 
 @pytest.mark.parametrize("a, b", [((0,), (1,)), ((2, 1, 0), (1, 1, 1)), ((0, 3), (1, 0))])
@@ -49,3 +51,5 @@ def test_parse_broadcast_and_explicit():
         degrees.parse("2,1", 3)
     with pytest.raises(ValueError):
         degrees.parse("x", 1)
+    with pytest.raises(ValueError, match="empty degree literal ','"):
+        degrees.parse(",", 1)

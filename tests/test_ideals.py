@@ -514,9 +514,10 @@ def test_scan_matches_assignment_walk_oracle(monkeypatch):
         scans.append((gq, snapshot, cap, known_bad, res))
         return res
 
-    def recorded_walk(uni, family):
-        out = list(walk(uni, family))
-        walks.append((uni, {v: tuple(masks) for v, masks in family.items()}, out))
+    def recorded_walk(gq, uni, family):
+        assert uni is align.universe(gq, uni.vertex, uni.cap)  # the universe of the graph passed
+        out = list(walk(gq, uni, family))
+        walks.append((gq, uni, {v: tuple(masks) for v, masks in family.items()}, out))
         return iter(out)
 
     monkeypatch.setattr(ideals, "_scan_satiation", recorded)
@@ -559,11 +560,11 @@ def test_scan_matches_assignment_walk_oracle(monkeypatch):
         seen["S4 budget"] += any(b.startswith("S4") for b in res.budget_hit)
         seen["additions"] += bool(want.additions)
     misses = {}  # the oracle's s2_misses, by walked family
-    for uni, family, out in walks:
-        fkey = (uni.graph, uni.cap, tuple(sorted(family.items())))
+    for gq, uni, family, out in walks:
+        fkey = (gq, uni.cap, tuple(sorted(family.items())))
         if fkey not in misses:
             fam = {v: dict.fromkeys(masks) for v, masks in family.items()}
-            misses[fkey] = oracles.oracle_scan_satiation(uni.graph, fam, uni.cap, False).s2_misses
+            misses[fkey] = oracles.oracle_scan_satiation(gq, fam, uni.cap, False).s2_misses
         got = {}
         for gm, mu, dmask in out:
             if dmask:
@@ -603,10 +604,10 @@ def test_stripped_family_matches_eager_oracle(monkeypatch):
     rounds = []  # the family of each round, as the (S2) walks saw it
     walk = ideals._s2_walk
 
-    def counted(uni, family):
+    def counted(gq, uni, family):
         if not rounds or rounds[-1] is not family:
             rounds.append(family)
-        return walk(uni, family)
+        return walk(gq, uni, family)
 
     monkeypatch.setattr(ideals, "_s2_walk", counted)
     seen = collections.Counter()
@@ -766,6 +767,9 @@ def test_quotient_replay_matches_replay_on_the_quotient(monkeypatch):
     assert replays["lattice", True], replays
     # refuted only because every continuation in g has its source in H
     assert replays["sweep", True, True] and replays["sweep", False, False], replays
+    # a witness whose range is not the set's refutes nothing
+    g4 = textio.fixture("FX4")
+    assert not verify(g4, (g4.path(["e"]),), g4.path(["g"]))
 
 
 def test_pair_leq_examples(fx):
@@ -819,6 +823,9 @@ def test_pair_leq_rejects_cap_mismatch(fx):
     p3 = enumerate_ideal_pairs(g, (3,))[0]
     with pytest.raises(KGraphError):
         pair_leq(g, p2, p3)
+    other = enumerate_ideal_pairs(fx["FX1"], (2,))[0]  # same cap, another graph
+    with pytest.raises(KGraphError, match="pairs come from a different graph"):
+        pair_leq(g, p2, other)
 
 
 def test_pair_leq_is_partial_order(fx):

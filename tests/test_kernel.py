@@ -52,14 +52,14 @@ def _check_universe(g, v, cap, rng):
         escapes = [e.s for e in g.edges_at(lam.s) if not degrees.leq(g.compose(lam, g.path([e.eid])).d, cap)]
         assert uni.escapes[i] == escapes, lam
         there = align.universe(g, lam.s, cap)
-        row = uni.continuations(i)
+        row = uni.continuations(g, i)
         for j, mu in enumerate(uni.members):
             assert _paths_of(there, row[j]) == set(align.ext(g, lam, (mu,))), (lam, mu)
         for _ in range(3):
             emask = rng.getrandbits(len(uni.members))
             want = set(align.ext(g, lam, uni.set_of(emask)))
-            assert _paths_of(there, uni.ext_mask(i, emask)) == want
-        bits, beyond = uni.compositions(i)
+            assert _paths_of(there, uni.ext_mask(g, i, emask)) == want
+        bits, beyond = uni.compositions(g, i)
         for j, q in enumerate(there.members):
             prod = g.compose(lam, q)
             if degrees.leq(prod.d, cap):
@@ -164,23 +164,25 @@ def _hereditary_sets(g):
 def _assert_restriction_matches(gq, cap, seen):
     """Every universe of the quotient gq equals the one align._build_universe
     makes on an unlinked copy of gq: the same skeleton and squares, no
-    parent.  seen counts the members and escape row entries the
-    restrictions dropped."""
+    parent.  Its rows, filled on gq, equal the copy's, filled on the copy.
+    seen counts the members and escape row entries the restrictions
+    dropped."""
     fresh_graph = KGraph(gq.skeleton, gq.squares)
+    parent, _ = gq.memo(align.QUOTIENT_OF, tuple)
+    assert parent is not gq
     for v in gq.vertices:
         uq = align.universe(gq, v, cap)
         fresh = align._build_universe(fresh_graph, v, cap)
-        assert uq.graph is gq and uq.parent.graph is not gq
         for name in ("paths", "members", "index", "member_index", "captured", "compat", "prefix", "suffix"):
             assert getattr(uq, name) == getattr(fresh, name), (v, name)
         for i in range(len(uq.paths)):
             assert uq.escapes[i] == fresh.escapes[i], (v, i)
-            assert uq.continuations(i) == fresh.continuations(i), (v, i)
-            assert uq.compositions(i) == fresh.compositions(i), (v, i)
+            assert uq.continuations(gq, i) == fresh.continuations(fresh_graph, i), (v, i)
+            assert uq.compositions(gq, i) == fresh.compositions(fresh_graph, i), (v, i)
         if len(uq.members) <= 10:
             for emask in range(1 << len(uq.members)):
                 assert uq.classify(emask) == fresh.classify(emask), (v, emask)
-        up = uq.parent
+        up = align.universe(parent, v, cap)
         for j, p in enumerate(up.members):
             want = 1 << uq.member_index[p] if p in uq.member_index else 0
             assert uq.strip_mask(1 << j) == want, (v, p)
@@ -199,10 +201,14 @@ def test_restricted_universe_matches_fresh_build():
         for H in _hereditary_sets(g):
             _assert_restriction_matches(ideals.quotient_graph(g, H), cap, seen)
     g = random_2graph(75)  # members at v2: 5 in g, 3 in gq, 1 in gqq at (1,1)
-    gqq = ideals.quotient_graph(ideals.quotient_graph(g, {"v0"}), {"v1"})
+    gq = ideals.quotient_graph(g, {"v0"})
+    gqq = ideals.quotient_graph(gq, {"v1"})
+    (link1, H1), (link0, H0) = gqq.memo(align.QUOTIENT_OF, tuple), gq.memo(align.QUOTIENT_OF, tuple)
+    assert link1 is gq and link0 is g and (H1, H0) == ({"v1"}, {"v0"})
     for cap in ((1, 1), (2, 1)):
         _assert_restriction_matches(gqq, cap, seen)
-        assert align.universe(gqq, "v2", cap).parent.parent.graph is g
+        # gqq's universe restricts gq's, which restricts g's: g's was built for it
+        assert ("universe", "v2", cap) in g._cache
     # restrictions that drop nothing would pass vacuously
     assert seen["members"] and seen["escapes"], seen
 

@@ -60,6 +60,8 @@ def test_skeleton_build_rejects_duplicate_and_colliding_edge_ids():
         Skeleton.build(1, ["v"], [("e", 1, "v", "v"), ("e", 1, "v", "v")])
     with pytest.raises(KGraphError, match="^edge id 'v' collides with a vertex id$"):
         Skeleton.build(1, ["v"], [("v", 1, "v", "v")])
+    with pytest.raises(KGraphError, match="^rank must be >= 1, got 0$"):
+        Skeleton.build(0, ["v"], [])
 
 
 def test_malformed_square_reported(fx):
@@ -313,6 +315,8 @@ def test_compose_rejects_mismatch(fx):
     e = g.path(["e"])
     with pytest.raises(NonComposableError):
         g.compose(e, e)
+    with pytest.raises(NonComposableError, match=re.escape("edge sequence ['e', 'e'] is not composable")):
+        g.path(["e", "e"])
 
 
 def test_path_of_no_edges_raises(fx):
@@ -320,6 +324,8 @@ def test_path_of_no_edges_raises(fx):
     for seq in ([], ()):
         with pytest.raises(KGraphError, match=re.escape("empty path needs a vertex")):
             fx["FX4"].path(seq)
+    with pytest.raises(KGraphError, match=re.escape("unknown edge 'zz'")):
+        fx["FX4"].edge("zz")
 
 
 def test_segment_examples(fx):
@@ -331,6 +337,8 @@ def test_segment_examples(fx):
     assert mid.is_vertex and mid.r == "v"
     with pytest.raises(SegmentBoundsError):
         g.segment(br, (1, 1), (0, 0))
+    with pytest.raises(SegmentBoundsError, match=re.escape("split degree (2, 0) exceeds d(p) = (1, 1)")):
+        g.split(br, (2, 0))
 
 
 @pytest.mark.parametrize("method", ["split", "prefix", "segment"])
@@ -586,7 +594,9 @@ def test_universe_errors_survive_memo_hits(fx):
                 align.universe(gq, v, (1,))
         with pytest.raises(ValueError, match=re.escape("degree (1, 1) has length 2, expected rank 1")):
             align.universe(gq, "v", (1, 1))
-        assert align.universe(gq, "v", (1,)).parent is align.universe(g4, "v", (1,))
+        # building the quotient's universe left g4's, which it restricts, in g4's memo
+        align.universe(gq, "v", (1,))
+        assert g4._cache.get(("universe", "v", (1,))) is align.universe(g4, "v", (1,))
 
 
 def test_finite_alignment_by_construction(fx):

@@ -31,8 +31,8 @@ FIELDS = {
     CertifiedBool: ("value", "witness", "cap"),
     RunConfig: ("command", "cap", "fmt", "require_exact", "assumed_condition_C", "seed",
                 "vertex", "mu", "nu", "setarg", "radius", "rank"),
-    VertexUniverse: ("graph", "vertex", "cap", "paths", "members", "index", "member_index", "captured",
-                     "compat", "escapes", "prefix", "suffix", "parent", "_kept_bits", "_cont", "_comp"),
+    VertexUniverse: ("vertex", "cap", "paths", "members", "index", "member_index", "captured",
+                     "compat", "escapes", "prefix", "suffix", "_kept_bits", "_cont", "_comp"),
     FEFamily: ("graph", "cap", "by_vertex"),
     VertexSet: ("members", "hereditary", "saturated"),
     SatiatedFamily: ("base", "cap", "refuted_parents", "quotient_refuted", "tainted", "_checked", "_known_bad"),
@@ -49,7 +49,7 @@ FIELDS = {
 }
 # the fields that take no part in equality, hash and repr
 HIDDEN = {
-    VertexUniverse: ("graph", "parent", "_kept_bits", "_cont", "_comp"),
+    VertexUniverse: ("_kept_bits", "_cont", "_comp"),
     FEFamily: ("graph",),
     SatiatedFamily: ("_checked", "_known_bad"),
     IdealPair: ("graph", "closure"),
