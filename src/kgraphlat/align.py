@@ -28,10 +28,6 @@ PathSet = FrozenSet[Path]
 # 2^MAX_FE_MEMBERS candidate sets are enumerated per vertex; refuse beyond this.
 MAX_FE_MEMBERS = 18
 
-# Memo key under which a quotient graph records (parent graph, H); a graph
-# that is no quotient stores () there on first read.
-QUOTIENT_OF = "quotient of"
-
 
 class MinPair(NamedTuple):
     alpha: Path
@@ -217,7 +213,7 @@ def vee_closure(g: KGraph, E: Iterable[Path]) -> Tuple[Path, ...]:
 # -- cap-bounded exhaustiveness ------------------------------------------------
 
 
-class VertexUniverse(Record, hidden=("_kept_bits", "_cont", "_comp")):
+class VertexUniverse(Record, hidden=("_cont", "_comp")):
     """The capped paths at one vertex, numbered, with the tables that let
     path sets at the vertex be carried as bitmasks.
 
@@ -241,20 +237,22 @@ class VertexUniverse(Record, hidden=("_kept_bits", "_cont", "_comp")):
     member, the answer is unknown exactly when some uncaptured path has a
     nonempty escape row.
 
-    The universe of a quotient graph by H restricts its parent's at the
-    vertex to the paths with source outside H, renumbered in the same
-    order; ``strip_mask`` carries a member mask of the parent's across.
+    The universe of a quotient graph by H, built by _quotient_universe,
+    restricts its parent's at the vertex to the paths with source outside
+    H, renumbered in the same order.  It holds no link to the parent: a
+    caller that holds both graphs maps a parent member to its bit here
+    through ``member_index``.
     """
 
     _fields = ("vertex", "cap", "paths", "members", "index", "member_index", "captured",
-               "compat", "escapes", "prefix", "suffix", "_kept_bits", "_cont", "_comp")
+               "compat", "escapes", "prefix", "suffix", "_cont", "_comp")
     # weakly referable: perfbench/run.py counts each universe once by a WeakValueDictionary
     __slots__ = _fields + ("__weakref__",)
 
     def __init__(self, vertex: str, cap: Degree, paths: Tuple[Path, ...], members: Tuple[Path, ...],
                  index: Dict[Path, int], member_index: Dict[Path, int], captured: List[int], compat: List[int],
                  escapes: List[List[str]], prefix: List[Dict[Degree, int]], suffix: List[Dict[Degree, Path]],
-                 _kept_bits: Optional[List[int]] = None, _cont: Optional[Dict[int, List[int]]] = None,
+                 _cont: Optional[Dict[int, List[int]]] = None,
                  _comp: Optional[Dict[int, Tuple[List[int], Dict[int, Path]]]] = None):
         self.vertex = vertex
         self.cap = cap
@@ -267,9 +265,6 @@ class VertexUniverse(Record, hidden=("_kept_bits", "_cont", "_comp")):
         self.escapes = escapes
         self.prefix = prefix
         self.suffix = suffix
-        # parent member j -> its member bit here, 0 when dropped; None when
-        # the restriction drops no member
-        self._kept_bits = _kept_bits
         self._cont = {} if _cont is None else _cont
         self._comp = {} if _comp is None else _comp
 
@@ -327,14 +322,6 @@ class VertexUniverse(Record, hidden=("_kept_bits", "_cont", "_comp")):
         for the member set E given by emask.  Bit 0 (the identity) is set
         only when paths[i] extends a member of E."""
         return _union_of_bits(self.continuations(g, i), emask)
-
-    def strip_mask(self, pmask: int) -> int:
-        """Member mask here of the members of the parent's universe in
-        pmask that the restriction keeps: on a quotient by H, the strip
-        of the set by H.  A universe with no parent keeps every member."""
-        if self._kept_bits is None:
-            return pmask
-        return _union_of_bits(self._kept_bits, pmask)
 
     def compositions(self, g: KGraph, i: int) -> Tuple[List[int], Dict[int, Path]]:
         """Row i of the composition table, over the members of g's universe
@@ -446,7 +433,6 @@ def _restrict_universe(gq: KGraph, v: str, cap: Degree, g: KGraph, H: FrozenSet[
     if len(kept) == len(up.paths):
         paths, members, index, member_index = up.paths, up.members, up.index, up.member_index
         captured, compat, prefix, suffix = up.captured, up.compat, up.prefix, up.suffix
-        kept_bits = None
     else:
         paths = tuple(up.paths[t] for t in kept)
         members = paths[1:]
@@ -456,25 +442,24 @@ def _restrict_universe(gq: KGraph, v: str, cap: Degree, g: KGraph, H: FrozenSet[
         prefix = [{m: new[p] for m, p in up.prefix[t].items()} for t in kept]
         suffix = [up.suffix[t] for t in kept]
         captured, compat = _captured(prefix), _compat(paths, prefix)
-        kept_bits = [0] * len(up.members)
-        for i, t in enumerate(kept[1:]):
-            kept_bits[t - 1] = 1 << i
     escapes = [[s for s in up.escapes[t] if s not in H] for t in kept]
     return VertexUniverse(
-        v, cap, paths, members, index, member_index, captured, compat, escapes, prefix, suffix, kept_bits,
+        v, cap, paths, members, index, member_index, captured, compat, escapes, prefix, suffix,
     )
-
-
-def _make_universe(g: KGraph, v: str, cap: Degree) -> VertexUniverse:
-    quotient_of = g.memo(QUOTIENT_OF, tuple)
-    if quotient_of:
-        return _restrict_universe(g, v, cap, *quotient_of)
-    return _build_universe(g, v, cap)
 
 
 def _universe(g: KGraph, v: str, cap: Degree) -> VertexUniverse:
     # for callers that hold a checked cap
-    return g.memo(("universe", v, cap), _make_universe, g, v, cap)
+    return g.memo(("universe", v, cap), _build_universe, g, v, cap)
+
+
+def _quotient_universe(gq: KGraph, v: str, cap: Degree, g: KGraph, H: FrozenSet[str]) -> VertexUniverse:
+    """The universe of gq = quotient_graph(g, H) at v and a checked cap:
+    gq's memo entry, else the restriction of g's.  gq holds no link to
+    g, so the caller that holds both passes them; a lookup on gq alone
+    builds the universe afresh, equal to the restriction but with path
+    arithmetic on gq."""
+    return gq.memo(("universe", v, cap), _restrict_universe, gq, v, cap, g, H)
 
 
 def universe(g: KGraph, v: str, cap: Degree) -> VertexUniverse:

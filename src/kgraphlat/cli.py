@@ -204,7 +204,8 @@ def _parse_pathset(g: KGraph, literal: str) -> List[Path]:
 
 
 def _parse_vertexset(g: KGraph, literal: Optional[str]) -> List[str]:
-    vs = [tok for tok in (literal or "").split(",") if tok]
+    # a set: each vertex once, in the order first given
+    vs = list(dict.fromkeys(tok for tok in (literal or "").split(",") if tok))
     for v in vs:
         g.require_vertex(v)
     return vs

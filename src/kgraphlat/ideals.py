@@ -14,10 +14,10 @@ from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tup
 
 from . import degrees
 from .align import (
-    QUOTIENT_OF,
     FEFamily,
     PathSet,
     VertexUniverse,
+    _quotient_universe,
     _union_of_bits,
     ext,
     fe_sets,
@@ -225,9 +225,11 @@ def quotient_graph(g: KGraph, H: Iterable[str]) -> KGraph:
     A path of g with source outside H has every vertex outside H: an edge
     with range in H has its source in H, so a path that enters H stays
     there.  Its edges and every factorization of it therefore lie in the
-    quotient, where it has the same normal form.  The quotient records g
-    and H in its memo, and its capped universes are restrictions of g's.
-    With H empty the quotient is g itself, which then shares its memo."""
+    quotient, where it has the same normal form.  g's memo holds the
+    quotient, which holds no link back to g: the callers that hold g and
+    H pass them to align._quotient_universe, which restricts g's capped
+    universes, and to _verify_refutation.  With H empty the quotient is g
+    itself, which then shares its memo."""
     H = frozenset(H)
     if not is_hereditary(g, H):
         raise KGraphError(f"quotient needs a hereditary set, got {fmt_vertexset(H)}")
@@ -246,9 +248,7 @@ def _quotient(g: KGraph, H: FrozenSet[str]) -> KGraph:
     edges = [(e.eid, e.color, e.r, e.s) for e in g.edges if e.s not in H]
     kept = {e[0] for e in edges}
     squares = [sq for sq in g.squares if all(x in kept for x in (*sq.lhs, *sq.rhs))]
-    gq = KGraph(Skeleton.build(g.k, verts, edges), squares)
-    gq.memo(QUOTIENT_OF, lambda: (g, H))
-    return gq
+    return KGraph(Skeleton.build(g.k, verts, edges), squares)
 
 
 # A set inside the package is (vertex, member mask) in the universe of its
@@ -296,22 +296,17 @@ def _strip(E: PathSet, H: FrozenSet[str]) -> PathSet:
     return frozenset(p for p in E if p.s not in H)
 
 
-def _verify_refutation(g: KGraph, E: PathSet, tau: Path) -> bool:
-    """Exact replay: tau has the right range and no continuation meets E.
+def _verify_refutation(g: KGraph, E: PathSet, tau: Path, H: FrozenSet[str]) -> bool:
+    """Exact replay on gq = quotient_graph(g, H): tau has the right range
+    and no continuation there meets E.
 
-    A path of quotient_graph(g, H) is a path of g with source outside H,
-    so a minimal common extension there is one in g with source outside
-    H, and ext(gq, tau, E) = {alpha in ext(g, tau, E) : s(alpha) not in H}.
-    On a quotient, and on a quotient of a quotient, the replay runs on the
-    root graph, and no path arithmetic runs on the quotient."""
+    A path of gq is a path of g with source outside H, so a minimal
+    common extension there is one in g with source outside H, and
+    ext(gq, tau, E) = {alpha in ext(g, tau, E) : s(alpha) not in H}.  The
+    replay runs ext on g, so no path arithmetic runs on the quotient; with
+    H empty it replays on g itself."""
     if tau.r != next(iter(E)).r:
         return False
-    H: FrozenSet[str] = frozenset()
-    quotient_of = g.memo(QUOTIENT_OF, tuple)
-    while quotient_of:
-        g, more = quotient_of
-        H |= more
-        quotient_of = g.memo(QUOTIENT_OF, tuple)
     return all(alpha.s in H for alpha in ext(g, tau, E))
 
 
@@ -688,12 +683,15 @@ def _stripped_family(g: KGraph, H: FrozenSet[str], cap: Degree) -> SatiatedFamil
     for v in g.vertices:
         if v in H:
             continue
-        uq = universe(gq, v, cap)  # the restriction of g's universe at v
-        for emask, cert in _candidates(g, v, cap).items():
-            smask = uq.strip_mask(emask)
-            parents.append(((v, emask), smask))
-            if gq is g:  # the strip is the parent, certificate included
-                qcerts[(v, smask)] = cert
+        table = _candidates(g, v, cap)
+        if gq is g:  # the strip is the parent, certificate included
+            parents.extend(((v, emask), emask) for emask in table)
+            qcerts.update(((v, emask), cert) for emask, cert in table.items())
+            continue
+        # a member of g's universe at v keeps its bit in gq's, or is stripped
+        at = _quotient_universe(gq, v, cap, g, H).member_index
+        bits = [1 << at[p] if p in at else 0 for p in universe(g, v, cap).members]
+        parents.extend(((v, emask), _union_of_bits(bits, emask)) for emask in table)
     qkey = _set_sort_key(gq, cap)
     # every strip in set_sort_key order; later rounds only lose strips
     order = sorted({(E[0], smask) for E, smask in parents if smask}, key=qkey)
@@ -710,8 +708,9 @@ def _stripped_family(g: KGraph, H: FrozenSet[str], cap: Degree) -> SatiatedFamil
         return cert
 
     def refute(bad: Dict[SetKey, Path], gx: KGraph, key: SetKey, tau: Path) -> bool:
-        """Record tau against the set key of gx (a parent or a strip) if it replays."""
-        if key in bad or not _verify_refutation(gx, _set(gx, key, cap), tau):
+        """Record tau against the set key of gx (a parent or a strip) if it
+        replays, on g for a parent and on the quotient by H for a strip."""
+        if key in bad or not _verify_refutation(g, _set(gx, key, cap), tau, H if gx is gq else frozenset()):
             return False
         bad[key] = tau
         return True
@@ -979,7 +978,7 @@ def enumerate_ideal_pairs(g: KGraph, cap: Degree) -> List[IdealPair]:
 
         def certified_non_fe(D: SetKey) -> bool:
             v, dmask = D
-            return any(yv == v and not dmask & ~ymask and _verify_refutation(gq, _set(gq, D, cap), tau)
+            return any(yv == v and not dmask & ~ymask and _verify_refutation(g, _set(gq, D, cap), tau, H)
                        for yv, ymask, tau in refutations)
 
         key = _set_sort_key(gq, cap)

@@ -977,9 +977,11 @@ def oracle_stripped_family(g: KGraph, H: FrozenSet[str], cap: Degree) -> OracleS
     for v in g.vertices:
         if v in H:
             continue
-        uq = universe(gq, v, cap)  # the restriction of g's universe at v
+        # the strip of a parent: its members with source outside H, each
+        # at its bit in gq's universe, however that universe was built
+        ug, uq = universe(g, v, cap), universe(gq, v, cap)
         for emask, cert in _candidates(g, v, cap).items():
-            smask = uq.strip_mask(emask)
+            smask = uq.mask_of(p for p in ug.set_of(emask) if p.s not in H)
             parents.append(((v, emask), smask))
             if gq is g:  # the strip is the parent, certificate included
                 qcerts[(v, smask)] = cert
@@ -1000,7 +1002,7 @@ def oracle_stripped_family(g: KGraph, H: FrozenSet[str], cap: Degree) -> OracleS
 
     def refute(bad: Dict[SetKey, Path], gx: KGraph, key: SetKey, tau: Path) -> bool:
         """Record tau against the set key of gx (a parent or a strip) if it replays."""
-        if key in bad or not _verify_refutation(gx, _set(gx, key, cap), tau):
+        if key in bad or not _verify_refutation(g, _set(gx, key, cap), tau, H if gx is gq else frozenset()):
             return False
         bad[key] = tau
         return True
@@ -1202,7 +1204,7 @@ def oracle_enumerate_ideal_pairs(g: KGraph, cap: Degree) -> List[OracleIdealPair
 
         def certified_non_fe(D: SetKey) -> bool:
             v, dmask = D
-            return any(yv == v and not dmask & ~ymask and _verify_refutation(gq, _set(gq, D, cap), tau)
+            return any(yv == v and not dmask & ~ymask and _verify_refutation(g, _set(gq, D, cap), tau, H)
                        for yv, ymask, tau in refutations)
 
         key = _set_sort_key(gq, cap)

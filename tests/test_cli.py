@@ -3,6 +3,7 @@ import io
 import json
 import re
 import sys
+from collections import Counter
 
 import pytest
 
@@ -289,6 +290,18 @@ def test_cli_determinism_across_commands(capsys):
         assert code1 == code2
         assert out1 == out2, argv
         assert out1, argv
+    # --set names a set: a repeated vertex is reported once, and the output
+    # is that of the set given without the repeat
+    for argv, once, field, members in [
+        (("quotient", "FX4", "--set", "u,u"), ("quotient", "FX4", "--set", "u"), "H", ["u"]),
+        (("satiate", "FX4", "--set", "w,u,w", "--cap", "1"), ("satiate", "FX4", "--set", "u,w", "--cap", "1"),
+         "H", ["u", "w"]),
+        (("saturation", "FX4", "--set", "w,w", "--cap", "1"), ("saturation", "FX4", "--set", "w", "--cap", "1"),
+         "input", ["w"]),
+    ]:
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and json.loads(out)["result"][field] == members, argv
+        assert (code, out) == run_cli(capsys, *once)[:2], argv
 
 
 # The parser splits on whitespace, so ids may hold a quote, a backslash or
@@ -434,44 +447,51 @@ def test_render_leaves_no_cyclic_garbage():
             gc.enable()
 
 
-def _locally_convex_queries():
-    """(label, text, cap) of the locally convex fixtures at caps 1-3 and
-    random 1- and 2-graphs of seeds 0-59 at cap 1."""
-    for name, text in sorted(textio.FIXTURE_TEXTS.items()):
+def _cyclic_free_queries():
+    """(label, text, config, locally convex) of lattice and report on the
+    fixtures at caps 1-3 and on random 1- and 2-graphs of seeds 0-99 at
+    cap 1 (the fuzz-sweep inputs), locally convex or not, and of ehfamily
+    and satiate with a nonempty H."""
+    graphs = [(name, text, c) for name, text in sorted(textio.FIXTURE_TEXTS.items()) for c in (1, 2, 3)]
+    graphs += [(f"{make.__name__}({seed})", emit_kgraph_text(make(seed)), 1)
+               for make in (random_1graph, random_2graph) for seed in range(100)]
+    for label, text, c in graphs:
         g = parse_kgraph_text(text).graph
-        if is_locally_convex(g):
-            yield from ((f"{name} {c}", text, (c,) * g.k) for c in (1, 2, 3))
-    for make in (random_1graph, random_2graph):
-        for seed in range(60):
-            g = make(seed)
-            if is_locally_convex(g):
-                yield f"{make.__name__}({seed})", emit_kgraph_text(g), (1,) * g.k
+        cap, convex = (c,) * g.k, is_locally_convex(g)
+        for command in ("lattice", "report"):
+            cfg = RunConfig(command=command, cap=cap, assumed_condition_C=command == "report")
+            yield f"{label} {cap}", text, cfg, convex
+    for label, text, cap, H in [("FX4", textio.FIXTURE_TEXTS["FX4"], (2,), "w"),
+                                ("random_2graph(41)", emit_kgraph_text(random_2graph(41)), (1, 1), "v1")]:
+        for command in ("ehfamily", "satiate"):
+            yield f"{label} {cap} --set {H}", text, RunConfig(command=command, cap=cap, setarg=H), False
 
 
 def test_query_leaves_no_cyclic_garbage():
-    """A lattice or report query on a locally convex graph builds no
-    quotient, and no memo entry of its graph holds the graph, so the
-    query's tables are freed by reference counting alone: after a run on
-    a freshly parsed graph, with the cyclic collector off, a collection
-    finds nothing.  The objects made before the queries are frozen, so
-    that each collection scans only what the queries made."""
-    seen = 0
+    """No memo entry of a graph holds the graph, and a quotient holds no
+    link to its parent, so a query's tables are freed by reference
+    counting alone: after a run on a freshly parsed graph, with the
+    cyclic collector off, a collection finds nothing.  This holds for
+    lattice and report on every graph, quotients included, and for a
+    stripped family of a nonempty H; the family of H = {} still holds
+    its graph.  The objects made before the queries are frozen, so that
+    each collection scans only what the queries made."""
+    queries = list(_cyclic_free_queries())
+    seen = Counter()
     gc.collect()
     gc.freeze()
     try:
-        for label, text, cap in _locally_convex_queries():
-            for command in ("lattice", "report"):
-                cfg = RunConfig(command=command, cap=cap, assumed_condition_C=command == "report")
-                gc.disable()
-                try:
-                    run_with_status(parse_kgraph_text(text), cfg)
-                    assert gc.collect() == 0, (label, command)
-                finally:
-                    gc.enable()
-                seen += 1
+        for label, text, cfg, convex in queries:
+            gc.disable()
+            try:
+                run_with_status(parse_kgraph_text(text), cfg)
+                assert gc.collect() == 0, (label, cfg.command)
+            finally:
+                gc.enable()
+            seen[convex] += 1
     finally:
         gc.unfreeze()
-    assert seen > 250
+    assert seen[True] > 400 and seen[False] > 30, seen
 
 
 def test_cli_stdin(capsys, monkeypatch):

@@ -695,11 +695,12 @@ def _replay_on_quotient(gq, E, tau):
 
 
 def _quotients(g):
-    """The quotient by every proper nonempty hereditary H, saturated or not."""
+    """Every proper nonempty hereditary H, saturated or not, with the
+    quotient by it."""
     for n in range(1, len(g.vertices)):
         for H in itertools.combinations(g.vertices, n):
             if is_hereditary(g, H):
-                yield ideals.quotient_graph(g, H)
+                yield frozenset(H), ideals.quotient_graph(g, H)
 
 
 _SQUARES_INTO_H = """kgraph 2
@@ -725,22 +726,23 @@ square c s1 ~ s c1
 
 
 def test_quotient_replay_matches_replay_on_the_quotient(monkeypatch):
-    """A refutation on a quotient is replayed through its root graph: ext
-    there, keeping the continuations with source outside H.  On every
-    replay that the pair enumeration makes over the inputs above, that
-    answers as ext on the quotient does.  Those replays all refute, with
-    no continuation in the root graph either, so every capped path and
-    single member at each vertex is replayed as well, on the quotient by
-    each hereditary H of the inputs at their smallest cap, and on a
-    quotient of a quotient where each H decides an answer: there,
-    continuations with source in H decide some answers."""
+    """A refutation on the quotient of g by H is replayed on g: ext there,
+    keeping the continuations with source outside H.  On every replay
+    that the pair enumeration makes over the inputs above, that answers
+    as ext on the quotient does.  Those replays all refute, with no
+    continuation in g either, so every capped path and single member at
+    each vertex is replayed as well, on the quotient by each hereditary H
+    of the inputs at their smallest cap, and on a quotient of a quotient
+    where each H decides an answer, replayed on g with the union of the
+    two H: there, continuations with source in H decide some answers."""
     replays = collections.Counter()
     verify = ideals._verify_refutation
 
-    def compared(g, E, tau):
-        got = verify(g, E, tau)
-        assert got == _replay_on_quotient(g, E, tau), (g.vertices, E, tau)
-        replays["lattice", g.memo(align.QUOTIENT_OF, tuple) != ()] += 1
+    def compared(g, E, tau, H):
+        got = verify(g, E, tau, H)
+        gq = ideals.quotient_graph(g, H)
+        assert got == _replay_on_quotient(gq, E, tau), (g.vertices, H, E, tau)
+        replays["lattice", H != frozenset()] += 1
         return got
 
     monkeypatch.setattr(ideals, "_verify_refutation", compared)
@@ -751,17 +753,17 @@ def test_quotient_replay_matches_replay_on_the_quotient(monkeypatch):
         except RuntimeError:  # over the fe enumeration limit
             continue
         if max(cap) == 1:
-            swept.extend((label, g, gq, cap) for gq in _quotients(g))
+            swept.extend((label, g, H, gq, cap) for H, gq in _quotients(g))
     # the square on b and r closes only at h, the one on c and s only at z:
     # neither pair has a common extension in the quotient by {h}, then {z}
     g = textio.parse_kgraph_text(_SQUARES_INTO_H).graph
     gqq = ideals.quotient_graph(ideals.quotient_graph(g, {"h"}), {"z"})
-    swept.append(("squares into h and z / {h} / {z}", g, gqq, (1, 1)))
-    for label, g, gq, cap in swept:
+    swept.append(("squares into h and z / {h} / {z}", g, frozenset({"h", "z"}), gqq, (1, 1)))
+    for label, g, H, gq, cap in swept:
         for v in gq.vertices:
             uq = align.universe(gq, v, cap)
             for tau, m in itertools.product(uq.paths, uq.members):
-                got = verify(gq, (m,), tau)
+                got = verify(g, (m,), tau, H)
                 assert got == _replay_on_quotient(gq, (m,), tau), (label, gq.vertices, tau, m)
                 replays["sweep", got, got and bool(align.ext(g, tau, (m,)))] += 1
     assert replays["lattice", True], replays
@@ -769,7 +771,7 @@ def test_quotient_replay_matches_replay_on_the_quotient(monkeypatch):
     assert replays["sweep", True, True] and replays["sweep", False, False], replays
     # a witness whose range is not the set's refutes nothing
     g4 = textio.fixture("FX4")
-    assert not verify(g4, (g4.path(["e"]),), g4.path(["g"]))
+    assert not verify(g4, (g4.path(["e"]),), g4.path(["g"]), frozenset())
 
 
 def test_pair_leq_examples(fx):

@@ -161,17 +161,24 @@ def _hereditary_sets(g):
                 yield frozenset(H)
 
 
-def _assert_restriction_matches(gq, cap, seen):
-    """Every universe of the quotient gq equals the one align._build_universe
-    makes on an unlinked copy of gq: the same skeleton and squares, no
-    parent.  Its rows, filled on gq, equal the copy's, filled on the copy.
-    seen counts the members and escape row entries the restrictions
-    dropped."""
+def _assert_restriction_matches(parent, H, cap, seen):
+    """Every universe of the quotient gq of parent by H, restricted from
+    the parent's, equals the one align._build_universe makes on a copy of
+    gq: the same skeleton and squares.  Its rows, filled on gq, equal the
+    copy's, filled on the copy, and its members are the parent's with
+    source outside H, in the same order.  seen counts the members and
+    escape row entries the restrictions dropped."""
+    gq = ideals.quotient_graph(parent, H)
+    assert gq is not parent
     fresh_graph = KGraph(gq.skeleton, gq.squares)
-    parent, _ = gq.memo(align.QUOTIENT_OF, tuple)
-    assert parent is not gq
+    # every universe of gq is a restriction before any row is filled: a
+    # row reads the universe at another vertex, which a lookup on gq alone
+    # would build afresh
+    assert not any(("universe", v, cap) in gq._cache for v in gq.vertices)
+    restricted = {v: align._quotient_universe(gq, v, cap, parent, H) for v in gq.vertices}
     for v in gq.vertices:
-        uq = align.universe(gq, v, cap)
+        uq = restricted[v]
+        assert align.universe(gq, v, cap) is uq
         fresh = align._build_universe(fresh_graph, v, cap)
         for name in ("paths", "members", "index", "member_index", "captured", "compat", "prefix", "suffix"):
             assert getattr(uq, name) == getattr(fresh, name), (v, name)
@@ -183,9 +190,7 @@ def _assert_restriction_matches(gq, cap, seen):
             for emask in range(1 << len(uq.members)):
                 assert uq.classify(emask) == fresh.classify(emask), (v, emask)
         up = align.universe(parent, v, cap)
-        for j, p in enumerate(up.members):
-            want = 1 << uq.member_index[p] if p in uq.member_index else 0
-            assert uq.strip_mask(1 << j) == want, (v, p)
+        assert uq.members == tuple(p for p in up.members if p.s not in H), v
         seen["members"] += len(up.members) - len(uq.members)
         seen["escapes"] += sum(len(up.escapes[up.index[p]]) - len(uq.escapes[i]) for i, p in enumerate(uq.paths))
 
@@ -199,18 +204,54 @@ def test_restricted_universe_matches_fresh_build():
     for _, g, cap in _pair_inputs():
         assert ideals.quotient_graph(g, ()) is g
         for H in _hereditary_sets(g):
-            _assert_restriction_matches(ideals.quotient_graph(g, H), cap, seen)
+            _assert_restriction_matches(g, H, cap, seen)
     g = random_2graph(75)  # members at v2: 5 in g, 3 in gq, 1 in gqq at (1,1)
     gq = ideals.quotient_graph(g, {"v0"})
-    gqq = ideals.quotient_graph(gq, {"v1"})
-    (link1, H1), (link0, H0) = gqq.memo(align.QUOTIENT_OF, tuple), gq.memo(align.QUOTIENT_OF, tuple)
-    assert link1 is gq and link0 is g and (H1, H0) == ({"v1"}, {"v0"})
     for cap in ((1, 1), (2, 1)):
-        _assert_restriction_matches(gqq, cap, seen)
-        # gqq's universe restricts gq's, which restricts g's: g's was built for it
+        assert ("universe", "v2", cap) not in g._cache
+        _assert_restriction_matches(g, frozenset({"v0"}), cap, seen)
+        # gq's universe restricts g's: g's was built for it
         assert ("universe", "v2", cap) in g._cache
+        # gqq's universe restricts gq's, which is that restriction
+        _assert_restriction_matches(gq, frozenset({"v1"}), cap, seen)
     # restrictions that drop nothing would pass vacuously
     assert seen["members"] and seen["escapes"], seen
+
+
+def _stripped_fields(sf):
+    return (sf.base.by_vertex, sf.refuted_parents, sf.quotient_refuted, sf.tainted, sf.satiated, sf.overflow)
+
+
+def test_strip_bits_do_not_depend_on_how_the_quotient_universe_was_built():
+    """A caller can look up the quotient's universes before the stripped
+    family is built, so that they are built afresh on the quotient rather
+    than restricted from g's.  The family reads each strip's bits off g's
+    universe and the quotient's member_index, so on every input of
+    _pair_inputs that is not locally convex and every nonempty hereditary
+    H it equals, on every field, the family of a freshly parsed copy built
+    in the usual order."""
+    seen = Counter()
+    for label, g, cap in _pair_inputs():
+        if is_locally_convex(g):
+            continue
+        text = textio.emit_kgraph_text(g)
+        for H in _hereditary_sets(g):
+            gq = ideals.quotient_graph(g, H)
+            try:
+                for v in gq.vertices:
+                    align.fe_sets(gq, v, cap)
+                got = ideals.restricted_fe_family(g, H, cap)
+            except RuntimeError:  # over the fe enumeration limit
+                seen["refused"] += 1
+                continue
+            want = ideals.restricted_fe_family(textio.parse_kgraph_text(text).graph, H, cap)
+            assert _stripped_fields(got) == _stripped_fields(want), (label, H)
+            seen["compared"] += 1
+            seen["dropped"] += any(len(align.universe(g, v, cap).members) > len(align.universe(gq, v, cap).members)
+                                   for v in gq.vertices)
+            seen["refuted"] += bool(got.refuted_parents or got.quotient_refuted)
+    # 198 compared, 96 with a strip that drops members, 15 with refutations
+    assert seen["compared"] > 150 and seen["dropped"] > 50 and seen["refuted"] and not seen["refused"], seen
 
 
 def _counting(monkeypatch, owner, names):
@@ -415,19 +456,21 @@ def test_lattice_memo_stores_no_split_or_ext():
 def test_quotient_replays_run_no_path_arithmetic(monkeypatch):
     """random_2graph(41) is not locally convex, so its lattice and report
     build the stripped family of each proper H and replay refutations on
-    the quotients.  A replay on a quotient by H reads ext on the root
-    graph and keeps the continuations with source outside H, so no split,
-    compose or path enumeration runs on a quotient graph; replaying with
-    ext on the quotient made 32 splits and 5 enumerations there."""
+    the quotients.  A replay on a quotient by H reads ext on g, which the
+    caller passes with H, and keeps the continuations with source outside
+    H, so no split, compose or path enumeration runs on a quotient graph;
+    replaying with ext on the quotient made 32 splits and 5 enumerations
+    there."""
     g = random_2graph(41)
     names = ("split", "compose", "_enumerate_degree")
     calls = _counting_by_graph(monkeypatch, g, names)
     replays = Counter()
     verify = ideals._verify_refutation
 
-    def recorded(gx, E, tau):
-        replays["quotient" if gx is not g else "g"] += 1
-        return verify(gx, E, tau)
+    def recorded(gx, E, tau, H):
+        assert gx is g
+        replays["quotient" if H else "g"] += 1
+        return verify(gx, E, tau, H)
 
     monkeypatch.setattr(ideals, "_verify_refutation", recorded)
     ideals.ideal_lattice(g, (1, 1))
@@ -551,11 +594,14 @@ def test_lattice_shrinks_no_saturation_witness(monkeypatch):
 
 @pytest.mark.parametrize("name, cap", [("FX6", (2,)), ("FX2", (2, 2))])
 def test_stripped_family_reads_only_quotient_universes(monkeypatch, name, cap):
-    """The stripped family reads its strips from the quotient's universe,
-    which restricts g's, and looks up no universe of g beside it: the
-    lattice plus every pair's stripped family make 3 universe lookups on
-    FX6 (2,) and FX2 (2,2), where looking up both universes per vertex
-    made 4."""
+    """The stripped family of H = {} reads its strips off g's candidate
+    tables and looks up no universe for them; a nonempty H looks up g's
+    universe at each vertex outside H, and the quotient's comes from
+    align's restriction, not from a lookup here.  The lattice plus every
+    pair's stripped family make 2 universe lookups on FX6 (2,) and
+    FX2 (2,2), whose one vertex lies in every nonempty H; the bound of 3
+    is the count when the quotient's universe was looked up instead, and
+    looking up both universes per vertex made 4."""
     g = textio.parse_kgraph_text(textio.FIXTURE_TEXTS[name]).graph  # fresh memo
     calls = _counting(monkeypatch, ideals, ("universe",))
     _lattice_and_families(g, cap)

@@ -578,7 +578,8 @@ def test_path_enumeration_errors_survive_memo_hits(fx):
 def test_universe_errors_survive_memo_hits(fx):
     """align.universe looks up its memo before checking the cap, so a bad
     argument raises the same error cold and warm, on a graph and on a
-    quotient, whose universes restrict the parent's."""
+    quotient, whose universe align restricts from the parent's when the
+    caller passes the parent and H."""
     g = KGraph(fx["FX2"].skeleton, fx["FX2"].squares)
     for warm in (False, True):
         for v, n, error, message in BAD_ARGUMENTS:
@@ -587,15 +588,19 @@ def test_universe_errors_survive_memo_hits(fx):
         want = align.universe(g, "v", (1, 1))
         assert align.universe(g, "v", [1, 1]) is align.universe(g, "v", (True, 1.0)) is want
     g4 = KGraph(fx["FX4"].skeleton, fx["FX4"].squares)
-    gq = ideals.quotient_graph(g4, {"w"})
+    H = frozenset({"w"})
+    gq = ideals.quotient_graph(g4, H)
     for warm in (False, True):
         for v in ("w", "zz"):
             with pytest.raises(KGraphError, match=re.escape(f"unknown vertex {v!r}")):
                 align.universe(gq, v, (1,))
+            with pytest.raises(KGraphError, match=re.escape(f"unknown vertex {v!r}")):
+                align._quotient_universe(gq, v, (1,), g4, H)
         with pytest.raises(ValueError, match=re.escape("degree (1, 1) has length 2, expected rank 1")):
             align.universe(gq, "v", (1, 1))
-        # building the quotient's universe left g4's, which it restricts, in g4's memo
-        align.universe(gq, "v", (1,))
+        # restricting the quotient's universe left g4's, which it restricts, in g4's memo
+        uq = align._quotient_universe(gq, "v", (1,), g4, H)
+        assert align.universe(gq, "v", (1,)) is uq
         assert g4._cache.get(("universe", "v", (1,))) is align.universe(g4, "v", (1,))
 
 
@@ -630,9 +635,11 @@ def test_random_2graph_builds_no_universe(monkeypatch):
     """random_2graph tests a draw by counting the paths up to its cap at
     each vertex, the identity and the members of the capped universe
     there, so it builds no universe."""
-    def refuse(g, v, cap):
+    def refuse(g, v, *args):
         raise AssertionError(f"universe built at {v!r}")
 
-    monkeypatch.setattr(align, "_make_universe", refuse)
+    # a universe is built afresh or restricted from a parent's
+    monkeypatch.setattr(align, "_build_universe", refuse)
+    monkeypatch.setattr(align, "_restrict_universe", refuse)
     for seed in range(50):
         random_2graph(seed)

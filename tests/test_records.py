@@ -32,7 +32,7 @@ FIELDS = {
     RunConfig: ("command", "cap", "fmt", "require_exact", "assumed_condition_C", "seed",
                 "vertex", "mu", "nu", "setarg", "radius", "rank"),
     VertexUniverse: ("vertex", "cap", "paths", "members", "index", "member_index", "captured",
-                     "compat", "escapes", "prefix", "suffix", "_kept_bits", "_cont", "_comp"),
+                     "compat", "escapes", "prefix", "suffix", "_cont", "_comp"),
     FEFamily: ("graph", "cap", "by_vertex"),
     VertexSet: ("members", "hereditary", "saturated"),
     SatiatedFamily: ("base", "cap", "refuted_parents", "quotient_refuted", "tainted", "_checked", "_known_bad"),
@@ -49,7 +49,7 @@ FIELDS = {
 }
 # the fields that take no part in equality, hash and repr
 HIDDEN = {
-    VertexUniverse: ("_kept_bits", "_cont", "_comp"),
+    VertexUniverse: ("_cont", "_comp"),
     FEFamily: ("graph",),
     SatiatedFamily: ("_checked", "_known_bad"),
     IdealPair: ("graph", "closure"),
