@@ -221,27 +221,20 @@ class VertexUniverse(Record, hidden=("_cont", "_comp")):
     Bitmask bit j refers to members[j] = paths[j + 1], the non-identity
     paths, so a member mask is a path mask shifted down by one.  Built
     eagerly for each capped path: which members it extends (captured),
-    which members it has a common extension with (compat), the sources,
-    in edges_at order, of the edges e at its source along which it leaves
-    the cap box (escapes), and, per degree below its own, the id of its
-    prefix and the matching suffix path (prefix, suffix).  The
-    continuation and composition rows are filled on first use, by methods
-    that take the graph whose universe this is: a universe holds no graph.
+    which members it has a common extension with (compat), whether some
+    edge at its source takes it out of the cap box (escapes), and, per
+    degree below its own, the id of its prefix and the matching suffix
+    path (prefix, suffix).  The continuation and composition rows are
+    filled on first use, by methods that take the graph whose universe
+    this is: a universe holds no graph.
 
-    An escape row is all that exhaustiveness needs of the paths past the
+    An escape flag is all that exhaustiveness needs of the paths past the
     cap.  If lam·e leaves the cap, e has a colour c with d(lam)_c = cap_c,
     so every degree m <= d(lam·e) inside the cap is <= d(lam), and by
     unique factorization the m-prefix of lam·e is lam's own: lam·e
     extends exactly the members lam extends.  So when lam is uncaptured,
     every such extension is too, and unless some uncaptured path meets no
-    member, the answer is unknown exactly when some uncaptured path has a
-    nonempty escape row.
-
-    The universe of a quotient graph by H, built by _quotient_universe,
-    restricts its parent's at the vertex to the paths with source outside
-    H, renumbered in the same order.  It holds no link to the parent: a
-    caller that holds both graphs maps a parent member to its bit here
-    through ``member_index``.
+    member, the answer is unknown exactly when some uncaptured path escapes.
     """
 
     _fields = ("vertex", "cap", "paths", "members", "index", "member_index", "captured",
@@ -251,7 +244,7 @@ class VertexUniverse(Record, hidden=("_cont", "_comp")):
 
     def __init__(self, vertex: str, cap: Degree, paths: Tuple[Path, ...], members: Tuple[Path, ...],
                  index: Dict[Path, int], member_index: Dict[Path, int], captured: List[int], compat: List[int],
-                 escapes: List[List[str]], prefix: List[Dict[Degree, int]], suffix: List[Dict[Degree, Path]],
+                 escapes: List[bool], prefix: List[Dict[Degree, int]], suffix: List[Dict[Degree, Path]],
                  _cont: Optional[Dict[int, List[int]]] = None,
                  _comp: Optional[Dict[int, Tuple[List[int], Dict[int, Path]]]] = None):
         self.vertex = vertex
@@ -327,13 +320,7 @@ class VertexUniverse(Record, hidden=("_cont", "_comp")):
         """Row i of the composition table, over the members of g's universe
         at paths[i].s: entry j is the member bit here of paths[i]·members[j]
         there, or 0 when the product leaves the cap; the second value maps
-        each such j to the product, composed on g.
-
-        On a quotient by a hereditary H, that is the parent's product.  Its
-        source, that of members[j], is outside H, and an edge with range in
-        H has its source in H, so each path with that source, and each
-        square swapping two of its edges for two with the same ends, has
-        every vertex outside H.  The quotient keeps those edges and squares."""
+        each such j to the product, composed on g."""
         hit = self._comp.get(i)
         if hit is None:
             lam = self.paths[i]
@@ -388,7 +375,7 @@ def _build_universe(g: KGraph, v: str, cap: Degree) -> VertexUniverse:
     earlier capped path.  For m <= d(tau) with m_c < d(tau)_c, m <= d(p),
     so the m-prefix of tau is p's, and the suffix is p's followed by e,
     colour-ascending and so a normal form; only the degrees with
-    m_c = d(tau)_c are cut.  Escape rows read the skeleton: lam leaves the
+    m_c = d(tau)_c are cut.  Escape flags read the skeleton: lam leaves the
     cap along e exactly when d(lam) is at the cap in e's colour."""
     paths = g.paths_up_to(v, cap)
     index = {p: i for i, p in enumerate(paths)}
@@ -413,53 +400,16 @@ def _build_universe(g: KGraph, v: str, cap: Degree) -> VertexUniverse:
                 pre[m] = index[head]
         prefix.append(pre)
         suffix.append(suf)
-    escapes = [[e.s for e in g.edges_at(lam.s) if lam.d[e.color - 1] == cap[e.color - 1]] for lam in paths]
+    escapes = [any(lam.d[e.color - 1] == cap[e.color - 1] for e in g.edges_at(lam.s)) for lam in paths]
     return VertexUniverse(
         v, cap, paths, paths[1:], index, {p: i - 1 for p, i in index.items() if i},
         _captured(prefix), _compat(paths, prefix), escapes, prefix, suffix,
     )
 
 
-def _restrict_universe(gq: KGraph, v: str, cap: Degree, g: KGraph, H: FrozenSet[str]) -> VertexUniverse:
-    """The universe of gq = quotient_graph(g, H) at v, read off g's: a path
-    with source outside H has every vertex outside H, so the capped paths
-    of gq at v, their factorizations and their one-edge extensions are
-    those of g whose source is outside H.  Common extensions are not: two
-    paths can meet in g only beyond H, so compat is recomputed.  An escape
-    row keeps the edges whose source is outside H."""
-    gq.require_vertex(v)
-    up = _universe(g, v, cap)
-    kept = [t for t, p in enumerate(up.paths) if p.s not in H]
-    if len(kept) == len(up.paths):
-        paths, members, index, member_index = up.paths, up.members, up.index, up.member_index
-        captured, compat, prefix, suffix = up.captured, up.compat, up.prefix, up.suffix
-    else:
-        paths = tuple(up.paths[t] for t in kept)
-        members = paths[1:]
-        index = {p: i for i, p in enumerate(paths)}
-        member_index = {p: i - 1 for p, i in index.items() if i}
-        new = {t: i for i, t in enumerate(kept)}
-        prefix = [{m: new[p] for m, p in up.prefix[t].items()} for t in kept]
-        suffix = [up.suffix[t] for t in kept]
-        captured, compat = _captured(prefix), _compat(paths, prefix)
-    escapes = [[s for s in up.escapes[t] if s not in H] for t in kept]
-    return VertexUniverse(
-        v, cap, paths, members, index, member_index, captured, compat, escapes, prefix, suffix,
-    )
-
-
 def _universe(g: KGraph, v: str, cap: Degree) -> VertexUniverse:
     # for callers that hold a checked cap
     return g.memo(("universe", v, cap), _build_universe, g, v, cap)
-
-
-def _quotient_universe(gq: KGraph, v: str, cap: Degree, g: KGraph, H: FrozenSet[str]) -> VertexUniverse:
-    """The universe of gq = quotient_graph(g, H) at v and a checked cap:
-    gq's memo entry, else the restriction of g's.  gq holds no link to
-    g, so the caller that holds both passes them; a lookup on gq alone
-    builds the universe afresh, equal to the restriction but with path
-    arithmetic on gq."""
-    return gq.memo(("universe", v, cap), _restrict_universe, gq, v, cap, g, H)
 
 
 def universe(g: KGraph, v: str, cap: Degree) -> VertexUniverse:

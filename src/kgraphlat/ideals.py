@@ -17,7 +17,6 @@ from .align import (
     FEFamily,
     PathSet,
     VertexUniverse,
-    _quotient_universe,
     _union_of_bits,
     ext,
     fe_sets,
@@ -145,13 +144,18 @@ def _saturation_status(g: KGraph, H: FrozenSet[str], cap: Degree) -> CertifiedBo
     with (vertex, candidate) as witness; otherwise any unknown check
     makes the answer unknown.  A vertex that reaches no vertex of H has
     an empty maximal candidate, since a path's source is reached from its
-    range, so _h_sourced lists no path there.
+    range, so no path is listed there.  At a cap with a zero
+    coordinate no path of that colour is listed, so a vertex that reaches
+    H may carry an exhaustive set that no capped candidate shows: the
+    answer is true only when no vertex outside H reaches H.
     """
     unknown = False
     hmask = _vertex_mask(g.vertex_bits(), H)
+    reach = g.reach_masks()
     for v in g.vertices:
-        if v in H:
+        if v in H or not reach[v] & hmask:
             continue
+        unknown = unknown or not all(cap)
         fmax = _h_sourced(g, v, H, hmask, cap)
         if not fmax:
             continue
@@ -160,9 +164,7 @@ def _saturation_status(g: KGraph, H: FrozenSet[str], cap: Degree) -> CertifiedBo
             return false_certified((v, _set(g, (v, fmax), cap)))
         if cert.is_unknown:
             unknown = True
-    if unknown:
-        return unknown_at_cap(cap)
-    return true_certified()
+    return unknown_at_cap(cap) if unknown else true_certified()
 
 
 def saturation(g: KGraph, G: Iterable[str], cap: Degree) -> VertexSet:
@@ -224,12 +226,15 @@ def quotient_graph(g: KGraph, H: Iterable[str]) -> KGraph:
 
     A path of g with source outside H has every vertex outside H: an edge
     with range in H has its source in H, so a path that enters H stays
-    there.  Its edges and every factorization of it therefore lie in the
-    quotient, where it has the same normal form.  g's memo holds the
-    quotient, which holds no link back to g: the callers that hold g and
-    H pass them to align._quotient_universe, which restricts g's capped
-    universes, and to _verify_refutation.  With H empty the quotient is g
-    itself, which then shares its memo."""
+    there.  The quotient keeps the path's edges, and every square a path
+    of the quotient needs: a square swaps two composable edges for two
+    with the same range and source, so the sources of all four edges are
+    vertices of the path, outside H.  So the quotient's paths at a vertex are g's
+    with source outside H, with the same normal forms, factorizations and
+    order, and a universe built on the quotient cuts nothing that g's
+    build could not.  g's memo holds the quotient, which holds no link
+    back to g; with H empty the quotient is g itself, which then shares
+    its memo."""
     H = frozenset(H)
     if not is_hereditary(g, H):
         raise KGraphError(f"quotient needs a hereditary set, got {fmt_vertexset(H)}")
@@ -303,8 +308,8 @@ def _verify_refutation(g: KGraph, E: PathSet, tau: Path, H: FrozenSet[str]) -> b
     A path of gq is a path of g with source outside H, so a minimal
     common extension there is one in g with source outside H, and
     ext(gq, tau, E) = {alpha in ext(g, tau, E) : s(alpha) not in H}.  The
-    replay runs ext on g, so no path arithmetic runs on the quotient; with
-    H empty it replays on g itself."""
+    replay runs ext on g, so every quotient of g reads g's pair tables;
+    with H empty it replays on g itself."""
     if tau.r != next(iter(E)).r:
         return False
     return all(alpha.s in H for alpha in ext(g, tau, E))
@@ -689,7 +694,7 @@ def _stripped_family(g: KGraph, H: FrozenSet[str], cap: Degree) -> SatiatedFamil
             qcerts.update(((v, emask), cert) for emask, cert in table.items())
             continue
         # a member of g's universe at v keeps its bit in gq's, or is stripped
-        at = _quotient_universe(gq, v, cap, g, H).member_index
+        at = universe(gq, v, cap).member_index
         bits = [1 << at[p] if p in at else 0 for p in universe(g, v, cap).members]
         parents.extend(((v, emask), _union_of_bits(bits, emask)) for emask in table)
     qkey = _set_sort_key(gq, cap)

@@ -227,16 +227,16 @@ def walk_min_triples(g: KGraph, mu: Path, nu: Path) -> Tuple[Tuple[Path, ...], .
 
 # -- one-edge extensions past the cap as masks ----------------------------------------
 # align._build_universe and VertexUniverse.classify as they were before
-# escape rows: each one-edge extension of a capped path that leaves the cap
+# escape flags: each one-edge extension of a capped path that leaves the cap
 # is composed, and the member prefixes of the product inside the cap are
 # gathered into a mask; an uncaptured path overflows when one such mask
 # misses the member set.
 
 
 def beyond_rows(g: KGraph, uni) -> Tuple[List[List[int]], List[List[str]]]:
-    """Per path of uni, a universe of g built with no parent, the member
-    masks of its one-edge extensions that leave the cap, and the source of
-    each extension's edge, in edges_at order."""
+    """Per path of uni, a universe of g, the member masks of its one-edge
+    extensions that leave the cap, and the source of each extension's
+    edge, in edges_at order."""
     masks_out: List[List[int]] = []
     srcs_out: List[List[str]] = []
     for lam in uni.paths:
@@ -645,6 +645,13 @@ def _h_sourced_paths(g: KGraph, v: str, H: FrozenSet[str], cap: Degree) -> PathS
     return frozenset(p for p in g.paths_up_to(v, cap) if p.s in H and not p.is_vertex)
 
 
+def _zero_cap_leaves_unknown(g: KGraph, H: FrozenSet[str], cap: Degree) -> bool:
+    """Whether a cap with a zero coordinate, which lists no path of that
+    colour, leaves saturation undecided: some vertex outside H reaches H."""
+    reach = oracle_reach(g)
+    return not all(cap) and any(reach[v] & H for v in g.vertices if v not in H)
+
+
 def oracle_shrinking_saturation_status(g: KGraph, H: FrozenSet[str], cap: Degree) -> CertifiedBool:
     """Saturation of any vertex set, hereditary or not.
 
@@ -652,7 +659,8 @@ def oracle_shrinking_saturation_status(g: KGraph, H: FrozenSet[str], cap: Degree
     only the maximal candidate needs certifying: if it fails with a
     witness, every subset fails with the same witness.  One certified
     exhaustive set refutes saturation; otherwise any unknown check makes
-    the answer unknown.
+    the answer unknown, as does, at a cap with a zero coordinate, a
+    vertex outside H that reaches H.
     """
     unknown = False
     for v in g.vertices:
@@ -666,7 +674,7 @@ def oracle_shrinking_saturation_status(g: KGraph, H: FrozenSet[str], cap: Degree
             return false_certified((v, _minimize_exhaustive(g, fmax, cap)))
         if cert.is_unknown:
             unknown = True
-    if unknown:
+    if unknown or _zero_cap_leaves_unknown(g, H, cap):
         return unknown_at_cap(cap)
     return true_certified()
 
@@ -706,7 +714,8 @@ def oracle_saturation_status(g: KGraph, H: FrozenSet[str], cap: Degree) -> Certi
     witness, every subset fails with the same witness.  The first vertex
     whose maximal candidate is certified exhaustive refutes saturation,
     with (vertex, candidate) as witness; otherwise any unknown check
-    makes the answer unknown.
+    makes the answer unknown, as does, at a cap with a zero coordinate, a
+    vertex outside H that reaches H.
     """
     unknown = False
     for v in g.vertices:
@@ -720,7 +729,7 @@ def oracle_saturation_status(g: KGraph, H: FrozenSet[str], cap: Degree) -> Certi
             return false_certified((v, _set(g, (v, fmax), cap)))
         if cert.is_unknown:
             unknown = True
-    if unknown:
+    if unknown or _zero_cap_leaves_unknown(g, H, cap):
         return unknown_at_cap(cap)
     return true_certified()
 

@@ -432,19 +432,24 @@ def _compare_lattices(low, high):
 def test_raising_the_cap_never_flips_a_decided_answer():
     """For caps c <= c', an answer decided at c is decided the same way at
     c': a cap only bounds the search, so it may leave an answer unknown but
-    never decide it wrongly.  The lattice is compared by _compare_lattices
-    wherever both caps answer."""
+    never decide it wrongly.  Caps with a zero coordinate are compared too,
+    each against every cap above it; the candidate sets come from the
+    universes at cap 1, since a zero cap's universe has no members.  The
+    lattice is compared by _compare_lattices wherever both caps answer."""
     compared = Counter()
-    for make, caps in ((random_1graph, [(1,), (2,), (3,)]), (random_2graph, [(1, 1), (2, 2), (3, 3)])):
+    for make, caps in ((random_1graph, [(0,), (1,), (2,), (3,)]),
+                       (random_2graph, [(0, 0), (0, 1), (1, 0), (1, 1), (2, 2), (3, 3)])):
         for seed in range(40):
             g = make(seed)
             hereditary = [H for n in range(len(g.vertices) + 1)
                           for H in itertools.combinations(g.vertices, n) if is_hereditary(g, H)]
             candidates = [E for v in g.vertices for r in (1, 2)
-                          for E in itertools.combinations(align.universe(g, v, caps[0]).members, r)]
+                          for E in itertools.combinations(align.universe(g, v, (1,) * g.k).members, r)]
             answers = [_capped_answers(g, cap, hereditary, candidates) for cap in caps]
             lattices = [_lattice_answer(g, cap) for cap in caps]
             for low, high in itertools.combinations(range(len(caps)), 2):
+                if not degrees.leq(caps[low], caps[high]):
+                    continue
                 for key, cert in answers[low].items():
                     if cert.decided:
                         later = answers[high][key]

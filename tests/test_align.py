@@ -273,9 +273,9 @@ def test_comparable_pair_cuts_on_unvalidated_graph():
 
 def test_universe_on_unvalidated_graph():
     """FX2 without its square: at (0,1) the universe at v holds v and r,
-    and r leaves the cap along b and along r.  Its escape row names both
-    edges' sources from the skeleton, where composing r·b, as the
-    extension masks did, needs the missing square and raises.  At (1,1)
+    and r leaves the cap along b and along r.  Both escape flags are set
+    from the skeleton, where composing r·b, as the extension masks did,
+    needs the missing square and raises.  At (1,1)
     and (2,2) the prefix cut of b·r at (0,1) needs that square, so the
     build raises; so does the universe at v of the graph above, whose b·r
     has the same cut."""
@@ -283,7 +283,7 @@ def test_universe_on_unvalidated_graph():
     g = KGraph(fx2.skeleton, ())
     uni = align.universe(g, "v", (0, 1))
     assert [p.edges for p in uni.paths] == [(), ("r",)]
-    assert uni.escapes == [["v"], ["v", "v"]]
+    assert uni.escapes == [True, True]
     with pytest.raises(MissingSquareError):
         oracles.beyond_rows(g, uni)
     for cap in ((1, 1), (2, 2)):

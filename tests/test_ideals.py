@@ -261,7 +261,9 @@ def test_saturation_status_matches_ungated_oracle(monkeypatch):
     route that listed them at every vertex outside H, on non-hereditary
     sets and on a graph that does not validate too: every set of
     _gate_sets at every cap of _gate_caps, on the fixtures, random 1- and
-    2-graphs of seeds 0-149 and the dangling graph."""
+    2-graphs of seeds 0-149 and the dangling graph.  Both leave the answer
+    unknown at (0,1) when a vertex outside H reaches H; certifying it true
+    there counted 7,735 true and 209 unknown answers."""
     listed = []
     paths_up_to = KGraph.paths_up_to
 
@@ -289,7 +291,7 @@ def test_saturation_status_matches_ungated_oracle(monkeypatch):
                 seen["listed"] += n > 0
     assert seen["listed"] > 0, seen
     del seen["listed"]
-    assert seen == {"true_certified": 7735, "false_certified": 1956, "unknown_at_cap": 209}, seen
+    assert seen == {"true_certified": 7617, "false_certified": 1956, "unknown_at_cap": 327}, seen
     g = _dangling_graph()
     assert len([compare(g, cap, H) for cap in _gate_caps(g) for H in _gate_sets(g)]) == 24
 
@@ -320,11 +322,23 @@ def test_quotient_rejects_non_hereditary(fx):
         quotient_graph(fx["FX4"], {"v"})
 
 
-def test_quotients_validate_for_all_enumerated(fx):
-    for g in fx.values():
-        cap = (2,) * g.k
-        for hv in enumerate_sat_hered(g, cap):
-            assert validate_kgraph(quotient_graph(g, hv.as_frozenset)).ok
+def test_quotients_validate_for_all_enumerated():
+    """The quotient of every input of _pair_inputs by each nonempty
+    hereditary H, saturated or not, validates, and at each of its vertices
+    its universe lists g's paths with source outside H, in g's order (see
+    quotient_graph).  The stripped family's strip bits and the replay of a
+    quotient's refutation on g rest on this.  2,953 quotients of 768
+    inputs validate in 0.1 s; the universe checks add 0.5 s."""
+    quotients = 0
+    for label, g, cap in _pair_inputs():
+        for H in map(frozenset, ideals._hereditary_sets(g)[1:]):
+            gq = quotient_graph(g, H)
+            assert validate_kgraph(gq).ok, (label, H)
+            for v in gq.vertices:
+                want = tuple(p for p in align.universe(g, v, cap).paths if p.s not in H)
+                assert align.universe(gq, v, cap).paths == want, (label, H, v)
+            quotients += 1
+    assert quotients == 2953
 
 
 # -- stripped family and satiation ---------------------------------------------------

@@ -578,8 +578,7 @@ def test_path_enumeration_errors_survive_memo_hits(fx):
 def test_universe_errors_survive_memo_hits(fx):
     """align.universe looks up its memo before checking the cap, so a bad
     argument raises the same error cold and warm, on a graph and on a
-    quotient, whose universe align restricts from the parent's when the
-    caller passes the parent and H."""
+    quotient, whose universes are built on the quotient itself."""
     g = KGraph(fx["FX2"].skeleton, fx["FX2"].squares)
     for warm in (False, True):
         for v, n, error, message in BAD_ARGUMENTS:
@@ -588,20 +587,18 @@ def test_universe_errors_survive_memo_hits(fx):
         want = align.universe(g, "v", (1, 1))
         assert align.universe(g, "v", [1, 1]) is align.universe(g, "v", (True, 1.0)) is want
     g4 = KGraph(fx["FX4"].skeleton, fx["FX4"].squares)
-    H = frozenset({"w"})
-    gq = ideals.quotient_graph(g4, H)
+    gq = ideals.quotient_graph(g4, {"w"})
     for warm in (False, True):
         for v in ("w", "zz"):
             with pytest.raises(KGraphError, match=re.escape(f"unknown vertex {v!r}")):
                 align.universe(gq, v, (1,))
-            with pytest.raises(KGraphError, match=re.escape(f"unknown vertex {v!r}")):
-                align._quotient_universe(gq, v, (1,), g4, H)
         with pytest.raises(ValueError, match=re.escape("degree (1, 1) has length 2, expected rank 1")):
             align.universe(gq, "v", (1, 1))
-        # restricting the quotient's universe left g4's, which it restricts, in g4's memo
-        uq = align._quotient_universe(gq, "v", (1,), g4, H)
-        assert align.universe(gq, "v", (1,)) is uq
-        assert g4._cache.get(("universe", "v", (1,))) is align.universe(g4, "v", (1,))
+        uq = align.universe(gq, "v", (1,))
+        assert align.universe(gq, "v", [1]) is align.universe(gq, "v", (True,)) is uq
+    # the quotient's universe is in its own memo, and none was built on g4
+    assert gq._cache.get(("universe", "v", (1,))) is uq
+    assert ("universe", "v", (1,)) not in g4._cache
 
 
 def test_finite_alignment_by_construction(fx):
@@ -638,8 +635,6 @@ def test_random_2graph_builds_no_universe(monkeypatch):
     def refuse(g, v, *args):
         raise AssertionError(f"universe built at {v!r}")
 
-    # a universe is built afresh or restricted from a parent's
     monkeypatch.setattr(align, "_build_universe", refuse)
-    monkeypatch.setattr(align, "_restrict_universe", refuse)
     for seed in range(50):
         random_2graph(seed)
