@@ -144,10 +144,10 @@ def _saturation_status(g: KGraph, H: FrozenSet[str], cap: Degree) -> CertifiedBo
     with (vertex, candidate) as witness; otherwise any unknown check
     makes the answer unknown.  A vertex that reaches no vertex of H has
     an empty maximal candidate, since a path's source is reached from its
-    range, so no path is listed there.  At a cap with a zero
-    coordinate no path of that colour is listed, so a vertex that reaches
-    H may carry an exhaustive set that no capped candidate shows: the
-    answer is true only when no vertex outside H reaches H.
+    range, so no path is listed there.  At a cap with a zero coordinate
+    no path of that colour is listed, so a vertex that reaches H may
+    carry an exhaustive set that no capped candidate shows: the answer is
+    true only when no vertex outside H reaches H.
     """
     unknown = False
     hmask = _vertex_mask(g.vertex_bits(), H)
@@ -229,12 +229,12 @@ def quotient_graph(g: KGraph, H: Iterable[str]) -> KGraph:
     there.  The quotient keeps the path's edges, and every square a path
     of the quotient needs: a square swaps two composable edges for two
     with the same range and source, so the sources of all four edges are
-    vertices of the path, outside H.  So the quotient's paths at a vertex are g's
-    with source outside H, with the same normal forms, factorizations and
-    order, and a universe built on the quotient cuts nothing that g's
-    build could not.  g's memo holds the quotient, which holds no link
-    back to g; with H empty the quotient is g itself, which then shares
-    its memo."""
+    vertices of the path, outside H.  So the quotient's paths at a vertex
+    are g's with source outside H, with the same normal forms,
+    factorizations and order, and a universe built on the quotient cuts
+    nothing that g's build could not.  g's memo holds the quotient, which
+    holds no link back to g; with H empty the quotient is g itself, which
+    then shares its memo."""
     H = frozenset(H)
     if not is_hereditary(g, H):
         raise KGraphError(f"quotient needs a hereditary set, got {fmt_vertexset(H)}")
