@@ -435,7 +435,7 @@ _QUOTIENT_CALLS = {(2,): (4, 5), (3,): (4, 7)}
     ((2,), 3, 5),
     ((3,), 3, 7),
 ])
-def test_quotient_universe_builds_pinned(monkeypatch, cap, builds_was, split_was):
+def test_universe_builds_on_quotients_pinned(monkeypatch, cap, builds_was, split_was):
     """FX4's lattice reads the quotients by {u} and {w}, and by {u,v,w},
     which has no vertex, and each family builds its quotient's universes
     on the quotient: 4 builds there and 5 / 7 splits, as many as on g,
