@@ -20,7 +20,7 @@ from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Tuple
 from . import degrees
 from .certify import CertifiedBool, false_certified, true_certified, unknown_at_cap
 from .degrees import Degree
-from .kgraph import KGraph, KGraphError, Path, sorted_paths
+from .kgraph import KGraph, KGraphError, Path, _tuple_new, sorted_paths
 from .record import Record
 
 PathSet = FrozenSet[Path]
@@ -46,20 +46,31 @@ def mce(g: KGraph, mu: Path, nu: Path) -> Tuple[Path, ...]:
 
     A graph that does not validate can raise MissingSquareError here,
     when a factorization needs a square its presentation lacks."""
-    return _min_triples(g, mu, nu)[0]
-
-
-def _min_triples(g: KGraph, mu: Path, nu: Path) -> Tuple[Tuple[Path, ...], ...]:
-    """The triples (tau, alpha, beta) with tau = mu·alpha = nu·beta of
-    degree d(mu)∨d(nu), as three columns sorted by tau, the order of
-    paths_of_degree, then the alpha and the beta column each in sort_key
-    order.  One memo entry serves both argument orders."""
     if mu.r != nu.r:
-        raise KGraphError(f"mce needs a common range; got {mu.r!r} and {nu.r!r}")
+        raise _no_common_range(mu, nu)
+    return _column(g, mu, nu, 0)
+
+
+def _no_common_range(mu: Path, nu: Path) -> KGraphError:
+    return KGraphError(f"mce needs a common range; got {mu.r!r} and {nu.r!r}")
+
+
+# column i of the pair table of (nu, mu) is column _FLIPPED[i] of (mu, nu)'s
+_FLIPPED = (0, 2, 1, 4, 3)
+
+
+def _column(g: KGraph, mu: Path, nu: Path, i: int) -> Tuple[Path, ...]:
+    """Column i of the pair table of (mu, nu), whose rows are the triples
+    (tau, alpha, beta) with tau = mu·alpha = nu·beta of degree
+    d(mu)∨d(nu): 0 is tau, sorted as paths_of_degree sorts, 1 alpha and
+    2 beta, row by row with tau, 3 alpha and 4 beta, each in sort_key
+    order.  One memo entry serves both argument orders: it is keyed with
+    the smaller edge tuple first, and the other order reads it with the
+    alpha and beta columns swapped; tau reads the same both ways.  The
+    caller has checked that mu and nu have one range."""
     if nu.edges < mu.edges:
-        table = g.memo(("mce", nu, mu), _build_min_triples, g, nu, mu)
-        return table[0], table[2], table[1], table[4], table[3]
-    return g.memo(("mce", mu, nu), _build_min_triples, g, mu, nu)
+        return g.memo(("mce", nu, mu), _build_min_triples, g, nu, mu)[_FLIPPED[i]]
+    return g.memo(("mce", mu, nu), _build_min_triples, g, mu, nu)[i]
 
 
 # the one pair table of every pair with no common extension
@@ -141,7 +152,8 @@ def _build_min_triples(g: KGraph, mu: Path, nu: Path) -> Tuple[Tuple[Path, ...],
             head, rest = big.edges[:cut], big.edges[cut:]
         if head != small.edges:
             return _NO_TRIPLES
-        vertex, tail = Path(big.s, big.s, zero, ()), Path(small.s, big.s, tail_d, rest)
+        vertex = _tuple_new(Path, (big.s, big.s, zero, ()))
+        tail = _tuple_new(Path, (small.s, big.s, tail_d, rest))
         columns = ((big,), (vertex,), (tail,)) if mu_big else ((big,), (tail,), (vertex,))
         return columns + columns[1:]
     _, n, mu_side, nu_side = plan
@@ -160,8 +172,8 @@ def _build_min_triples(g: KGraph, mu: Path, nu: Path) -> Tuple[Tuple[Path, ...],
         else:
             head, rest = edges[:cut], edges[cut:]
         if head == nu.edges:
-            tau = Path(mu.r, alpha.s, n, edges)
-            beta = Path(nu.s, alpha.s, beta_d, rest)
+            tau = _tuple_new(Path, (mu.r, alpha.s, n, edges))
+            beta = _tuple_new(Path, (nu.s, alpha.s, beta_d, rest))
             rows.append((tau, beta, alpha) if swap else (tau, alpha, beta))
     if len(rows) < 2:  # then each column is in sort_key order too
         columns = tuple(zip(*rows)) if rows else ((), (), ())
@@ -175,8 +187,9 @@ def _build_min_triples(g: KGraph, mu: Path, nu: Path) -> Tuple[Tuple[Path, ...],
 
 def lambda_min(g: KGraph, mu: Path, nu: Path) -> Tuple[MinPair, ...]:
     """The continuation pairs (alpha, beta) with mu·alpha = nu·beta minimal."""
-    _, alphas, betas = _min_triples(g, mu, nu)[:3]
-    out = map(MinPair, alphas, betas)
+    if mu.r != nu.r:
+        raise _no_common_range(mu, nu)
+    out = map(MinPair, _column(g, mu, nu, 1), _column(g, mu, nu, 2))
     return tuple(sorted(out, key=lambda p: (p.alpha.sort_key(), p.beta.sort_key())))
 
 
@@ -186,9 +199,13 @@ def ext(g: KGraph, mu: Path, E: Iterable[Path]) -> Tuple[Path, ...]:
     # the union of the members' alpha columns, each memoized with its pair
     # table in sort_key order, so that one column is the answer as it stands
     E = tuple(E)
-    if len(E) == 1:
-        return _min_triples(g, mu, E[0])[3]
-    return sorted_paths(p for nu in E for p in _min_triples(g, mu, nu)[3])
+    if len(E) == 1 and E[0].r == mu.r:
+        return _column(g, mu, E[0], 3)
+    for nu in E:
+        if nu.r != mu.r:
+            raise KGraphError(f"ext needs every member of E at r(mu) = {mu.r!r}; "
+                              f"member {nu.literal()} has range {nu.r!r}")
+    return sorted_paths(p for nu in E for p in _column(g, mu, nu, 3))
 
 
 def vee_closure(g: KGraph, E: Iterable[Path]) -> Tuple[Path, ...]:
@@ -394,7 +411,7 @@ def _build_universe(g: KGraph, v: str, cap: Degree) -> VertexUniverse:
             if m[c] < d[c]:
                 pre[m] = pre_p[m]
                 s = suf_p[m]
-                suf[m] = Path(s.r, tau.s, tuple(map(int.__sub__, d, m)), s.edges + (e,))
+                suf[m] = _tuple_new(Path, (s.r, tau.s, tuple(map(int.__sub__, d, m)), s.edges + (e,)))
             else:
                 head, suf[m] = g.split(tau, m)
                 pre[m] = index[head]

@@ -22,6 +22,7 @@ from the range end toward the source end.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Any, Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Sequence, Tuple
 
 from . import degrees
@@ -129,12 +130,39 @@ class Path(NamedTuple):
         return f"<{self.literal()}:{self.r}<-{self.s}|{degrees.fmt(self.d)}>"
 
 
+# the kernels build their Paths through tuple.__new__, which skips the
+# Python-level __new__ of the NamedTuple: _tuple_new(Path, (r, s, d, edges))
+_tuple_new = tuple.__new__
+
+
 class ValidationReport(Record, frozen=True):
     __slots__ = ("ok", "violations")
 
     def __init__(self, ok: bool, violations: Tuple[Tuple[str, Tuple[str, ...]], ...]):
         self.ok = ok
         self.violations = violations
+
+
+def _step_down(n: Degree) -> Tuple[int, Degree]:
+    """(c, n - e_c) for the top colour c of n, the highest with n_c > 0;
+    (0, n) when n is 0."""
+    c = len(n)
+    while c and not n[c - 1]:
+        c -= 1
+    return (c, n[:c - 1] + (n[c - 1] - 1,) + n[c:]) if c else (0, n)
+
+
+def _level_plan(cap: Degree) -> Tuple[Tuple[Degree, int, int], ...]:
+    """(n, c, j) for each n in degrees.below(cap), in that order: c is the
+    top colour of n and j the position of n - e_c, which comes earlier,
+    as its total is one less; j is 0 for n = 0."""
+    below = list(degrees.below(cap))
+    at = {n: j for j, n in enumerate(below)}
+    plan = []
+    for n in below:
+        c, m = _step_down(n)
+        plan.append((n, c, at[m]))
+    return tuple(plan)
 
 
 def sorted_paths(paths: Iterable[Path]) -> Tuple[Path, ...]:
@@ -150,7 +178,9 @@ class KGraph:
 
     def __init__(self, skeleton: Skeleton, squares: Iterable[SquareRule]):
         self.skeleton = skeleton
-        self.squares = tuple(sorted(set(squares), key=SquareRule.key))
+        # deduped by key tuple, which hashes faster than the record
+        keyed = {sq.key(): sq for sq in squares}
+        self.squares = tuple(sq for _, sq in sorted(keyed.items()))
         self._edge: Dict[str, Edge] = {e.eid: e for e in skeleton.edges}
         self._color: Dict[str, int] = {e.eid: e.color for e in skeleton.edges}
         self._vset: FrozenSet[str] = frozenset(skeleton.vertices)
@@ -234,7 +264,7 @@ class KGraph:
 
     def identity(self, v: str) -> Path:
         self.require_vertex(v)
-        return Path(v, v, degrees.zero(self.k), ())
+        return _tuple_new(Path, (v, v, degrees.zero(self.k), ()))
 
     # -- normal forms --------------------------------------------------------
 
@@ -274,7 +304,7 @@ class KGraph:
         for eid in edge_ids:
             d[self._color[eid] - 1] += 1
         norm = self._normalize(edge_ids)
-        return Path(self._edge[norm[0]].r, self._edge[norm[-1]].s, tuple(d), norm)
+        return _tuple_new(Path, (self._edge[norm[0]].r, self._edge[norm[-1]].s, tuple(d), norm))
 
     # -- composition and segments --------------------------------------------
 
@@ -287,7 +317,7 @@ class KGraph:
             return q
         if q.is_vertex:
             return p
-        return Path(p.r, q.s, degrees.add(p.d, q.d), self._normalize(p.edges + q.edges))
+        return _tuple_new(Path, (p.r, q.s, degrees.add(p.d, q.d), self._normalize(p.edges + q.edges)))
 
     def split(self, p: Path, m: Degree) -> Tuple[Path, Path]:
         """The unique factorization p = prefix·suffix with d(prefix) = m."""
@@ -297,7 +327,8 @@ class KGraph:
             raise SegmentBoundsError(f"split degree {m} exceeds d(p) = {p.d}")
         pre, rest = self._cut(p.edges, m)
         mid = self._edge[rest[0]].r if rest else p.s
-        return Path(p.r, mid, m, pre), Path(mid, p.s, tuple(x - y for x, y in zip(p.d, m)), rest)
+        return (_tuple_new(Path, (p.r, mid, m, pre)),
+                _tuple_new(Path, (mid, p.s, tuple(x - y for x, y in zip(p.d, m)), rest)))
 
     def _cut(self, edges: Tuple[str, ...], m: Degree) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
         """The normal-form edge tuples (prefix, suffix) of a normal form cut
@@ -367,34 +398,38 @@ class KGraph:
 
     def _paths_of_degree(self, v: str, n: Degree) -> Tuple[Path, ...]:
         # for callers that hold a vertex and a checked degree
-        return self.memo(("pod", v, n), self._enumerate_degree, v, n)
+        return self.memo(("pod", v, n), self._build_degree, v, n)
 
-    def _enumerate_degree(self, v: str, n: Degree) -> Tuple[Path, ...]:
-        """vΛ^n by extension: with c the top colour of n, each memoized
-        path of degree n - e_c, in order, followed by each colour-c edge at
-        its source, in id order.  A normal form is colour-ascending and c is
-        the top colour, so each extension is a normal form as it stands.
-        The paths of one degree at v are ordered by sort_key exactly when
-        their edge tuples are, and the extensions of distinct paths of one
-        length by distinct edges are distinct and ordered by (path, edge),
-        so the result is in sort_key order and free of duplicates."""
-        c = len(n)
-        while c and not n[c - 1]:
-            c -= 1
+    def _build_degree(self, v: str, n: Degree) -> Tuple[Path, ...]:
+        # a cold request for one degree first memoizes the degrees below it
+        # bottom up, one edge at a time in colour order, so that no build
+        # recurses more than one level
+        c, m = _step_down(n)
         if not c:
-            return (self.identity(v),)
-        m = n[:c - 1] + (n[c - 1] - 1,) + n[c:]
+            return self._enumerate_degree(v, n, 0, ())
         if ("pod", v, m) not in self._cache:
-            # memoize the degrees below m bottom up, one edge at a time in
-            # colour order, so that no build recurses more than one level
             for i in range(c):
                 for j in range(1, m[i] + 1):
                     self._paths_of_degree(v, m[:i] + (j,) + (0,) * (len(n) - i - 1))
-        at = self._edges_at
-        return tuple(
-            Path(v, e.s, n, p.edges + (e.eid,))
-            for p in self._paths_of_degree(v, m) for e in at.get(p.s, {}).get(c, ())
-        )
+        return self._enumerate_degree(v, n, c, self._paths_of_degree(v, m))
+
+    def _enumerate_degree(self, v: str, n: Degree, c: int, level: Tuple[Path, ...]) -> Tuple[Path, ...]:
+        """vΛ^n by extension, where c is the top colour of n (0 when n is 0)
+        and level is vΛ^(n - e_c): each path of level, in order, followed
+        by each colour-c edge at its source, in id order.  A normal form is
+        colour-ascending and c is the top colour, so each extension is a
+        normal form as it stands.  The paths of one degree at v are ordered
+        by sort_key exactly when their edge tuples are, and the extensions
+        of distinct paths of one length by distinct edges are distinct and
+        ordered by (path, edge), so the result is in sort_key order and
+        free of duplicates."""
+        if not c:
+            return (self.identity(v),)
+        at, new, no_edges = self._edges_at, _tuple_new, {}
+        return tuple([
+            new(Path, (v, e.s, n, p.edges + (e.eid,)))
+            for p in level for e in at.get(p.s, no_edges).get(c, ())
+        ])
 
     def paths_up_to(self, v: str, cap: Degree) -> Tuple[Path, ...]:
         """All paths with range v and degree <= cap, canonically sorted."""
@@ -406,12 +441,15 @@ class KGraph:
         return hit
 
     def _paths_up_to(self, v: str, cap: Degree) -> Tuple[Path, ...]:
-        # degrees.below lists the degrees by (total, degree), the order in
-        # which sort_key ranks paths of distinct degrees at one range, and
-        # each degree's paths are in sort_key order already; the list of
-        # degrees is memoized per cap, as every vertex reads the same one
-        below = self.memo(("below", cap), lambda: tuple(degrees.below(cap)))
-        return tuple(p for n in below for p in self._paths_of_degree(v, n))
+        # the levels vΛ^n for n in degrees.below(cap), in that order, each
+        # memoized and built from the level of n - e_c, c the top colour of
+        # n, which comes earlier; below lists the degrees by (total,
+        # degree), the order in which sort_key ranks paths of distinct
+        # degrees at one range, and each level is in sort_key order already
+        levels: List[Tuple[Path, ...]] = []
+        for n, c, j in self.memo(("below", cap), _level_plan, cap):
+            levels.append(self.memo(("pod", v, n), self._enumerate_degree, v, n, c, levels[j] if c else ()))
+        return tuple(chain.from_iterable(levels))
 
     # -- vertex reachability (v <= w iff vΛw nonempty) ---------------------------
 

@@ -77,11 +77,11 @@ def test_ext_examples(fx):
 def test_ext_rejects_members_off_the_range_of_mu(fx):
     g = fx["FX4"]
     e, f, gg = g.path(["e"]), g.path(["f"]), g.path(["g"])  # e, f end at v; g at w
-    with pytest.raises(KGraphError):  # mixed ranges
-        ext(g, e, [f, gg])
-    with pytest.raises(KGraphError):  # one range, not r(e)
-        ext(g, e, [gg])
-    with pytest.raises(KGraphError):
+    with pytest.raises(KGraphError, match=r"^ext needs every member of E at r\(mu\) = 'v'; member g has range 'w'$"):
+        ext(g, e, [f, gg])  # mixed ranges
+    with pytest.raises(KGraphError, match=r"^ext needs .* = 'v'; member g has range 'w'$"):
+        ext(g, e, [gg])  # one range, not r(e)
+    with pytest.raises(KGraphError, match=r"^ext needs .* = 'w'; member e has range 'v'$"):
         ext(g, g.identity("w"), [e, f])
 
 
@@ -141,7 +141,7 @@ def test_min_triples_match_filter_route():
                 assert got == oracles.filter_mce(g, mu, nu), (label, mu, nu)
                 assert lambda_min(g, mu, nu) == oracles.filter_lambda_min(g, mu, nu), (label, mu, nu)
                 assert ext(g, mu, (nu,)) == oracles.filter_ext(g, mu, (nu,)), (label, mu, nu)
-                table = align._min_triples(g, mu, nu)
+                table = tuple(align._column(g, mu, nu, i) for i in range(5))
                 assert table[:3] == oracles.walk_min_triples(g, mu, nu), (label, mu, nu)
                 assert align._build_min_triples(g, mu, nu) == table, (label, mu, nu)
                 assert table[3:] == tuple(tuple(sorted(col, key=Path.sort_key)) for col in table[1:3])
@@ -246,7 +246,7 @@ def test_unvalidated_graph_raises_missing_square():
     paths = g.paths_up_to("v", (2, 2))
     seen = Counter()
     for mu, nu in itertools.product(paths, paths):
-        got = outcome(align._min_triples, mu, nu)
+        got = outcome(lambda g, mu, nu: tuple(align._column(g, mu, nu, i) for i in range(3)), mu, nu)
         assert got == outcome(oracles.walk_min_triples, mu, nu), (mu, nu)
         seen["raises" if got == "raises" else "answers"] += 1
     assert seen == {"raises": 36, "answers": 45}

@@ -484,6 +484,64 @@ def test_no_memo_key_can_equal_a_path():
     assert {"mce", "pod", "put", "quotient", "universe"} <= kinds, kinds
 
 
+def _kernel_paths(g, cap):
+    """Every Path object that paths_up_to, paths_of_degree, path, mce, ext
+    (of one member and of all the capped paths), lambda_min, split,
+    compose and the universe suffixes return at the vertices of g up to
+    cap, each object once."""
+    out = {}
+
+    def keep(paths):
+        for p in paths:
+            out[id(p)] = p
+
+    for v in g.vertices:
+        paths = g.paths_up_to(v, cap)
+        keep(paths)
+        for n in degrees.below(cap):
+            keep(g.paths_of_degree(v, n))
+        for suffix in align.universe(g, v, cap).suffix:
+            keep(suffix.values())
+        for mu in paths:
+            if mu.edges:
+                keep([g.path(mu.edges)])
+            for m in degrees.below(mu.d):
+                keep(g.split(mu, m))
+            keep(align.ext(g, mu, paths))
+            for nu in paths:
+                keep(align.mce(g, mu, nu))
+                keep(align.ext(g, mu, (nu,)))
+                for pair in align.lambda_min(g, mu, nu):
+                    keep(pair)
+            for nu in g.paths_up_to(mu.s, cap):
+                keep([g.compose(mu, nu)])
+    return out.values()
+
+
+def test_kernel_paths_are_well_formed_paths():
+    """The kernels build their Paths through tuple.__new__, which checks
+    neither the arity nor the field types: every Path they return over the
+    fixtures at (2,...,2) and the skew-product windows of radius 2 of FX2
+    at (2,2) and of FX6^3 at (1,1,1) is a Path of four fields whose degree
+    is a k-tuple of ints that counts the colours of its edges, and equals,
+    hashes and prints as the Path built from its fields."""
+    inputs = [(name, textio.fixture(name)) for name in sorted(textio.FIXTURE_TEXTS)]
+    inputs = [(label, g, (2,) * g.k) for label, g in inputs]
+    inputs.append(("FX2 window", skew_product_window(textio.fixture("FX2"), (-2, -2), (2, 2)).graph, (2, 2)))
+    fx6_cubed = _product([textio.fixture("FX6")] * 3)
+    inputs.append(("FX6^3 window", skew_product_window(fx6_cubed, (-2,) * 3, (2,) * 3).graph, (1, 1, 1)))
+    checked = 0
+    for label, g, cap in inputs:
+        for p in _kernel_paths(g, cap):
+            assert type(p) is Path and len(p) == 4, (label, p)
+            assert type(p.d) is tuple and len(p.d) == g.k and all(type(x) is int for x in p.d), (label, p)
+            assert p.d == tuple(sum(g.edge(e).color == c for e in p.edges) for c in range(1, g.k + 1)), (label, p)
+            q = Path(*p)
+            assert p == q and hash(p) == hash(q) and repr(p) == repr(q), (label, p)
+            checked += 1
+    assert checked > 10000, checked
+
+
 # -- enumeration ---------------------------------------------------------------------
 
 
