@@ -320,8 +320,9 @@ class SatiatedFamily(Record, hidden=("_checked", "_known_bad")):
 
     ``refuted_parents`` and ``quotient_refuted`` carry verified witnesses
     (a path whose continuation set against the refuted candidate is
-    empty); ``tainted`` lists members excluded without a parent-level
-    refutation, which only happens under an unknown-at-cap H.
+    empty); ``tainted`` maps each strip that is quotient-refuted while no
+    witness refuted its parents to a FalseCertified certificate against
+    the strip, which is left out of the family.
 
     ``satiated`` (the closure certificate) and ``overflow`` (the
     substitution products that exceed the cap) come from one closure scan
@@ -652,10 +653,10 @@ def restricted_fe_family(g: KGraph, H: Iterable[str], cap: Degree) -> SatiatedFa
 
     Capped candidate enumeration can admit sets that are not genuinely
     exhaustive (their refutations live beyond the cap).  Whenever a
-    stripped set is refuted on the quotient, or an extension-rule
-    derivative is covered by an existing refutation, the loop constructs
-    and replays a concrete witness against the parent candidate and
-    discards it.  Refutations are subset-monotone (a witness avoiding a
+    stripped set is refuted on the quotient, by its own witness or
+    through a missing extension-rule derivative, the loop constructs and
+    replays a concrete witness against its parent candidates and
+    discards them.  Refutations are subset-monotone (a witness avoiding a
     set avoids every subset), so they propagate; the loop runs until the
     family is stable.
 
@@ -676,7 +677,63 @@ def _stripped_family(g: KGraph, H: FrozenSet[str], cap: Degree) -> SatiatedFamil
     """The stripped family of H (see restricted_fe_family).  Each round
     walks only rule (S2), whose misses drive the refutations; the family's
     (S1)-(S4) verdict and overflow are computed when first read, by one
-    closure scan of the final family."""
+    closure scan of the final family.
+
+    A parent is a capped candidate of g at a vertex outside H, and its
+    strip the set of its members with source outside H, a set of gq, the
+    quotient by H.  F_w is the set of capped paths of g at w with source
+    in H.  On a graph that validates, these facts hold, and the loop has
+    no branch for their failure:
+
+    (R) A capped witness replays.  If a capped path lam of gq has no
+    common extension with any member p of a set D of gq, none has source
+    outside H in g either: its minimal one has degree d(lam) ∨ d(p) <=
+    cap and so is a capped path of gq.  A witness against a set refutes
+    each nonempty subset too.
+
+    (I) Parents are refuted only by refute_parents_of, which is called
+    only on the parents of a quotient-refuted strip, and a strip is
+    tainted only once it is quotient-refuted.  So the strip of every
+    refuted parent and every tainted strip is quotient-refuted: the
+    family is the live strips that are not, and those are the verdict
+    scan's known bad sets.  The parents of a strip are live when a round
+    starts, and only the strip's own refute_parents_of call touches
+    them, so a call that refutes nothing leaves them all live, and the
+    strip is tainted.
+
+    (P) Let mu be a quotient witness against the strip of a parent E,
+    and lam0 a capped witness against F_w, w = s(mu).  Then mu·lam0
+    refutes E in g.  A common extension of mu·lam0 and a member p of E
+    extends a minimal common extension mu·alpha of mu and p.  alpha has
+    source in H: for p in the strip because mu refutes it, and for p
+    with source in H because a path into H stays there.  d(alpha) <=
+    d(p) <= cap, and alpha is no vertex since w is outside H, so alpha is
+    in F_w; cancelling mu, lam0 would meet alpha.  So one witness,
+    mu·lam0 or else mu, is tried against each parent.
+
+    (S2) The first miss of a strip refutes it.  Let G be in the round's
+    family and mu a capped path of gq at its vertex that extends no
+    member, with derivative D = ext(mu, G), at w = s(mu), missing from the
+    family.  G is not false at the cap, or (R) would have refuted it, so
+    mu meets a member inside the cap and D is not empty.  If D is not
+    false at the cap on gq, then D ∪ F_w is a candidate of g (an
+    uncaptured capped path with source in H is in F_w, and any other is
+    a capped path of gq, which meets D) whose strip is D.  That parent is
+    refuted, or live with its strip left out of the family, so by (I) D
+    is quotient-refuted already.  Else D's capped witness replays by
+    (R).  So quotient_bad_witness always finds a witness sigma, and
+    mu·sigma refutes G on gq: a common extension of mu·sigma and p in G
+    with source outside H extends mu·alpha, a minimal common extension,
+    with alpha in D (its source is outside H, as the extension's is), and
+    cancelling mu, sigma would meet alpha outside H.  Before G's turn the
+    walk records only other strips and sets outside the family, so G's
+    first miss refutes G.  A round with a miss thus makes progress, and
+    the loop ends at the first round whose family misses no (S2)
+    derivative.
+
+    On a graph that does not validate these facts can fail, and the loop
+    can raise; every witness it records has replayed through refute.
+    """
     gq = _quotient_by(g, H)
     hmask = _vertex_mask(g.vertex_bits(), H)
 
@@ -703,7 +760,6 @@ def _stripped_family(g: KGraph, H: FrozenSet[str], cap: Degree) -> SatiatedFamil
 
     bad_parent: Dict[SetKey, Path] = {}
     bad_quotient: Dict[SetKey, Path] = {}
-    tainted: Dict[SetKey, CertifiedBool] = {}
 
     def qcert(key: SetKey) -> CertifiedBool:
         """Capped exhaustiveness of a quotient set (is_exhaustive by mask)."""
@@ -720,45 +776,40 @@ def _stripped_family(g: KGraph, H: FrozenSet[str], cap: Degree) -> SatiatedFamil
         bad[key] = tau
         return True
 
-    def quotient_bad_witness(key: SetKey) -> Optional[Path]:
-        """A verified quotient witness for a set, via subset-monotone lookup."""
+    def quotient_bad_witness(key: SetKey) -> Path:
+        """The quotient witness against a missing (S2) derivative: its own,
+        a superset's by subset-monotone lookup, or its capped one (S2)."""
         if key in bad_quotient:
             return bad_quotient[key]
         w, dmask = key
         for (yv, ymask), sigma in bad_quotient.items():
             if yv == w and not dmask & ~ymask and refute(bad_quotient, gq, key, sigma):
                 return sigma
-        cert = qcert(key)
-        if cert.is_false and refute(bad_quotient, gq, key, cert.witness):
-            return cert.witness
-        return None
+        sigma = qcert(key).witness
+        refute(bad_quotient, gq, key, sigma)
+        return sigma
 
     def refute_parents_of(parent_list: List[SetKey], mu: Path) -> bool:
-        """Given a verified quotient witness mu against a strip, discard its parents."""
-        progress = False
+        """Given a verified quotient witness mu against a strip, discard its
+        parents with one witness (P); whether any was discarded."""
+        tau = mu
         fmax = _h_sourced(g, mu.s, H, hmask, cap)
-        lam0 = None
         if fmax:
             fcert = universe(g, mu.s, cap).classify(fmax)
             if fcert.is_false:
-                lam0 = fcert.witness
+                tau = g.compose(mu, fcert.witness)
+        progress = False
         for E in parent_list:
-            if E in bad_parent:
-                continue
-            if lam0 is not None and refute(bad_parent, g, E, g.compose(mu, lam0)):
-                progress = True
-            elif refute(bad_parent, g, E, mu):
-                progress = True
+            progress |= refute(bad_parent, g, E, tau)
         return progress
 
-    strips: Dict[SetKey, List[SetKey]] = {}
     while True:
-        strips = {}
+        strips: Dict[SetKey, List[SetKey]] = {}
         for E, smask in parents:
             if smask and E not in bad_parent:
                 strips.setdefault((E[0], smask), []).append(E)
         progress = False
-        tainted = {}
+        tainted: Dict[SetKey, CertifiedBool] = {}
         for key in order:
             if key not in strips:
                 continue
@@ -770,70 +821,41 @@ def _stripped_family(g: KGraph, H: FrozenSet[str], cap: Degree) -> SatiatedFamil
                 continue
             if refute_parents_of(strips[key], sigma):
                 progress = True
-            elif any(E not in bad_parent for E in strips[key]):
+            else:
                 tainted[key] = cert if cert.is_false else false_certified(sigma)
         if progress:
             continue
 
-        # the round's family and its (S2) walk.  A missing (S2) derivative
-        # certifies bogus inputs; refutations are verified independently,
-        # so a whole round is collected before the family is rebuilt.  A
-        # reaction can refute a derivative without progress, which the
-        # next round must then see as known bad: one more round.
+        # the round's family and the first missing (S2) derivative of each
+        # of its sets, which refutes that set (S2); refutations are
+        # verified independently, so a whole round is collected before the
+        # family is rebuilt
         family: Dict[str, Dict[int, CertifiedBool]] = {}
         for key in order:
-            if key in strips and key not in bad_quotient and key not in tainted:
+            if key in strips and key not in bad_quotient:
                 family.setdefault(key[0], {})[key[1]] = qcert(key)
-        s2_misses: Dict[SetKey, List[Tuple[Path, int]]] = {}
+        first_miss: Dict[SetKey, Tuple[Path, int]] = {}
         for v in family:
             for gm, mu, dmask in _s2_walk(gq, universe(gq, v, cap), family):
-                if dmask:
-                    s2_misses.setdefault((v, gm), []).append((mu, dmask))
-        nbad = len(bad_quotient)
+                first_miss.setdefault((v, gm), (mu, dmask))
         for key in order:
-            for mu, dmask in s2_misses.get(key, ()):
-                # mu extends no member of the strip, and no H-sourced
-                # member of a parent either (its source is outside H), so
-                # no continuation below is the identity
-                sigma = quotient_bad_witness((mu.s, dmask))
-                if sigma is not None:
-                    # the composite escapes the cap but replays exactly;
-                    # it composes in g as in gq
-                    mu_sigma = g.compose(mu, sigma)
-                    if refute(bad_quotient, gq, key, mu_sigma):
-                        if not refute_parents_of(strips[key], mu_sigma):
-                            tainted[key] = false_certified(mu_sigma)
-                        progress = True
-                        break
-                ug = universe(g, key[0], cap)
-                iu, at_source = ug.index[mu], universe(g, mu.s, cap)
-                for E in strips[key]:
-                    if E in bad_parent:
-                        continue
-                    pmask = ug.ext_mask(g, iu, E[1]) >> 1
-                    if not pmask:
-                        if refute(bad_parent, g, E, mu):
-                            progress = True
-                        continue
-                    pcert = at_source.classify(pmask)
-                    if pcert.is_false and refute(bad_parent, g, E, g.compose(mu, pcert.witness)):
-                        progress = True
-                    else:
-                        for (yv, ymask), tau in bad_parent.items():
-                            if yv == mu.s and not pmask & ~ymask and refute(bad_parent, g, E, g.compose(mu, tau)):
-                                progress = True
-                                break
-        if not progress and len(bad_quotient) == nbad:
+            if key in first_miss:
+                mu, dmask = first_miss[key]
+                # the composite escapes the cap but replays exactly; it
+                # composes in g as in gq
+                mu_sigma = g.compose(mu, quotient_bad_witness((mu.s, dmask)))
+                if refute(bad_quotient, gq, key, mu_sigma):
+                    if not refute_parents_of(strips[key], mu_sigma):
+                        tainted[key] = false_certified(mu_sigma)
+                    progress = True
+        if not progress:
             break
 
-    # the last round refuted nothing new: these are the refuted sets of
-    # its family, which the verdict scan takes as known bad
-    known_bad = [(E[0], smask) for E, smask in parents if E in bad_parent] + list(bad_quotient)
     gkey = _set_sort_key(g, cap)
     return SatiatedFamily(
         base=FEFamily(gq, cap, family),
         cap=cap,
-        _known_bad=tuple(known_bad),
+        _known_bad=tuple(bad_quotient),
         refuted_parents={_set(g, E, cap): tau for E, tau in sorted(bad_parent.items(), key=lambda kv: gkey(kv[0]))},
         quotient_refuted={_set(gq, key, cap): sigma
                           for key, sigma in sorted(bad_quotient.items(), key=lambda kv: qkey(kv[0]))},

@@ -292,15 +292,14 @@ def _position_vertices(g: KGraph, x: Path) -> int:
     return out
 
 
-def _disjoint_cones(g: KGraph, reach: Dict[str, int]) -> Optional[Tuple[str, str]]:
+def _disjoint_cones(g: KGraph, reach: Dict[str, int]) -> Tuple[str, str]:
     """The first pair (v, w), in vertex order, whose forward cones are
-    disjoint, or None."""
-    for v in g.vertices:
-        cone = reach[v]
-        for w in g.vertices:
-            if not cone & reach[w]:
-                return v, w
-    return None
+    disjoint, when no vertex lies in every cone; such a pair then exists.
+    Every vertex reaches a sink component of the reach order (a strongly
+    connected component that reaches no other), and the cone of a vertex
+    in a sink component is that component.  A lone sink component would
+    lie in every cone, so there are two, and their cones are disjoint."""
+    return next((v, w) for v in g.vertices for w in g.vertices if not reach[v] & reach[w])
 
 
 def cofinality_check(g: KGraph, cap: Degree) -> CertifiedBool:
@@ -344,9 +343,8 @@ def cofinality_check(g: KGraph, cap: Degree) -> CertifiedBool:
     for cone in reach.values():
         meet &= cone
     if not meet:
-        pair = _disjoint_cones(g, reach)
-        if pair is not None:
-            return false_certified((g.identity(pair[0]), pair[1]))
+        v, w = _disjoint_cones(g, reach)
+        return false_certified((g.identity(v), w))
 
     targets = _loop_vertices(g) | sum(bit[t] for t in g.vertices if t not in receiving)
     if all(reach[w] & targets == targets for w in g.vertices):

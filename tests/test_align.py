@@ -53,6 +53,9 @@ def test_lambda_min_examples(fx):
     assert lambda_min(g3, g3.path(["b"]), g3.path(["c"])) == ()
     pairs = lambda_min(g2, b, b)
     assert len(pairs) == 1 and pairs[0].alpha.is_vertex and pairs[0].beta.is_vertex
+    g4 = fx["FX4"]
+    with pytest.raises(KGraphError, match=r"^mce needs a common range; got 'v' and 'w'$"):
+        lambda_min(g4, g4.path(["e"]), g4.path(["g"]))
 
 
 def test_lambda_min_bijective_with_mce(fx):

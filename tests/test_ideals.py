@@ -21,7 +21,7 @@ from kgraphlat.ideals import (
     saturation,
     set_sort_key,
 )
-from kgraphlat.kgraph import KGraph, KGraphError, Skeleton, validate_kgraph
+from kgraphlat.kgraph import KGraph, KGraphError, Skeleton, is_locally_convex, validate_kgraph
 from kgraphlat.randomgraphs import random_1graph, random_2graph
 
 import cli_corpus
@@ -320,6 +320,8 @@ def test_quotient_examples(fx):
 def test_quotient_rejects_non_hereditary(fx):
     with pytest.raises(KGraphError):
         quotient_graph(fx["FX4"], {"v"})
+    with pytest.raises(KGraphError, match=r"^\{v\} is not hereditary$"):
+        restricted_fe_family(fx["FX4"], {"v"}, (1,))
 
 
 def test_quotients_validate_for_all_enumerated():
@@ -592,15 +594,16 @@ def test_scan_matches_assignment_walk_oracle(monkeypatch):
 
 def _stripped_inputs():
     """Fixtures at caps 1-3, random 1- and 2-graphs (seeds 0-59) at cap 1,
-    and random 2-graphs 72, 87 and 91 at (1,1): with seeds 3, 5, 35, 41
-    and 58, these are the ones whose stripped families react to missing
-    (S2) derivatives."""
+    and random 2-graphs 72, 87, 91 and 228 at (1,1): with seeds 3, 5, 35,
+    41 and 58, these are the ones whose stripped families react to missing
+    (S2) derivatives.  In random_2graph(228), H = {v2} taints a strip that
+    a missing (S2) derivative refuted, since no witness refutes its parents."""
     for name in sorted(textio.FIXTURE_TEXTS):
         k = textio.fixture(name).k
         for c in (1, 2, 3):
             yield f"{name}{(c,) * k}", textio.fixture(name), (c,) * k
     for make in (random_1graph, random_2graph):
-        for seed in list(range(60)) + ([72, 87, 91] if make is random_2graph else []):
+        for seed in list(range(60)) + ([72, 87, 91, 228] if make is random_2graph else []):
             try:
                 g = make(seed)
             except RuntimeError:
@@ -650,6 +653,40 @@ def test_stripped_family_matches_eager_oracle(monkeypatch):
                 seen["overflow"] += bool(got.overflow)
                 seen["multi-round"] += walked > 1
     assert seen["families"] > 700 and min(seen.values()) > 0, seen
+
+
+def test_stripped_family_invariants():
+    """The facts (I) of _stripped_family's docstring, on every stripped
+    family of _stripped_inputs and of the random 2-graphs (seeds 0-399)
+    that are not locally convex, at (2,1) and (1,2): the strip of each
+    refuted parent is quotient-refuted, each tainted strip is
+    quotient-refuted, and every recorded witness replays, a parent's on the
+    graph and a strip's on the quotient."""
+    inputs = list(_stripped_inputs())
+    for seed in range(400):
+        g = random_2graph(seed)
+        if not is_locally_convex(g):
+            inputs += [(f"random_2graph({seed})", g, cap) for cap in ((2, 1), (1, 2))]
+    seen = collections.Counter()
+    for label, g, cap in inputs:
+        for H in map(frozenset, ideals._hereditary_sets(g)):
+            try:
+                sf = restricted_fe_family(g, H, cap)
+            except RuntimeError:  # over the fe enumeration limit
+                continue
+            for E, tau in sf.refuted_parents.items():
+                assert ideals._strip(E, H) in sf.quotient_refuted, (label, cap, H, E)
+                assert ideals._verify_refutation(g, E, tau, frozenset()), (label, cap, H, E)
+            for S, sigma in sf.quotient_refuted.items():
+                assert ideals._verify_refutation(g, S, sigma, H), (label, cap, H, S)
+            for S, cert in sf.tainted.items():
+                assert S in sf.quotient_refuted, (label, cap, H, S)
+                assert cert.is_false and ideals._verify_refutation(g, S, cert.witness, H), (label, cap, H, S)
+            seen["families"] += 1
+            seen["parents"] += len(sf.refuted_parents)
+            seen["quotient"] += len(sf.quotient_refuted)
+            seen["taints"] += len(sf.tainted)
+    assert seen["families"] > 1000 and min(seen.values()) > 0, seen
 
 
 # -- pairs and lattice -----------------------------------------------------------

@@ -114,6 +114,8 @@ def test_skew_window_examples(fx):
     for e in sw1.graph.edges:
         base = e.eid.split("@")[0]
         assert e.color == g1.edge(base).color  # degrees preserved
+    with pytest.raises(KGraphError, match=r"^bad window bounds lo=\(1,\) hi=\(0,\)$"):
+        skew_product_window(g1, (1,), (0,))
 
 
 def test_skew_windows_validate_up_to_radius_3(fx):
@@ -123,6 +125,7 @@ def test_skew_windows_validate_up_to_radius_3(fx):
             sw = skew_product_window(g, (-r,) * g.k, (r,) * g.k)
             assert validate_kgraph(sw.graph).ok
             assert grading_check(sw.graph, sw.grading)
+            assert not grading_check(sw.graph, Grading(sw.grading.b[1:]))  # a vertex missing
 
 
 def test_lift_path_window_overflow(fx):
@@ -131,8 +134,17 @@ def test_lift_path_window_overflow(fx):
     e = g5.path(["e"])
     lifted = lift_path(sw, e, (1,))
     assert lifted.r == "u@0" and lifted.s == "v@1"
-    with pytest.raises(KGraphError):
+    with pytest.raises(KGraphError, match=r"^source level \(2,\) outside window$"):
         lift_path(sw, e, (2,))
+    # a lift that starts in the window but walks out of it is refused inside
+    # the walk when an edge is left to lift, and after it otherwise
+    g1 = fx["FX1"]
+    sw1 = skew_product_window(g1, (0,), (1,))
+    with pytest.raises(KGraphError, match=r"^lift of e\.f leaves the window at \(-1,\)$"):
+        lift_path(sw1, g1.path(["e", "f"]), (0,))
+    with pytest.raises(KGraphError, match=r"^lift of e leaves the window at \(-1,\)$"):
+        lift_path(sw1, g1.path(["e"]), (0,))
+    assert lift_path(sw1, g1.identity("u"), (1,)) == sw1.graph.identity(sw1.vertex("u", (1,)))
 
 
 def test_skew_fe_lift_examples(fx):
@@ -143,6 +155,8 @@ def test_skew_fe_lift_examples(fx):
     assert {p.literal() for p in lifted.paths} == {"b@1,0", "c@0,1"}
     assert lifted.range_vertex == "v@0,0"
     assert lifted.exhaustive.is_true
+    with pytest.raises(KGraphError, match=r"^cannot lift an empty set$"):
+        skew_fe_lift(sw, [], (0, 0), (1, 1))
 
 
 def test_skew_fe_lift_never_refuted(fx):
@@ -201,8 +215,10 @@ def test_m_closure_chain_and_join_invariance(fx):
 def test_m_closure_requires_grading(fx):
     g1 = fx["FX1"]
     fake = Grading((("u", (0,)), ("v", (0,))))
-    with pytest.raises(KGraphError):
+    with pytest.raises(KGraphError, match=r"^grading does not match the graph$"):
         m_closure(g1, fake, [g1.path(["e"])])
+    with pytest.raises(KGraphError, match=r"^no grading supplied; the closure may be infinite$"):
+        m_closure(g1, None, [g1.path(["e"])])
 
 
 # -- boundary prefixes ---------------------------------------------------------------
