@@ -47,12 +47,12 @@ def mce(g: KGraph, mu: Path, nu: Path) -> Tuple[Path, ...]:
     A graph that does not validate can raise MissingSquareError here,
     when a factorization needs a square its presentation lacks."""
     if mu.r != nu.r:
-        raise _no_common_range(mu, nu)
+        raise _no_common_range("mce", mu, nu)
     return _column(g, mu, nu, 0)
 
 
-def _no_common_range(mu: Path, nu: Path) -> KGraphError:
-    return KGraphError(f"mce needs a common range; got {mu.r!r} and {nu.r!r}")
+def _no_common_range(caller: str, mu: Path, nu: Path) -> KGraphError:
+    return KGraphError(f"{caller} needs a common range; got {mu.r!r} and {nu.r!r}")
 
 
 # column i of the pair table of (nu, mu) is column _FLIPPED[i] of (mu, nu)'s
@@ -188,7 +188,7 @@ def _build_min_triples(g: KGraph, mu: Path, nu: Path) -> Tuple[Tuple[Path, ...],
 def lambda_min(g: KGraph, mu: Path, nu: Path) -> Tuple[MinPair, ...]:
     """The continuation pairs (alpha, beta) with mu·alpha = nu·beta minimal."""
     if mu.r != nu.r:
-        raise _no_common_range(mu, nu)
+        raise _no_common_range("lambda_min", mu, nu)
     out = map(MinPair, _column(g, mu, nu, 1), _column(g, mu, nu, 2))
     return tuple(sorted(out, key=lambda p: (p.alpha.sort_key(), p.beta.sort_key())))
 

@@ -25,7 +25,7 @@ from .align import (
 )
 from .certify import CertifiedBool, false_certified, true_certified, unknown_at_cap
 from .degrees import Degree
-from .kgraph import KGraph, KGraphError, Path, Skeleton, is_locally_convex
+from .kgraph import KGraph, KGraphError, Path, Skeleton
 from .record import Record
 
 # Work limits for the combinatorial (S3)/(S4) scans; exceeding one only
@@ -866,12 +866,12 @@ def _stripped_family(g: KGraph, H: FrozenSet[str], cap: Degree) -> SatiatedFamil
 # -- ideal pairs and the lattice --------------------------------------------------
 
 
-class IdealPair(Record, frozen=True, hidden=("graph", "closure")):
-    _fields = ("graph_key", "cap", "H", "B", "h_saturated", "graph", "closure")
+class IdealPair(Record, frozen=True, hidden=("graph",)):
+    _fields = ("graph_key", "cap", "H", "B", "h_saturated", "graph")
     __slots__ = _fields + ("_stripped",)
 
     def __init__(self, graph_key: object, cap: Degree, H: Tuple[str, ...], B: Tuple[PathSet, ...],
-                 h_saturated: CertifiedBool, graph: KGraph, closure: Optional[SatiatedFamily] = None):
+                 h_saturated: CertifiedBool, graph: KGraph):
         self.graph_key = graph_key
         self.cap = cap
         self.H = H
@@ -879,9 +879,6 @@ class IdealPair(Record, frozen=True, hidden=("graph", "closure")):
         self.h_saturated = h_saturated
         # the graph whose stripped family of H the pair reads on demand
         self.graph = graph
-        # the closed family the pair indexes: the stripped family, or for a
-        # nonempty B its satiation closure; None reads the stripped family
-        self.closure = closure
         self._stripped = None
 
     @property
@@ -899,33 +896,24 @@ class IdealPair(Record, frozen=True, hidden=("graph", "closure")):
 
     @property
     def family_cert(self) -> CertifiedBool:
-        """The closure certificate of the pair's family."""
-        return (self.stripped if self.closure is None else self.closure).satiated
+        """The closure certificate of the stripped family of H."""
+        return self.stripped.satiated
 
     @property
     def member_certs_true(self) -> bool:
         """No strip was tainted, and every member of the stripped family
-        and of the pair's family is TrueCertified."""
+        is TrueCertified."""
         sf = self.stripped
-        return not sf.tainted and _all_true(sf.base) and (self.closure is None or _all_true(self.closure.base))
+        return not sf.tainted and all(c.is_true for certs in sf.base.by_vertex.values() for c in certs.values())
 
     @property
     def exact(self) -> bool:
-        """Certified-at-every-level tag.
-
-        With B empty the pair is indexed by H alone: the stripped family
-        of a saturated hereditary set is closed by construction, so only
-        the saturation certificate matters.  A nonempty B additionally
-        needs the closure scan and the member certificates.
-        """
-        if not self.h_saturated.is_true:
-            return False
-        if not self.B:
-            return True
-        return self.family_cert.is_true and self.member_certs_true
-
-    def sort_key(self):
-        return (len(self.H), self.H, len(self.B), tuple(set_sort_key(S) for S in self.B))
+        """Certified-at-every-level tag: H is certified saturated and B is
+        empty.  The stripped family of a saturated hereditary set is
+        closed by construction, so only the saturation certificate
+        matters.  Nothing certifies a B given by _replace, so such a pair
+        is at-cap."""
+        return self.h_saturated.is_true and not self.B
 
     def label(self) -> str:
         b = ",".join(fmt_pathset(S) for S in self.B) if self.B else ""
@@ -933,34 +921,27 @@ class IdealPair(Record, frozen=True, hidden=("graph", "closure")):
         return f"H={fmt_vertexset(self.H)} B={{{b}}} [{tag}]"
 
 
-def _keys(fam: FEFamily) -> FrozenSet[SetKey]:
-    return frozenset((v, mask) for v, masks in fam.by_vertex.items() for mask in masks)
-
-
-def _all_true(fam: FEFamily) -> bool:
-    return all(c.is_true for certs in fam.by_vertex.values() for c in certs.values())
-
-
 def enumerate_ideal_pairs(g: KGraph, cap: Degree) -> List[IdealPair]:
-    """All pairs (H, B): saturated hereditary H plus a set family B that,
-    together with the stripped family of H, is satiated at the cap.
+    """One pair (H, ∅) for each H of enumerate_sat_hered, in its (size,
+    members) order.  No family is built: a pair builds its stripped
+    family only when it is read.
 
-    Distinct B candidates with the same satiation closure collapse to the
-    closure, so each emitted pair indexes a distinct closed family.
+    The source paper indexes the gauge-invariant ideals by pairs (H, B),
+    with B a set of finite exhaustive sets of Λ∖ΛH that are not in E_H,
+    the strips of the finite exhaustive sets of Λ.
 
-    On a locally convex graph (is_locally_convex) every H gives its one
-    pair (H, ∅), and no family is built.  Raeburn–Sims–Yeend, "Higher rank
-    graphs and their C*-algebras" (Proc. Edinb. Math. Soc. 46, 2003),
-    Theorem 5.2: for a row-finite, locally convex k-graph Λ, H ↦ I_H is a
-    bijection from the saturated hereditary sets onto the gauge-invariant
-    ideals of C*(Λ), where I_H is generated by the p_v with v ∈ H.  A
-    finite presentation is row-finite.  The source paper's bijection
-    (H, B) ↦ I_{H,B} sends (H, ∅) to that same I_H, so by injectivity no
-    pair has B ≠ ∅.  This needs the two saturations to agree.  The
-    paper's H is saturated when no v ∉ H has a finite exhaustive
-    E ⊆ vΛ∖{v} with s(E) ⊆ H; RSY's when no v ∉ H has s(vΛ^{≤n}) ⊆ H,
-    where vΛ^{≤n} holds the λ ∈ vΛ with d(λ) ≤ n and s(λ)Λ^{e_i} = ∅
-    whenever d(λ) + e_i ≤ n.
+    On a locally convex graph (is_locally_convex) no pair has B ≠ ∅, at
+    any cap.  Raeburn–Sims–Yeend, "Higher rank graphs and their
+    C*-algebras" (Proc. Edinb. Math. Soc. 46, 2003), Theorem 5.2: for a
+    row-finite, locally convex k-graph Λ, H ↦ I_H is a bijection from the
+    saturated hereditary sets onto the gauge-invariant ideals of C*(Λ),
+    where I_H is generated by the p_v with v ∈ H.  A finite presentation
+    is row-finite.  The source paper's bijection (H, B) ↦ I_{H,B} sends
+    (H, ∅) to that same I_H, so by injectivity no pair has B ≠ ∅.  This
+    needs the two saturations to agree.  The paper's H is saturated when
+    no v ∉ H has a finite exhaustive E ⊆ vΛ∖{v} with s(E) ⊆ H; RSY's when
+    no v ∉ H has s(vΛ^{≤n}) ⊆ H, where vΛ^{≤n} holds the λ ∈ vΛ with
+    d(λ) ≤ n and s(λ)Λ^{e_i} = ∅ whenever d(λ) + e_i ≤ n.
     - Given such an E at v, let n = ∨d(E).  Each λ ∈ vΛ^{≤n} has a common
       extension with some μ ∈ E.  Were d(μ)_i > d(λ)_i, that extension
       would leave s(λ) in colour i while d(λ) + e_i ≤ n.  So d(λ) ≥ d(μ)
@@ -969,71 +950,26 @@ def enumerate_ideal_pairs(g: KGraph, cap: Degree) -> List[IdealPair]:
       exhaustive (RSY compare the two Cuntz–Krieger relations in J. Funct.
       Anal. 213, 2004).  It contains v only when it is {v}, which
       s(vΛ^{≤n}) ⊆ H rules out for v ∉ H.
-    The pair builds its stripped family only when it is read.
 
-    Graphs that are not locally convex take the capped route: the
-    stripped family of H, its B universe and the B search.  H = ∅ still
-    gives (∅, ∅) without a family.  In the paper's indexing B lies in
-    FE(Λ∖ΛH) minus the strips E_H, and E_∅ is all of FE(Λ).  In the code:
-    the quotient by ∅ is g itself, so every candidate of g is its own only
-    parent.  A candidate missing from the stripped family was therefore
-    refuted on g by a verified witness lying in g, which certified_non_fe
-    would replay, so the B universe is empty.
+    On every graph that validates, no capped candidate is left for B
+    either.  Lemma: let D be a capped candidate of the quotient
+    gq = Λ∖ΛH at a vertex v, and F_v the capped paths of g at v with
+    source in H.  Then D is a member of the stripped family of H, or it
+    is quotient-refuted: refuted on gq by a verified witness.
+    - E = D ∪ F_v is a capped candidate of g.  A capped path of g at v
+      that meets no member of E cannot have its source in H, since it
+      would then lie in F_v.  So it is a capped path of gq, and it meets
+      D inside the cap.
+    - The strip of E is D.  So by fact (I) of _stripped_family, D is in
+      the stripped family or is quotient-refuted.
+    With H = ∅, F_v is empty and E is D.  So the capped search for B,
+    over the candidates of gq that are neither members nor refuted,
+    searches an empty set.  Whether a finite exhaustive set past the cap
+    gives a B ≠ ∅ on a graph that is not locally convex is open: it needs
+    exact exhaustiveness (Sims, Indiana Univ. Math. J. 55, 2006).
     """
     cap = degrees.check(cap, g.k)
-    by_h_alone = is_locally_convex(g)
-    pairs: List[IdealPair] = []
-    for hv in enumerate_sat_hered(g, cap):
-        H = hv.as_frozenset
-        if by_h_alone or not H:
-            pairs.append(IdealPair(g.cache_key(), cap, hv.members, (), hv.saturated, g))
-            continue
-        gq = _quotient_by(g, H)
-        sf = restricted_fe_family(g, H, cap)
-        basekeys = _keys(sf.base)
-        cands = {(v, mask): c for v in gq.vertices for mask, c in _candidates(gq, v, cap).items()}
-        # verified refutations as masks at their vertex in gq, replayed on
-        # the quotient for every candidate they cover.  Each tau is a path
-        # of g, which lies in gq exactly when its source is outside H: a
-        # path that enters the hereditary H stays there
-        refutations = []
-        for Y, tau in {**sf.quotient_refuted, **sf.refuted_parents}.items():
-            yv = next(iter(Y)).r
-            if tau.s not in H:
-                idx = universe(gq, yv, cap).member_index
-                refutations.append((yv, sum(1 << idx[p] for p in Y if p in idx), tau))
-
-        def certified_non_fe(D: SetKey) -> bool:
-            v, dmask = D
-            return any(yv == v and not dmask & ~ymask and _verify_refutation(g, _set(gq, D, cap), tau, H)
-                       for yv, ymask, tau in refutations)
-
-        key = _set_sort_key(gq, cap)
-        buniverse = sorted((D for D in cands if D not in basekeys and not certified_non_fe(D)), key=key)
-
-        families: Dict[FrozenSet[SetKey], SatiatedFamily] = {basekeys: sf}
-        queue: List[FrozenSet[SetKey]] = [basekeys]
-        while queue:
-            famkey = queue.pop(0)
-            for x in buniverse:
-                if x in famkey:
-                    continue
-                by_vertex = {v: dict(certs) for v, certs in families[famkey].base.by_vertex.items()}
-                by_vertex.setdefault(x[0], {})[x[1]] = cands[x]
-                cl = satiation_closure(gq, FEFamily(gq, cap, by_vertex), cap)
-                clkey = _keys(cl.base)
-                if clkey not in families:
-                    families[clkey] = cl
-                    queue.append(clkey)
-
-        order = list(families)
-        if len(order) > 1:
-            order.sort(key=lambda fk: tuple(sorted(map(key, fk))))
-        for famkey in order:
-            B = tuple(_set(gq, D, cap) for D in sorted(famkey - basekeys, key=key))
-            pairs.append(IdealPair(g.cache_key(), cap, hv.members, B, hv.saturated, g, families[famkey]))
-    pairs.sort(key=IdealPair.sort_key)
-    return pairs
+    return [IdealPair(g.cache_key(), cap, hv.members, (), hv.saturated, g) for hv in enumerate_sat_hered(g, cap)]
 
 
 def pair_leq(g: KGraph, p1: IdealPair, p2: IdealPair) -> bool:

@@ -42,7 +42,7 @@ def test_mce_symmetric_and_prefix_equations(fx):
 
 def test_mce_requires_common_range(fx):
     g = fx["FX4"]
-    with pytest.raises(KGraphError):
+    with pytest.raises(KGraphError, match=r"^mce needs a common range; got 'u' and 'v'$"):
         mce(g, g.identity("u"), g.identity("v"))
 
 
@@ -54,7 +54,7 @@ def test_lambda_min_examples(fx):
     pairs = lambda_min(g2, b, b)
     assert len(pairs) == 1 and pairs[0].alpha.is_vertex and pairs[0].beta.is_vertex
     g4 = fx["FX4"]
-    with pytest.raises(KGraphError, match=r"^mce needs a common range; got 'v' and 'w'$"):
+    with pytest.raises(KGraphError, match=r"^lambda_min needs a common range; got 'v' and 'w'$"):
         lambda_min(g4, g4.path(["e"]), g4.path(["g"]))
 
 

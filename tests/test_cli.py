@@ -472,10 +472,11 @@ def test_query_leaves_no_cyclic_garbage():
     link to its parent, so a query's tables are freed by reference
     counting alone: after a run on a freshly parsed graph, with the
     cyclic collector off, a collection finds nothing.  This holds for
-    lattice and report on every graph, quotients included, and for a
-    stripped family of a nonempty H; the family of H = {} still holds
-    its graph.  The objects made before the queries are frozen, so that
-    each collection scans only what the queries made."""
+    lattice and report on every graph, which build no quotient, and for
+    a stripped family of a nonempty H, which builds one; the family of
+    H = {} still holds its graph.  The objects made before the queries
+    are frozen, so that each collection scans only what the queries
+    made."""
     queries = list(_cyclic_free_queries())
     seen = Counter()
     gc.collect()

@@ -661,7 +661,9 @@ def test_stripped_family_invariants():
     that are not locally convex, at (2,1) and (1,2): the strip of each
     refuted parent is quotient-refuted, each tainted strip is
     quotient-refuted, and every recorded witness replays, a parent's on the
-    graph and a strip's on the quotient."""
+    graph and a strip's on the quotient.  And the lemma of
+    enumerate_ideal_pairs: every capped candidate of the quotient is a
+    member of the family or quotient-refuted, so no candidate is left for B."""
     inputs = list(_stripped_inputs())
     for seed in range(400):
         g = random_2graph(seed)
@@ -674,6 +676,12 @@ def test_stripped_family_invariants():
                 sf = restricted_fe_family(g, H, cap)
             except RuntimeError:  # over the fe enumeration limit
                 continue
+            gq, members = ideals.quotient_graph(g, H), sf.sets()
+            for v in gq.vertices:
+                for mask in ideals._candidates(gq, v, cap):
+                    D = ideals._set(gq, (v, mask), cap)
+                    assert D in members or D in sf.quotient_refuted, (label, cap, H, D)
+                    seen["candidates"] += 1
             for E, tau in sf.refuted_parents.items():
                 assert ideals._strip(E, H) in sf.quotient_refuted, (label, cap, H, E)
                 assert ideals._verify_refutation(g, E, tau, frozenset()), (label, cap, H, E)
@@ -716,22 +724,20 @@ def _pair_inputs():
 
 
 def test_pair_enumeration_matches_every_H_oracle():
-    """The pairs equal those of the enumeration that builds the stripped
-    family and the B search for H = {} too, on every field and label.  The
-    pairs are enumerated first, on a fresh memo; the fields they read on
-    demand then resolve through the families the oracle built."""
+    """The pairs equal those of the oracle enumeration, which builds the
+    stripped family of every H, H = {} included, and searches the capped
+    B universe, on every field and label.  The pairs are enumerated first,
+    on a fresh memo; the fields they read on demand then resolve through
+    the families the oracle built."""
     compared = refused = 0
     for label, g, cap in _pair_inputs():
-        try:
-            got = enumerate_ideal_pairs(g, cap)
-        except RuntimeError:  # over the fe enumeration limit
-            got = None
+        got = enumerate_ideal_pairs(g, cap)
         try:
             want = oracles.oracle_enumerate_ideal_pairs(g, cap)
-        except RuntimeError:
+        except RuntimeError:  # over the fe enumeration limit
             refused += 1
             continue
-        assert got is not None and len(got) == len(want), label
+        assert len(got) == len(want), label
         for p, q in zip(got, want):
             for name in PAIR_FIELDS:
                 assert getattr(p, name) == getattr(q, name), (label, p.H, name)
@@ -779,13 +785,14 @@ square c s1 ~ s c1
 def test_quotient_replay_matches_replay_on_the_quotient(monkeypatch):
     """A refutation on the quotient of g by H is replayed on g: ext there,
     keeping the continuations with source outside H.  On every replay
-    that the pair enumeration makes over the inputs above, that answers
-    as ext on the quotient does.  Those replays all refute, with no
-    continuation in g either, so every capped path and single member at
-    each vertex is replayed as well, on the quotient by each hereditary H
-    of the inputs at their smallest cap, and on a quotient of a quotient
-    where each H decides an answer, replayed on g with the union of the
-    two H: there, continuations with source in H decide some answers."""
+    that the stripped families of the pairs with a nonempty H make over
+    the inputs above, that answers as ext on the quotient does.  Those
+    replays all refute, with no continuation in g either, so every capped
+    path and single member at each vertex is replayed as well, on the
+    quotient by each hereditary H of the inputs at their smallest cap,
+    and on a quotient of a quotient where each H decides an answer,
+    replayed on g with the union of the two H: there, continuations with
+    source in H decide some answers."""
     replays = collections.Counter()
     verify = ideals._verify_refutation
 
@@ -799,10 +806,12 @@ def test_quotient_replay_matches_replay_on_the_quotient(monkeypatch):
     monkeypatch.setattr(ideals, "_verify_refutation", compared)
     swept = []
     for label, g, cap in _pair_inputs():
-        try:
-            enumerate_ideal_pairs(g, cap)
-        except RuntimeError:  # over the fe enumeration limit
-            continue
+        for p in enumerate_ideal_pairs(g, cap):
+            if p.H:
+                try:
+                    p.stripped
+                except RuntimeError:  # over the fe enumeration limit
+                    pass
         if max(cap) == 1:
             swept.extend((label, g, H, gq, cap) for H, gq in _quotients(g))
     # the square on b and r closes only at h, the one on c and s only at z:

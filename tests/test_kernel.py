@@ -1,9 +1,8 @@
 """The bitmask kernel of align.VertexUniverse against the path arithmetic
 it stands in for, and call-count gates that keep that arithmetic, and
 the conversions between path sets and masks, out of the inner loops of
-the lattice computation.  The lattice builds no stripped family for
-H = {}, nor for any H of a locally convex graph, so the gates on the
-closure loops also read every pair's stripped family."""
+the lattice computation.  The lattice builds no stripped family, so
+the gates on the closure loops also read every pair's stripped family."""
 
 import itertools
 import random
@@ -383,11 +382,11 @@ def test_common_extension_session_memo_footprint(name, radius, cap):
 
 
 def test_lattice_memo_stores_no_split_or_ext():
-    """random_2graph(41) is not locally convex, so its lattice and report
-    replay refutations through ext of sets with several members.  Neither
-    split nor ext stores a memo entry: with a split memo and an ext memo
-    for sets of several members, the graph's memo held 100 entries, 35
-    split and 12 ext; now it holds 53."""
+    """random_2graph(41) is not locally convex, so the stripped families
+    of its pairs replay refutations through ext of sets with several
+    members.  Neither split nor ext stores a memo entry: with a split
+    memo and an ext memo for sets of several members, the graph's memo
+    held 100 entries, 35 split and 12 ext; now it holds 60."""
     g = random_2graph(41)
     _lattice_and_families(g, (1, 1))
     structure.structure_report(g, (1, 1), False)
@@ -397,14 +396,14 @@ def test_lattice_memo_stores_no_split_or_ext():
 
 
 def test_quotient_replays_run_no_path_arithmetic(monkeypatch):
-    """random_2graph(41) is not locally convex, so its lattice and report
-    build the stripped family of each proper H and replay refutations on
-    the quotients.  A replay on a quotient by H reads ext on g, which the
-    caller passes with H, and keeps the continuations with source outside
-    H, so no split, compose or path enumeration runs on a quotient graph
-    inside a replay; replaying with ext on the quotient made 32 splits and
-    5 enumerations there.  The quotients' universe builds make 16 splits
-    and 24 enumerations on them, outside the replays."""
+    """random_2graph(41) is not locally convex, so the stripped families
+    of its pairs replay refutations on the quotients.  A replay on a
+    quotient by H reads ext on g, which the caller passes with H, and
+    keeps the continuations with source outside H, so no split, compose
+    or path enumeration runs on a quotient graph inside a replay;
+    replaying with ext on the quotient made 32 splits and 5 enumerations
+    there.  The quotients' universe builds make 16 splits and 24
+    enumerations on them, outside the replays."""
     g = random_2graph(41)
     names = ("split", "compose", "_enumerate_degree")
     calls = _counting_by_graph(monkeypatch, g, names)
@@ -421,7 +420,7 @@ def test_quotient_replays_run_no_path_arithmetic(monkeypatch):
             replays["quotient arithmetic"] += sum(calls[name, "other"] for name in names) - before
 
     monkeypatch.setattr(ideals, "_verify_refutation", recorded)
-    ideals.ideal_lattice(g, (1, 1))
+    _lattice_and_families(g, (1, 1))
     structure.structure_report(g, (1, 1), False)
     assert replays["quotient"]
     assert replays["quotient arithmetic"] == 0, calls
@@ -584,14 +583,14 @@ def _recording_families(monkeypatch):
     ("FX6", (2,), [], 0),
     ("FX2", (2, 2), [], 0),
     ("FX4", (2,), [], 0),
-    (41, (1, 1), [("v1",), ("v2",), ("v0", "v2"), ("v1", "v2"), ("v0", "v1", "v2")], 9),
+    (41, (1, 1), [], 0),
 ])
 def test_lattice_builds_no_family_for_empty_H(monkeypatch, source, cap, built, fe_calls):
-    """The lattice and the structure report of a locally convex graph
-    build no stripped family and enumerate no candidate: its pairs are
-    indexed by H alone.  random_2graph(41) is not locally convex, so it
-    builds the family of each proper H, and none for H = {}.  Reading
-    eh_sets builds every other family on demand."""
+    """The lattice and the structure report build no stripped family and
+    enumerate no candidate, for H = {} or any other H: the pairs are
+    indexed by H alone on every graph, the locally convex FX6, FX2 and FX4
+    and random_2graph(41), which is not.  Reading eh_sets builds each
+    pair's family on demand."""
     if isinstance(source, int):
         g = random_2graph(source)
     else:
@@ -608,12 +607,12 @@ def test_lattice_builds_no_family_for_empty_H(monkeypatch, source, cap, built, f
 
 
 def test_lattice_and_report_check_heredity_once_per_family(monkeypatch):
-    """The sets the lattice strips come from enumerate_sat_hered, which
-    proved them hereditary.  restricted_fe_family checks a set only when
-    its memo has no family for it, and the lattice takes quotients without
-    quotient_graph's check, so the lattice and the structure report check
-    heredity once per family they build; graphs that build none check
-    nothing."""
+    """The sets a pair strips come from enumerate_sat_hered, which proved
+    them hereditary.  The lattice and the structure report build no
+    family, so they check nothing.  restricted_fe_family checks a set
+    only when its memo has no family for it, and it takes quotients
+    without quotient_graph's check, so reading each pair's stripped family
+    checks heredity once per family, and reading it again checks nothing."""
     calls = _counting(monkeypatch, ideals, ("is_hereditary",))
     built = _recording_families(monkeypatch)
     for seed in range(30):
@@ -621,10 +620,10 @@ def test_lattice_and_report_check_heredity_once_per_family(monkeypatch):
             before = len(built)
             lat = ideals.ideal_lattice(g, cap)
             structure.structure_report(g, cap, False)
-            assert calls["is_hereditary"] == len(built)
-            assert (len(built) == before) == is_locally_convex(g)
+            assert calls["is_hereditary"] == len(built) == before
             for p in lat.pairs:
                 p.eh_sets
+            assert len(built) == before + len(lat.pairs)
             assert calls["is_hereditary"] == len(built)
     checked = calls["is_hereditary"]
     for p in lat.pairs:  # memo hits
@@ -636,14 +635,14 @@ def test_lattice_and_report_check_heredity_once_per_family(monkeypatch):
 
 @pytest.mark.parametrize("source, cap, compose_max", [("FX4", (2,), 7), (41, (1, 1), 9), (72, (1, 1), 9)])
 def test_lattice_and_report_run_no_verdict_scan(monkeypatch, source, cap, compose_max):
-    """The lattice and the structure report read the stripped families'
-    members and refutations, not their (S1)-(S4) verdict, and build no
-    satiation closure here, so they run no closure scan; the rounds of a
-    stripped family walk rule (S2) alone.  Reading a family's verdict
-    twice runs exactly one closure scan, of that family.  On FX4 and
-    random_2graph seeds 41 and 72, scanning every round of every family
-    ran 3 / 6 / 6 check scans, and 13 / 37 / 51 composes for their (S4)
-    rows."""
+    """The lattice and the structure report build no family, so they run
+    no closure scan and no compose.  A stripped family's rounds walk rule
+    (S2) alone, so building the families of the nonempty H runs no
+    closure scan either, and at most compose_max composes.  Reading a
+    family's verdict twice runs exactly one closure scan, of that family.
+    On FX4 and random_2graph seeds 41 and 72, scanning every round of
+    every family ran 3 / 6 / 6 check scans, and 13 / 37 / 51 composes for
+    their (S4) rows."""
     if isinstance(source, int):
         g = random_2graph(source)
     else:
@@ -659,6 +658,10 @@ def test_lattice_and_report_run_no_verdict_scan(monkeypatch, source, cap, compos
     monkeypatch.setattr(ideals, "_scan_satiation", recorded)
     lat = ideals.ideal_lattice(g, cap)
     structure.structure_report(g, cap, False)
+    assert checked == [] and calls["compose"] == 0
+    for p in lat.pairs:
+        if p.H:
+            p.stripped
     assert checked == []
     assert calls["compose"] <= compose_max
     families = []

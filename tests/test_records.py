@@ -37,7 +37,7 @@ FIELDS = {
     VertexSet: ("members", "hereditary", "saturated"),
     SatiatedFamily: ("base", "cap", "refuted_parents", "quotient_refuted", "tainted", "_checked", "_known_bad"),
     _ScanResult: ("violations", "taints", "overflow", "budget_hit", "s4_missing"),
-    IdealPair: ("graph_key", "cap", "H", "B", "h_saturated", "graph", "closure"),
+    IdealPair: ("graph_key", "cap", "H", "B", "h_saturated", "graph"),
     IdealLattice: ("pairs", "leq", "hasse", "meets", "joins", "is_lattice", "failures", "cap"),
     Grading: ("b",),
     SkewWindow: ("base", "lo", "hi", "graph", "grading"),
@@ -52,7 +52,7 @@ HIDDEN = {
     VertexUniverse: ("_cont", "_comp"),
     FEFamily: ("graph",),
     SatiatedFamily: ("_checked", "_known_bad"),
-    IdealPair: ("graph", "closure"),
+    IdealPair: ("graph",),
 }
 FROZEN = (Edge, Skeleton, SquareRule, ValidationReport, CertifiedBool, VertexSet, IdealPair, Grading, BoundaryPrefix)
 
@@ -98,7 +98,7 @@ def test_frozen_records_hash_as_their_field_tuple(samples):
         assert hash(copy) == hash(x) == hash(_compared(x)), x
     assert len(set(frozen)) == len(frozen)
     pair = next(p for p in samples if isinstance(p, IdealPair) and p.H)
-    assert pair._replace(graph=None, closure=None) == pair  # hidden fields are not compared
+    assert pair._replace(graph=None) == pair  # hidden fields are not compared
 
 
 def test_mutable_records_are_unhashable(samples):
