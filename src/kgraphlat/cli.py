@@ -298,7 +298,8 @@ def _pairs_payload(pairs: List[IdealPair], certs: _Certificates):
     out = []
     for p in pairs:
         certs.append((f"pair {p.label()}", p.h_saturated))
-        out.append({"H": p.H, "B": [sorted_paths(S) for S in p.B], "exact": p.exact})
+        # every B is empty: enumerate_ideal_pairs proves no capped B exists
+        out.append({"H": p.H, "B": [], "exact": p.exact})
     return out
 
 

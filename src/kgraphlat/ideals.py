@@ -1,5 +1,7 @@
 """Hereditary/saturated vertex sets, quotient graphs, satiation closures,
-and the lattice of (H, B) pairs indexing gauge-invariant ideals.
+and the lattice of gauge-invariant ideals.  The source paper indexes
+those by pairs (H, B); no capped B exists (enumerate_ideal_pairs), so a
+pair is a saturated hereditary H and the pairs are ordered by H.
 
 All quantifiers over infinite path or set universes are cap-bounded and
 answered with certificates.  A FalseCertified answer always carries a
@@ -295,10 +297,6 @@ def _set_sort_key(g: KGraph, cap: Degree):
 
 def _set(g: KGraph, vm: SetKey, cap: Degree) -> PathSet:
     return universe(g, vm[0], cap).set_of(vm[1])
-
-
-def _strip(E: PathSet, H: FrozenSet[str]) -> PathSet:
-    return frozenset(p for p in E if p.s not in H)
 
 
 def _verify_refutation(g: KGraph, E: PathSet, tau: Path, H: FrozenSet[str]) -> bool:
@@ -866,65 +864,33 @@ def _stripped_family(g: KGraph, H: FrozenSet[str], cap: Degree) -> SatiatedFamil
 # -- ideal pairs and the lattice --------------------------------------------------
 
 
-class IdealPair(Record, frozen=True, hidden=("graph",)):
-    _fields = ("graph_key", "cap", "H", "B", "h_saturated", "graph")
-    __slots__ = _fields + ("_stripped",)
+class IdealPair(Record, frozen=True):
+    """The pair (H, ∅) of a saturated hereditary H, with its saturation
+    certificate; no pair has a B (enumerate_ideal_pairs)."""
 
-    def __init__(self, graph_key: object, cap: Degree, H: Tuple[str, ...], B: Tuple[PathSet, ...],
-                 h_saturated: CertifiedBool, graph: KGraph):
+    __slots__ = ("graph_key", "cap", "H", "h_saturated")
+
+    def __init__(self, graph_key: object, cap: Degree, H: Tuple[str, ...], h_saturated: CertifiedBool):
         self.graph_key = graph_key
         self.cap = cap
         self.H = H
-        self.B = B
         self.h_saturated = h_saturated
-        # the graph whose stripped family of H the pair reads on demand
-        self.graph = graph
-        self._stripped = None
-
-    @property
-    def stripped(self) -> SatiatedFamily:
-        """The stripped family of H, built on first read.  It is memoized
-        on the graph, so a replaced copy of the pair reads the same one."""
-        if self._stripped is None:
-            self._stripped = restricted_fe_family(self.graph, self.H, self.cap)
-        return self._stripped
-
-    @property
-    def eh_sets(self) -> FrozenSet[PathSet]:
-        """The stripped family of H as path sets, built on each read."""
-        return frozenset(self.stripped.base.all_sets())
-
-    @property
-    def family_cert(self) -> CertifiedBool:
-        """The closure certificate of the stripped family of H."""
-        return self.stripped.satiated
-
-    @property
-    def member_certs_true(self) -> bool:
-        """No strip was tainted, and every member of the stripped family
-        is TrueCertified."""
-        sf = self.stripped
-        return not sf.tainted and all(c.is_true for certs in sf.base.by_vertex.values() for c in certs.values())
 
     @property
     def exact(self) -> bool:
-        """Certified-at-every-level tag: H is certified saturated and B is
-        empty.  The stripped family of a saturated hereditary set is
-        closed by construction, so only the saturation certificate
-        matters.  Nothing certifies a B given by _replace, so such a pair
-        is at-cap."""
-        return self.h_saturated.is_true and not self.B
+        """Certified-at-every-level tag: H is certified saturated.  The
+        stripped family of a saturated hereditary set is closed by
+        construction, so only the saturation certificate matters."""
+        return self.h_saturated.is_true
 
     def label(self) -> str:
-        b = ",".join(fmt_pathset(S) for S in self.B) if self.B else ""
         tag = "exact" if self.exact else "at-cap"
-        return f"H={fmt_vertexset(self.H)} B={{{b}}} [{tag}]"
+        return f"H={fmt_vertexset(self.H)} B={{}} [{tag}]"
 
 
 def enumerate_ideal_pairs(g: KGraph, cap: Degree) -> List[IdealPair]:
     """One pair (H, ∅) for each H of enumerate_sat_hered, in its (size,
-    members) order.  No family is built: a pair builds its stripped
-    family only when it is read.
+    members) order.  No family is built.
 
     The source paper indexes the gauge-invariant ideals by pairs (H, B),
     with B a set of finite exhaustive sets of Λ∖ΛH that are not in E_H,
@@ -969,39 +935,21 @@ def enumerate_ideal_pairs(g: KGraph, cap: Degree) -> List[IdealPair]:
     exact exhaustiveness (Sims, Indiana Univ. Math. J. 55, 2006).
     """
     cap = degrees.check(cap, g.k)
-    return [IdealPair(g.cache_key(), cap, hv.members, (), hv.saturated, g) for hv in enumerate_sat_hered(g, cap)]
+    return [IdealPair(g.cache_key(), cap, hv.members, hv.saturated) for hv in enumerate_sat_hered(g, cap)]
 
 
 def pair_leq(g: KGraph, p1: IdealPair, p2: IdealPair) -> bool:
-    """Order on pairs: containment of H plus membership of the restricted
-    B sets in the larger pair's family."""
+    """Order on pairs of one graph at one cap: containment of H, since no
+    pair has a B."""
     if p1.graph_key != g.cache_key() or p2.graph_key != g.cache_key():
         raise KGraphError("pairs come from a different graph")
     if p1.cap != p2.cap:
         raise KGraphError("pairs computed at different caps")
-    bits = g.vertex_bits()
-    return _pair_leq(p1, p2, _vertex_mask(bits, p1.H), _vertex_mask(bits, p2.H))
+    return set(p1.H) <= set(p2.H)
 
 
 def _vertex_mask(bits: Dict[str, int], H: Iterable[str]) -> int:
     return sum(bits[v] for v in H)
-
-
-def _pair_leq(p1: IdealPair, p2: IdealPair, h1: int, h2: int) -> bool:
-    # pair_leq for two pairs of one graph at one cap, whose H have the
-    # vertex masks h1 and h2
-    if h1 & ~h2:
-        return False
-    if not p1.B:
-        return True
-    H2 = frozenset(p2.H)
-    allowed = p2.eh_sets | set(p2.B)
-    for E in p1.B:
-        if next(iter(E)).r in H2:
-            continue
-        if _strip(E, H2) not in allowed:
-            return False
-    return True
 
 
 class IdealLattice(Record):
@@ -1022,12 +970,15 @@ class IdealLattice(Record):
 
 def ideal_lattice(g: KGraph, cap: Degree) -> IdealLattice:
     """The pair lattice with Hasse diagram, meets and joins from pair_leq's
-    matrix by _order_tables, with any gaps at the cap reported, not hidden."""
+    matrix by _order_tables, with any gaps at the cap reported, not hidden.
+    The matrix is H containment as a test of vertex masks, each computed
+    once; the pairs meet pair_leq's same-graph and same-cap checks by
+    construction."""
     cap = degrees.check(cap, g.k)
     pairs = enumerate_ideal_pairs(g, cap)
     bits = g.vertex_bits()
     masks = [_vertex_mask(bits, p.H) for p in pairs]
-    leq = [[_pair_leq(p1, p2, h1, h2) for p2, h2 in zip(pairs, masks)] for p1, h1 in zip(pairs, masks)]
+    leq = [[not h1 & ~h2 for h2 in masks] for h1 in masks]
     hasse, meets, joins, failures = _order_tables(leq)
     return IdealLattice(pairs, leq, hasse, meets, joins, not failures, failures, cap)
 

@@ -50,20 +50,20 @@ SATIATION_DRAWS = 2  # random sub-families per graph in criterion 8
 
 def _lattice_shape(g, cap):
     lat = ideal_lattice(g, cap)
-    return [(p.H, p.B) for p in lat.pairs], lat.hasse
+    return [p.H for p in lat.pairs], lat.hasse
 
 
 def test_criterion_1_fixture_lattices(fx):
     pairs4, hasse4 = _lattice_shape(fx["FX4"], (2,))
-    assert pairs4 == [((), ()), (("u",), ()), (("w",), ()), (("u", "v", "w"), ())]
+    assert pairs4 == [(), ("u",), ("w",), ("u", "v", "w")]
     assert hasse4 == ((0, 1), (0, 2), (1, 3), (2, 3))
     assert _lattice_shape(fx["FX4"], (3,)) == (pairs4, hasse4)  # cap stability
     pairs1, hasse1 = _lattice_shape(fx["FX1"], (2,))
-    assert pairs1 == [((), ()), (("u", "v"), ())] and hasse1 == ((0, 1),)
+    assert pairs1 == [(), ("u", "v")] and hasse1 == ((0, 1),)
     pairs2, hasse2 = _lattice_shape(fx["FX2"], (2, 2))
-    assert pairs2 == [((), ()), (("v",), ())] and hasse2 == ((0, 1),)
+    assert pairs2 == [(), ("v",)] and hasse2 == ((0, 1),)
     pairs6, hasse6 = _lattice_shape(fx["FX6"], (2,))
-    assert pairs6 == [((), ()), (("v",), ())] and hasse6 == ((0, 1),)
+    assert pairs6 == [(), ("v",)] and hasse6 == ((0, 1),)
     print("[criterion 1] PASS: fixture lattices exact (FX4 diamond cap-stable; FX1/FX2/FX6 chains)")
 
 
@@ -72,7 +72,6 @@ def test_criterion_2_k1_oracle_equivalence():
     for seed in K1_SEEDS:
         g = random_1graph(seed)
         pairs = enumerate_ideal_pairs(g, K1_CAP)
-        assert all(p.B == () for p in pairs), f"seed {seed}: nonempty B in a rank-1 graph"
         got = [frozenset(p.H) for p in pairs]
         want = sorted(oracles.k1_sat_hered_sets(g), key=lambda s: (len(s), sorted(s)))
         assert got == want, f"seed {seed}: pair sets differ from the classical closure"
@@ -128,14 +127,7 @@ def test_criterion_3_lemma_suite(fx):
                 for c in pairs:
                     if pair_leq(g, a, b) and pair_leq(g, b, c):
                         assert pair_leq(g, a, c), tag
-        by_h = {}
-        for p in pairs:
-            by_h.setdefault(p.H, []).append(p)
-        for group in by_h.values():
-            bottom = [p for p in group if p.B == ()]
-            assert len(bottom) == 1, tag
-            for p in group:
-                assert pair_leq(g, bottom[0], p), tag  # (H, empty) below (H, B)
+        assert len({p.H for p in pairs}) == len(pairs), tag  # one pair per H
         counts["e"] += 1
     print(
         "[criterion 3] PASS: lemma suite clean on fixtures + "

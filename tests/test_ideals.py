@@ -1,6 +1,8 @@
 import collections
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 
@@ -683,7 +685,7 @@ def test_stripped_family_invariants():
                     assert D in members or D in sf.quotient_refuted, (label, cap, H, D)
                     seen["candidates"] += 1
             for E, tau in sf.refuted_parents.items():
-                assert ideals._strip(E, H) in sf.quotient_refuted, (label, cap, H, E)
+                assert frozenset(p for p in E if p.s not in H) in sf.quotient_refuted, (label, cap, H, E)
                 assert ideals._verify_refutation(g, E, tau, frozenset()), (label, cap, H, E)
             for S, sigma in sf.quotient_refuted.items():
                 assert ideals._verify_refutation(g, S, sigma, H), (label, cap, H, S)
@@ -701,15 +703,15 @@ def test_stripped_family_invariants():
 
 
 def test_enumerate_ideal_pairs_examples(fx):
-    got4 = [(p.H, p.B) for p in enumerate_ideal_pairs(fx["FX4"], (2,))]
-    assert got4 == [((), ()), (("u",), ()), (("w",), ()), (("u", "v", "w"), ())]
-    got2 = [(p.H, p.B) for p in enumerate_ideal_pairs(fx["FX2"], (2, 2))]
-    assert got2 == [((), ()), (("v",), ())]
-    got6 = [(p.H, p.B) for p in enumerate_ideal_pairs(fx["FX6"], (2,))]
-    assert got6 == [((), ()), (("v",), ())]
+    got4 = [p.H for p in enumerate_ideal_pairs(fx["FX4"], (2,))]
+    assert got4 == [(), ("u",), ("w",), ("u", "v", "w")]
+    got2 = [p.H for p in enumerate_ideal_pairs(fx["FX2"], (2, 2))]
+    assert got2 == [(), ("v",)]
+    got6 = [p.H for p in enumerate_ideal_pairs(fx["FX6"], (2,))]
+    assert got6 == [(), ("v",)]
 
 
-PAIR_FIELDS = ("graph_key", "cap", "H", "B", "h_saturated", "eh_sets", "family_cert", "member_certs_true", "exact")
+PAIR_FIELDS = ("graph_key", "cap", "H", "h_saturated", "exact")
 
 
 def _pair_inputs():
@@ -726,9 +728,8 @@ def _pair_inputs():
 def test_pair_enumeration_matches_every_H_oracle():
     """The pairs equal those of the oracle enumeration, which builds the
     stripped family of every H, H = {} included, and searches the capped
-    B universe, on every field and label.  The pairs are enumerated first,
-    on a fresh memo; the fields they read on demand then resolve through
-    the families the oracle built."""
+    B universe, on every field and label.  Every oracle pair has B = ∅,
+    as enumerate_ideal_pairs's lemma says, so the pairs store no B."""
     compared = refused = 0
     for label, g, cap in _pair_inputs():
         got = enumerate_ideal_pairs(g, cap)
@@ -739,6 +740,7 @@ def test_pair_enumeration_matches_every_H_oracle():
             continue
         assert len(got) == len(want), label
         for p, q in zip(got, want):
+            assert q.B == (), (label, q.label())
             for name in PAIR_FIELDS:
                 assert getattr(p, name) == getattr(q, name), (label, p.H, name)
             assert p.label() == q.label(), (label, p.H)
@@ -809,7 +811,7 @@ def test_quotient_replay_matches_replay_on_the_quotient(monkeypatch):
         for p in enumerate_ideal_pairs(g, cap):
             if p.H:
                 try:
-                    p.stripped
+                    restricted_fe_family(g, p.H, cap)
                 except RuntimeError:  # over the fe enumeration limit
                     pass
         if max(cap) == 1:
@@ -843,40 +845,6 @@ def test_pair_leq_examples(fx):
     assert not pair_leq(g, by_h[("w",)], by_h[("u",)])
     for p in pairs:
         assert pair_leq(g, p, p)
-
-
-def test_pair_leq_with_nonempty_B_matches_definition(fx):
-    """(H1, B1) <= (H2, B2) iff H1 is inside H2 and every set of B1 whose
-    range is outside H2, stripped of its H2-sourced paths, lies in the
-    stripped family of H2 or in B2.  No fixture has a pair with B, so
-    pairs are given small capped path sets as B."""
-    g, cap = fx["FX4"], (2,)
-    pairs = enumerate_ideal_pairs(g, cap)
-
-    def stripped(E, H):
-        return frozenset(q for q in E if q.s not in H)
-
-    def by_definition(p1, p2):
-        H2 = set(p2.H)
-        allowed = p2.eh_sets | set(p2.B)
-        return set(p1.H) <= H2 and all(next(iter(E)).r in H2 or stripped(E, H2) in allowed for E in p1.B)
-
-    outcomes = set()
-    for p1, p2 in itertools.product(pairs, repeat=2):
-        gq = quotient_graph(g, p1.H)
-        for v in gq.vertices:
-            members = align.universe(gq, v, cap).members
-            for n in (1, 2):
-                for E in map(frozenset, itertools.combinations(members, n)):
-                    q1 = p1._replace(B=(E,))
-                    strip2 = stripped(E, p2.H)
-                    for B2 in {(), (strip2,) if strip2 else ()}:
-                        q2 = p2._replace(B=B2)
-                        want = by_definition(q1, q2)
-                        assert pair_leq(g, q1, q2) == want, (q1.label(), q2.label())
-                        if set(p1.H) <= set(p2.H):
-                            outcomes.add(want)
-    assert outcomes == {True, False}
 
 
 def test_pair_leq_rejects_cap_mismatch(fx):
@@ -914,6 +882,19 @@ def test_ideal_lattice_examples(fx):
     assert len(lat1.pairs) == 2 and lat1.hasse == ((0, 1),)
     lat6 = ideal_lattice(fx["FX6"], (2,))
     assert len(lat6.pairs) == 2 and lat6.hasse == ((0, 1),)
+
+
+def test_lattice_keeps_no_graph_alive():
+    """A pair holds the graph's cache key, not the graph: once the graph
+    is dropped, the lattice and pairs built from it keep none of it."""
+    g = textio.parse_kgraph_text(textio.FIXTURE_TEXTS["FX4"]).graph  # fresh memo
+    ref = weakref.ref(g)
+    lat = ideal_lattice(g, (3,))
+    pairs = enumerate_ideal_pairs(g, (3,))
+    del g
+    gc.collect()
+    assert ref() is None
+    assert [p.H for p in lat.pairs] == [p.H for p in pairs] == [(), ("u",), ("w",), ("u", "v", "w")]
 
 
 def test_lattice_meets_joins_on_diamond(fx):
@@ -1020,7 +1001,6 @@ def test_k1_oracle_on_fixtures(fx):
     for name in ("FX1", "FX4", "FX5", "FX6"):
         g = fx[name]
         pairs = enumerate_ideal_pairs(g, (1,))
-        assert all(p.B == () for p in pairs)
         got = [frozenset(p.H) for p in pairs]
         assert got == sorted(oracles.k1_sat_hered_sets(g), key=lambda s: (len(s), sorted(s)))
 

@@ -228,7 +228,7 @@ def _lattice_and_families(g, cap):
     """The lattice, then the stripped family of each of its pairs."""
     lat = ideals.ideal_lattice(g, cap)
     for p in lat.pairs:
-        p.stripped
+        ideals.restricted_fe_family(g, p.H, cap)
     return lat
 
 
@@ -555,15 +555,13 @@ def test_stripped_family_reads_only_quotient_universes(monkeypatch, name, cap):
 def test_lattice_family_mask_calls_pinned(monkeypatch, name, cap, subsets):
     """Families stay member masks from fe_sets to the lattice: no set is
     turned back into a mask, each subset is classified once, and no path
-    set is built; a pair builds its eh_sets only when they are read."""
+    set is built."""
     g = textio.parse_kgraph_text(textio.FIXTURE_TEXTS[name]).graph  # fresh memo
     calls = _counting(monkeypatch, align.VertexUniverse, ("mask_of", "set_of", "classify"))
-    lat = _lattice_and_families(g, cap)
+    _lattice_and_families(g, cap)
     assert calls["mask_of"] == 0
     assert calls["classify"] <= subsets
     assert calls["set_of"] == 0
-    for p in lat.pairs:
-        assert p.eh_sets == ideals.restricted_fe_family(g, p.H, cap).sets()
 
 
 def _recording_families(monkeypatch):
@@ -589,8 +587,8 @@ def test_lattice_builds_no_family_for_empty_H(monkeypatch, source, cap, built, f
     """The lattice and the structure report build no stripped family and
     enumerate no candidate, for H = {} or any other H: the pairs are
     indexed by H alone on every graph, the locally convex FX6, FX2 and FX4
-    and random_2graph(41), which is not.  Reading eh_sets builds each
-    pair's family on demand."""
+    and random_2graph(41), which is not.  restricted_fe_family builds
+    each pair's family on demand."""
     if isinstance(source, int):
         g = random_2graph(source)
     else:
@@ -602,7 +600,7 @@ def test_lattice_builds_no_family_for_empty_H(monkeypatch, source, cap, built, f
     assert families == built
     assert calls["fe_sets"] == fe_calls
     for p in lat.pairs:
-        p.eh_sets
+        ideals.restricted_fe_family(g, p.H, cap)
     assert families == built + [p.H for p in lat.pairs if p.H not in built]
 
 
@@ -622,7 +620,7 @@ def test_lattice_and_report_check_heredity_once_per_family(monkeypatch):
             structure.structure_report(g, cap, False)
             assert calls["is_hereditary"] == len(built) == before
             for p in lat.pairs:
-                p.eh_sets
+                ideals.restricted_fe_family(g, p.H, cap)
             assert len(built) == before + len(lat.pairs)
             assert calls["is_hereditary"] == len(built)
     checked = calls["is_hereditary"]
@@ -661,13 +659,14 @@ def test_lattice_and_report_run_no_verdict_scan(monkeypatch, source, cap, compos
     assert checked == [] and calls["compose"] == 0
     for p in lat.pairs:
         if p.H:
-            p.stripped
+            ideals.restricted_fe_family(g, p.H, cap)
     assert checked == []
     assert calls["compose"] <= compose_max
     families = []
     for p in lat.pairs:
-        if all(sf is not p.stripped for sf in families):
-            families.append(p.stripped)
+        sf = ideals.restricted_fe_family(g, p.H, cap)
+        if all(fam is not sf for fam in families):
+            families.append(sf)
         for _ in range(2):
-            assert not p.stripped.satiated.is_false
+            assert not sf.satiated.is_false
     assert [id(fam) for fam in checked] == [id(sf.base.by_vertex) for sf in families]

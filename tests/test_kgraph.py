@@ -470,7 +470,7 @@ def test_no_memo_key_can_equal_a_path():
             align.ext(fx2, mu, (nu,))
     g41 = random_2graph(41)
     for pair in ideals.ideal_lattice(g41, (1, 1)).pairs:
-        pair.stripped
+        ideals.restricted_fe_family(g41, pair.H, (1, 1))
     structure.structure_report(g41, (1, 1), False)
     graphs = [fx2, g41] + [q for q in g41._cache.values() if isinstance(q, KGraph)]
     assert len(graphs) > 2

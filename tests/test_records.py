@@ -37,7 +37,7 @@ FIELDS = {
     VertexSet: ("members", "hereditary", "saturated"),
     SatiatedFamily: ("base", "cap", "refuted_parents", "quotient_refuted", "tainted", "_checked", "_known_bad"),
     _ScanResult: ("violations", "taints", "overflow", "budget_hit", "s4_missing"),
-    IdealPair: ("graph_key", "cap", "H", "B", "h_saturated", "graph"),
+    IdealPair: ("graph_key", "cap", "H", "h_saturated"),
     IdealLattice: ("pairs", "leq", "hasse", "meets", "joins", "is_lattice", "failures", "cap"),
     Grading: ("b",),
     SkewWindow: ("base", "lo", "hi", "graph", "grading"),
@@ -52,7 +52,6 @@ HIDDEN = {
     VertexUniverse: ("_cont", "_comp"),
     FEFamily: ("graph",),
     SatiatedFamily: ("_checked", "_known_bad"),
-    IdealPair: ("graph",),
 }
 FROZEN = (Edge, Skeleton, SquareRule, ValidationReport, CertifiedBool, VertexSet, IdealPair, Grading, BoundaryPrefix)
 
@@ -74,7 +73,7 @@ def samples():
            RunConfig(command="lattice"), RunConfig("paths", (1,), "text", vertex="v"),
            *ideals.enumerate_sat_hered(g4, (2,)), *pairs, ideals.ideal_lattice(g4, (2,)),
            *(align.universe(g4, v, (2,)) for v in g4.vertices), *(align.fe_sets(g4, v, (2,)) for v in g4.vertices),
-           *(p.stripped for p in pairs), ideals._ScanResult(), ideals._ScanResult(taints=["S3"]),
+           *(ideals.restricted_fe_family(g4, p.H, (2,)) for p in pairs), ideals._ScanResult(), ideals._ScanResult(taints=["S3"]),
            sw, sw.grading, structure.skew_fe_lift(sw, [g3.path(["b"]), g3.path(["c"])], (0, 0), (1, 1)),
            *structure.boundary_prefixes(g4, "v", (1,)), structure.structure_report(g4, (1,), False)]
     assert {type(x) for x in out} == set(FIELDS)
@@ -97,8 +96,8 @@ def test_frozen_records_hash_as_their_field_tuple(samples):
         assert copy is not x and copy == x and not copy != x
         assert hash(copy) == hash(x) == hash(_compared(x)), x
     assert len(set(frozen)) == len(frozen)
-    pair = next(p for p in samples if isinstance(p, IdealPair) and p.H)
-    assert pair._replace(graph=None) == pair  # hidden fields are not compared
+    fam = next(x for x in samples if isinstance(x, FEFamily))
+    assert fam._replace(graph=None) == fam  # hidden fields are not compared
 
 
 def test_mutable_records_are_unhashable(samples):
@@ -154,11 +153,6 @@ def test_run_config_replace_keeps_every_other_field():
     assert got == RunConfig("lattice", None, "dot", False, False, 0, None, None, None, None, 1, 1)
     with pytest.raises(TypeError):
         cfg._replace(format="dot")
-
-
-def test_replaced_pair_reads_the_same_stripped_family(samples):
-    pair = next(p for p in samples if isinstance(p, IdealPair) and p.H)
-    assert pair._replace(B=()).stripped is pair.stripped
 
 
 def test_universe_takes_weak_references(samples):
