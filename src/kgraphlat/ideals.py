@@ -953,13 +953,12 @@ def _vertex_mask(bits: Dict[str, int], H: Iterable[str]) -> int:
 
 
 class IdealLattice(Record):
-    __slots__ = ("pairs", "leq", "hasse", "meets", "joins", "is_lattice", "failures", "cap")
+    __slots__ = ("pairs", "hasse", "meets", "joins", "is_lattice", "failures", "cap")
 
-    def __init__(self, pairs: List[IdealPair], leq: List[List[bool]], hasse: Tuple[Tuple[int, int], ...],
-                 meets: Dict[Tuple[int, int], Optional[int]], joins: Dict[Tuple[int, int], Optional[int]],
+    def __init__(self, pairs: List[IdealPair], hasse: Tuple[Tuple[int, int], ...],
+                 meets: Dict[Tuple[int, int], int], joins: Dict[Tuple[int, int], Optional[int]],
                  is_lattice: bool, failures: Tuple[str, ...], cap: Degree):
         self.pairs = pairs
-        self.leq = leq
         self.hasse = hasse
         self.meets = meets
         self.joins = joins
@@ -969,51 +968,41 @@ class IdealLattice(Record):
 
 
 def ideal_lattice(g: KGraph, cap: Degree) -> IdealLattice:
-    """The pair lattice with Hasse diagram, meets and joins from pair_leq's
-    matrix by _order_tables, with any gaps at the cap reported, not hidden.
-    The matrix is H containment as a test of vertex masks, each computed
-    once; the pairs meet pair_leq's same-graph and same-cap checks by
-    construction."""
+    """The pair lattice, read off bitmask rows over the pairs of
+    enumerate_ideal_pairs in its (size, members) order: up[i] holds the j
+    with H_i ⊆ H_j and down[i] the j with H_j ⊆ H_i, which is pair_leq,
+    whose checks the pairs meet by construction.  (i, j) is a Hasse edge
+    when j is in i's strict up-row and in no strict up-row of a node in it.
+
+    Lemma: the listed H are closed under intersection.  H = H_1 ∩ H_2 is
+    hereditary with cones inside H_1's, so _hereditary_sets lists it.
+    Were _saturation_status(H) false at some v ∉ H, say v ∉ H_1, then v
+    reaches H_1, and its H_1-sourced mask holds the H-sourced one, which
+    classify certifies exhaustive.  classify is upward monotone: a path
+    that a superset leaves uncaptured is compatible with the subset, so
+    with the superset, and does not escape.  So H_1 would be refuted too,
+    yet it is listed; the zero-cap rule only adds unknowns.  Hence the
+    meet is the highest bit of down[i] & down[j]: H_i ∩ H_j, the largest
+    set there (the empty set is always listed).  The join is the lowest
+    bit of up[i] & up[j]: the intersection of that bound is listed and
+    inside all of it.  A join is None, a failure, only when no listed H
+    holds both; a graph that validates lists its full vertex set."""
     cap = degrees.check(cap, g.k)
     pairs = enumerate_ideal_pairs(g, cap)
     bits = g.vertex_bits()
     masks = [_vertex_mask(bits, p.H) for p in pairs]
-    leq = [[not h1 & ~h2 for h2 in masks] for h1 in masks]
-    hasse, meets, joins, failures = _order_tables(leq)
-    return IdealLattice(pairs, leq, hasse, meets, joins, not failures, failures, cap)
-
-
-def _order_tables(leq: List[List[bool]]):
-    """Hasse diagram, meets, joins and failures of a relation, leq[i][j]
-    meaning i <= j, as bitmask rows: up[i] holds the j >= i, down[j] the
-    i <= j.  (i, j) is a Hasse edge when j is in i's strict up-row and in
-    no strict up-row of a k in it.  The meet of i and j is the one k of
-    the bound down[i] & down[j] whose down-row covers the bound, else
-    None; the join likewise with up-rows.  No step assumes an order."""
-    n = len(leq)
-    up = [sum(1 << j for j, le in enumerate(row) if le) for row in leq]
-    down = [sum(1 << i for i, le in enumerate(col) if le) for col in zip(*leq)]
+    up = [sum(1 << j for j, h2 in enumerate(masks) if not h1 & ~h2) for h1 in masks]
+    down = [sum(1 << j for j, h2 in enumerate(masks) if not h2 & ~h1) for h1 in masks]
     strict = [row & ~(1 << i) for i, row in enumerate(up)]
-    hasse = [(i, j) for i in range(n) for j in _mask_key(strict[i] & ~_union_of_bits(strict, strict[i]))]
-    meets: Dict[Tuple[int, int], Optional[int]] = {}
+    hasse = tuple((i, j) for i, row in enumerate(strict) for j in _mask_key(row & ~_union_of_bits(strict, row)))
+    meets: Dict[Tuple[int, int], int] = {}
     joins: Dict[Tuple[int, int], Optional[int]] = {}
-    known: Dict[Tuple[bool, int], Optional[int]] = {}  # pairs share bounds; a lattice has 2n at most
-
-    def covering(rows: List[int], bound: int) -> Optional[int]:
-        key = (rows is down, bound)
-        if key not in known:
-            best = [k for k in _mask_key(bound) if not bound & ~rows[k]]
-            known[key] = best[0] if len(best) == 1 else None
-        return known[key]
-
     failures = []
-    for i in range(n):
-        for j in range(i, n):
-            meet = meets[i, j] = meets[j, i] = covering(down, down[i] & down[j])
-            join = joins[i, j] = joins[j, i] = covering(up, up[i] & up[j])
-            if meet is None:
-                failures.append(f"no meet for nodes {i},{j}")
-            if join is None:
+    for i in range(len(pairs)):
+        for j in range(i, len(pairs)):
+            meets[i, j] = meets[j, i] = (down[i] & down[j]).bit_length() - 1
+            bound = up[i] & up[j]
+            joins[i, j] = joins[j, i] = (bound & -bound).bit_length() - 1 if bound else None
+            if not bound:
                 failures.append(f"no join for nodes {i},{j}")
-    return tuple(hasse), meets, joins, tuple(failures)
-
+    return IdealLattice(pairs, hasse, meets, joins, not failures, tuple(failures), cap)

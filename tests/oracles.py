@@ -1143,7 +1143,9 @@ class OracleIdealPair:
     # the stripped family of H, fixed by graph, cap and H
     eh_family: FEFamily = field(repr=False, compare=False)
     h_saturated: CertifiedBool
-    family_cert: CertifiedBool
+    # the closure certificate of H's stripped family with B; None with B
+    # empty, where exact reads none
+    family_cert: Optional[CertifiedBool]
     member_certs_true: bool
 
     @property
@@ -1220,8 +1222,8 @@ def oracle_enumerate_ideal_pairs(g: KGraph, cap: Degree) -> List[OracleIdealPair
         buniverse = sorted((D for D in cands if D not in basekeys and not certified_non_fe(D)), key=key)
 
         base_ok = _all_true(sf.base) and not sf.tainted
-        families: Dict[FrozenSet[SetKey], Tuple[CertifiedBool, bool, FEFamily]] = {
-            basekeys: (sf.satiated, base_ok, sf.base)
+        families: Dict[FrozenSet[SetKey], Tuple[Optional[CertifiedBool], bool, FEFamily]] = {
+            basekeys: (None, base_ok, sf.base)
         }
         queue: List[FrozenSet[SetKey]] = [basekeys]
         while queue:
@@ -1310,13 +1312,15 @@ def oracle_ideal_lattice(g: KGraph, cap: Degree) -> IdealLattice:
     n = len(pairs)
     leq = [[pair_leq(g, pairs[i], pairs[j]) for j in range(n)] for i in range(n)]
     hasse, meets, joins, failures = oracle_order_tables(leq)
-    return IdealLattice(pairs, leq, hasse, meets, joins, not failures, failures, cap)
+    return IdealLattice(pairs, hasse, meets, joins, not failures, failures, cap)
 
 
 def oracle_order_tables(leq: List[List[bool]]):
-    """ideals._order_tables by search: the Hasse diagram by a search for a
-    node between each related pair, meets and joins by a search of each
-    bound for its one element above (below) all of the bound."""
+    """Hasse diagram, meets, joins and failures of a relation, leq[i][j]
+    meaning i <= j, by search, assuming no order: the Hasse diagram by a
+    search for a node between each related pair, meets and joins by a
+    search of each bound for its one element above (below) all of the
+    bound, a failure for each bound without one."""
     n = len(leq)
     hasse = []
     for i in range(n):
