@@ -953,22 +953,41 @@ def _vertex_mask(bits: Dict[str, int], H: Iterable[str]) -> int:
 
 
 class IdealLattice(Record):
-    __slots__ = ("pairs", "hasse", "meets", "joins", "is_lattice", "failures", "cap")
+    """The pairs of enumerate_ideal_pairs, in its (size, members) order, as
+    the nodes of a lattice: hasse lists its covering edges (i, j), H_i
+    below H_j; up[i] is the bitmask of the nodes j with H_i ⊆ H_j and
+    down[i] that of the j with H_j ⊆ H_i; failures names each pair of
+    nodes without a join.  Meets and joins are read off the rows on
+    demand (ideal_lattice proves why)."""
 
-    def __init__(self, pairs: List[IdealPair], hasse: Tuple[Tuple[int, int], ...],
-                 meets: Dict[Tuple[int, int], int], joins: Dict[Tuple[int, int], Optional[int]],
-                 is_lattice: bool, failures: Tuple[str, ...], cap: Degree):
+    __slots__ = ("pairs", "hasse", "up", "down", "failures", "cap")
+
+    def __init__(self, pairs: List[IdealPair], hasse: Tuple[Tuple[int, int], ...], up: List[int],
+                 down: List[int], failures: Tuple[str, ...], cap: Degree):
         self.pairs = pairs
         self.hasse = hasse
-        self.meets = meets
-        self.joins = joins
-        self.is_lattice = is_lattice
+        self.up = up
+        self.down = down
         self.failures = failures
         self.cap = cap
 
+    @property
+    def is_lattice(self) -> bool:
+        return not self.failures
+
+    def meet(self, i: int, j: int) -> int:
+        """The node of H_i ∩ H_j: the highest bit of down[i] & down[j]."""
+        return (self.down[i] & self.down[j]).bit_length() - 1
+
+    def join(self, i: int, j: int) -> Optional[int]:
+        """The node of the least listed H holding H_i and H_j: the lowest
+        bit of up[i] & up[j]; None when no listed H holds both."""
+        bound = self.up[i] & self.up[j]
+        return (bound & -bound).bit_length() - 1 if bound else None
+
 
 def ideal_lattice(g: KGraph, cap: Degree) -> IdealLattice:
-    """The pair lattice, read off bitmask rows over the pairs of
+    """The pair lattice, as bitmask rows over the pairs of
     enumerate_ideal_pairs in its (size, members) order: up[i] holds the j
     with H_i ⊆ H_j and down[i] the j with H_j ⊆ H_i, which is pair_leq,
     whose checks the pairs meet by construction.  (i, j) is a Hasse edge
@@ -981,12 +1000,21 @@ def ideal_lattice(g: KGraph, cap: Degree) -> IdealLattice:
     classify certifies exhaustive.  classify is upward monotone: a path
     that a superset leaves uncaptured is compatible with the subset, so
     with the superset, and does not escape.  So H_1 would be refuted too,
-    yet it is listed; the zero-cap rule only adds unknowns.  Hence the
-    meet is the highest bit of down[i] & down[j]: H_i ∩ H_j, the largest
-    set there (the empty set is always listed).  The join is the lowest
-    bit of up[i] & up[j]: the intersection of that bound is listed and
-    inside all of it.  A join is None, a failure, only when no listed H
-    holds both; a graph that validates lists its full vertex set."""
+    yet it is listed; the zero-cap rule only adds unknowns.  Hence
+    IdealLattice.meet is the highest bit of down[i] & down[j]: H_i ∩ H_j,
+    the largest set there (the empty set is always listed).  And
+    IdealLattice.join is the lowest bit of up[i] & up[j]: the
+    intersection of that bound is listed and inside all of it.
+
+    Every pair has a join exactly when the union of the listed H is
+    listed, that is when the last node's down row holds every node.  If
+    it is listed, it is a top: it is in every up row, so no up[i] & up[j]
+    is empty.  If not, no node is a top, as a top holds the union and is
+    inside it.  A finite order without a top has two distinct maximal
+    nodes, since every node lies below a maximal one, and a common upper
+    bound of the two would equal each.  So failures is () under a top;
+    otherwise it names each i < j such that no node above i lies above j,
+    in that order.  A graph that validates lists its full vertex set."""
     cap = degrees.check(cap, g.k)
     pairs = enumerate_ideal_pairs(g, cap)
     bits = g.vertex_bits()
@@ -995,14 +1023,7 @@ def ideal_lattice(g: KGraph, cap: Degree) -> IdealLattice:
     down = [sum(1 << j for j, h2 in enumerate(masks) if not h2 & ~h1) for h1 in masks]
     strict = [row & ~(1 << i) for i, row in enumerate(up)]
     hasse = tuple((i, j) for i, row in enumerate(strict) for j in _mask_key(row & ~_union_of_bits(strict, row)))
-    meets: Dict[Tuple[int, int], int] = {}
-    joins: Dict[Tuple[int, int], Optional[int]] = {}
-    failures = []
-    for i in range(len(pairs)):
-        for j in range(i, len(pairs)):
-            meets[i, j] = meets[j, i] = (down[i] & down[j]).bit_length() - 1
-            bound = up[i] & up[j]
-            joins[i, j] = joins[j, i] = (bound & -bound).bit_length() - 1 if bound else None
-            if not bound:
-                failures.append(f"no join for nodes {i},{j}")
-    return IdealLattice(pairs, hasse, meets, joins, not failures, tuple(failures), cap)
+    full = (1 << len(pairs)) - 1
+    failures = () if down[-1] == full else tuple(f"no join for nodes {i},{j}" for i, row in enumerate(up)
+                                                 for j in _mask_key(full & ~_union_of_bits(down, row)) if j > i)
+    return IdealLattice(pairs, hasse, up, down, failures, cap)

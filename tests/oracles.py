@@ -33,7 +33,6 @@ from kgraphlat.align import FEFamily, MinPair, PathSet, common_range, fe_sets, i
 from kgraphlat.certify import CertifiedBool, false_certified, true_certified, unknown_at_cap
 from kgraphlat.degrees import Degree
 from kgraphlat.ideals import (
-    IdealLattice,
     VertexSet,
     S3_BUDGET,
     S4_BUDGET,
@@ -1305,14 +1304,15 @@ def oracle_hereditary_closure(g: KGraph, G: Iterable[str]) -> FrozenSet[str]:
     return frozenset(out)
 
 
-def oracle_ideal_lattice(g: KGraph, cap: Degree) -> IdealLattice:
-    """ideals.ideal_lattice with oracle_order_tables for its order."""
+def oracle_ideal_lattice(g: KGraph, cap: Degree):
+    """The pairs of enumerate_ideal_pairs with the Hasse diagram, meets,
+    joins and failures that oracle_order_tables finds in pair_leq's matrix
+    of them."""
     cap = degrees.check(cap, g.k)
     pairs = enumerate_ideal_pairs(g, cap)
     n = len(pairs)
     leq = [[pair_leq(g, pairs[i], pairs[j]) for j in range(n)] for i in range(n)]
-    hasse, meets, joins, failures = oracle_order_tables(leq)
-    return IdealLattice(pairs, hasse, meets, joins, not failures, failures, cap)
+    return (pairs, *oracle_order_tables(leq))
 
 
 def oracle_order_tables(leq: List[List[bool]]):

@@ -38,7 +38,7 @@ FIELDS = {
     SatiatedFamily: ("base", "cap", "refuted_parents", "quotient_refuted", "tainted", "_checked", "_known_bad"),
     _ScanResult: ("violations", "taints", "overflow", "budget_hit", "s4_missing"),
     IdealPair: ("graph_key", "cap", "H", "h_saturated"),
-    IdealLattice: ("pairs", "hasse", "meets", "joins", "is_lattice", "failures", "cap"),
+    IdealLattice: ("pairs", "hasse", "up", "down", "failures", "cap"),
     Grading: ("b",),
     SkewWindow: ("base", "lo", "hi", "graph", "grading"),
     LiftedSet: ("paths", "range_vertex", "exhaustive"),
